@@ -13,15 +13,45 @@ import dataclasses
 import sys
 
 from . import __version__
-from .config import (ConfigError, config_reference, default_config,
-                     load_config, serialize_config)
+from .config import (EXPERIMENTS, ConfigError, config_reference,
+                     default_config, load_config)
 from .events import EventFormatError
 from .franson import FitError
 from .material import WavelengthRangeError
 from .matching import GridResolutionError
 from .resonator import CalibrationError
-from .tables import format_table
+from .tables import emit_table
 from . import pipeline
+
+
+# experiment name -> (subcommand help, run(cfg, parsed args) returning
+# (columns, rows, summary))
+_EXPERIMENTS = {
+    "modes": ("list calibrated resonance combs",
+              lambda cfg, a: pipeline.run_modes(cfg, family_id=a.family)),
+    "match": ("list energy-matched triples",
+              lambda cfg, a: pipeline.run_match(cfg)),
+    "trace": ("conversion amplitude around the disk for one triple",
+              lambda cfg, a: pipeline.run_trace(cfg, delta_m=a.delta_m,
+                                                n_turns=a.turns)),
+    "scan": ("matched triples across the filter band with strengths",
+             lambda cfg, a: pipeline.scan_table(cfg)),
+    "simulate": ("generate a timestamp stream and write it to a file",
+                 lambda cfg, a: pipeline.run_simulate(
+                     cfg, a.events, fmt=a.events_format,
+                     duration_s=a.duration)),
+    "coinc": ("two-fold coincidence metrics of an event stream",
+              lambda cfg, a: pipeline.run_coinc(cfg, events_path=a.events,
+                                                duration_s=a.duration)),
+    "g2": ("heralded second-order correlation of the peak channel",
+           lambda cfg, a: pipeline.run_g2(cfg)),
+    "franson": ("time-bin fringe scan and visibility fits",
+                lambda cfg, a: pipeline.run_franson(cfg)[:3]),
+    "spectrum": ("per-channel coincidence spectrum",
+                 lambda cfg, a: pipeline.run_spectrum(cfg)),
+    "sweep": ("pair rate and CAR against pump power",
+              lambda cfg, a: pipeline.run_power_sweep(cfg)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -49,17 +79,17 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     add("run", "run the experiment named by the config's experiment key")
-    p = add("modes", "list calibrated resonance combs")
-    p.add_argument("--family", help="restrict to one family id")
-    add("match", "list energy-matched triples")
-    p = add("trace", "conversion amplitude around the disk for one triple")
+    parsers = {name: add(name, _EXPERIMENTS[name][0])
+               for name in EXPERIMENTS}
+    parsers["modes"].add_argument("--family",
+                                  help="restrict to one family id")
+    p = parsers["trace"]
     p.add_argument("--delta-m", type=int, default=None,
                    help="mode-number mismatch of the triple to trace "
                         "(default: the strongest matched triple)")
     p.add_argument("--turns", type=int, default=None,
                    help="propagation turns (default: matching.n_turns)")
-    add("scan", "matched triples across the filter band with strengths")
-    p = add("simulate", "generate a timestamp stream and write it to a file")
+    p = parsers["simulate"]
     p.add_argument("--events", metavar="PATH", default="events.ttps",
                    help="output event file (default events.ttps)")
     p.add_argument("--events-format", choices=("binary", "csv"),
@@ -68,16 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--duration", type=float, default=None, metavar="S",
                    help="stream duration in seconds "
                         "(default: sweep.duration_s)")
-    p = add("coinc", "two-fold coincidence metrics of an event stream")
+    p = parsers["coinc"]
     p.add_argument("--events", metavar="PATH", default=None,
                    help="event file to analyse (default: simulate one)")
     p.add_argument("--duration", type=float, default=None, metavar="S",
                    help="duration when simulating (default: "
                         "sweep.duration_s)")
-    add("g2", "heralded second-order correlation of the peak channel")
-    add("franson", "time-bin fringe scan and visibility fits")
-    add("spectrum", "per-channel coincidence spectrum")
-    add("sweep", "pair rate and CAR against pump power")
     return parser
 
 
@@ -90,48 +116,20 @@ def _load(args) -> "pipeline.RunConfig":
     return cfg
 
 
-def _dispatch(args, cfg):
-    command = args.command
-    if command == "run":
-        command = cfg.experiment
-        if command is None:
-            raise ConfigError("run needs the config to set experiment")
-    if command == "modes":
-        family = getattr(args, "family", None)
-        return pipeline.run_modes(cfg, family_id=family)
-    if command == "match":
-        return pipeline.run_match(cfg)
-    if command == "trace":
-        return pipeline.run_trace(cfg, delta_m=getattr(args, "delta_m", None),
-                                  n_turns=getattr(args, "turns", None))
-    if command == "scan":
-        return pipeline.scan_table(cfg)
-    if command == "simulate":
-        return pipeline.run_simulate(
-            cfg, getattr(args, "events", "events.ttps"),
-            fmt=getattr(args, "events_format", None),
-            duration_s=getattr(args, "duration", None))
-    if command == "coinc":
-        return pipeline.run_coinc(cfg, events_path=getattr(args, "events",
-                                                           None),
-                                  duration_s=getattr(args, "duration", None))
-    if command == "g2":
-        return pipeline.run_g2(cfg)
-    if command == "franson":
-        return pipeline.run_franson(cfg)[:3]
-    if command == "spectrum":
-        return pipeline.run_spectrum(cfg)
-    if command == "sweep":
-        return pipeline.run_power_sweep(cfg)
-    raise ConfigError(f"unknown experiment {command!r}")
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _load(args)
-        columns, rows, summary = _dispatch(args, cfg)
+        options = args
+        if args.command == "run":
+            if cfg.experiment is None:
+                raise ConfigError("run needs the config to set experiment")
+            # the named experiment runs with its own default options
+            options = parser.parse_args([cfg.experiment])
+        _, run = _EXPERIMENTS[options.command]
+        columns, rows, summary = run(cfg, options)
+        text = emit_table(columns, rows, path=args.out, fmt=args.format)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -142,10 +140,7 @@ def main(argv=None) -> int:
         return 3
     for line in summary:
         print(f"# {line}")
-    text = format_table(columns, rows, fmt=args.format)
     if args.out:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
         print(f"# wrote {args.out}")
     else:
         print(text, end="")

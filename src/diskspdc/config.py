@@ -20,9 +20,16 @@ starts a comment either at the beginning of a line or after whitespace.
 Unknown sections or keys, type mismatches, and constraint violations raise
 distinct error classes, each naming the offending key and line.
 
-Every key has a default, listed in SCHEMA below and printed by
-``config_reference()``; the defaults describe the lithium-niobate disk
-device this package models, so an empty config is a complete run
+Every key is declared once, as a field of its section's dataclass below:
+``key(kind, default, help, rule)`` gives its type, its default, its help
+text and the ``Rule`` its value must obey on its own, so a key's constraint
+sits next to it.  ``SCHEMA``, parsing, ``serialize_config()`` and
+``config_reference()`` are all derived from those fields.  Only the rules
+that relate keys to each other (and the ascending order of
+``sweep.powers_uw``, a second rule on that key) are code, in the
+``_check_*`` functions and ``_check_references``.  The defaults describe
+the lithium-niobate disk device this package models (the material defaults
+are ``material.py``'s constants), so an empty config is a complete run
 description.  When a config file declares its own ``[resonator.family]``
 or ``[matching.pair]`` sections the corresponding default list is dropped
 entirely rather than merged.
@@ -31,7 +38,11 @@ entirely rather than merged.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Callable
+
+from .material import (D22_PM_PER_V, D31_PM_PER_V, SELLMEIER_E, SELLMEIER_O,
+                       VALID_RANGE_UM)
 
 
 EXPERIMENTS = ("modes", "match", "trace", "scan", "simulate", "coinc",
@@ -77,22 +88,55 @@ class InvariantError(ConfigError):
     """A value parsed but violates a constraint."""
 
 
-_REQUIRED = object()
+@dataclass(frozen=True)
+class Rule:
+    """A constraint on one key's value; optional keys skip it when none."""
+
+    message: str
+    test: Callable[[object], bool]
+
+
+POSITIVE = Rule("must be positive", lambda v: v > 0)
+NON_NEGATIVE = Rule("must not be negative", lambda v: v >= 0)
+IN_UNIT = Rule("must lie in (0, 1]", lambda v: 0 < v <= 1.0)
+IN_CLOSED_UNIT = Rule("must lie in [0, 1]", lambda v: 0 <= v <= 1.0)
+NON_NEGATIVE_ENTRIES = Rule("entries must not be negative",
+                            lambda v: all(x >= 0 for x in v))
+SIX_ENTRIES = Rule("must have six entries", lambda v: len(v) == 6)
 
 
 @dataclass(frozen=True)
 class Option:
     kind: str          # int float str bool sign floats int? float? str?
-    default: object    # _REQUIRED if the key must be given
+    default: object    # MISSING if the key must be given
     help: str
+    rule: Rule | None = None
 
 
 @dataclass(frozen=True)
 class SectionSpec:
     options: dict
     repeated: bool = False
-    list_path: str | None = None   # error path stem for repeated sections
     help: str = ""
+
+
+def key(kind: str, default=MISSING, help_text: str = "",
+        rule: Rule | None = None):
+    """Declare a config key as a field of its section dataclass."""
+    option = Option(kind, default, help_text, rule)
+    return field(default=default, metadata={"option": option})
+
+
+def section(cls, help_text: str):
+    """A top-level ``[name]`` section, held in the RunConfig field name."""
+    return field(default_factory=cls,
+                 metadata={"section": cls, "help": help_text})
+
+
+def repeated(header: str, cls, default: tuple, help_text: str):
+    """A list of ``[parent.header]`` sections, each one entry of cls."""
+    return field(default=default, metadata={"section": cls, "help": help_text,
+                                            "header": header})
 
 
 def _parse_scalar(kind: str, text: str):
@@ -133,334 +177,339 @@ def _parse_scalar(kind: str, text: str):
     raise AssertionError(f"unhandled kind {kind}")
 
 
-_SELLMEIER_O = [2.6734, 0.01764, 1.2290, 0.05914, 12.614, 474.60]
-_SELLMEIER_E = [2.9804, 0.02047, 0.5981, 0.0666, 8.9543, 416.08]
-_LOSSES_DB = [2.2, 2.4, 4.0, 8.7, 3.0, 4.0]
-
-SCHEMA = {
-    "": SectionSpec({
-        "experiment": Option("str?", None,
-                             "Which experiment `run` executes: one of "
-                             + ", ".join(EXPERIMENTS) + "."),
-        "seed": Option("int", 12345,
-                       "Master seed, unsigned 64-bit; per-task seeds are "
-                       "derived from it deterministically."),
-    }, help="Top-level keys (before any section header)."),
-    "material": SectionSpec({
-        "sellmeier_o": Option("floats", _SELLMEIER_O,
-                              "Ordinary-index Sellmeier coefficients "
-                              "b1,c1,b2,c2,b3,c3 (c in um^2)."),
-        "sellmeier_e": Option("floats", _SELLMEIER_E,
-                              "Extraordinary-index Sellmeier coefficients."),
-        "valid_lo_um": Option("float", 0.4,
-                              "Lower edge of the Sellmeier validity range."),
-        "valid_hi_um": Option("float", 5.0,
-                              "Upper edge of the Sellmeier validity range."),
-        "d22_pm_per_v": Option("float", 2.1,
-                               "Nonlinear coefficient multiplying cos(theta)."),
-        "d31_pm_per_v": Option("float", -4.35,
-                               "Nonlinear coefficient multiplying sin(theta)."),
-    }, help="Bulk dispersion and nonlinearity."),
-    "resonator": SectionSpec({
-        "radius_um": Option("float", 46.5, "Disk radius."),
-        "thickness_um": Option("float", 0.9, "Disk thickness."),
-    }, help="Disk geometry."),
-    "resonator.family": SectionSpec({
-        "id": Option("str", _REQUIRED, "Family name, unique per config."),
-        "polarization": Option("str", _REQUIRED, "TE or TM."),
-        "radial_number": Option("int", 0, "Radial order label."),
-        "q_loaded": Option("float", 1.0e5, "Loaded quality factor."),
-        "azimuthal_contrast": Option("float", 0.4,
-                                     "Fraction of the bulk TE index "
-                                     "oscillation the guided mode samples."),
-        "index_offset": Option("float", 0.0,
-                               "Constant effective-index correction; "
-                               "overwritten when an anchor is given."),
-        "index_slope_per_um": Option("float", 0.0,
-                                     "Linear index correction; overwritten "
-                                     "when target_fsr_nm is given."),
-        "ref_wavelength_nm": Option("float", 1550.0,
-                                    "Wavelength where the linear correction "
-                                    "vanishes; reset to the anchor."),
-        "anchor_wavelength_nm": Option("float?", None,
-                                       "Resonance wavelength pinned exactly "
-                                       "to mode number anchor_m."),
-        "anchor_m": Option("int?", None, "Mode number pinned at the anchor."),
-        "target_fsr_nm": Option("float?", None,
-                                "Free spectral range to calibrate at the "
-                                "anchor by adjusting the index slope."),
-    }, repeated=True, list_path="resonator.families",
-        help="One section per whispering-gallery mode family."),
-    "matching": SectionSpec({
-        "pump_family": Option("str", "pump",
-                              "Family id holding the pump resonance."),
-        "linewidth_ghz": Option("float", 2.0,
-                                "Energy-matching linewidth (sum of the "
-                                "loaded linewidths of the three modes)."),
-        "window_fraction": Option("float", 0.5,
-                                  "A triple is matched when its detuning is "
-                                  "below window_fraction * linewidth_ghz."),
-        "energy_tol_ghz": Option("float", 1.0,
-                                 "Detuning bound for plain triple listings."),
-        "grid_points": Option("int", 4096,
-                              "Azimuthal grid points per turn for the "
-                              "conversion-amplitude integral."),
-        "n_turns": Option("int", 1,
-                          "Propagation turns for amplitude traces."),
-        "band_pad_nm": Option("float", 4.0,
-                              "Comb padding beyond the spectrum band."),
-        "dispersion_cutoff_nm": Option("float?", 1556.0,
-                                       "Wavelength beyond which the "
-                                       "dispersion detuning ramp applies."),
-        "dispersion_ramp_ghz_per_nm": Option("float", 0.06,
-                                             "Extra detuning per nm beyond "
-                                             "the cutoff."),
-    }, help="Phase/energy matching controls."),
-    "matching.pair": SectionSpec({
-        "signal": Option("str", _REQUIRED, "Signal-side family id."),
-        "idler": Option("str", _REQUIRED, "Idler-side family id."),
-        "overlap": Option("float", 1.0,
-                          "Transverse mode-overlap factor in (0, 1]."),
-    }, repeated=True, list_path="matching.pairs",
-        help="Family pairs allowed to host signal/idler combs."),
-    "source": SectionSpec({
-        "pump_power_uw": Option("float", 46.5,
-                                "Pump power for single-run experiments."),
-        "pgr_slope_mhz_per_uw": Option("float", 5.13,
-                                       "Low-power pair generation rate "
-                                       "slope."),
-        "saturation_rate_mhz": Option("float?", 5385.0,
-                                      "Asymptotic pair rate; none disables "
-                                      "saturation."),
-        "pair_lifetime_ps": Option("float", 200.0,
-                                   "Exponential signal-idler delay "
-                                   "constant."),
-        "signal_losses_db": Option("floats", _LOSSES_DB,
-                                   "Per-stage insertion losses on the "
-                                   "signal arm."),
-        "idler_losses_db": Option("floats", _LOSSES_DB,
-                                  "Per-stage insertion losses on the idler "
-                                  "arm."),
-        "detector_efficiency": Option("float", 0.85, "Detector efficiency."),
-        "dark_rate_hz": Option("float", 100.0, "Dark counts per detector."),
-        "jitter_sigma_ps": Option("float", 40.0, "Gaussian timing jitter."),
-        "min_pair_spacing_ps": Option("float", 0.0,
-                                      "Dead time between pair emissions; 0 "
-                                      "selects Poisson emission."),
-        "idler_delay_sign": Option("sign", 1,
-                                   "Whether the idler lags (+1) or leads "
-                                   "(-1) the signal."),
-        "coincidence_window_ps": Option("float", 800.0,
-                                        "Default coincidence window."),
-    }, help="Pair source and detection chain."),
-    "umi": SectionSpec({
-        "arm_delay_ns": Option("float", 1.6,
-                               "Long-short arm delay of each unbalanced "
-                               "interferometer."),
-        "phase_xi_rad": Option("float", 0.0, "Interferometer phase."),
-        "short_transmission": Option("float", 0.5, "Short-arm weight."),
-        "long_transmission": Option("float", 0.5, "Long-arm weight."),
-        "rad_per_kelvin": Option("float", 1.0,
-                                 "Phase shift per kelvin of heater drive."),
-        "postselect_window_ps": Option("float", 800.0,
-                                       "Window for the three arrival-time "
-                                       "peaks."),
-    }, help="Unbalanced Michelson interferometer pair."),
-    "spectrum": SectionSpec({
-        "band_lo_nm": Option("float", 1535.0, "Filter-bank band start."),
-        "band_hi_nm": Option("float", 1565.0, "Filter-bank band end."),
-        "channel_width_nm": Option("float", 0.8, "Filter channel width."),
-        "integration_s": Option("float", 10.0, "Integration per channel."),
-        "peak_fraction": Option("float", 0.0178,
-                                "Fraction of the collective pair rate "
-                                "carried by the strongest channel."),
-    }, help="Channelised coincidence spectrum."),
-    "g2": SectionSpec({
-        "pump_power_uw": Option("float", 13.87,
-                                "Pump power for the heralded-g2 run."),
-        "duration_s": Option("float", 10.0, "Stream duration."),
-        "window_ps": Option("float", 800.0, "Heralding window."),
-        "tau_max_ns": Option("float", 50.0, "Delay scan half-range."),
-        "tau_points": Option("int", 51, "Delay scan points (odd)."),
-        "losses_db": Option("floats", [3.0],
-                            "Per-arm losses for this run; the heralded "
-                            "estimator is loss-insensitive so a light tap "
-                            "keeps the statistics affordable."),
-    }, help="Heralded second-order correlation."),
-    "franson": SectionSpec({
-        "visibility": Option("float", 0.965,
-                             "Two-photon interference visibility of the "
-                             "source, after all dephasing."),
-        "xi_points": Option("int", 32, "Phase points per fringe scan."),
-        "integration_s": Option("float", 240.0, "Integration per point."),
-        "duration_s": Option("float", 60.0,
-                             "Stream duration for the arrival-time "
-                             "histogram."),
-    }, help="Time-bin interference."),
-    "sweep": SectionSpec({
-        "powers_uw": Option("floats", [0.1, 0.3, 0.6, 1.0, 1.5, 2.0],
-                            "Pump powers, ascending."),
-        "duration_s": Option("float", 2.0, "Stream duration per point."),
-        "losses_db": Option("floats", [10.0],
-                            "Per-arm losses for the sweep; a light "
-                            "characterisation tap."),
-        "apply_saturation": Option("bool", False,
-                                   "Whether the sweep applies the pump "
-                                   "saturation law."),
-        "rate_window_ps": Option("float", 2400.0,
-                                 "Window for the rate estimate; wide enough "
-                                 "to capture the full delay tail."),
-        "car_window_ps": Option("float", 800.0, "Window for the CAR column."),
-        "parallelism": Option("int", 0,
-                              "Worker processes; 0 means one per CPU. The "
-                              "results do not depend on it."),
-    }, help="Pump-power sweep."),
-}
+_LOSSES_DB = (2.2, 2.4, 4.0, 8.7, 3.0, 4.0)
 
 
 @dataclass(frozen=True)
 class MaterialSection:
-    sellmeier_o: tuple
-    sellmeier_e: tuple
-    valid_lo_um: float
-    valid_hi_um: float
-    d22_pm_per_v: float
-    d31_pm_per_v: float
+    sellmeier_o: tuple = key(
+        "floats", SELLMEIER_O,
+        "Ordinary-index Sellmeier coefficients b1,c1,b2,c2,b3,c3 "
+        "(c in um^2).", SIX_ENTRIES)
+    sellmeier_e: tuple = key(
+        "floats", SELLMEIER_E, "Extraordinary-index Sellmeier coefficients.",
+        SIX_ENTRIES)
+    valid_lo_um: float = key(
+        "float", VALID_RANGE_UM[0],
+        "Lower edge of the Sellmeier validity range.", POSITIVE)
+    valid_hi_um: float = key(
+        "float", VALID_RANGE_UM[1],
+        "Upper edge of the Sellmeier validity range.")
+    d22_pm_per_v: float = key(
+        "float", D22_PM_PER_V, "Nonlinear coefficient multiplying cos(theta).")
+    d31_pm_per_v: float = key(
+        "float", D31_PM_PER_V, "Nonlinear coefficient multiplying sin(theta).")
 
 
 @dataclass(frozen=True)
 class FamilySection:
-    id: str
-    polarization: str
-    radial_number: int
-    q_loaded: float
-    azimuthal_contrast: float
-    index_offset: float
-    index_slope_per_um: float
-    ref_wavelength_nm: float
-    anchor_wavelength_nm: float | None
-    anchor_m: int | None
-    target_fsr_nm: float | None
+    id: str = key("str", help_text="Family name, unique per config.",
+                  rule=Rule("must not be empty", bool))
+    polarization: str = key(
+        "str", help_text="TE or TM.",
+        rule=Rule("must be TE or TM", lambda v: v in ("TE", "TM")))
+    radial_number: int = key("int", 0, "Radial order label.", NON_NEGATIVE)
+    q_loaded: float = key("float", 1.0e5, "Loaded quality factor.", POSITIVE)
+    azimuthal_contrast: float = key(
+        "float", 0.4,
+        "Fraction of the bulk TE index oscillation the guided mode samples.",
+        IN_CLOSED_UNIT)
+    index_offset: float = key(
+        "float", 0.0,
+        "Constant effective-index correction; overwritten when an anchor "
+        "is given.")
+    index_slope_per_um: float = key(
+        "float", 0.0,
+        "Linear index correction; overwritten when target_fsr_nm is given.")
+    ref_wavelength_nm: float = key(
+        "float", 1550.0,
+        "Wavelength where the linear correction vanishes; reset to the "
+        "anchor.", POSITIVE)
+    anchor_wavelength_nm: float | None = key(
+        "float?", None,
+        "Resonance wavelength pinned exactly to mode number anchor_m.",
+        POSITIVE)
+    anchor_m: int | None = key(
+        "int?", None, "Mode number pinned at the anchor.",
+        Rule("must be at least 1", lambda v: v >= 1))
+    target_fsr_nm: float | None = key(
+        "float?", None,
+        "Free spectral range to calibrate at the anchor by adjusting the "
+        "index slope.", POSITIVE)
+
+
+DEFAULT_FAMILIES = (
+    FamilySection("pump", "TM", q_loaded=2.9e5, anchor_wavelength_nm=774.86,
+                  anchor_m=824),
+    FamilySection("sig0", "TE", anchor_wavelength_nm=1552.52, anchor_m=408,
+                  target_fsr_nm=3.89),
+    FamilySection("idl0", "TM", radial_number=1, anchor_m=417,
+                  anchor_wavelength_nm=1546.930081526631, target_fsr_nm=3.67),
+    FamilySection("cov_s1", "TE", radial_number=2, anchor_m=408,
+                  anchor_wavelength_nm=1549.0, target_fsr_nm=3.2),
+    FamilySection("cov_i1", "TM", radial_number=2, anchor_m=415,
+                  anchor_wavelength_nm=1550.440669646317,
+                  target_fsr_nm=3.205955179771379),
+    FamilySection("cov_s2", "TE", radial_number=3, anchor_m=408,
+                  anchor_wavelength_nm=1549.8, target_fsr_nm=3.2),
+    FamilySection("cov_i2", "TM", radial_number=3, anchor_m=415,
+                  anchor_wavelength_nm=1549.6400082587038,
+                  target_fsr_nm=3.1993393377911215),
+    FamilySection("cov_s3", "TE", radial_number=4, anchor_m=408,
+                  anchor_wavelength_nm=1550.6, target_fsr_nm=3.2),
+    FamilySection("cov_i3", "TM", radial_number=4, anchor_m=415,
+                  anchor_wavelength_nm=1548.8409982726168,
+                  target_fsr_nm=3.19274395347974),
+    FamilySection("cov_s4", "TE", radial_number=5, anchor_m=408,
+                  anchor_wavelength_nm=1551.4, target_fsr_nm=3.2),
+    FamilySection("cov_i4", "TM", radial_number=5, anchor_m=415,
+                  anchor_wavelength_nm=1548.043634584181,
+                  target_fsr_nm=3.1861689425778184),
+)
 
 
 @dataclass(frozen=True)
 class ResonatorSection:
-    radius_um: float
-    thickness_um: float
-    families: tuple
+    radius_um: float = key("float", 46.5, "Disk radius.", POSITIVE)
+    thickness_um: float = key("float", 0.9, "Disk thickness.", POSITIVE)
+    families: tuple = repeated(
+        "family", FamilySection, DEFAULT_FAMILIES,
+        "One section per whispering-gallery mode family.")
 
 
 @dataclass(frozen=True)
 class PairSection:
-    signal: str
-    idler: str
-    overlap: float
+    signal: str = key("str", help_text="Signal-side family id.")
+    idler: str = key("str", help_text="Idler-side family id.")
+    overlap: float = key(
+        "float", 1.0, "Transverse mode-overlap factor in (0, 1].", IN_UNIT)
+
+
+DEFAULT_PAIRS = (
+    PairSection("sig0", "idl0", overlap=1.0),
+    PairSection("cov_s1", "cov_i1", overlap=0.3),
+    PairSection("cov_s2", "cov_i2", overlap=0.3),
+    PairSection("cov_s3", "cov_i3", overlap=0.3),
+    PairSection("cov_s4", "cov_i4", overlap=0.3),
+)
 
 
 @dataclass(frozen=True)
 class MatchingSection:
-    pump_family: str
-    linewidth_ghz: float
-    window_fraction: float
-    energy_tol_ghz: float
-    grid_points: int
-    n_turns: int
-    band_pad_nm: float
-    dispersion_cutoff_nm: float | None
-    dispersion_ramp_ghz_per_nm: float
-    pairs: tuple
+    pump_family: str = key(
+        "str", "pump", "Family id holding the pump resonance.")
+    linewidth_ghz: float = key(
+        "float", 2.0,
+        "Energy-matching linewidth (sum of the loaded linewidths of the "
+        "three modes).", POSITIVE)
+    window_fraction: float = key(
+        "float", 0.5,
+        "A triple is matched when its detuning is below window_fraction * "
+        "linewidth_ghz.", IN_UNIT)
+    energy_tol_ghz: float = key(
+        "float", 1.0, "Detuning bound for plain triple listings.", POSITIVE)
+    grid_points: int = key(
+        "int", 4096,
+        "Azimuthal grid points per turn for the conversion-amplitude "
+        "integral.", Rule("must be at least 64", lambda v: v >= 64))
+    n_turns: int = key(
+        "int", 1, "Propagation turns for amplitude traces.",
+        Rule("must lie in 1..10", lambda v: 1 <= v <= 10))
+    band_pad_nm: float = key(
+        "float", 4.0, "Comb padding beyond the spectrum band.", NON_NEGATIVE)
+    dispersion_cutoff_nm: float | None = key(
+        "float?", 1556.0,
+        "Wavelength beyond which the dispersion detuning ramp applies.",
+        POSITIVE)
+    dispersion_ramp_ghz_per_nm: float = key(
+        "float", 0.06, "Extra detuning per nm beyond the cutoff.",
+        NON_NEGATIVE)
+    pairs: tuple = repeated(
+        "pair", PairSection, DEFAULT_PAIRS,
+        "Family pairs allowed to host signal/idler combs.")
 
 
 @dataclass(frozen=True)
 class SourceSection:
-    pump_power_uw: float
-    pgr_slope_mhz_per_uw: float
-    saturation_rate_mhz: float | None
-    pair_lifetime_ps: float
-    signal_losses_db: tuple
-    idler_losses_db: tuple
-    detector_efficiency: float
-    dark_rate_hz: float
-    jitter_sigma_ps: float
-    min_pair_spacing_ps: float
-    idler_delay_sign: int
-    coincidence_window_ps: float
+    pump_power_uw: float = key(
+        "float", 46.5, "Pump power for single-run experiments.", NON_NEGATIVE)
+    pgr_slope_mhz_per_uw: float = key(
+        "float", 5.13, "Low-power pair generation rate slope.", POSITIVE)
+    saturation_rate_mhz: float | None = key(
+        "float?", 5385.0, "Asymptotic pair rate; none disables saturation.",
+        POSITIVE)
+    pair_lifetime_ps: float = key(
+        "float", 200.0, "Exponential signal-idler delay constant.", POSITIVE)
+    signal_losses_db: tuple = key(
+        "floats", _LOSSES_DB, "Per-stage insertion losses on the signal arm.",
+        NON_NEGATIVE_ENTRIES)
+    idler_losses_db: tuple = key(
+        "floats", _LOSSES_DB, "Per-stage insertion losses on the idler arm.",
+        NON_NEGATIVE_ENTRIES)
+    detector_efficiency: float = key(
+        "float", 0.85, "Detector efficiency.", IN_UNIT)
+    dark_rate_hz: float = key(
+        "float", 100.0, "Dark counts per detector.", NON_NEGATIVE)
+    jitter_sigma_ps: float = key(
+        "float", 40.0, "Gaussian timing jitter.", NON_NEGATIVE)
+    min_pair_spacing_ps: float = key(
+        "float", 0.0,
+        "Dead time between pair emissions; 0 selects Poisson emission.",
+        NON_NEGATIVE)
+    idler_delay_sign: int = key(
+        "sign", 1, "Whether the idler lags (+1) or leads (-1) the signal.")
+    coincidence_window_ps: float = key(
+        "float", 800.0, "Default coincidence window.", POSITIVE)
 
 
 @dataclass(frozen=True)
-class UmiSectionCfg:
-    arm_delay_ns: float
-    phase_xi_rad: float
-    short_transmission: float
-    long_transmission: float
-    rad_per_kelvin: float
-    postselect_window_ps: float
+class UmiSection:
+    arm_delay_ns: float = key(
+        "float", 1.6,
+        "Long-short arm delay of each unbalanced interferometer.", POSITIVE)
+    short_transmission: float = key(
+        "float", 0.5, "Short-arm weight.", IN_UNIT)
+    long_transmission: float = key("float", 0.5, "Long-arm weight.", IN_UNIT)
+    postselect_window_ps: float = key(
+        "float", 800.0, "Window for the three arrival-time peaks.", POSITIVE)
 
 
 @dataclass(frozen=True)
 class SpectrumSection:
-    band_lo_nm: float
-    band_hi_nm: float
-    channel_width_nm: float
-    integration_s: float
-    peak_fraction: float
+    band_lo_nm: float = key(
+        "float", 1535.0, "Filter-bank band start.", POSITIVE)
+    band_hi_nm: float = key("float", 1565.0, "Filter-bank band end.")
+    channel_width_nm: float = key(
+        "float", 0.8, "Filter channel width.", POSITIVE)
+    integration_s: float = key(
+        "float", 10.0, "Integration per channel.", POSITIVE)
+    peak_fraction: float = key(
+        "float", 0.0178,
+        "Fraction of the collective pair rate carried by the strongest "
+        "channel.", IN_UNIT)
 
 
 @dataclass(frozen=True)
 class G2Section:
-    pump_power_uw: float
-    duration_s: float
-    window_ps: float
-    tau_max_ns: float
-    tau_points: int
-    losses_db: tuple
+    pump_power_uw: float = key(
+        "float", 13.87, "Pump power for the heralded-g2 run.", POSITIVE)
+    duration_s: float = key("float", 10.0, "Stream duration.", POSITIVE)
+    window_ps: float = key("float", 800.0, "Heralding window.", POSITIVE)
+    tau_max_ns: float = key(
+        "float", 50.0, "Delay scan half-range.", POSITIVE)
+    tau_points: int = key(
+        "int", 51, "Delay scan points (odd).",
+        Rule("must be odd and at least 3", lambda v: v >= 3 and v % 2 == 1))
+    losses_db: tuple = key(
+        "floats", (3.0,),
+        "Per-arm losses for this run; the heralded estimator is "
+        "loss-insensitive so a light tap keeps the statistics affordable.",
+        NON_NEGATIVE_ENTRIES)
 
 
 @dataclass(frozen=True)
 class FransonSection:
-    visibility: float
-    xi_points: int
-    integration_s: float
-    duration_s: float
+    visibility: float = key(
+        "float", 0.965,
+        "Two-photon interference visibility of the source, after all "
+        "dephasing.", IN_CLOSED_UNIT)
+    xi_points: int = key("int", 32, "Phase points per fringe scan.",
+                         Rule("must be at least 8", lambda v: v >= 8))
+    integration_s: float = key(
+        "float", 240.0, "Integration per point.", POSITIVE)
+    duration_s: float = key(
+        "float", 60.0, "Stream duration for the arrival-time histogram.",
+        POSITIVE)
 
 
 @dataclass(frozen=True)
 class SweepSection:
-    powers_uw: tuple
-    duration_s: float
-    losses_db: tuple
-    apply_saturation: bool
-    rate_window_ps: float
-    car_window_ps: float
-    parallelism: int
+    powers_uw: tuple = key(
+        "floats", (0.1, 0.3, 0.6, 1.0, 1.5, 2.0), "Pump powers, ascending.",
+        Rule("entries must be positive", lambda v: all(x > 0 for x in v)))
+    duration_s: float = key(
+        "float", 2.0, "Stream duration per point.", POSITIVE)
+    losses_db: tuple = key(
+        "floats", (10.0,),
+        "Per-arm losses for the sweep; a light characterisation tap.",
+        NON_NEGATIVE_ENTRIES)
+    apply_saturation: bool = key(
+        "bool", False, "Whether the sweep applies the pump saturation law.")
+    rate_window_ps: float = key(
+        "float", 2400.0,
+        "Window for the rate estimate; wide enough to capture the full "
+        "delay tail.", POSITIVE)
+    car_window_ps: float = key(
+        "float", 800.0, "Window for the CAR column.", POSITIVE)
+    parallelism: int = key(
+        "int", 0,
+        "Worker processes; 0 means one per CPU. The results do not depend "
+        "on it.", NON_NEGATIVE)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    experiment: str | None
-    seed: int
-    material: MaterialSection
-    resonator: ResonatorSection
-    matching: MatchingSection
-    source: SourceSection
-    umi: UmiSectionCfg
-    spectrum: SpectrumSection
-    g2: G2Section
-    franson: FransonSection
-    sweep: SweepSection
+    experiment: str | None = key(
+        "str?", None,
+        "Which experiment `run` executes: one of " + ", ".join(EXPERIMENTS)
+        + ".", Rule("must be one of " + ", ".join(EXPERIMENTS),
+                    lambda v: v in EXPERIMENTS))
+    seed: int = key(
+        "int", 12345,
+        "Master seed, unsigned 64-bit; per-task seeds are derived from it "
+        "deterministically.",
+        Rule("must be an unsigned 64-bit integer", lambda v: 0 <= v < 2 ** 64))
+    material: MaterialSection = section(
+        MaterialSection, "Bulk dispersion and nonlinearity.")
+    resonator: ResonatorSection = section(ResonatorSection, "Disk geometry.")
+    matching: MatchingSection = section(
+        MatchingSection, "Phase/energy matching controls.")
+    source: SourceSection = section(
+        SourceSection, "Pair source and detection chain.")
+    umi: UmiSection = section(
+        UmiSection, "Unbalanced Michelson interferometer pair.")
+    spectrum: SpectrumSection = section(
+        SpectrumSection, "Channelised coincidence spectrum.")
+    g2: G2Section = section(G2Section, "Heralded second-order correlation.")
+    franson: FransonSection = section(FransonSection, "Time-bin interference.")
+    sweep: SweepSection = section(SweepSection, "Pump-power sweep.")
+
+
+def _subsections(cls, name: str):
+    """(field, section name, list path or None) of each section cls holds."""
+    for f in fields(cls):
+        if "section" not in f.metadata:
+            continue
+        header = f.metadata.get("header")
+        if header is None:
+            yield f, f.name, None
+        else:
+            yield f, f"{name}.{header}", f"{name}.{f.name}"
+
+
+def _schema(cls, name: str, help_text: str, is_list: bool = False):
+    options = {f.name: f.metadata["option"]
+               for f in fields(cls) if "option" in f.metadata}
+    yield name, SectionSpec(options, is_list, help_text)
+    for f, sub_name, list_path in _subsections(cls, name):
+        yield from _schema(f.metadata["section"], sub_name,
+                           f.metadata["help"], list_path is not None)
+
+
+SCHEMA = dict(_schema(RunConfig, "",
+                      "Top-level keys (before any section header)."))
 
 
 def _parse_lines(text: str, source: str):
     """Split config text into {section: values} with line tracking.
 
-    Scalar sections map to a dict key -> (raw, line); repeated sections map
-    to a list of such dicts.  Section header lines are recorded so
-    cross-key errors can still point somewhere useful.
+    A scalar section maps to a dict key -> (raw, line); a repeated section
+    maps to a list of such dicts.
     """
-    scalars = {name: {} for name, spec in SCHEMA.items() if not spec.repeated}
-    lists = {name: [] for name, spec in SCHEMA.items() if spec.repeated}
+    sections = {name: [] if spec.repeated else {}
+                for name, spec in SCHEMA.items()}
     current = ""
-    current_values = scalars[""]
+    current_values = sections[""]
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if line.startswith("#"):
@@ -482,9 +531,9 @@ def _parse_lines(text: str, source: str):
                                       source, lineno)
             if SCHEMA[name].repeated:
                 current_values = {}
-                lists[name].append(current_values)
+                sections[name].append(current_values)
             else:
-                current_values = scalars[name]
+                current_values = sections[name]
             current = name
             continue
         if "=" not in line:
@@ -503,7 +552,7 @@ def _parse_lines(text: str, source: str):
             raise ConfigSyntaxError(
                 f"duplicate key {key!r} in [{current}]", source, lineno)
         current_values[key] = (value, lineno)
-    return scalars, lists
+    return sections
 
 
 def _assemble(spec: SectionSpec, raw: dict, path: str, source: str):
@@ -520,7 +569,7 @@ def _assemble(spec: SectionSpec, raw: dict, path: str, source: str):
                     f"{path}{key}: {text!r} is not a valid {opt.kind.rstrip('?')}"
                     f" ({exc})", source, lineno) from None
             lines[key] = lineno
-        elif opt.default is _REQUIRED:
+        elif opt.default is MISSING:
             raise MissingKeyError(f"{path}{key} is required", source)
         else:
             values[key] = opt.default
@@ -528,298 +577,97 @@ def _assemble(spec: SectionSpec, raw: dict, path: str, source: str):
     return values, lines
 
 
-class _Check:
-    """Collects invariant checks against one section's values."""
+# Cross-key rules: each gets the section's values and require(key, ok,
+# message), which raises InvariantError at the key's line unless ok.
 
-    def __init__(self, values, lines, path, source):
-        self.values = values
-        self.lines = lines
-        self.path = path
-        self.source = source
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def fail(self, key, message):
-        raise InvariantError(f"{self.path}{key} {message} "
-                             f"(got {self.values[key]!r})",
-                             self.source, self.lines.get(key))
-
-    def require(self, key, ok, message):
-        if not ok:
-            self.fail(key, message)
-
-    def positive(self, key):
-        self.require(key, self.values[key] > 0, "must be positive")
-
-    def non_negative(self, key):
-        self.require(key, self.values[key] >= 0, "must not be negative")
-
-    def in_unit(self, key, open_low=True):
-        v = self.values[key]
-        low_ok = v > 0 if open_low else v >= 0
-        self.require(key, low_ok and v <= 1.0,
-                     "must lie in (0, 1]" if open_low else "must lie in [0, 1]")
+def _check_material(v, require):
+    require("valid_hi_um", v["valid_hi_um"] > v["valid_lo_um"],
+            "must exceed valid_lo_um")
 
 
-def _check_material(c: _Check):
-    for key in ("sellmeier_o", "sellmeier_e"):
-        c.require(key, len(c[key]) == 6, "must have six entries")
-    c.positive("valid_lo_um")
-    c.require("valid_hi_um", c["valid_hi_um"] > c["valid_lo_um"],
-              "must exceed valid_lo_um")
+def _check_family(v, require):
+    both = (v["anchor_wavelength_nm"] is None) == (v["anchor_m"] is None)
+    require("anchor_m", both,
+            "and anchor_wavelength_nm must be given together")
+    if v["target_fsr_nm"] is not None:
+        require("target_fsr_nm", v["anchor_wavelength_nm"] is not None,
+                "needs an anchor to calibrate against")
 
 
-def _check_resonator(c: _Check):
-    c.positive("radius_um")
-    c.positive("thickness_um")
+def _check_spectrum(v, require):
+    require("band_hi_nm", v["band_hi_nm"] > v["band_lo_nm"],
+            "must exceed band_lo_nm")
 
 
-def _check_family(c: _Check):
-    c.require("id", bool(c["id"]), "must not be empty")
-    c.require("polarization", c["polarization"] in ("TE", "TM"),
-              "must be TE or TM")
-    c.non_negative("radial_number")
-    c.positive("q_loaded")
-    c.in_unit("azimuthal_contrast", open_low=False)
-    c.positive("ref_wavelength_nm")
-    both = (c["anchor_wavelength_nm"] is None) == (c["anchor_m"] is None)
-    c.require("anchor_m", both,
-              "and anchor_wavelength_nm must be given together")
-    if c["anchor_wavelength_nm"] is not None:
-        c.positive("anchor_wavelength_nm")
-        c.require("anchor_m", c["anchor_m"] >= 1, "must be at least 1")
-    if c["target_fsr_nm"] is not None:
-        c.positive("target_fsr_nm")
-        c.require("target_fsr_nm", c["anchor_wavelength_nm"] is not None,
-                  "needs an anchor to calibrate against")
-
-
-def _check_matching(c: _Check):
-    c.positive("linewidth_ghz")
-    c.in_unit("window_fraction")
-    c.positive("energy_tol_ghz")
-    c.require("grid_points", c["grid_points"] >= 64, "must be at least 64")
-    c.require("n_turns", 1 <= c["n_turns"] <= 10, "must lie in 1..10")
-    c.non_negative("band_pad_nm")
-    if c["dispersion_cutoff_nm"] is not None:
-        c.positive("dispersion_cutoff_nm")
-    c.non_negative("dispersion_ramp_ghz_per_nm")
-
-
-def _check_pair(c: _Check):
-    c.in_unit("overlap")
-
-
-def _check_source(c: _Check):
-    c.non_negative("pump_power_uw")
-    c.positive("pgr_slope_mhz_per_uw")
-    if c["saturation_rate_mhz"] is not None:
-        c.positive("saturation_rate_mhz")
-    c.positive("pair_lifetime_ps")
-    for key in ("signal_losses_db", "idler_losses_db"):
-        c.require(key, all(v >= 0 for v in c[key]),
-                  "entries must not be negative")
-    c.in_unit("detector_efficiency")
-    c.non_negative("dark_rate_hz")
-    c.non_negative("jitter_sigma_ps")
-    c.non_negative("min_pair_spacing_ps")
-    c.positive("coincidence_window_ps")
-
-
-def _check_umi(c: _Check):
-    c.positive("arm_delay_ns")
-    c.in_unit("short_transmission")
-    c.in_unit("long_transmission")
-    c.positive("postselect_window_ps")
-
-
-def _check_spectrum(c: _Check):
-    c.positive("band_lo_nm")
-    c.require("band_hi_nm", c["band_hi_nm"] > c["band_lo_nm"],
-              "must exceed band_lo_nm")
-    c.positive("channel_width_nm")
-    c.positive("integration_s")
-    c.in_unit("peak_fraction")
-
-
-def _check_g2(c: _Check):
-    c.positive("pump_power_uw")
-    c.positive("duration_s")
-    c.positive("window_ps")
-    c.positive("tau_max_ns")
-    c.require("tau_points",
-              c["tau_points"] >= 3 and c["tau_points"] % 2 == 1,
-              "must be odd and at least 3")
-    c.require("losses_db", all(v >= 0 for v in c["losses_db"]),
-              "entries must not be negative")
-
-
-def _check_franson(c: _Check):
-    c.in_unit("visibility", open_low=False)
-    c.require("xi_points", c["xi_points"] >= 8, "must be at least 8")
-    c.positive("integration_s")
-    c.positive("duration_s")
-
-
-def _check_sweep(c: _Check):
-    powers = c["powers_uw"]
-    c.require("powers_uw", all(p > 0 for p in powers),
-              "entries must be positive")
-    c.require("powers_uw", list(powers) == sorted(powers),
-              "must be ascending")
-    c.positive("duration_s")
-    c.require("losses_db", all(v >= 0 for v in c["losses_db"]),
-              "entries must not be negative")
-    c.positive("rate_window_ps")
-    c.positive("car_window_ps")
-    c.non_negative("parallelism")
-
-
-def _check_top(c: _Check):
-    if c["experiment"] is not None:
-        c.require("experiment", c["experiment"] in EXPERIMENTS,
-                  "must be one of " + ", ".join(EXPERIMENTS))
-    c.require("seed", 0 <= c["seed"] < 2 ** 64,
-              "must be an unsigned 64-bit integer")
+def _check_sweep(v, require):
+    require("powers_uw", list(v["powers_uw"]) == sorted(v["powers_uw"]),
+            "must be ascending")
 
 
 _CHECKS = {
-    "": _check_top,
     "material": _check_material,
-    "resonator": _check_resonator,
     "resonator.family": _check_family,
-    "matching": _check_matching,
-    "matching.pair": _check_pair,
-    "source": _check_source,
-    "umi": _check_umi,
     "spectrum": _check_spectrum,
-    "g2": _check_g2,
-    "franson": _check_franson,
     "sweep": _check_sweep,
 }
 
 
-DEFAULT_FAMILIES = (
-    dict(id="pump", polarization="TM", radial_number=0, q_loaded=2.9e5,
-         anchor_wavelength_nm=774.86, anchor_m=824),
-    dict(id="sig0", polarization="TE", radial_number=0, q_loaded=1.0e5,
-         anchor_wavelength_nm=1552.52, anchor_m=408, target_fsr_nm=3.89),
-    dict(id="idl0", polarization="TM", radial_number=1, q_loaded=1.0e5,
-         anchor_wavelength_nm=1546.930081526631, anchor_m=417,
-         target_fsr_nm=3.67),
-    dict(id="cov_s1", polarization="TE", radial_number=2, q_loaded=1.0e5,
-         anchor_wavelength_nm=1549.0, anchor_m=408, target_fsr_nm=3.2),
-    dict(id="cov_i1", polarization="TM", radial_number=2, q_loaded=1.0e5,
-         anchor_wavelength_nm=1550.440669646317, anchor_m=415,
-         target_fsr_nm=3.205955179771379),
-    dict(id="cov_s2", polarization="TE", radial_number=3, q_loaded=1.0e5,
-         anchor_wavelength_nm=1549.8, anchor_m=408, target_fsr_nm=3.2),
-    dict(id="cov_i2", polarization="TM", radial_number=3, q_loaded=1.0e5,
-         anchor_wavelength_nm=1549.6400082587038, anchor_m=415,
-         target_fsr_nm=3.1993393377911215),
-    dict(id="cov_s3", polarization="TE", radial_number=4, q_loaded=1.0e5,
-         anchor_wavelength_nm=1550.6, anchor_m=408, target_fsr_nm=3.2),
-    dict(id="cov_i3", polarization="TM", radial_number=4, q_loaded=1.0e5,
-         anchor_wavelength_nm=1548.8409982726168, anchor_m=415,
-         target_fsr_nm=3.19274395347974),
-    dict(id="cov_s4", polarization="TE", radial_number=5, q_loaded=1.0e5,
-         anchor_wavelength_nm=1551.4, anchor_m=408, target_fsr_nm=3.2),
-    dict(id="cov_i4", polarization="TM", radial_number=5, q_loaded=1.0e5,
-         anchor_wavelength_nm=1548.043634584181, anchor_m=415,
-         target_fsr_nm=3.1861689425778184),
-)
+def _build(cls, name: str, raw: dict, path: str, sections: dict,
+           source: str):
+    """Parse and check one section, then build it with the ones it holds."""
+    spec = SCHEMA[name]
+    values, lines = _assemble(spec, raw, path, source)
 
-DEFAULT_PAIRS = (
-    dict(signal="sig0", idler="idl0", overlap=1.0),
-    dict(signal="cov_s1", idler="cov_i1", overlap=0.3),
-    dict(signal="cov_s2", idler="cov_i2", overlap=0.3),
-    dict(signal="cov_s3", idler="cov_i3", overlap=0.3),
-    dict(signal="cov_s4", idler="cov_i4", overlap=0.3),
-)
+    def require(key, ok, message):
+        if not ok:
+            raise InvariantError(f"{path}{key} {message} "
+                                 f"(got {values[key]!r})", source, lines[key])
+
+    for key, opt in spec.options.items():
+        if opt.rule is not None and values[key] is not None:
+            require(key, opt.rule.test(values[key]), opt.rule.message)
+    if name in _CHECKS:
+        _CHECKS[name](values, require)
+    values = {k: tuple(v) if isinstance(v, list) else v
+              for k, v in values.items()}
+    for f, sub_name, list_path in _subsections(cls, name):
+        sub = f.metadata["section"]
+        if list_path is None:
+            values[f.name] = _build(sub, sub_name, sections[sub_name],
+                                    sub_name + ".", sections, source)
+        elif sections[sub_name]:
+            values[f.name] = tuple(
+                _build(sub, sub_name, entry, f"{list_path}[{i}].", sections,
+                       source)
+                for i, entry in enumerate(sections[sub_name]))
+    return cls(**values)
 
 
-def _defaults_as_raw(entries):
-    return [{k: (_format_value(v), None) for k, v in entry.items()}
-            for entry in entries]
-
-
-def parse_config(text: str, source: str = "<config>") -> RunConfig:
-    """Parse config text, apply defaults, validate, and build a RunConfig."""
-    scalars, lists = _parse_lines(text, source)
-    if not lists["resonator.family"]:
-        lists["resonator.family"] = _defaults_as_raw(DEFAULT_FAMILIES)
-    if not lists["matching.pair"]:
-        lists["matching.pair"] = _defaults_as_raw(DEFAULT_PAIRS)
-
-    checked = {}
-    for name, spec in SCHEMA.items():
-        if spec.repeated:
-            continue
-        path = name + "." if name else ""
-        values, lines = _assemble(spec, scalars[name], path, source)
-        _CHECKS[name](_Check(values, lines, path, source))
-        checked[name] = values
-
-    families = []
-    for i, raw in enumerate(lists["resonator.family"]):
-        path = f"resonator.families[{i}]."
-        values, lines = _assemble(SCHEMA["resonator.family"], raw, path,
-                                  source)
-        _CHECKS["resonator.family"](_Check(values, lines, path, source))
-        families.append(values)
-    pairs = []
-    for i, raw in enumerate(lists["matching.pair"]):
-        path = f"matching.pairs[{i}]."
-        values, lines = _assemble(SCHEMA["matching.pair"], raw, path, source)
-        _CHECKS["matching.pair"](_Check(values, lines, path, source))
-        pairs.append(values)
-
-    ids = [f["id"] for f in families]
+def _check_references(cfg: RunConfig, source: str):
+    ids = [f.id for f in cfg.resonator.families]
     dup = {x for x in ids if ids.count(x) > 1}
     if dup:
         raise InvariantError(
             f"resonator.families: duplicate id {sorted(dup)[0]!r}", source)
     known = set(ids)
-    pump = checked["matching"]["pump_family"]
+    pump = cfg.matching.pump_family
     if pump not in known:
         raise InvariantError(
             f"matching.pump_family: no family with id {pump!r}", source)
-    for i, p in enumerate(pairs):
+    for i, p in enumerate(cfg.matching.pairs):
         for side in ("signal", "idler"):
-            if p[side] not in known:
+            if getattr(p, side) not in known:
                 raise InvariantError(
                     f"matching.pairs[{i}].{side}: no family with id "
-                    f"{p[side]!r}", source)
+                    f"{getattr(p, side)!r}", source)
 
-    def tup(values, *keys):
-        out = dict(values)
-        for key in keys:
-            out[key] = tuple(out[key])
-        return out
 
-    material = MaterialSection(**tup(checked["material"],
-                                     "sellmeier_o", "sellmeier_e"))
-    resonator = ResonatorSection(families=tuple(FamilySection(**f)
-                                                for f in families),
-                                 **checked["resonator"])
-    matching = MatchingSection(pairs=tuple(PairSection(**p) for p in pairs),
-                               **checked["matching"])
-    source_sec = SourceSection(**tup(checked["source"], "signal_losses_db",
-                                     "idler_losses_db"))
-    return RunConfig(
-        experiment=checked[""]["experiment"],
-        seed=checked[""]["seed"],
-        material=material,
-        resonator=resonator,
-        matching=matching,
-        source=source_sec,
-        umi=UmiSectionCfg(**checked["umi"]),
-        spectrum=SpectrumSection(**checked["spectrum"]),
-        g2=G2Section(**tup(checked["g2"], "losses_db")),
-        franson=FransonSection(**checked["franson"]),
-        sweep=SweepSection(**tup(checked["sweep"], "powers_uw", "losses_db")),
-    )
+def parse_config(text: str, source: str = "<config>") -> RunConfig:
+    """Parse config text, apply defaults, validate, and build a RunConfig."""
+    sections = _parse_lines(text, source)
+    cfg = _build(RunConfig, "", sections[""], "", sections, source)
+    _check_references(cfg, source)
+    return cfg
 
 
 def load_config(path: str) -> RunConfig:
@@ -851,27 +699,18 @@ def serialize_config(cfg: RunConfig) -> str:
     """Render a RunConfig to config text that parses back to an equal value."""
     out = []
 
-    def emit(section_name, obj, keys):
-        if section_name:
-            out.append(f"[{section_name}]")
-        for key in keys:
+    def emit(name, obj):
+        if name:
+            out.append(f"[{name}]")
+        for key in SCHEMA[name].options:
             out.append(f"{key} = {_format_value(getattr(obj, key))}")
         out.append("")
+        for f, sub_name, list_path in _subsections(type(obj), name):
+            value = getattr(obj, f.name)
+            for entry in (value if list_path else (value,)):
+                emit(sub_name, entry)
 
-    emit("", cfg, ("experiment", "seed"))
-    emit("material", cfg.material, SCHEMA["material"].options)
-    emit("resonator", cfg.resonator, SCHEMA["resonator"].options)
-    for fam in cfg.resonator.families:
-        emit("resonator.family", fam, SCHEMA["resonator.family"].options)
-    emit("matching", cfg.matching, SCHEMA["matching"].options)
-    for pair in cfg.matching.pairs:
-        emit("matching.pair", pair, SCHEMA["matching.pair"].options)
-    emit("source", cfg.source, SCHEMA["source"].options)
-    emit("umi", cfg.umi, SCHEMA["umi"].options)
-    emit("spectrum", cfg.spectrum, SCHEMA["spectrum"].options)
-    emit("g2", cfg.g2, SCHEMA["g2"].options)
-    emit("franson", cfg.franson, SCHEMA["franson"].options)
-    emit("sweep", cfg.sweep, SCHEMA["sweep"].options)
+    emit("", cfg)
     return "\n".join(out)
 
 
@@ -883,10 +722,9 @@ def config_reference() -> str:
         if spec.repeated:
             header += " (repeatable)"
         out.append(header)
-        if spec.help:
-            out.append(f"  {spec.help}")
+        out.append(f"  {spec.help}")
         for key, opt in spec.options.items():
-            if opt.default is _REQUIRED:
+            if opt.default is MISSING:
                 default = "required"
             else:
                 default = f"default {_format_value(opt.default)}"

@@ -202,9 +202,8 @@ def generate_events(model: SourceModel, duration_s: float,
             else:
                 pick = rng.integers(0, len(arm_channels), len(t_arm))
                 ch = np.asarray(arm_channels, dtype=np.uint8)[pick]
-            keep = (t_arm >= 0.0) & (t_arm < duration_ps)
-            ch_parts.append(ch[keep])
-            t_parts.append(t_arm[keep])
+            ch_parts.append(ch)
+            t_parts.append(t_arm)
 
     for channel in sorted(tuple(model.signal_channels)
                           + tuple(model.idler_channels)):
@@ -215,6 +214,9 @@ def generate_events(model: SourceModel, duration_s: float,
     if t_parts:
         times = np.rint(np.concatenate(t_parts)).astype(np.int64)
         channels = np.concatenate(ch_parts)
+        # one cut on the rounded times keeps every timestamp in [0, duration)
+        keep = (times >= 0) & (times < duration_ps)
+        times, channels = times[keep], channels[keep]
     else:
         times = np.empty(0, dtype=np.int64)
         channels = np.empty(0, dtype=np.uint8)

@@ -30,9 +30,7 @@ class UmiConfig:
     """Interferometer settings shared by the signal and idler arms."""
 
     arm_delay_ns: float = 1.6
-    phase_xi_rad: float = 0.0
     arm_transmissions: tuple[float, float] = (0.5, 0.5)
-    rad_per_kelvin: float = 1.0
     postselect_window_ps: int = 800
 
     def __post_init__(self) -> None:
@@ -200,7 +198,7 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
     validate that post-selecting the central peak keeps exactly the
     short-short and long-long amplitudes.
     """
-    from .tcspc import window_counts
+    from .tcspc import window_bounds
 
     if stream.route_tags is None:
         raise ValueError("stream carries no route tags")
@@ -210,11 +208,8 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
     times_i = stream.timestamps_ps[sel_i]
     tags_s = stream.route_tags[sel_s]
     tags_i = stream.route_tags[sel_i]
-    window = config.postselect_window_ps
-    lo = np.searchsorted(times_i, times_s + peak_delay_ps - window / 2,
-                         side="left")
-    hi = np.searchsorted(times_i, times_s + peak_delay_ps + window / 2,
-                         side="right")
+    lo, hi = window_bounds(times_s, times_i, peak_delay_ps,
+                           config.postselect_window_ps)
     for k in range(len(times_s)):
         if hi[k] > lo[k]:
             if np.any(tags_i[lo[k]:hi[k]] != tags_s[k]):

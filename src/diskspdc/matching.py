@@ -181,15 +181,6 @@ def delta_k(theta, triple: Triple,
     return float(total) if np.isscalar(theta) else total
 
 
-def mean_delta_k(triple: Triple, geometry: DiskGeometry,
-                 model: SellmeierSet = DEFAULT_SELLMEIER,
-                 grid_points: int = 4096) -> float:
-    """Azimuthal mean of delta_k * R; equals delta_m up to energy detuning."""
-    th = np.linspace(0.0, 2.0 * np.pi, grid_points + 1)
-    dk = delta_k(th, triple, model)
-    return float(np.trapezoid(dk, th) / (2.0 * np.pi) * geometry.radius_um)
-
-
 def accumulate_intensity(triple: Triple,
                          prefactor: AmplitudePrefactor = AmplitudePrefactor(),
                          grid_points: int = 4096,

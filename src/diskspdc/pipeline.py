@@ -18,8 +18,7 @@ import numpy as np
 from .config import RunConfig
 from .material import NonlinearTensor, SellmeierSet
 from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
-                        anchor_family, calibrate_family, fsr, group_index,
-                        resonance_comb)
+                        anchor_family, calibrate_family, fsr, resonance_comb)
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
@@ -319,10 +318,8 @@ def run_g2(cfg: RunConfig):
 def _umi_config(cfg: RunConfig) -> UmiConfig:
     u = cfg.umi
     return UmiConfig(arm_delay_ns=u.arm_delay_ns,
-                     phase_xi_rad=u.phase_xi_rad,
                      arm_transmissions=(u.short_transmission,
                                         u.long_transmission),
-                     rad_per_kelvin=u.rad_per_kelvin,
                      postselect_window_ps=int(u.postselect_window_ps))
 
 

@@ -193,11 +193,6 @@ def fsr_ghz(family: ModeFamily, geometry: DiskGeometry, wavelength_nm: float,
     return C_NM_GHZ / (geometry.circumference_um * 1e3 * ng)
 
 
-def linewidth(mode: ResonatorMode) -> float:
-    """Loaded linewidth nu/Q of a resonance in GHz."""
-    return mode.linewidth_ghz
-
-
 def calibrate_family(family: ModeFamily, geometry: DiskGeometry,
                      target_fsr_nm: float, wavelength_nm: float,
                      model: SellmeierSet = DEFAULT_SELLMEIER,

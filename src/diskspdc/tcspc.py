@@ -65,13 +65,25 @@ def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return starts + offsets
 
 
+def window_bounds(times_a: np.ndarray, times_b: np.ndarray,
+                  center_ps: float, window_ps: float):
+    """Index ranges [lo, hi) of the b events in each a event's window.
+
+    The window is closed, t_b - t_a in [center - w/2, center + w/2].  Its
+    edges are whole picoseconds, ceil(center - w/2) and floor(center + w/2),
+    added to the int64 times, so the ranges are exact at any timestamp.
+    """
+    lo_ps = math.ceil(center_ps - window_ps / 2)
+    hi_ps = math.floor(center_ps + window_ps / 2)
+    lo = np.searchsorted(times_b, times_a + lo_ps, side="left")
+    hi = np.searchsorted(times_b, times_a + hi_ps, side="right")
+    return lo, hi
+
+
 def window_counts(times_a: np.ndarray, times_b: np.ndarray,
                   center_ps: float, window_ps: float) -> np.ndarray:
     """Per-a-event count of b events with t_b - t_a in the closed window."""
-    lo = np.searchsorted(times_b, times_a + center_ps - window_ps / 2,
-                         side="left")
-    hi = np.searchsorted(times_b, times_a + center_ps + window_ps / 2,
-                         side="right")
+    lo, hi = window_bounds(times_a, times_b, center_ps, window_ps)
     return hi - lo
 
 

@@ -152,6 +152,15 @@ def test_out_file(tmp_path, capsys):
     assert out_path.read_text() == table
 
 
+def test_unwritable_out_file_exit_code(tmp_path, capsys):
+    out_path = tmp_path / "missing_dir" / "modes.csv"
+    rc, out, err = run_cli(["modes", "--family", "pump", "-o",
+                            str(out_path)], capsys)
+    assert rc == 3
+    assert err.startswith("error:")
+    assert out == ""
+
+
 def test_trace_options(capsys):
     rc, out, err = run_cli(["trace", "--delta-m", "-1", "--turns", "2"],
                            capsys)

@@ -49,6 +49,15 @@ def test_window_counts_boundaries():
     assert list(per_event) == [3, 0]
 
 
+def test_window_counts_exact_past_2_53_ps():
+    # float64 edges round t_a - 400 to t_b = t_a - 401 here
+    t_a = 2 ** 53 + 1
+    a = np.array([t_a], dtype=np.int64)
+    b = np.array([t_a - 401], dtype=np.int64)
+    assert window_counts(a, b, 0, 800).sum() == 0
+    assert window_counts(a, b, -1, 800).sum() == 1
+
+
 def test_histogram_exact_peak():
     # pairs spaced 1 us apart, partner always +500 ps
     base = np.arange(0, 10 ** 9, 10 ** 6, dtype=np.int64)

@@ -1,8 +1,17 @@
 import dataclasses
+import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskspdc.config import (
+    EXPERIMENTS,
+    IN_CLOSED_UNIT,
+    IN_UNIT,
+    NON_NEGATIVE,
+    NON_NEGATIVE_ENTRIES,
+    POSITIVE,
     SCHEMA,
     ConfigError,
     ConfigFileError,
@@ -232,11 +241,11 @@ seed = 777
 pump_power_uw = 0.5
 
 [umi]
-phase_xi_rad = 1.25
+arm_delay_ns = 1.25
 """)
     back = parse_config(serialize_config(cfg))
     assert back == cfg
-    assert back.umi.phase_xi_rad == 1.25
+    assert back.umi.arm_delay_ns == 1.25
 
 
 def test_config_reference_covers_schema():
@@ -256,3 +265,137 @@ def test_error_without_source_has_line_prefix():
     with pytest.raises(ConfigError) as err:
         parse_config("[source]\nbogus = 1\n")
     assert ":2:" in str(err.value)
+
+
+def test_replication_config_serializes_the_defaults():
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                        "replication.cfg")
+    cfg = load_config(path)
+    assert dataclasses.replace(cfg, experiment=None) == default_config()
+
+
+# Property tests over every key of the scalar sections: a value that the
+# key's kind and rule admit round-trips through serialize/parse, and a value
+# its rule rejects raises InvariantError at the key's line.
+
+DEFAULTS = default_config()
+
+
+def _floats(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+FINITE = _floats()
+
+def _float_lists(entry):
+    return st.lists(entry, min_size=1, max_size=8).map(tuple)
+
+
+NEGATIVE = _floats(max_value=-5e-324)  # -0.0 is not negative
+
+ADMITTED = {
+    None: FINITE,
+    POSITIVE: _floats(min_value=0.0, exclude_min=True),
+    NON_NEGATIVE: _floats(min_value=0.0),
+    IN_UNIT: _floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    IN_CLOSED_UNIT: _floats(min_value=0.0, max_value=1.0),
+    NON_NEGATIVE_ENTRIES: _float_lists(_floats(min_value=0.0)),
+}
+
+REJECTED = {
+    POSITIVE: _floats(max_value=0.0),
+    NON_NEGATIVE: NEGATIVE,
+    IN_UNIT: _floats(max_value=0.0) | _floats(min_value=1.0,
+                                               exclude_min=True),
+    IN_CLOSED_UNIT: NEGATIVE | _floats(min_value=1.0, exclude_min=True),
+    NON_NEGATIVE_ENTRIES: _float_lists(FINITE).filter(
+        lambda v: any(x < 0 for x in v)),
+}
+
+# int and str keys, and keys whose rule is their own or ties them to another
+# key, each with a strategy of the values that the whole config admits
+OWN_STRATEGY = {
+    ("", "experiment"): st.none() | st.sampled_from(EXPERIMENTS),
+    ("", "seed"): st.integers(0, 2 ** 64 - 1),
+    ("material", "sellmeier_o"): st.lists(FINITE, min_size=6,
+                                          max_size=6).map(tuple),
+    ("material", "sellmeier_e"): st.lists(FINITE, min_size=6,
+                                          max_size=6).map(tuple),
+    ("material", "valid_lo_um"): _floats(min_value=0.0, max_value=5.0,
+                                         exclude_min=True, exclude_max=True),
+    ("material", "valid_hi_um"): _floats(min_value=0.4, exclude_min=True),
+    ("matching", "pump_family"): st.sampled_from(
+        [f.id for f in DEFAULTS.resonator.families]),
+    ("matching", "grid_points"): st.integers(min_value=64),
+    ("matching", "n_turns"): st.integers(1, 10),
+    ("spectrum", "band_lo_nm"): _floats(min_value=0.0, max_value=1565.0,
+                                        exclude_min=True, exclude_max=True),
+    ("spectrum", "band_hi_nm"): _floats(min_value=1535.0, exclude_min=True),
+    ("g2", "tau_points"): st.integers(min_value=1).map(lambda n: 2 * n + 1),
+    ("franson", "xi_points"): st.integers(min_value=8),
+    ("sweep", "powers_uw"): _float_lists(
+        _floats(min_value=0.0, exclude_min=True)).map(sorted).map(tuple),
+    ("sweep", "parallelism"): st.integers(min_value=0),
+}
+
+SCALAR_KEYS = [(name, key) for name, spec in SCHEMA.items()
+               if not spec.repeated for key in spec.options]
+RULED_KEYS = [(name, key) for name, key in SCALAR_KEYS
+              if SCHEMA[name].options[key].rule in REJECTED]
+
+
+def _admitted(name, key):
+    if (name, key) in OWN_STRATEGY:
+        return OWN_STRATEGY[name, key]
+    opt = SCHEMA[name].options[key]
+    base = opt.kind.rstrip("?")
+    if base == "bool":
+        value = st.booleans()
+    elif base == "sign":
+        value = st.sampled_from((-1, 1))
+    elif base == "floats" and opt.rule is None:
+        value = _float_lists(FINITE)
+    else:
+        assert base in ("float", "floats"), (name, key, opt.kind)
+        value = ADMITTED[opt.rule]
+    return st.none() | value if opt.kind.endswith("?") else value
+
+
+def _with(cfg, name, key, value):
+    if not name:
+        return dataclasses.replace(cfg, **{key: value})
+    sec = dataclasses.replace(getattr(cfg, name), **{key: value})
+    return dataclasses.replace(cfg, **{name: sec})
+
+
+def _line_of(text, name, key):
+    lines = text.splitlines()
+    start = lines.index(f"[{name}]") if name else 0
+    for number, line in enumerate(lines[start:], start=start + 1):
+        if line.startswith(f"{key} = "):
+            return number
+    raise AssertionError(f"{name}.{key} not serialized")
+
+
+@pytest.mark.parametrize("name,key", SCALAR_KEYS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_admitted_values_round_trip(name, key, data):
+    cfg = _with(DEFAULTS, name, key, data.draw(_admitted(name, key)))
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+@pytest.mark.parametrize("name,key", RULED_KEYS)
+@settings(max_examples=20)
+@given(data=st.data())
+def test_rejected_values_name_key_and_line(name, key, data):
+    opt = SCHEMA[name].options[key]
+    if opt.kind == "int":
+        value = data.draw(st.integers(max_value=-1))
+    else:
+        value = data.draw(REJECTED[opt.rule])
+    text = serialize_config(_with(DEFAULTS, name, key, value))
+    with pytest.raises(InvariantError) as err:
+        parse_config(text, source="x.cfg")
+    assert str(err.value).startswith(
+        f"x.cfg:{_line_of(text, name, key)}: {name}.{key} {opt.rule.message}")

@@ -87,6 +87,16 @@ def test_stream_is_sorted_and_in_range():
     assert set(np.unique(s.channels)) <= {0, 1}
 
 
+def test_rounded_timestamps_stay_below_duration():
+    # 20 GHz of darks in 1 ns: rounding can reach t == duration_ps, which
+    # the cut on the rounded integer times must drop
+    m = SourceModel(pump_power_uw=0, dark_rate_hz=2e10)
+    for seed in range(200):
+        s = generate_events(m, 1e-9, seed=seed)
+        assert np.all(s.timestamps_ps >= 0)
+        assert np.all(s.timestamps_ps < s.duration_ps)
+
+
 def test_pair_count_follows_rate():
     m = quiet_model(pgr_slope_mhz_per_uw=2.0)
     s = generate_events(m, 0.5, seed=11)
