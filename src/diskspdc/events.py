@@ -252,15 +252,22 @@ def read_events(path: str | os.PathLike,
     """Read a timestamp file written by :func:`write_events`.
 
     The file format does not carry the acquisition duration; pass it when
-    known, otherwise the last timestamp + 1 is used.
+    known, otherwise the last timestamp + 1 is used.  Timestamps must be
+    non-decreasing int64 values and channels fit a byte; anything else
+    raises EventFormatError.
     """
     if str(path).endswith(".csv"):
-        data = np.loadtxt(path, delimiter=",", skiprows=1,
-                          dtype=np.int64, ndmin=2)
+        try:
+            data = np.loadtxt(path, delimiter=",", skiprows=1,
+                              dtype=np.int64, ndmin=2)
+        except ValueError as err:  # includes values outside int64
+            raise EventFormatError(f"{path}: {err}") from err
         if data.size == 0:
             channels = np.empty(0, dtype=np.uint8)
             times = np.empty(0, dtype=np.int64)
         else:
+            if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
+                raise EventFormatError(f"{path}: channel outside 0-255")
             channels = data[:, 0].astype(np.uint8)
             times = data[:, 1]
     else:
@@ -278,8 +285,12 @@ def read_events(path: str | os.PathLike,
         if len(body) % _RECORD_DTYPE.itemsize:
             raise EventFormatError(f"{path}: truncated record data")
         records = np.frombuffer(body, dtype=_RECORD_DTYPE)
+        if len(records) and records["t"].max() >= 2 ** 63:
+            raise EventFormatError(f"{path}: timestamp past the int64 range")
         channels = records["channel"].copy()
         times = records["t"].astype(np.int64)
+    if np.any(times[1:] < times[:-1]):
+        raise EventFormatError(f"{path}: timestamps are not time-sorted")
     if duration_ps is None:
         duration_ps = int(times[-1]) + 1 if len(times) else 0
     return EventStream(channels=channels, timestamps_ps=times,

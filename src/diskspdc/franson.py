@@ -173,7 +173,7 @@ def peak_areas(stream: EventStream, config: UmiConfig,
                ch_signal: int = 0, ch_idler: int = 1,
                peak_delay_ps: int | None = None) -> tuple[int, int, int]:
     """Coincidence counts in the three windows at peak - D, peak, peak + D."""
-    from .tcspc import calibrate_peak_delay, window_counts
+    from .tcspc import calibrate_peak_delay, window_totals
 
     delay_ps = int(round(config.arm_delay_ns * 1e3))
     times_s = stream.channel_times(ch_signal)
@@ -182,11 +182,9 @@ def peak_areas(stream: EventStream, config: UmiConfig,
         span = max(8 * delay_ps, 8000)
         peak_delay_ps = calibrate_peak_delay(stream, ch_signal, ch_idler,
                                              span_ps=span)
-    window = config.postselect_window_ps
-    return tuple(
-        int(window_counts(times_s, times_i, peak_delay_ps + k * delay_ps,
-                          window).sum())
-        for k in (-1, 0, +1))
+    centers = [peak_delay_ps + k * delay_ps for k in (-1, 0, +1)]
+    return tuple(int(n) for n in window_totals(
+        times_s, times_i, centers, config.postselect_window_ps))
 
 
 def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
@@ -198,7 +196,7 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
     validate that post-selecting the central peak keeps exactly the
     short-short and long-long amplitudes.
     """
-    from .tcspc import window_bounds
+    from .tcspc import coincidences, window_edges
 
     if stream.route_tags is None:
         raise ValueError("stream carries no route tags")
@@ -208,10 +206,6 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
     times_i = stream.timestamps_ps[sel_i]
     tags_s = stream.route_tags[sel_s]
     tags_i = stream.route_tags[sel_i]
-    lo, hi = window_bounds(times_s, times_i, peak_delay_ps,
-                           config.postselect_window_ps)
-    for k in range(len(times_s)):
-        if hi[k] > lo[k]:
-            if np.any(tags_i[lo[k]:hi[k]] != tags_s[k]):
-                return False
-    return True
+    edges = window_edges(peak_delay_ps, config.postselect_window_ps)
+    return all(np.array_equal(tags_s[a_idx], tags_i[b_idx])
+               for a_idx, b_idx in coincidences(times_s, times_i, *edges))

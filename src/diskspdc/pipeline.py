@@ -252,7 +252,8 @@ def _sweep_point(args):
                          saturation=cfg.sweep.apply_saturation)
     stream = generate_events(model, cfg.sweep.duration_s, seed)
     rate = two_fold_metrics(stream, window_ps=int(cfg.sweep.rate_window_ps))
-    car = two_fold_metrics(stream, window_ps=int(cfg.sweep.car_window_ps))
+    car = two_fold_metrics(stream, window_ps=int(cfg.sweep.car_window_ps),
+                           peak_delay_ps=rate.peak_delay_ps)
     return (power, model.pair_rate_mhz, rate.n1, rate.n2, rate.n12,
             rate.pgr_estimate_hz * 1e-6, car.car)
 

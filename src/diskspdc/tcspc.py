@@ -1,8 +1,11 @@
 """Coincidence counting on timestamp streams.
 
-All pairwise counting runs on time-sorted per-channel arrays with monotone
-binary-search sweeps, so the cost is O(N log N + matches) rather than O(N^2).
-Delays are always computed as t_b - t_a (idler minus signal by default).
+One primitive, :func:`coincidences`, binary-searches time-sorted
+per-channel arrays and yields the index pairs whose delay t_b - t_a lies in
+a closed window of whole picoseconds: O(N log N + pairs), exact at any
+timestamp.  The histogram, window counts, two-fold totals, heralded g2 and
+the Franson peaks are reductions of those pairs.  Delays are always
+t_b - t_a (idler minus signal by default).
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -20,7 +23,9 @@ import numpy as np
 
 from .events import EventStream
 
-_CHUNK = 1 << 20
+# Memory caps per chunk of coincidences(): a events and pairs.
+_CHUNK_EVENTS = 1 << 20
+_CHUNK_PAIRS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -53,38 +58,92 @@ class TwoFoldResult:
     car: float
 
 
-def _expand_ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Flat indices [lo_0..hi_0) + [lo_1..hi_1) + ... as one array."""
-    counts = hi - lo
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    starts = np.repeat(lo, counts)
-    offsets = np.arange(total) - np.repeat(
-        np.cumsum(counts) - counts, counts)
-    return starts + offsets
+def coincidences(times_a: np.ndarray, times_b: np.ndarray,
+                 lo_ps: int, hi_ps: int):
+    """Yield (a_idx, b_idx) chunks of every pair with lo <= t_b - t_a <= hi.
 
-
-def window_bounds(times_a: np.ndarray, times_b: np.ndarray,
-                  center_ps: float, window_ps: float):
-    """Index ranges [lo, hi) of the b events in each a event's window.
-
-    The window is closed, t_b - t_a in [center - w/2, center + w/2].  Its
-    edges are whole picoseconds, ceil(center - w/2) and floor(center + w/2),
-    added to the int64 times, so the ranges are exact at any timestamp.
+    Times are sorted int64 ps and lo, hi whole ps.  Chunks are non-empty
+    and in a order; a_idx ascends, b_idx ascends per a event, and all pairs
+    of an a event share a chunk.  A chunk spans at most _CHUNK_EVENTS a
+    events and holds at most _CHUNK_PAIRS pairs, or one a event with more.
     """
-    lo_ps = math.ceil(center_ps - window_ps / 2)
-    hi_ps = math.floor(center_ps + window_ps / 2)
-    lo = np.searchsorted(times_b, times_a + lo_ps, side="left")
-    hi = np.searchsorted(times_b, times_a + hi_ps, side="right")
-    return lo, hi
+    if hi_ps < lo_ps:
+        return
+    for start in range(0, len(times_a), _CHUNK_EVENTS):
+        ta = times_a[start:start + _CHUNK_EVENTS]
+        first = np.searchsorted(times_b, ta + lo_ps, side="left")
+        n = np.searchsorted(times_b, ta + hi_ps, side="right") - first
+        ends = np.cumsum(n)
+        before = ends - n
+        i = 0
+        while i < len(ta):
+            j = max(int(np.searchsorted(ends, before[i] + _CHUNK_PAIRS,
+                                        side="right")), i + 1)
+            if ends[j - 1] > before[i]:
+                a_idx = np.repeat(np.arange(start + i, start + j), n[i:j])
+                b_idx = np.repeat(first[i:j] - before[i:j], n[i:j]) \
+                    + np.arange(before[i], ends[j - 1])
+                yield a_idx, b_idx
+            i = j
+
+
+def window_edges(center_ps: float, window_ps: float) -> tuple[int, int]:
+    """Whole-ps edges of the closed window [center - w/2, center + w/2]."""
+    return (math.ceil(center_ps - window_ps / 2),
+            math.floor(center_ps + window_ps / 2))
 
 
 def window_counts(times_a: np.ndarray, times_b: np.ndarray,
                   center_ps: float, window_ps: float) -> np.ndarray:
     """Per-a-event count of b events with t_b - t_a in the closed window."""
-    lo, hi = window_bounds(times_a, times_b, center_ps, window_ps)
-    return hi - lo
+    counts = np.zeros(len(times_a), dtype=np.int64)
+    for a_idx, _ in coincidences(times_a, times_b,
+                                 *window_edges(center_ps, window_ps)):
+        counts[a_idx[0]:a_idx[-1] + 1] += np.bincount(a_idx - a_idx[0])
+    return counts
+
+
+def window_totals(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
+                  window_ps: float) -> np.ndarray:
+    """Pair counts in same-width windows at each centre, from one gather
+    over their union span."""
+    lo, hi = np.array([window_edges(c, window_ps) for c in centers_ps]).T
+    totals = np.zeros(len(lo), dtype=np.int64)
+    for a_idx, b_idx in coincidences(times_a, times_b, int(lo.min()),
+                                     int(hi.max())):
+        delays = np.sort(times_b[b_idx] - times_a[a_idx])
+        totals += np.searchsorted(delays, hi, side="right") \
+            - np.searchsorted(delays, lo, side="left")
+    return totals
+
+
+def _windows_hit(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
+                 window_ps: float, flags: np.ndarray):
+    """Per window, the a events with a b event in it: all, and flagged.
+
+    Sorted by centre, both window edges ascend, so the windows holding a
+    delay form a range [kl, kr); starting each range at the end of the
+    previous one of the same a event counts every (a, window) hit once.
+    """
+    order = np.argsort(centers_ps, kind="stable")
+    lo, hi = np.array([window_edges(c, window_ps)
+                       for c in np.asarray(centers_ps)[order]]).T
+    k = len(lo)
+    hit = np.zeros(k, dtype=np.int64)
+    flagged = np.zeros(k, dtype=np.int64)
+    for a_idx, b_idx in coincidences(times_a, times_b, int(lo.min()),
+                                     int(hi.max())):
+        delays = times_b[b_idx] - times_a[a_idx]
+        kl = np.searchsorted(hi, delays, side="left")
+        kr = np.searchsorted(lo, delays, side="right")
+        same_a = np.r_[False, a_idx[1:] == a_idx[:-1]]
+        kl = np.where(same_a, np.maximum(kl, np.r_[0, kr[:-1]]), kl)
+        new = kl < kr
+        for out, keep in ((hit, new), (flagged, new & flags[a_idx])):
+            out += np.cumsum(np.bincount(kl[keep], minlength=k + 1)
+                             - np.bincount(kr[keep], minlength=k + 1))[:k]
+    unsort = np.argsort(order)
+    return hit[unsort], flagged[unsort]
 
 
 def histogram(stream: EventStream, ch_a: int, ch_b: int,
@@ -99,16 +158,10 @@ def histogram(stream: EventStream, ch_a: int, ch_b: int,
     times_a = stream.channel_times(ch_a)
     times_b = stream.channel_times(ch_b)
     counts = np.zeros(n_bins, dtype=np.int64)
-    for start in range(0, len(times_a), _CHUNK):
-        ta = times_a[start:start + _CHUNK]
-        lo = np.searchsorted(times_b, ta - half, side="left")
-        hi = np.searchsorted(times_b, ta + half, side="left")
-        idx = _expand_ranges(lo, hi)
-        if len(idx) == 0:
-            continue
-        delays = times_b[idx] - np.repeat(ta, hi - lo)
-        bins = ((delays + half) // bin_width_ps).astype(np.int64)
-        counts += np.bincount(bins, minlength=n_bins)
+    for a_idx, b_idx in coincidences(times_a, times_b, -half, half - 1):
+        delays = times_b[b_idx] - times_a[a_idx]
+        counts += np.bincount((delays + half) // bin_width_ps,
+                              minlength=n_bins)
     centers = (np.arange(n_bins) * bin_width_ps) - half + bin_width_ps // 2
     return CoincidenceHistogram(bin_centers_ps=centers, counts=counts,
                                 bin_width_ps=bin_width_ps, span_ps=span_ps,
@@ -152,16 +205,15 @@ def two_fold_metrics(stream: EventStream, window_ps: int = 800,
                              pgr_estimate_hz=math.nan, car=math.nan)
     if peak_delay_ps is None:
         peak_delay_ps = calibrate_peak_delay(stream, ch_signal, ch_idler)
-    n12 = int(window_counts(times_s, times_i, peak_delay_ps,
-                            window_ps).sum())
     per_side = n_offset_windows // 2
     bonus = n_offset_windows - 2 * per_side
     offsets = np.linspace(offset_min_ps, offset_max_ps, per_side + bonus)
     centers = [peak_delay_ps + off for off in offsets]
     centers += [peak_delay_ps - off for off in offsets[:per_side]]
-    acc = [int(window_counts(times_s, times_i, c, window_ps).sum())
-           for c in centers]
-    accidental_mean = float(np.mean(acc))
+    counts = window_totals(times_s, times_i, [peak_delay_ps] + centers,
+                            window_ps)
+    n12 = int(counts[0])
+    accidental_mean = float(np.mean(counts[1:]))
     pgr = (n1 * n2 / (n12 * duration_s)) if n12 > 0 and duration_s > 0 \
         else math.nan
     car = n12 / accidental_mean if accidental_mean > 0 else math.nan
@@ -211,18 +263,15 @@ def heralded_g2(stream: EventStream, tau_grid_ps: np.ndarray,
     triples = np.zeros(len(tau), dtype=np.int64)
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
-    if n_i and len(times_1) and len(times_2):
+    if n_i and len(times_1) and len(times_2) and len(tau):
         peak1 = calibrate_peak_delay(stream, ch_idler, ch_s1)
         peak2 = calibrate_peak_delay(stream, ch_idler, ch_s2)
         has1 = window_counts(times_i, times_1, peak1, window_ps) > 0
         n_is1 = int(has1.sum())
-        for k, t in enumerate(tau):
-            has2 = window_counts(times_i, times_2, peak2 + t,
-                                 window_ps) > 0
-            n_is2[k] = int(has2.sum())
-            triples[k] = int((has1 & has2).sum())
-            if n_is1 > 0 and n_is2[k] > 0:
-                g2[k] = triples[k] * n_i / (n_is1 * n_is2[k])
+        n_is2, triples = _windows_hit(times_i, times_2, peak2 + tau,
+                                      window_ps, has1)
+        ok = (n_is2 > 0) & (n_is1 > 0)
+        g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])
     return {"tau_ps": tau, "g2": g2, "n_triples": triples,
             "n_idler": np.full(len(tau), n_i, dtype=np.int64),
             "n_is1": np.full(len(tau), n_is1, dtype=np.int64),

@@ -2,8 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diskspdc import tcspc
 from diskspdc.events import EventStream, SourceModel, generate_events
+from diskspdc.franson import UmiConfig, central_peak_is_same_path
 from diskspdc.tcspc import (
     calibrate_peak_delay,
     car_closed_form,
@@ -221,3 +225,167 @@ def test_dwdm_filter_stream_thins():
     again = dwdm_filter_stream(s, seed=101, insertion_loss_db=4.0)
     assert np.array_equal(thin.timestamps_ps, again.timestamps_ps)
     assert thin.duration_ps == s.duration_ps
+
+
+# --- the coincidence primitive against O(N^2) broadcast references --------
+
+# stream origins: zero, past 2^53 ps (float64 is no longer ps-exact) and
+# near 2^62 ps
+ORIGINS = st.one_of(st.just(0), st.integers(2 ** 53, 2 ** 53 + 10 ** 6),
+                    st.integers(2 ** 62 - 10 ** 6, 2 ** 62 + 10 ** 6))
+# None keeps the module caps; small caps force the multi-chunk path
+CAPS = st.one_of(st.none(), st.tuples(st.integers(1, 4), st.integers(1, 6)))
+
+
+def sorted_times(n_max=25, span=4000):
+    return st.lists(st.integers(0, span), max_size=n_max).map(
+        lambda v: np.sort(np.array(v, dtype=np.int64)))
+
+
+def in_window(delays, center2, window):
+    """delays in [c - w/2, c + w/2] with c = center2 / 2, in exact integers."""
+    return (2 * delays >= center2 - window) & (2 * delays <= center2 + window)
+
+
+def delay_matrix(a, b):
+    return b[None, :] - a[:, None]
+
+
+def ref_histogram(a, b, bin_width, span):
+    n_bins = max(int(round(span / bin_width)), 1)
+    half = n_bins * bin_width // 2
+    d = delay_matrix(a, b).ravel()
+    d = d[(d >= -half) & (d < half)]
+    return np.bincount((d + half) // bin_width, minlength=n_bins)
+
+
+def ref_peak(a, b):
+    counts = ref_histogram(a, b, 10, 8000)
+    return int(np.argmax(counts)) * 10 - 4000 + 5
+
+
+def chunk_caps(monkeypatch, caps):
+    if caps is not None:
+        monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", caps[0])
+        monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", caps[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
+       center2=st.integers(-3000, 3000), window=st.integers(1, 1500),
+       caps=CAPS)
+def test_window_counts_match_brute_force(a, b, origin, center2, window,
+                                         caps):
+    a, b = a + origin, b + origin
+    want = in_window(delay_matrix(a, b), center2, window).sum(axis=1)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        got = window_counts(a, b, center2 / 2, window)
+    assert np.array_equal(got, want)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
+       centers2=st.lists(st.integers(-3000, 3000), min_size=1, max_size=6),
+       window=st.integers(1, 1500), caps=CAPS)
+def test_window_totals_match_brute_force(a, b, origin, centers2, window,
+                                         caps):
+    a, b = a + origin, b + origin
+    d = delay_matrix(a, b)
+    want = [int(in_window(d, c2, window).sum()) for c2 in centers2]
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        got = tcspc.window_totals(a, b, [c2 / 2 for c2 in centers2], window)
+    assert list(got) == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
+       bin_width=st.integers(1, 60), span=st.integers(1, 3000), caps=CAPS)
+def test_histogram_matches_brute_force(a, b, origin, bin_width, span, caps):
+    s = synthetic_stream(a + origin, b + origin)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        h = histogram(s, 0, 1, bin_width_ps=bin_width, span_ps=span)
+    assert np.array_equal(h.counts, ref_histogram(a, b, bin_width, span))
+
+
+@settings(max_examples=100, deadline=None)
+@given(i=sorted_times(n_max=20, span=3000), s1=sorted_times(span=3000),
+       s2=sorted_times(span=3000), origin=ORIGINS,
+       taus2=st.lists(st.integers(-2000, 2000), min_size=1, max_size=7),
+       window=st.integers(1, 900), caps=CAPS)
+def test_heralded_g2_counts_match_brute_force(i, s1, s2, origin, taus2,
+                                              window, caps):
+    ch = np.concatenate([np.full(len(s1), 0), np.full(len(i), 1),
+                         np.full(len(s2), 2)]).astype(np.uint8)
+    t = np.concatenate([s1, i, s2]) + origin
+    order = np.lexsort((ch, t))
+    stream = EventStream(channels=ch[order], timestamps_ps=t[order],
+                         duration_ps=10 ** 9)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        out = heralded_g2(stream, np.array(taus2) / 2, window_ps=window)
+    if not (len(i) and len(s1) and len(s2)):
+        assert not out["n_is2"].any() and not out["n_triples"].any()
+        return
+    has1 = in_window(delay_matrix(i, s1), 2 * ref_peak(i, s1),
+                     window).any(axis=1)
+    peak2 = ref_peak(i, s2)
+    assert list(out["n_is1"]) == [int(has1.sum())] * len(taus2)
+    for k, tau2 in enumerate(taus2):
+        has2 = in_window(delay_matrix(i, s2), 2 * peak2 + tau2,
+                         window).any(axis=1)
+        assert out["n_is2"][k] == has2.sum()
+        assert out["n_triples"][k] == (has1 & has2).sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
+       data=st.data(), center2=st.integers(-3000, 3000),
+       window=st.integers(1, 1500), caps=CAPS)
+def test_central_peak_is_same_path_matches_brute_force(a, b, origin, data,
+                                                      center2, window, caps):
+    tags_a = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(a),
+                                         max_size=len(a))), dtype=np.uint8)
+    tags_b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(b),
+                                         max_size=len(b))), dtype=np.uint8)
+    ch = np.concatenate([np.zeros(len(a)), np.ones(len(b))]).astype(np.uint8)
+    t = np.concatenate([a, b]) + origin
+    order = np.lexsort((ch, t))
+    stream = EventStream(channels=ch[order], timestamps_ps=t[order],
+                         duration_ps=10 ** 9,
+                         route_tags=np.concatenate([tags_a, tags_b])[order])
+    # window_ps is an int; the centre stays half-integer via peak_delay_ps
+    config = UmiConfig(postselect_window_ps=window)
+    pairs = in_window(delay_matrix(a, b), center2, window)
+    # lexsort keeps equal times in input order, so tags stay aligned
+    want = not np.any(pairs & (tags_a[:, None] != tags_b[None, :]))
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        got = central_peak_is_same_path(stream, config,
+                                        peak_delay_ps=center2 / 2)
+    assert got == want
+
+
+def test_chunks_respect_the_pair_cap(monkeypatch):
+    monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 64)
+    monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 10)
+    # one a event with 50 partners amid 200 sparse events with one each
+    sparse = np.arange(1, 201, dtype=np.int64) * 10_000
+    a = np.concatenate([[0], sparse])
+    b = np.sort(np.concatenate([np.arange(50), sparse + 7]))
+    chunks = list(tcspc.coincidences(a, b, 0, 100))
+    for a_idx, b_idx in chunks:
+        assert len(a_idx) == len(b_idx) > 0
+        assert len(a_idx) <= 10 or len(np.unique(a_idx)) == 1
+        assert a_idx[-1] - a_idx[0] < 64
+    a_all = np.concatenate([c[0] for c in chunks])
+    b_all = np.concatenate([c[1] for c in chunks])
+    assert len(a_all) == 250
+    assert np.array_equal(a_all, np.sort(a_all))
+    assert np.all((b[b_all] - a[a_all] >= 0) & (b[b_all] - a[a_all] <= 100))
+    want = ((delay_matrix(a, b) >= 0) & (delay_matrix(a, b) <= 100)).sum(1)
+    assert np.array_equal(window_counts(a, b, 50, 100), want)
+    # each a event is also 10_007 ps before the next sparse partner
+    assert list(tcspc.window_totals(a, b, [50, 10_007], 100)) == [250, 200]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from diskspdc.cli import main
 from diskspdc.events import (
     EventFormatError,
     EventStream,
@@ -218,3 +219,39 @@ def test_stream_helpers():
     assert len(s) == 3
     assert s.n_channel(0) == 2
     assert list(s.channel_times(1)) == [20]
+
+
+def test_unsorted_csv_is_rejected(tmp_path):
+    # 1000 true +500 ps pairs, rows shuffled: the binary searches that count
+    # coincidences assume sorted times, so the counts would be nonsense
+    base = np.arange(1000, dtype=np.int64) * 10 ** 6
+    rows = [(0, t) for t in base] + [(1, t + 500) for t in base]
+    order = np.random.default_rng(7).permutation(len(rows))
+    path = tmp_path / "shuffled.csv"
+    path.write_text("channel,timestamp_ps\n" + "".join(
+        f"{rows[k][0]},{rows[k][1]}\n" for k in order))
+    with pytest.raises(EventFormatError, match="time-sorted"):
+        read_events(path)
+    (tmp_path / "huge.csv").write_text("channel,timestamp_ps\n0,"
+                                       f"{2 ** 63}\n")
+    with pytest.raises(EventFormatError):
+        read_events(tmp_path / "huge.csv")
+    # a channel of 256 would otherwise read back as channel 0
+    (tmp_path / "chan.csv").write_text("channel,timestamp_ps\n256,5\n")
+    with pytest.raises(EventFormatError, match="channel"):
+        read_events(tmp_path / "chan.csv")
+
+
+def test_binary_timestamp_past_int64_is_rejected(tmp_path):
+    s = EventStream(channels=np.array([0, 1], dtype=np.uint8),
+                    timestamps_ps=np.array([5, 9], dtype=np.int64),
+                    duration_ps=10)
+    path = tmp_path / "events.ttps"
+    write_events(s, path)
+    raw = bytearray(path.read_bytes())
+    # last record: u8 channel then u64 LE time; set its top bit
+    raw[-1] |= 0x80
+    path.write_bytes(bytes(raw))
+    with pytest.raises(EventFormatError, match="int64"):
+        read_events(path)
+    assert main(["coinc", "--events", str(path)]) == 3
