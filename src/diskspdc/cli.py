@@ -102,8 +102,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--events", metavar="PATH", default=None,
                    help="event file to analyse (default: simulate one)")
     p.add_argument("--duration", type=float, default=None, metavar="S",
-                   help="duration when simulating (default: "
-                        "sweep.duration_s)")
+                   help="stream duration in seconds: of the simulated "
+                        "stream (default: sweep.duration_s), or the "
+                        "acquisition time of the --events file (default: "
+                        "its last timestamp + 1 ps)")
     return parser
 
 

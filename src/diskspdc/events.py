@@ -1,12 +1,21 @@
 """Monte Carlo photon-pair streams and timestamp file IO.
 
 Pairs are emitted as a Poisson process whose rate follows the measured
-pair-generation curve (linear slope with optional saturation).  The idler is
-delayed by an exponential cavity lifetime; each photon then independently
-survives its arm's loss chain, picks up Gaussian detector jitter, and is
-routed to a detector channel.  Dark counts are an independent Poisson
-background per channel.  Everything is driven by one seeded generator with a
-fixed chunk size, so a given (config, seed) always produces the same stream.
+pair-generation curve (linear slope with optional saturation).  Each photon
+independently survives its arm's loss chain, so the pairs split into four
+independent Poisson counts (both photons detected, signal only, idler only,
+neither) and only detected photons are given a time: a uniform emission
+time, an exponential cavity lifetime delay on the idler, Gaussian detector
+jitter, and a detector channel of its arm.  A dead-time renewal source
+(min_pair_spacing_ps > 0) instead draws every pair time and thins it by
+loss.  Dark counts are an independent Poisson background per channel.
+Everything is driven by one seeded generator in a fixed order of draws, so
+a given (config, seed) always produces the same stream.
+
+An EventStream keeps one time-sorted int64 array per channel, which is what
+coincidence counting reads.  The merged stream, in time order with ties
+broken by channel, is built only where one sequence is needed: event files
+and the read-only merged views.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -26,7 +35,7 @@ MAGIC = b"TTPS"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIH6s")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<u8")])
-_CHUNK_PAIRS = 1 << 21  # fixed so chunking never changes results
+_EMPTY_TIMES = np.empty(0, dtype=np.int64)
 
 
 class EventFormatError(ValueError):
@@ -112,48 +121,106 @@ def arm_transmission(losses_db, detector_efficiency: float = 1.0) -> float:
     return 10.0 ** (-total_db / 10.0) * detector_efficiency
 
 
-@dataclass
-class EventStream:
-    """Time-sorted detector clicks.
+@dataclass(frozen=True)
+class TruthCounters:
+    """What the simulator drew for one stream, before any analysis.
 
-    route_tags, when present, carries per-event interferometer path labels
-    for diagnostics only; it is never serialized.
+    The pairs split by which photons are detected; the four counts sum to
+    n_pairs_generated.  Per channel, detected counts the pair photons and
+    dark the dark counts drawn for it, and clipped the events of either
+    kind cut at the [0, duration) edges, so a channel stores
+    detected + dark - clipped events.
     """
 
-    channels: np.ndarray
-    timestamps_ps: np.ndarray
+    pairs_both: int
+    pairs_signal_only: int
+    pairs_idler_only: int
+    pairs_neither: int
+    detected: dict[int, int]
+    dark: dict[int, int]
+    clipped: dict[int, int]
+
+
+@dataclass
+class EventStream:
+    """Detector clicks as one time-sorted int64 array per channel.
+
+    tags, when present, maps each channel to per-event interferometer path
+    labels aligned with its times, for diagnostics only; they are never
+    serialized.  truth holds the simulator's counters of a generated
+    stream.  The channels, timestamps_ps and route_tags properties are
+    read-only views of the merged stream, built on each access.
+    """
+
+    times: dict[int, np.ndarray]
     duration_ps: int
     seed: int = 0
     n_pairs_generated: int = 0
-    route_tags: np.ndarray | None = field(default=None, repr=False)
+    tags: dict[int, np.ndarray] | None = field(default=None, repr=False)
+    truth: TruthCounters | None = field(default=None, repr=False)
+
+    @classmethod
+    def from_merged(cls, channels, timestamps_ps, duration_ps: int,
+                    route_tags=None) -> EventStream:
+        """Split a stream sorted by time into its per-channel arrays."""
+        channels = np.asarray(channels, dtype=np.uint8)
+        timestamps_ps = np.asarray(timestamps_ps, dtype=np.int64)
+        times, tags = {}, {}
+        for c in np.flatnonzero(np.bincount(channels)):
+            sel = channels == c
+            times[int(c)] = timestamps_ps[sel]
+            if route_tags is not None:
+                tags[int(c)] = np.asarray(route_tags)[sel]
+        return cls(times, duration_ps,
+                   tags=None if route_tags is None else tags)
+
+    def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """(channels, timestamps_ps, route_tags), by time and then channel.
+
+        The per-channel arrays are concatenated in channel order and put in
+        time order by a stable sort, which breaks ties by channel and keeps
+        each channel's own order.
+        """
+        order_ch = sorted(self.times)
+        times = np.concatenate([_EMPTY_TIMES]
+                               + [self.times[c] for c in order_ch])
+        order = np.argsort(times, kind="stable")
+        channels = np.repeat(np.array(order_ch, dtype=np.uint8),
+                             [len(self.times[c]) for c in order_ch])[order]
+        tags = None
+        if self.tags is not None:
+            tags = np.concatenate([np.empty(0, dtype=np.uint8)]
+                                  + [self.tags[c] for c in order_ch])[order]
+        return channels, times[order], tags
+
+    @property
+    def channels(self) -> np.ndarray:
+        return self.merged()[0]
+
+    @property
+    def timestamps_ps(self) -> np.ndarray:
+        return self.merged()[1]
+
+    @property
+    def route_tags(self) -> np.ndarray | None:
+        return self.merged()[2]
 
     def __len__(self) -> int:
-        return len(self.timestamps_ps)
+        return sum(len(t) for t in self.times.values())
 
     def n_channel(self, channel: int) -> int:
-        return int(np.count_nonzero(self.channels == channel))
+        return len(self.channel_times(channel))
 
     def channel_times(self, channel: int) -> np.ndarray:
-        return self.timestamps_ps[self.channels == channel]
+        return self.times.get(channel, _EMPTY_TIMES)
 
 
-def _sorted_stream(channels, times, tags=None):
-    order = np.lexsort((channels, times))
-    out = (channels[order], times[order])
-    if tags is not None:
-        return out + (tags[order],)
-    return out + (None,)
-
-
-def _pair_times_ps(model: SourceModel, duration_ps: float,
-                   rng: np.random.Generator) -> np.ndarray:
+def _renewal_pair_times(model: SourceModel, duration_ps: float,
+                        rng: np.random.Generator) -> np.ndarray:
+    """Pair times of a renewal process with a hard dead time between pairs."""
     rate_hz = model.pair_rate_mhz * 1e6
     if rate_hz <= 0:
         return np.empty(0)
-    if model.min_pair_spacing_ps <= 0:
-        n = int(rng.poisson(rate_hz * duration_ps * 1e-12))
-        return rng.uniform(0.0, duration_ps, n)
-    # renewal process with a hard dead time between pair emissions
     mean_gap_ps = model.min_pair_spacing_ps + 1e12 / rate_hz
     times = []
     t_last = 0.0
@@ -168,6 +235,35 @@ def _pair_times_ps(model: SourceModel, duration_ps: float,
     return t[t < duration_ps]
 
 
+def _emitted_photons(model: SourceModel, duration_ps: int,
+                     rng: np.random.Generator):
+    """Pair counts split by detection, and the detected photons' emission.
+
+    Returns (both, signal only, idler only, neither) and the pair emission
+    times of the detected signal and idler photons.  Each photon survives
+    its arm independently, so for a Poisson source the four counts are
+    independent Poisson draws and only the pairs with a detected photon
+    need a time.
+    """
+    t_s = model.signal_transmission
+    t_i = model.idler_transmission
+    if model.min_pair_spacing_ps > 0:
+        pair_t = _renewal_pair_times(model, duration_ps, rng)
+        alive_s = rng.random(len(pair_t)) < t_s
+        alive_i = rng.random(len(pair_t)) < t_i
+        split = tuple(int(np.count_nonzero(a & b)) for a, b in (
+            (alive_s, alive_i), (alive_s, ~alive_i),
+            (~alive_s, alive_i), (~alive_s, ~alive_i)))
+        return split, pair_t[alive_s], pair_t[alive_i]
+    mean = model.pair_rate_mhz * 1e6 * duration_ps * 1e-12
+    split = tuple(int(n) for n in rng.poisson(mean * np.array([
+        t_s * t_i, t_s * (1 - t_i), (1 - t_s) * t_i, (1 - t_s) * (1 - t_i)])))
+    both, signal_only, idler_only, _ = split
+    # laid out as [signal only | both | idler only], so each arm is a slice
+    t0 = rng.uniform(0.0, duration_ps, signal_only + both + idler_only)
+    return split, t0[:signal_only + both], t0[signal_only:]
+
+
 def generate_events(model: SourceModel, duration_s: float,
                     seed: int) -> EventStream:
     """Simulate a detection stream of the given duration (seconds)."""
@@ -176,72 +272,91 @@ def generate_events(model: SourceModel, duration_s: float,
     duration_ps = int(round(duration_s * 1e12))
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    pair_t = _pair_times_ps(model, duration_ps, rng)
-    n_pairs = len(pair_t)
-    t_sig = model.signal_transmission
-    t_idl = model.idler_transmission
+    split, emit_s, emit_i = _emitted_photons(model, duration_ps, rng)
+    arrive_i = emit_i + model.idler_delay_sign * rng.exponential(
+        model.pair_lifetime_ps, len(emit_i))
+    photons: dict[int, np.ndarray] = {}
+    for arm_t, arm_channels in ((emit_s, model.signal_channels),
+                                (arrive_i, model.idler_channels)):
+        if model.jitter_sigma_ps > 0:
+            arm_t = arm_t + rng.normal(0.0, model.jitter_sigma_ps,
+                                       len(arm_t))
+        if len(arm_channels) == 1:
+            photons[arm_channels[0]] = arm_t
+            continue
+        pick = rng.integers(0, len(arm_channels), len(arm_t))
+        for k, channel in enumerate(arm_channels):
+            photons[channel] = arm_t[pick == k]
 
-    ch_parts: list[np.ndarray] = []
-    t_parts: list[np.ndarray] = []
-    for start in range(0, n_pairs, _CHUNK_PAIRS):
-        t0 = pair_t[start:start + _CHUNK_PAIRS]
-        n = len(t0)
-        delays = model.idler_delay_sign * rng.exponential(
-            model.pair_lifetime_ps, n)
-        alive_s = rng.random(n) < t_sig
-        alive_i = rng.random(n) < t_idl
-        for arm_alive, arm_base, arm_channels in (
-                (alive_s, t0, model.signal_channels),
-                (alive_i, t0 + delays, model.idler_channels)):
-            t_arm = arm_base[arm_alive]
-            if model.jitter_sigma_ps > 0:
-                t_arm = t_arm + rng.normal(0.0, model.jitter_sigma_ps,
-                                           len(t_arm))
-            if len(arm_channels) == 1:
-                ch = np.full(len(t_arm), arm_channels[0], dtype=np.uint8)
-            else:
-                pick = rng.integers(0, len(arm_channels), len(t_arm))
-                ch = np.asarray(arm_channels, dtype=np.uint8)[pick]
-            ch_parts.append(ch)
-            t_parts.append(t_arm)
-
-    for channel in sorted(tuple(model.signal_channels)
-                          + tuple(model.idler_channels)):
-        n_dark = int(rng.poisson(model.dark_rate_hz * duration_ps * 1e-12))
-        t_parts.append(rng.uniform(0.0, duration_ps, n_dark))
-        ch_parts.append(np.full(n_dark, channel, dtype=np.uint8))
-
-    if t_parts:
-        times = np.rint(np.concatenate(t_parts)).astype(np.int64)
-        channels = np.concatenate(ch_parts)
+    times: dict[int, np.ndarray] = {}
+    dark: dict[int, int] = {}
+    clipped: dict[int, int] = {}
+    for channel in sorted(photons):
+        dark[channel] = int(rng.poisson(
+            model.dark_rate_hz * duration_ps * 1e-12))
+        t = np.concatenate([photons[channel],
+                            rng.uniform(0.0, duration_ps, dark[channel])])
+        t = np.rint(t, out=t).astype(np.int64)
+        t.sort()
         # one cut on the rounded times keeps every timestamp in [0, duration)
-        keep = (times >= 0) & (times < duration_ps)
-        times, channels = times[keep], channels[keep]
-    else:
-        times = np.empty(0, dtype=np.int64)
-        channels = np.empty(0, dtype=np.uint8)
-    channels, times, _ = _sorted_stream(channels, times)
-    return EventStream(channels=channels, timestamps_ps=times,
-                       duration_ps=duration_ps, seed=seed,
-                       n_pairs_generated=n_pairs)
+        lo, hi = np.searchsorted(t, [0, duration_ps])
+        times[channel] = t[lo:hi]
+        clipped[channel] = len(t) - int(hi - lo)
+    truth = TruthCounters(*split,
+                          detected={c: len(photons[c]) for c in times},
+                          dark=dark, clipped=clipped)
+    return EventStream(times, duration_ps, seed=seed,
+                       n_pairs_generated=sum(split), truth=truth)
+
+
+_CSV_ROWS = 1 << 20  # rows formatted at a time, bounding the CSV buffers
+_CHANNEL_TEXT = np.array([str(c) for c in range(256)], dtype="S3")
+# the four ASCII digits of 0000-9999, each packed in one 4-byte item
+_DIGIT_QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])
+                % 10 + ord("0")).astype(np.uint8).view("V4").ravel()
+# a magnitude has one digit more than the powers 10, ..., 10**19 it reaches
+_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
+
+
+def _csv_rows(channels: np.ndarray, times: np.ndarray) -> bytes:
+    """CSV lines "channel,timestamp_ps", with the digits int() prints."""
+    n = len(times)
+    # one fixed-width line per row; NUL marks the unused columns, which
+    # the last step drops: channel (3), comma, sign, 20 digits, newline
+    line = np.zeros((n, 26), dtype=np.uint8)
+    line[:, :3] = _CHANNEL_TEXT[channels].view(np.uint8).reshape(n, 3)
+    line[:, 3] = ord(",")
+    line[:, 4] = np.where(times < 0, ord("-"), 0)
+    magnitude = np.abs(times).view(np.uint64)  # |-2**63| wraps to 2**63
+    rest = magnitude
+    for col in range(21, 4, -4):
+        rest, quad = np.divmod(rest, np.uint64(10_000))
+        line[:, col:col + 4] = _DIGIT_QUADS[quad].view(np.uint8).reshape(
+            n, 4)
+    n_digits = 1 + np.searchsorted(_POW10, magnitude, side="right")
+    line[:, 5:25] *= np.arange(20) >= 20 - n_digits[:, None]
+    line[:, 25] = ord("\n")
+    return line[line != 0].tobytes()
 
 
 def write_events(stream: EventStream, path: str | os.PathLike,
                  fmt: str | None = None) -> None:
     """Write a stream to a binary (default) or CSV timestamp file."""
     fmt = fmt or ("csv" if str(path).endswith(".csv") else "binary")
-    if fmt == "csv":
-        with open(path, "w") as fh:
-            fh.write("channel,timestamp_ps\n")
-            for c, t in zip(stream.channels, stream.timestamps_ps):
-                fh.write(f"{int(c)},{int(t)}\n")
-        return
-    if fmt != "binary":
+    if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
-    n_channels = int(stream.channels.max()) + 1 if len(stream) else 0
-    records = np.empty(len(stream), dtype=_RECORD_DTYPE)
-    records["channel"] = stream.channels
-    records["t"] = stream.timestamps_ps.astype(np.uint64)
+    channels, times, _ = stream.merged()
+    if fmt == "csv":
+        with open(path, "wb") as fh:
+            fh.write(b"channel,timestamp_ps\n")
+            for start in range(0, len(times), _CSV_ROWS):
+                stop = start + _CSV_ROWS
+                fh.write(_csv_rows(channels[start:stop], times[start:stop]))
+        return
+    n_channels = int(channels.max()) + 1 if len(channels) else 0
+    records = np.empty(len(times), dtype=_RECORD_DTYPE)
+    records["channel"] = channels
+    records["t"] = times
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_channels, b"\0" * 6))
         fh.write(records.tobytes())
@@ -253,8 +368,8 @@ def read_events(path: str | os.PathLike,
 
     The file format does not carry the acquisition duration; pass it when
     known, otherwise the last timestamp + 1 is used.  Timestamps must be
-    non-decreasing int64 values and channels fit a byte; anything else
-    raises EventFormatError.
+    non-decreasing int64 values below the duration and channels fit a
+    byte; anything else raises EventFormatError.
     """
     if str(path).endswith(".csv"):
         try:
@@ -263,13 +378,10 @@ def read_events(path: str | os.PathLike,
         except ValueError as err:  # includes values outside int64
             raise EventFormatError(f"{path}: {err}") from err
         if data.size == 0:
-            channels = np.empty(0, dtype=np.uint8)
-            times = np.empty(0, dtype=np.int64)
-        else:
-            if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
-                raise EventFormatError(f"{path}: channel outside 0-255")
-            channels = data[:, 0].astype(np.uint8)
-            times = data[:, 1]
+            data = np.empty((0, 2), dtype=np.int64)
+        if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
+            raise EventFormatError(f"{path}: channel outside 0-255")
+        channels, times = data[:, 0], data[:, 1]
     else:
         with open(path, "rb") as fh:
             head = fh.read(_HEADER.size)
@@ -287,11 +399,13 @@ def read_events(path: str | os.PathLike,
         records = np.frombuffer(body, dtype=_RECORD_DTYPE)
         if len(records) and records["t"].max() >= 2 ** 63:
             raise EventFormatError(f"{path}: timestamp past the int64 range")
-        channels = records["channel"].copy()
-        times = records["t"].astype(np.int64)
+        # same-size views: the split below makes the only copies
+        channels, times = records["channel"], records["t"].view(np.int64)
     if np.any(times[1:] < times[:-1]):
         raise EventFormatError(f"{path}: timestamps are not time-sorted")
     if duration_ps is None:
         duration_ps = int(times[-1]) + 1 if len(times) else 0
-    return EventStream(channels=channels, timestamps_ps=times,
-                       duration_ps=duration_ps)
+    elif len(times) and times[-1] >= duration_ps:
+        raise EventFormatError(f"{path}: timestamp {int(times[-1])} ps at "
+                               f"or past the {duration_ps} ps duration")
+    return EventStream.from_merged(channels, times, duration_ps)

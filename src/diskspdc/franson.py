@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, _sorted_stream
+from .events import EventStream
 
 
 class FitError(RuntimeError):
@@ -64,7 +64,7 @@ def apply_umi(stream: EventStream, config: UmiConfig,
 
     Short keeps the timestamp, long adds the arm delay; the routing
     probability of the short arm is t_S / (t_S + t_L).  The returned stream
-    carries route_tags (0 short, 1 long) for diagnostics; tags are not
+    carries tags (0 short, 1 long) for diagnostics; tags are not
     serialized.  The duration grows by the arm delay so late long-arm events
     stay inside the acquisition window.
     """
@@ -72,15 +72,20 @@ def apply_umi(stream: EventStream, config: UmiConfig,
     t_s, t_l = config.arm_transmissions
     p_short = t_s / (t_s + t_l)
     rng = np.random.Generator(np.random.PCG64(seed))
-    long_routed = rng.random(len(stream)) >= p_short
-    times = stream.timestamps_ps + np.where(long_routed, delay_ps, 0)
-    tags = long_routed.astype(np.uint8)
-    channels, times, tags = _sorted_stream(stream.channels, times, tags)
-    return EventStream(channels=channels, timestamps_ps=times,
-                       duration_ps=stream.duration_ps + delay_ps,
+    times, tags = {}, {}
+    for channel in sorted(stream.times):
+        t = stream.times[channel]
+        long_routed = rng.random(len(t)) >= p_short
+        short = t[~long_routed]
+        routed = np.concatenate([short, t[long_routed] + delay_ps])
+        # both parts are sorted, so the stable sort is one merge
+        order = np.argsort(routed, kind="stable")
+        times[channel] = routed[order]
+        tags[channel] = (order >= len(short)).astype(np.uint8)
+    return EventStream(times, stream.duration_ps + delay_ps,
                        seed=stream.seed,
                        n_pairs_generated=stream.n_pairs_generated,
-                       route_tags=tags)
+                       tags=tags)
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,
@@ -192,20 +197,18 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
                               peak_delay_ps: int = 0) -> bool:
     """Check that central-peak coincidences pair same-path photons only.
 
-    Requires route_tags on the stream (as produced by apply_umi); used to
+    Requires tags on the stream (as produced by apply_umi); used to
     validate that post-selecting the central peak keeps exactly the
     short-short and long-long amplitudes.
     """
     from .tcspc import coincidences, window_edges
 
-    if stream.route_tags is None:
+    if stream.tags is None:
         raise ValueError("stream carries no route tags")
-    sel_s = stream.channels == ch_signal
-    sel_i = stream.channels == ch_idler
-    times_s = stream.timestamps_ps[sel_s]
-    times_i = stream.timestamps_ps[sel_i]
-    tags_s = stream.route_tags[sel_s]
-    tags_i = stream.route_tags[sel_i]
+    times_s = stream.channel_times(ch_signal)
+    times_i = stream.channel_times(ch_idler)
+    tags_s = stream.tags.get(ch_signal)
+    tags_i = stream.tags.get(ch_idler)
     edges = window_edges(peak_delay_ps, config.postselect_window_ps)
     return all(np.array_equal(tags_s[a_idx], tags_i[b_idx])
                for a_idx, b_idx in coincidences(times_s, times_i, *edges))

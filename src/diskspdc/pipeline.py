@@ -494,7 +494,8 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
               duration_s: float | None = None):
     """Two-fold coincidence metrics of a stored or fresh stream."""
     if events_path is not None:
-        stream = read_events(events_path)
+        stream = read_events(events_path, None if duration_s is None
+                             else int(round(duration_s * 1e12)))
     else:
         model = build_source(cfg)
         duration = cfg.sweep.duration_s if duration_s is None else duration_s

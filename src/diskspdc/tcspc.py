@@ -338,8 +338,13 @@ def dwdm_filter_stream(stream: EventStream, seed: int,
         raise ValueError("insertion_loss_db must be >= 0")
     survival = 10.0 ** (-insertion_loss_db / 10.0)
     rng = np.random.Generator(np.random.PCG64(seed))
-    keep = rng.random(len(stream)) < survival
-    return EventStream(channels=stream.channels[keep],
-                       timestamps_ps=stream.timestamps_ps[keep],
-                       duration_ps=stream.duration_ps, seed=stream.seed,
-                       n_pairs_generated=stream.n_pairs_generated)
+    times, tags = {}, {}
+    for channel in sorted(stream.times):
+        # a subset of a sorted channel stays sorted
+        keep = rng.random(len(stream.times[channel])) < survival
+        times[channel] = stream.times[channel][keep]
+        if stream.tags is not None:
+            tags[channel] = stream.tags[channel][keep]
+    return EventStream(times, stream.duration_ps, seed=stream.seed,
+                       n_pairs_generated=stream.n_pairs_generated,
+                       tags=None if stream.tags is None else tags)

@@ -187,6 +187,27 @@ def test_simulate_coinc_roundtrip(tmp_path, capsys):
     assert n12 > 100
 
 
+def test_coinc_events_honours_duration(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    ev = str(tmp_path / "ev.ttps")
+    assert run_cli(["simulate", "-c", cfg, "--events", ev,
+                    "--duration", "0.02"], capsys)[0] == 0
+    durations = []
+    for extra in ([], ["--duration", "0.02"]):
+        rc, out, err = run_cli(["coinc", "-c", cfg, "--events", ev, *extra],
+                               capsys)
+        assert rc == 0, err
+        durations.append(float(table_lines(out)[1].split(",")[6]))
+    guessed, given = durations
+    assert given == 0.02
+    assert guessed < given  # last timestamp + 1 ps
+    # a duration that ends before the last event is an input error
+    rc, out, err = run_cli(["coinc", "-c", cfg, "--events", ev,
+                            "--duration", "0.01"], capsys)
+    assert rc == 3
+    assert "duration" in err
+
+
 def test_simulate_csv_events(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     ev = str(tmp_path / "ev.csv")

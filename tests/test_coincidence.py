@@ -37,8 +37,7 @@ def synthetic_stream(times_a, times_b, duration_ps=10 ** 9):
     t = np.concatenate([np.asarray(times_a, dtype=np.int64),
                         np.asarray(times_b, dtype=np.int64)])
     order = np.lexsort((ch, t))
-    return EventStream(channels=ch[order], timestamps_ps=t[order],
-                       duration_ps=duration_ps)
+    return EventStream.from_merged(ch[order], t[order], duration_ps)
 
 
 def test_window_counts_boundaries():
@@ -123,9 +122,9 @@ def test_two_fold_validation():
 
 
 def test_two_fold_empty_channel():
-    s = EventStream(channels=np.zeros(5, dtype=np.uint8),
-                    timestamps_ps=np.arange(5, dtype=np.int64) * 1000,
-                    duration_ps=10 ** 6)
+    s = EventStream.from_merged(np.zeros(5, dtype=np.uint8),
+                                np.arange(5, dtype=np.int64) * 1000,
+                                duration_ps=10 ** 6)
     r = two_fold_metrics(s)
     assert r.n12 == 0
     assert math.isnan(r.car)
@@ -321,8 +320,7 @@ def test_heralded_g2_counts_match_brute_force(i, s1, s2, origin, taus2,
                          np.full(len(s2), 2)]).astype(np.uint8)
     t = np.concatenate([s1, i, s2]) + origin
     order = np.lexsort((ch, t))
-    stream = EventStream(channels=ch[order], timestamps_ps=t[order],
-                         duration_ps=10 ** 9)
+    stream = EventStream.from_merged(ch[order], t[order], 10 ** 9)
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
         out = heralded_g2(stream, np.array(taus2) / 2, window_ps=window)
@@ -353,9 +351,9 @@ def test_central_peak_is_same_path_matches_brute_force(a, b, origin, data,
     ch = np.concatenate([np.zeros(len(a)), np.ones(len(b))]).astype(np.uint8)
     t = np.concatenate([a, b]) + origin
     order = np.lexsort((ch, t))
-    stream = EventStream(channels=ch[order], timestamps_ps=t[order],
-                         duration_ps=10 ** 9,
-                         route_tags=np.concatenate([tags_a, tags_b])[order])
+    stream = EventStream.from_merged(
+        ch[order], t[order], 10 ** 9,
+        route_tags=np.concatenate([tags_a, tags_b])[order])
     # window_ps is an int; the centre stays half-integer via peak_delay_ps
     config = UmiConfig(postselect_window_ps=window)
     pairs = in_window(delay_matrix(a, b), center2, window)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskspdc.cli import main
 from diskspdc.events import (
@@ -11,6 +13,8 @@ from diskspdc.events import (
     read_events,
     write_events,
 )
+from diskspdc.franson import UmiConfig, apply_umi
+from diskspdc.tcspc import dwdm_filter_stream
 
 # saturating rate law at 27.3 uW, slope 5.13 MHz/uW, ceiling 5385 MHz,
 # frozen from 140.049 / (1 + 140.049/5385)
@@ -65,7 +69,8 @@ def test_model_validation():
 
 
 def test_generation_is_deterministic_across_chunks():
-    # 3e6 pairs straddles the internal chunk boundary
+    # 3e6 pairs, every arm drawn in one piece: the same seed repeats the
+    # stream exactly and another seed does not
     m = quiet_model(pgr_slope_mhz_per_uw=3.0)
     a = generate_events(m, 1.0, seed=42)
     b = generate_events(m, 1.0, seed=42)
@@ -106,6 +111,31 @@ def test_pair_count_follows_rate():
     # lossless: every pair contributes one click per arm
     assert s.n_channel(0) == s.n_pairs_generated
     assert abs(s.n_channel(1) - s.n_pairs_generated) < 5  # boundary clips
+
+
+def test_truth_counters_add_up():
+    # a 0.1 ms idler lifetime pushes about 25 idlers past the end
+    m = quiet_model(pgr_slope_mhz_per_uw=1.0, dark_rate_hz=5000.0,
+                    jitter_sigma_ps=40.0, pair_lifetime_ps=1e8,
+                    signal_losses_db=(3.0,),
+                    idler_losses_db=(6.0,), signal_channels=(0, 2),
+                    idler_channels=(1,))
+    s = generate_events(m, 0.5, seed=29)
+    truth = s.truth
+    split = (truth.pairs_both, truth.pairs_signal_only,
+             truth.pairs_idler_only, truth.pairs_neither)
+    assert sum(split) == s.n_pairs_generated
+    assert truth.detected[0] + truth.detected[2] == (truth.pairs_both
+                                                     + truth.pairs_signal_only)
+    assert truth.detected[1] == truth.pairs_both + truth.pairs_idler_only
+    for ch in (0, 1, 2):
+        assert s.n_channel(ch) == (truth.detected[ch] + truth.dark[ch]
+                                   - truth.clipped[ch])
+    assert truth.clipped[1] > 0
+    lam = 1e6 * 0.5
+    t_s, t_i = m.signal_transmission, m.idler_transmission
+    expect = lam * t_s * t_i
+    assert abs(truth.pairs_both - expect) < 5.0 * np.sqrt(expect)
 
 
 def test_losses_thin_each_arm():
@@ -213,9 +243,9 @@ def test_format_errors(tmp_path):
 
 
 def test_stream_helpers():
-    s = EventStream(channels=np.array([0, 1, 0], dtype=np.uint8),
-                    timestamps_ps=np.array([10, 20, 30], dtype=np.int64),
-                    duration_ps=100)
+    s = EventStream.from_merged(np.array([0, 1, 0], dtype=np.uint8),
+                                np.array([10, 20, 30], dtype=np.int64),
+                                duration_ps=100)
     assert len(s) == 3
     assert s.n_channel(0) == 2
     assert list(s.channel_times(1)) == [20]
@@ -243,9 +273,9 @@ def test_unsorted_csv_is_rejected(tmp_path):
 
 
 def test_binary_timestamp_past_int64_is_rejected(tmp_path):
-    s = EventStream(channels=np.array([0, 1], dtype=np.uint8),
-                    timestamps_ps=np.array([5, 9], dtype=np.int64),
-                    duration_ps=10)
+    s = EventStream.from_merged(np.array([0, 1], dtype=np.uint8),
+                                np.array([5, 9], dtype=np.int64),
+                                duration_ps=10)
     path = tmp_path / "events.ttps"
     write_events(s, path)
     raw = bytearray(path.read_bytes())
@@ -255,3 +285,96 @@ def test_binary_timestamp_past_int64_is_rejected(tmp_path):
     with pytest.raises(EventFormatError, match="int64"):
         read_events(path)
     assert main(["coinc", "--events", str(path)]) == 3
+
+
+# --- per-channel streams against the merged order ---------------------------
+
+
+@st.composite
+def merged_events(draw, max_size=40, t_min=0, t_max=30, n_channels=4):
+    """Events with many equal times, in (time, channel) order."""
+    n = draw(st.integers(0, max_size))
+    ch = np.array(draw(st.lists(st.integers(0, n_channels - 1), min_size=n,
+                                max_size=n)), dtype=np.uint8)
+    t = np.array(draw(st.lists(st.integers(t_min, t_max), min_size=n,
+                               max_size=n)), dtype=np.int64)
+    tags = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
+                                  max_size=n)), dtype=np.uint8)
+    order = np.lexsort((ch, t))
+    return ch[order], t[order], tags[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ch=st.lists(st.integers(0, 3), max_size=40),
+       t=st.lists(st.integers(0, 30), max_size=40))
+def test_merged_view_is_the_lexsort_of_the_events(ch, t):
+    n = min(len(ch), len(t))
+    ch = np.array(ch[:n], dtype=np.uint8)
+    t = np.array(t[:n], dtype=np.int64)
+    s = EventStream({c: np.sort(t[ch == c]) for c in (3, 0, 2, 1)}, 100)
+    order = np.lexsort((ch, t))
+    channels, times, tags = s.merged()
+    assert np.array_equal(channels, ch[order])
+    assert np.array_equal(times, t[order])
+    assert tags is None and s.route_tags is None
+    assert channels.dtype == np.uint8 and times.dtype == np.int64
+    assert len(s) == n
+
+
+@settings(max_examples=200, deadline=None)
+@given(events=merged_events())
+def test_from_merged_then_merged_is_the_identity(events):
+    ch, t, tags = events
+    s = EventStream.from_merged(ch, t, 100, route_tags=tags)
+    for c in s.times:
+        assert np.all(np.diff(s.channel_times(c)) >= 0)
+    channels, times, back_tags = s.merged()
+    assert np.array_equal(channels, ch)
+    assert np.array_equal(times, t)
+    assert np.array_equal(back_tags, tags)
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@settings(max_examples=100, deadline=None)
+@given(events=merged_events(t_max=2 ** 63 - 1))
+def test_write_read_write_is_byte_identical(tmp_path_factory, events):
+    ch, t, _ = events
+    folder = tmp_path_factory.mktemp("files")
+    s = EventStream.from_merged(ch, t, 2 ** 63 - 1)
+    for name in ("a.ttps", "a.csv"):
+        first, second = folder / name, folder / ("again_" + name)
+        write_events(s, first)
+        write_events(read_events(first), second)
+        assert first.read_bytes() == second.read_bytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(events=merged_events(t_min=-2 ** 63, t_max=2 ** 63 - 1))
+def test_csv_text_matches_a_formatting_loop(tmp_path_factory, events):
+    ch, t, _ = events
+    path = tmp_path_factory.mktemp("csv") / "ev.csv"
+    write_events(EventStream.from_merged(ch, t, 0), path)
+    want = "channel,timestamp_ps\n" + "".join(
+        f"{int(c)},{int(v)}\n" for c, v in zip(ch, t))
+    assert path.read_text() == want
+
+
+def test_thinning_and_routing_keep_channels_sorted_and_tags_aligned():
+    m = quiet_model(pgr_slope_mhz_per_uw=0.5, jitter_sigma_ps=40.0,
+                    signal_channels=(0, 2), idler_channels=(1,))
+    s = generate_events(m, 0.05, seed=31)
+    routed = apply_umi(s, UmiConfig(), seed=5)
+    thin = dwdm_filter_stream(routed, seed=6)
+    assert sorted(routed.times) == sorted(thin.times) == [0, 1, 2]
+    for c in (0, 1, 2):
+        t, tags = routed.times[c], routed.tags[c]
+        assert np.all(np.diff(t) >= 0) and len(tags) == len(t)
+        # undoing each event's route gives back the input channel
+        assert np.array_equal(np.sort(t - 1600 * tags.astype(np.int64)),
+                              s.times[c])
+        assert 0 < tags.sum() < len(tags)
+        kept, kept_tags = thin.times[c], thin.tags[c]
+        assert np.all(np.diff(kept) >= 0) and len(kept_tags) == len(kept)
+        # every kept (time, route) pair is one of the routed stream's
+        assert np.isin(kept * 2 + kept_tags, t * 2 + tags).all()
+        assert 0 < len(kept) < len(t)
