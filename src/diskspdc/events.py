@@ -13,9 +13,9 @@ Everything is driven by one seeded generator in a fixed order of draws, so
 a given (config, seed) always produces the same stream.
 
 An EventStream keeps one time-sorted int64 array per channel, which is what
-coincidence counting reads.  The merged stream, in time order with ties
-broken by channel, is built only where one sequence is needed: event files
-and the read-only merged views.
+coincidence counting reads.  EventStream.merged() builds the merged
+stream, in time order with ties broken by channel, where one sequence is
+needed, as for event files; it sorts on every call.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -148,8 +148,7 @@ class EventStream:
     tags, when present, maps each channel to per-event interferometer path
     labels aligned with its times, for diagnostics only; they are never
     serialized.  truth holds the simulator's counters of a generated
-    stream.  The channels, timestamps_ps and route_tags properties are
-    read-only views of the merged stream, built on each access.
+    stream.
     """
 
     times: dict[int, np.ndarray]
@@ -192,18 +191,6 @@ class EventStream:
             tags = np.concatenate([np.empty(0, dtype=np.uint8)]
                                   + [self.tags[c] for c in order_ch])[order]
         return channels, times[order], tags
-
-    @property
-    def channels(self) -> np.ndarray:
-        return self.merged()[0]
-
-    @property
-    def timestamps_ps(self) -> np.ndarray:
-        return self.merged()[1]
-
-    @property
-    def route_tags(self) -> np.ndarray | None:
-        return self.merged()[2]
 
     def __len__(self) -> int:
         return sum(len(t) for t in self.times.values())
@@ -267,8 +254,8 @@ def _emitted_photons(model: SourceModel, duration_ps: int,
 def generate_events(model: SourceModel, duration_s: float,
                     seed: int) -> EventStream:
     """Simulate a detection stream of the given duration (seconds)."""
-    if duration_s < 0:
-        raise ValueError("duration_s must be >= 0")
+    if not 0 <= duration_s < np.inf:
+        raise ValueError("duration_s must be finite and >= 0")
     duration_ps = int(round(duration_s * 1e12))
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -309,36 +296,6 @@ def generate_events(model: SourceModel, duration_s: float,
                        n_pairs_generated=sum(split), truth=truth)
 
 
-_CSV_ROWS = 1 << 20  # rows formatted at a time, bounding the CSV buffers
-_CHANNEL_TEXT = np.array([str(c) for c in range(256)], dtype="S3")
-# the four ASCII digits of 0000-9999, each packed in one 4-byte item
-_DIGIT_QUADS = (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1])
-                % 10 + ord("0")).astype(np.uint8).view("V4").ravel()
-# a magnitude has one digit more than the powers 10, ..., 10**19 it reaches
-_POW10 = 10 ** np.arange(1, 20, dtype=np.uint64)
-
-
-def _csv_rows(channels: np.ndarray, times: np.ndarray) -> bytes:
-    """CSV lines "channel,timestamp_ps", with the digits int() prints."""
-    n = len(times)
-    # one fixed-width line per row; NUL marks the unused columns, which
-    # the last step drops: channel (3), comma, sign, 20 digits, newline
-    line = np.zeros((n, 26), dtype=np.uint8)
-    line[:, :3] = _CHANNEL_TEXT[channels].view(np.uint8).reshape(n, 3)
-    line[:, 3] = ord(",")
-    line[:, 4] = np.where(times < 0, ord("-"), 0)
-    magnitude = np.abs(times).view(np.uint64)  # |-2**63| wraps to 2**63
-    rest = magnitude
-    for col in range(21, 4, -4):
-        rest, quad = np.divmod(rest, np.uint64(10_000))
-        line[:, col:col + 4] = _DIGIT_QUADS[quad].view(np.uint8).reshape(
-            n, 4)
-    n_digits = 1 + np.searchsorted(_POW10, magnitude, side="right")
-    line[:, 5:25] *= np.arange(20) >= 20 - n_digits[:, None]
-    line[:, 25] = ord("\n")
-    return line[line != 0].tobytes()
-
-
 def write_events(stream: EventStream, path: str | os.PathLike,
                  fmt: str | None = None) -> None:
     """Write a stream to a binary (default) or CSV timestamp file."""
@@ -347,11 +304,10 @@ def write_events(stream: EventStream, path: str | os.PathLike,
         raise ValueError(f"unknown event format {fmt!r}")
     channels, times, _ = stream.merged()
     if fmt == "csv":
-        with open(path, "wb") as fh:
-            fh.write(b"channel,timestamp_ps\n")
-            for start in range(0, len(times), _CSV_ROWS):
-                stop = start + _CSV_ROWS
-                fh.write(_csv_rows(channels[start:stop], times[start:stop]))
+        with open(path, "w") as fh:
+            fh.write("channel,timestamp_ps\n")
+            for c, t in zip(channels.tolist(), times.tolist()):
+                fh.write(f"{c},{t}\n")
         return
     n_channels = int(channels.max()) + 1 if len(channels) else 0
     records = np.empty(len(times), dtype=_RECORD_DTYPE)

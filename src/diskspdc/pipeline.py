@@ -494,6 +494,8 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
               duration_s: float | None = None):
     """Two-fold coincidence metrics of a stored or fresh stream."""
     if events_path is not None:
+        if duration_s is not None and not 0 < duration_s < math.inf:
+            raise ValueError("--duration must be finite and positive")
         stream = read_events(events_path, None if duration_s is None
                              else int(round(duration_s * 1e12)))
     else:

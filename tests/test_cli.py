@@ -206,6 +206,20 @@ def test_coinc_events_honours_duration(tmp_path, capsys):
                             "--duration", "0.01"], capsys)
     assert rc == 3
     assert "duration" in err
+    # so is a duration that is not finite and positive, even for a file
+    # with no events
+    empty = str(tmp_path / "empty.ttps")
+    assert run_cli(["simulate", "-c", cfg, "--events", empty,
+                    "--duration", "0"], capsys)[0] == 0
+    for bad in ("inf", "nan", "0", "-1"):
+        rc, out, err = run_cli(["coinc", "-c", cfg, "--events", empty,
+                                "--duration", bad], capsys)
+        assert rc == 3, bad
+        assert "duration" in err
+    rc, out, err = run_cli(["simulate", "-c", cfg, "--events", empty,
+                            "--duration", "inf"], capsys)
+    assert rc == 3
+    assert "duration" in err
 
 
 def test_simulate_csv_events(tmp_path, capsys):
