@@ -24,10 +24,10 @@ from .matching import (AmplitudePrefactor, FamilyPair, GridResolutionError,
 from .events import (EventFormatError, EventStream, SourceModel,
                      arm_transmission, generate_events, read_events,
                      write_events)
-from .tcspc import (CoincidenceHistogram, TwoFoldResult, car_closed_form,
-                    dwdm_channel_index, dwdm_filter_rates,
-                    dwdm_filter_stream, dwdm_grid, heralded_g2, histogram,
-                    poisson_heralded_g2, two_fold_metrics, window_counts)
+from .tcspc import (CoincidenceHistogram, DelayHistogram, TwoFoldResult,
+                    car_closed_form, delay_histogram, dwdm_channel_index,
+                    dwdm_grid, heralded_g2, histogram, poisson_heralded_g2,
+                    two_fold_metrics, window_counts)
 from .franson import (FitError, FransonResult, UmiConfig, apply_umi,
                       classical_fringe, extract_visibility, peak_areas,
                       quantum_fringe)

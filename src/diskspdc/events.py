@@ -25,6 +25,7 @@ A plain-text alternative writes channel,timestamp_ps CSV rows.
 
 from __future__ import annotations
 
+import io
 import os
 import struct
 from dataclasses import dataclass, field
@@ -328,13 +329,16 @@ def read_events(path: str | os.PathLike,
     byte; anything else raises EventFormatError.
     """
     if str(path).endswith(".csv"):
-        try:
-            data = np.loadtxt(path, delimiter=",", skiprows=1,
-                              dtype=np.int64, ndmin=2)
-        except ValueError as err:  # includes values outside int64
-            raise EventFormatError(f"{path}: {err}") from err
-        if data.size == 0:
-            data = np.empty((0, 2), dtype=np.int64)
+        with open(path) as fh:
+            fh.readline()  # header
+            body = fh.read()
+        data = np.empty((0, 2), dtype=np.int64)
+        if body.strip():  # loadtxt warns on a file with no data
+            try:
+                data = np.loadtxt(io.StringIO(body), delimiter=",",
+                                  dtype=np.int64, ndmin=2)
+            except ValueError as err:  # includes values outside int64
+                raise EventFormatError(f"{path}: {err}") from err
         if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
             raise EventFormatError(f"{path}: channel outside 0-255")
         channels, times = data[:, 0], data[:, 1]

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventStream
+from .tcspc import (DelayHistogram, coincidences, delay_histogram, peak_span,
+                    window_edges)
 
 
 class FitError(RuntimeError):
@@ -174,22 +176,39 @@ def extract_visibility(xi_rad, counts, sigma=None,
                          residual_rms=float(np.sqrt(np.mean(residuals ** 2))))
 
 
+def _calibration_span_ps(delay_ps: int) -> int:
+    """Span of the 10-ps histogram that finds the central peak."""
+    return max(8 * delay_ps, 8000)
+
+
+def peak_areas_span(config: UmiConfig,
+                    peak_delay_ps: int | None = None) -> tuple[int, int]:
+    """Delays [lo, hi] that :func:`peak_areas` reads."""
+    delay_ps = int(round(config.arm_delay_ns * 1e3))
+    return peak_span(config.postselect_window_ps, delay_ps, peak_delay_ps,
+                     _calibration_span_ps(delay_ps))
+
+
 def peak_areas(stream: EventStream, config: UmiConfig,
                ch_signal: int = 0, ch_idler: int = 1,
-               peak_delay_ps: int | None = None) -> tuple[int, int, int]:
-    """Coincidence counts in the three windows at peak - D, peak, peak + D."""
-    from .tcspc import calibrate_peak_delay, window_totals
+               peak_delay_ps: int | None = None,
+               delays: DelayHistogram | None = None) -> tuple[int, int, int]:
+    """Coincidence counts in the three windows at peak - D, peak, peak + D.
 
+    delays, when given, is the channels' delay histogram, which must cover
+    :func:`peak_areas_span`; otherwise that span is gathered here.
+    """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
-    times_s = stream.channel_times(ch_signal)
-    times_i = stream.channel_times(ch_idler)
+    if delays is None:
+        delays = delay_histogram(stream.channel_times(ch_signal),
+                                 stream.channel_times(ch_idler),
+                                 *peak_areas_span(config, peak_delay_ps))
     if peak_delay_ps is None:
-        span = max(8 * delay_ps, 8000)
-        peak_delay_ps = calibrate_peak_delay(stream, ch_signal, ch_idler,
-                                             span_ps=span)
+        peak_delay_ps = delays.binned(
+            span_ps=_calibration_span_ps(delay_ps)).peak_delay_ps
     centers = [peak_delay_ps + k * delay_ps for k in (-1, 0, +1)]
-    return tuple(int(n) for n in window_totals(
-        times_s, times_i, centers, config.postselect_window_ps))
+    return tuple(int(n) for n in delays.totals(
+        centers, config.postselect_window_ps))
 
 
 def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
@@ -201,8 +220,6 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
     validate that post-selecting the central peak keeps exactly the
     short-short and long-long amplitudes.
     """
-    from .tcspc import coincidences, window_edges
-
     if stream.tags is None:
         raise ValueError("stream carries no route tags")
     times_s = stream.channel_times(ch_signal)

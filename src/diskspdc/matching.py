@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .material import SellmeierSet, DEFAULT_SELLMEIER, NonlinearTensor, \
     DEFAULT_TENSOR, d_eff
@@ -181,6 +180,14 @@ def delta_k(theta, triple: Triple,
     return float(total) if np.isscalar(theta) else total
 
 
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y over x from 0, in scipy's own
+    expression, so it equals scipy.integrate.cumulative_trapezoid(y, x,
+    initial=0) bit for bit."""
+    steps = np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+    return np.concatenate([np.zeros(1, dtype=steps.dtype), steps])
+
+
 def accumulate_intensity(triple: Triple,
                          prefactor: AmplitudePrefactor = AmplitudePrefactor(),
                          grid_points: int = 4096,
@@ -211,12 +218,11 @@ def accumulate_intensity(triple: Triple,
     dk = delta_k(th, triple, model)
     dk_mean = np.trapezoid(dk, th) / th[-1]
     phi = (triple.delta_m * th
-           + geometry.radius_um * cumulative_trapezoid(dk - dk_mean, th,
-                                                       initial=0.0))
+           + geometry.radius_um * cumulative_trapezoid(dk - dk_mean, th))
     scale = prefactor.scale(triple, model)
     coeff = d_eff(th, tensor) if drive is None else np.asarray(drive(th))
     integrand = scale * coeff * np.exp(1j * phi)
-    amp = cumulative_trapezoid(integrand, th, initial=0.0)
+    amp = cumulative_trapezoid(integrand, th)
     intensity = np.abs(amp) ** 2
     return IntensityTrace(theta=th, amplitude=amp, intensity=intensity,
                           n_turns=n_turns, delta_m=triple.delta_m)

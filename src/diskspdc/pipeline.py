@@ -23,10 +23,11 @@ from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
 from .events import SourceModel, generate_events, write_events, read_events
-from .tcspc import (dwdm_channel_index, dwdm_grid, heralded_g2,
-                    two_fold_metrics)
+from .tcspc import (delay_histogram, dwdm_channel_index, dwdm_grid,
+                    heralded_g2, two_fold_metrics, two_fold_span)
 from .franson import (UmiConfig, apply_umi, classical_fringe,
-                      extract_visibility, peak_areas, quantum_fringe)
+                      extract_visibility, peak_areas, peak_areas_span,
+                      quantum_fringe)
 
 
 _MASK64 = (1 << 64) - 1
@@ -251,9 +252,13 @@ def _sweep_point(args):
                          losses_db=cfg.sweep.losses_db,
                          saturation=cfg.sweep.apply_saturation)
     stream = generate_events(model, cfg.sweep.duration_s, seed)
-    rate = two_fold_metrics(stream, window_ps=int(cfg.sweep.rate_window_ps))
-    car = two_fold_metrics(stream, window_ps=int(cfg.sweep.car_window_ps),
-                           peak_delay_ps=rate.peak_delay_ps)
+    rate_w, car_w = int(cfg.sweep.rate_window_ps), int(cfg.sweep.car_window_ps)
+    # one gather covers both windows' offset windows and the calibration
+    delays = delay_histogram(stream.channel_times(0), stream.channel_times(1),
+                             *two_fold_span(max(rate_w, car_w)))
+    rate = two_fold_metrics(stream, window_ps=rate_w, delays=delays)
+    car = two_fold_metrics(stream, window_ps=car_w,
+                           peak_delay_ps=rate.peak_delay_ps, delays=delays)
     return (power, model.pair_rate_mhz, rate.n1, rate.n2, rate.n12,
             rate.pgr_estimate_hz * 1e-6, car.car)
 
@@ -333,11 +338,16 @@ def run_franson(cfg: RunConfig):
     stream = generate_events(model, cfg.franson.duration_s,
                              derive_seed(cfg.seed, 3))
     routed = apply_umi(stream, umi, derive_seed(cfg.seed, 4))
-    early, center, late = peak_areas(routed, umi)
+    lo_a, hi_a = peak_areas_span(umi)
+    lo_b, hi_b = two_fold_span(umi.postselect_window_ps)
+    delays = delay_histogram(routed.channel_times(0), routed.channel_times(1),
+                             min(lo_a, lo_b), max(hi_a, hi_b))
+    early, center, late = peak_areas(routed, umi, delays=delays)
 
     # Split the measured central peak into its interference-capable part
     # and the accidental floor, estimated from the same stream.
-    base = two_fold_metrics(routed, window_ps=umi.postselect_window_ps)
+    base = two_fold_metrics(routed, window_ps=umi.postselect_window_ps,
+                            delays=delays)
     coherent = max(float(center) - base.accidental_mean, 0.0)
     scale = cfg.franson.integration_s / cfg.franson.duration_s
     amplitude = 2.0 * coherent * scale
@@ -483,7 +493,7 @@ def run_simulate(cfg: RunConfig, out_path: str, fmt: str | None = None,
     write_events(stream, out_path, fmt=fmt)
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")
-    rows = [(stream.duration_ps * 1e-12, stream.n_pairs_generated,
+    rows = [(stream.duration_ps / 1e12, stream.n_pairs_generated,
              stream.n_channel(0), stream.n_channel(1),
              model.pair_rate_mhz)]
     summary = [f"wrote {len(stream)} events to {out_path}"]

@@ -11,10 +11,10 @@ measured wavelength without disturbing the FSR.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import material
 from .material import SellmeierSet, DEFAULT_SELLMEIER
@@ -143,6 +143,58 @@ def _phase_residual(family: ModeFamily, geometry: DiskGeometry, m: int,
     length_nm = geometry.circumference_um * 1e3
     return effective_index(family, wavelength_nm, model) * length_nm \
         - m * wavelength_nm
+
+
+def brentq(f, xa: float, xb: float, xtol: float, rtol: float,
+           maxiter: int = 100) -> float:
+    """Root of f inside the bracket [xa, xb] by Brent's method.
+
+    R. P. Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 4, step for step as scipy.optimize.brentq runs it, so both return
+    the same root bit for bit: inverse quadratic or secant steps while they
+    shrink the bracket fast enough, bisection otherwise, until half the
+    bracket is below delta = (xtol + rtol * |x|) / 2.
+    """
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = float(f(xpre)), float(f(xcur))
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 \
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) \
+                    / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = float(f(xcur))
+    raise CalibrationError(f"root search did not converge after {maxiter} "
+                           f"iterations, last x = {xcur!r}")
 
 
 def resonance_comb(family: ModeFamily, geometry: DiskGeometry,

@@ -3,9 +3,14 @@
 One primitive, :func:`coincidences`, binary-searches time-sorted
 per-channel arrays and yields the index pairs whose delay t_b - t_a lies in
 a closed window of whole picoseconds: O(N log N + pairs), exact at any
-timestamp.  The histogram, window counts, two-fold totals, heralded g2 and
-the Franson peaks are reductions of those pairs.  Delays are always
-t_b - t_a (idler minus signal by default).
+timestamp.  Delays are always t_b - t_a (idler minus signal by default).
+
+Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
+bins every delay of a span on its own: every count of a channel pair is
+then an exact slice of that one array.  The 10-ps calibration histogram,
+the two-fold windows and the Franson peaks read it; the per-event
+reductions (window counts, heralded g2, the Franson path check) read the
+pairs themselves.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -26,6 +31,11 @@ from .events import EventStream
 # Memory caps per chunk of coincidences(): a events and pairs.
 _CHUNK_EVENTS = 1 << 20
 _CHUNK_PAIRS = 1 << 22
+# Largest span of a delay histogram, in 1-ps bins (32 MiB of counts).
+_MAX_DELAY_BINS = 1 << 22
+# Peak calibration: 10-ps bins over [-4000, 4000) ps.
+_CAL_BIN_PS = 10
+_CAL_SPAN_PS = 8000
 
 
 @dataclass(frozen=True)
@@ -41,6 +51,45 @@ class CoincidenceHistogram:
     @property
     def peak_delay_ps(self) -> int:
         return int(self.bin_centers_ps[int(np.argmax(self.counts))])
+
+
+@dataclass(frozen=True)
+class DelayHistogram:
+    """Pair counts at each whole-ps delay lo_ps, lo_ps + 1, ... hi_ps."""
+
+    lo_ps: int
+    counts: np.ndarray
+
+    @property
+    def hi_ps(self) -> int:
+        return self.lo_ps + len(self.counts) - 1
+
+    def _below(self, delays_ps: np.ndarray) -> np.ndarray:
+        """Pairs with delay < d, for each d in [lo, hi + 1]."""
+        d = np.asarray(delays_ps, dtype=np.int64) - self.lo_ps
+        if d.size and (d.min() < 0 or d.max() > len(self.counts)):
+            raise ValueError(
+                f"delays [{int(d.min()) + self.lo_ps}, "
+                f"{int(d.max()) + self.lo_ps - 1}] ps reach outside the "
+                f"gathered [{self.lo_ps}, {self.hi_ps}] ps")
+        return np.concatenate([[0], np.cumsum(self.counts)])[d]
+
+    def totals(self, centers_ps, window_ps: float) -> np.ndarray:
+        """Pair counts in same-width closed windows at each centre."""
+        lo, hi = np.array([window_edges(c, window_ps) for c in centers_ps],
+                          dtype=np.int64).reshape(-1, 2).T
+        below = self._below(np.concatenate([lo, hi + 1]))
+        return below[len(lo):] - below[:len(lo)]
+
+    def binned(self, bin_width_ps: int = _CAL_BIN_PS,
+               span_ps: int = _CAL_SPAN_PS) -> CoincidenceHistogram:
+        """The :func:`histogram` of the same channels, sliced from here."""
+        edges = _bin_edges(bin_width_ps, span_ps)
+        counts = np.diff(self._below(edges))
+        return CoincidenceHistogram(
+            bin_centers_ps=edges[:-1] + bin_width_ps // 2, counts=counts,
+            bin_width_ps=bin_width_ps,
+            span_ps=(len(edges) - 1) * bin_width_ps, total=int(counts.sum()))
 
 
 @dataclass(frozen=True)
@@ -103,18 +152,44 @@ def window_counts(times_a: np.ndarray, times_b: np.ndarray,
     return counts
 
 
-def window_totals(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
-                  window_ps: float) -> np.ndarray:
-    """Pair counts in same-width windows at each centre, from one gather
-    over their union span."""
-    lo, hi = np.array([window_edges(c, window_ps) for c in centers_ps]).T
-    totals = np.zeros(len(lo), dtype=np.int64)
-    for a_idx, b_idx in coincidences(times_a, times_b, int(lo.min()),
-                                     int(hi.max())):
-        delays = np.sort(times_b[b_idx] - times_a[a_idx])
-        totals += np.searchsorted(delays, hi, side="right") \
-            - np.searchsorted(delays, lo, side="left")
-    return totals
+def delay_histogram(times_a: np.ndarray, times_b: np.ndarray,
+                    lo_ps: int, hi_ps: int) -> DelayHistogram:
+    """Pair count at each whole-ps delay t_b - t_a in [lo, hi].
+
+    Raises ValueError, before gathering, for a span of more than
+    _MAX_DELAY_BINS delays.
+    """
+    n_bins = max(hi_ps - lo_ps + 1, 0)
+    if n_bins > _MAX_DELAY_BINS:
+        raise ValueError(f"delay span [{lo_ps}, {hi_ps}] ps exceeds "
+                         f"{_MAX_DELAY_BINS} one-ps bins")
+    counts = np.zeros(n_bins, dtype=np.int64)
+    for a_idx, b_idx in coincidences(times_a, times_b, lo_ps, hi_ps):
+        counts += np.bincount(times_b[b_idx] - times_a[a_idx] - lo_ps,
+                              minlength=n_bins)
+    return DelayHistogram(lo_ps, counts)
+
+
+def peak_span(window_ps: float, offset_ps: float,
+              peak_delay_ps: float | None = None,
+              calibration_span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
+    """Delays [lo, hi] read by windows of window_ps centred up to offset_ps
+    either side of a peak: the given peak or, when None, any peak the 10-ps
+    calibration histogram over calibration_span_ps can find, together with
+    that histogram's own span."""
+    if peak_delay_ps is not None:
+        return (window_edges(peak_delay_ps - offset_ps, window_ps)[0],
+                window_edges(peak_delay_ps + offset_ps, window_ps)[1])
+    edges = _bin_edges(_CAL_BIN_PS, calibration_span_ps)
+    lo, hi = int(edges[0]), int(edges[-1]) - 1
+    return (min(lo, window_edges(lo - offset_ps, window_ps)[0]),
+            max(hi, window_edges(hi + offset_ps, window_ps)[1]))
+
+
+def two_fold_span(window_ps: float, offset_max_ps: int = 50_000,
+                  peak_delay_ps: float | None = None) -> tuple[int, int]:
+    """Delays [lo, hi] that :func:`two_fold_metrics` reads."""
+    return peak_span(window_ps, offset_max_ps, peak_delay_ps)
 
 
 def _windows_hit(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
@@ -146,31 +221,30 @@ def _windows_hit(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
     return hit[unsort], flagged[unsort]
 
 
-def histogram(stream: EventStream, ch_a: int, ch_b: int,
-              bin_width_ps: int = 10, span_ps: int = 8000
-              ) -> CoincidenceHistogram:
-    """Histogram of delays t_b - t_a within [-span/2, span/2)."""
+def _bin_edges(bin_width_ps: int, span_ps: int) -> np.ndarray:
+    """Edges of the histogram bins [e_k, e_k+1) over [-half, half)."""
     if bin_width_ps <= 0 or span_ps <= 0:
         raise ValueError("bin_width_ps and span_ps must be positive")
     n_bins = max(int(round(span_ps / bin_width_ps)), 1)
-    span_ps = n_bins * bin_width_ps
-    half = span_ps // 2
-    times_a = stream.channel_times(ch_a)
-    times_b = stream.channel_times(ch_b)
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for a_idx, b_idx in coincidences(times_a, times_b, -half, half - 1):
-        delays = times_b[b_idx] - times_a[a_idx]
-        counts += np.bincount((delays + half) // bin_width_ps,
-                              minlength=n_bins)
-    centers = (np.arange(n_bins) * bin_width_ps) - half + bin_width_ps // 2
-    return CoincidenceHistogram(bin_centers_ps=centers, counts=counts,
-                                bin_width_ps=bin_width_ps, span_ps=span_ps,
-                                total=int(counts.sum()))
+    half = n_bins * bin_width_ps // 2
+    # an odd span's last bin ends at half, one delay short
+    return np.minimum(np.arange(n_bins + 1) * bin_width_ps - half, half)
+
+
+def histogram(stream: EventStream, ch_a: int, ch_b: int,
+              bin_width_ps: int = _CAL_BIN_PS, span_ps: int = _CAL_SPAN_PS
+              ) -> CoincidenceHistogram:
+    """Histogram of delays t_b - t_a within [-span/2, span/2)."""
+    edges = _bin_edges(bin_width_ps, span_ps)
+    delays = delay_histogram(stream.channel_times(ch_a),
+                             stream.channel_times(ch_b),
+                             int(edges[0]), int(edges[-1]) - 1)
+    return delays.binned(bin_width_ps, span_ps)
 
 
 def calibrate_peak_delay(stream: EventStream, ch_a: int, ch_b: int,
-                         bin_width_ps: int = 10,
-                         span_ps: int = 8000) -> int:
+                         bin_width_ps: int = _CAL_BIN_PS,
+                         span_ps: int = _CAL_SPAN_PS) -> int:
     """Delay-histogram peak position between two channels."""
     return histogram(stream, ch_a, ch_b, bin_width_ps, span_ps).peak_delay_ps
 
@@ -180,13 +254,17 @@ def two_fold_metrics(stream: EventStream, window_ps: int = 800,
                      peak_delay_ps: int | None = None,
                      n_offset_windows: int = 20,
                      offset_min_ps: int = 5_000,
-                     offset_max_ps: int = 50_000) -> TwoFoldResult:
+                     offset_max_ps: int = 50_000,
+                     delays: DelayHistogram | None = None) -> TwoFoldResult:
     """Coincidence metrics between a signal and an idler channel.
 
     n12 counts delays inside a window of window_ps centred on the calibrated
     histogram peak; the accidental level is the mean over n_offset_windows
     same-width windows spread over [offset_min, offset_max] ps on both sides
     of the peak.  Zero-count denominators yield NaN metrics.
+
+    delays, when given, is the channels' delay histogram, which must cover
+    :func:`two_fold_span`; otherwise that span is gathered here.
     """
     if window_ps <= 0:
         raise ValueError("window_ps must be positive")
@@ -197,21 +275,23 @@ def two_fold_metrics(stream: EventStream, window_ps: int = 800,
     times_s = stream.channel_times(ch_signal)
     times_i = stream.channel_times(ch_idler)
     n1, n2 = len(times_s), len(times_i)
-    duration_s = stream.duration_ps * 1e-12
+    duration_s = stream.duration_ps / 1e12
     if n1 == 0 or n2 == 0:
         return TwoFoldResult(n1=n1, n2=n2, n12=0, accidental_mean=math.nan,
                              peak_delay_ps=0, window_ps=window_ps,
                              duration_s=duration_s,
                              pgr_estimate_hz=math.nan, car=math.nan)
+    if delays is None:
+        delays = delay_histogram(times_s, times_i, *two_fold_span(
+            window_ps, offset_max_ps, peak_delay_ps))
     if peak_delay_ps is None:
-        peak_delay_ps = calibrate_peak_delay(stream, ch_signal, ch_idler)
+        peak_delay_ps = delays.binned().peak_delay_ps
     per_side = n_offset_windows // 2
     bonus = n_offset_windows - 2 * per_side
     offsets = np.linspace(offset_min_ps, offset_max_ps, per_side + bonus)
     centers = [peak_delay_ps + off for off in offsets]
     centers += [peak_delay_ps - off for off in offsets[:per_side]]
-    counts = window_totals(times_s, times_i, [peak_delay_ps] + centers,
-                            window_ps)
+    counts = delays.totals([peak_delay_ps] + centers, window_ps)
     n12 = int(counts[0])
     accidental_mean = float(np.mean(counts[1:]))
     pgr = (n1 * n2 / (n12 * duration_s)) if n12 > 0 and duration_s > 0 \
@@ -315,36 +395,3 @@ def dwdm_channel_index(wavelength_nm: float,
         if lo <= wavelength_nm < hi:
             return k
     return None
-
-
-def dwdm_filter_rates(entries: list[tuple[float, float]],
-                      grid: list[tuple[float, float]],
-                      insertion_loss_db: float = 4.0) -> np.ndarray:
-    """Sum (wavelength, rate) entries into channels and apply insertion loss."""
-    if insertion_loss_db < 0:
-        raise ValueError("insertion_loss_db must be >= 0")
-    out = np.zeros(len(grid))
-    for wavelength_nm, rate in entries:
-        idx = dwdm_channel_index(wavelength_nm, grid)
-        if idx is not None:
-            out[idx] += rate
-    return out * 10.0 ** (-insertion_loss_db / 10.0)
-
-
-def dwdm_filter_stream(stream: EventStream, seed: int,
-                       insertion_loss_db: float = 4.0) -> EventStream:
-    """Thin a stream by the filter insertion loss (survival per event)."""
-    if insertion_loss_db < 0:
-        raise ValueError("insertion_loss_db must be >= 0")
-    survival = 10.0 ** (-insertion_loss_db / 10.0)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    times, tags = {}, {}
-    for channel in sorted(stream.times):
-        # a subset of a sorted channel stays sorted
-        keep = rng.random(len(stream.times[channel])) < survival
-        times[channel] = stream.times[channel][keep]
-        if stream.tags is not None:
-            tags[channel] = stream.tags[channel][keep]
-    return EventStream(times, stream.duration_ps, seed=stream.seed,
-                       n_pairs_generated=stream.n_pairs_generated,
-                       tags=None if stream.tags is None else tags)

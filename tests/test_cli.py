@@ -254,3 +254,27 @@ def test_each_experiment_runs(tmp_path, capsys):
         rc, out, err = run_cli(argv, capsys)
         assert rc == 0, (argv, err)
         assert table_lines(out), argv
+
+
+def test_duration_prints_as_given(tmp_path, capsys):
+    cfg = write_cfg(tmp_path)
+    ev = str(tmp_path / "ev.ttps")
+    rc, out, err = run_cli(["simulate", "-c", cfg, "--events", ev,
+                            "--duration", "0.1"], capsys)
+    assert rc == 0, err
+    assert table_lines(out)[1].split(",")[0] == "0.1"
+    rc, out, err = run_cli(["coinc", "-c", cfg, "--events", ev,
+                            "--duration", "0.1"], capsys)
+    assert rc == 0, err
+    assert table_lines(out)[1].split(",")[6] == "0.1"
+
+
+def test_delay_span_past_the_cap_exit_code(tmp_path, capsys):
+    # peak_areas reads its +-4 D calibration span and a window one arm
+    # delay D past either end: 10 D + 800 one-ps bins, capped at 2^22
+    for delay_ns, want in (("419.350", 0), ("419.351", 3)):
+        cfg = write_cfg(tmp_path, TINY_CFG + f"\n[umi]\narm_delay_ns = "
+                        f"{delay_ns}\n")
+        rc, out, err = run_cli(["franson", "-c", cfg], capsys)
+        assert rc == want, (delay_ns, err)
+    assert "exceeds 4194304 one-ps bins" in err

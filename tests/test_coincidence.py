@@ -2,18 +2,18 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskspdc import tcspc
 from diskspdc.events import EventStream, SourceModel, generate_events
-from diskspdc.franson import UmiConfig, central_peak_is_same_path
+from diskspdc.franson import (UmiConfig, central_peak_is_same_path,
+                              peak_areas, peak_areas_span)
 from diskspdc.tcspc import (
     calibrate_peak_delay,
     car_closed_form,
+    delay_histogram,
     dwdm_channel_index,
-    dwdm_filter_rates,
-    dwdm_filter_stream,
     dwdm_grid,
     heralded_g2,
     histogram,
@@ -199,33 +199,6 @@ def test_dwdm_membership_is_half_open():
     assert dwdm_channel_index(1565.4, grid) is None
 
 
-def test_dwdm_filter_rates():
-    grid = dwdm_grid(1535.0, 1565.0, 0.8)
-    entries = [(1552.52, 100.0), (1552.55, 50.0), (1540.0, 10.0),
-               (1700.0, 999.0)]
-    out = dwdm_filter_rates(entries, grid, insertion_loss_db=4.0)
-    scale = 0.3981071705534972
-    # 1552.52 and 1552.55 share channel 21 = [1551.8, 1552.6)
-    assert out[21] == pytest.approx(150.0 * scale, rel=1e-12)
-    assert out[6] == pytest.approx(10.0 * scale, rel=1e-12)
-    assert out.sum() == pytest.approx(160.0 * scale, rel=1e-12)
-    with pytest.raises(ValueError):
-        dwdm_filter_rates(entries, grid, insertion_loss_db=-1.0)
-
-
-def test_dwdm_filter_stream_thins():
-    m = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=0.5,
-                    detector_efficiency=1.0, dark_rate_hz=0.0)
-    s = generate_events(m, 0.2, seed=77)
-    thin = dwdm_filter_stream(s, seed=101, insertion_loss_db=4.0)
-    survival = 0.3981071705534972
-    n, k = len(s), len(thin)
-    assert abs(k - n * survival) < 5.0 * math.sqrt(n * survival)
-    again = dwdm_filter_stream(s, seed=101, insertion_loss_db=4.0)
-    assert np.array_equal(thin.merged()[1], again.merged()[1])
-    assert thin.duration_ps == s.duration_ps
-
-
 # --- the coincidence primitive against O(N^2) broadcast references --------
 
 # stream origins: zero, past 2^53 ps (float64 is no longer ps-exact) and
@@ -283,6 +256,13 @@ def test_window_counts_match_brute_force(a, b, origin, center2, window,
     assert np.array_equal(got, want)
 
 
+def sliced_totals(a, b, centers_ps, window):
+    """Window totals sliced from one gather over the windows' union span."""
+    lo, hi = np.array([tcspc.window_edges(c, window) for c in centers_ps]).T
+    delays = delay_histogram(a, b, int(lo.min()), int(hi.max()))
+    return delays.totals(centers_ps, window)
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
        centers2=st.lists(st.integers(-3000, 3000), min_size=1, max_size=6),
@@ -294,7 +274,7 @@ def test_window_totals_match_brute_force(a, b, origin, centers2, window,
     want = [int(in_window(d, c2, window).sum()) for c2 in centers2]
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
-        got = tcspc.window_totals(a, b, [c2 / 2 for c2 in centers2], window)
+        got = sliced_totals(a, b, [c2 / 2 for c2 in centers2], window)
     assert list(got) == want
 
 
@@ -386,4 +366,103 @@ def test_chunks_respect_the_pair_cap(monkeypatch):
     want = ((delay_matrix(a, b) >= 0) & (delay_matrix(a, b) <= 100)).sum(1)
     assert np.array_equal(window_counts(a, b, 50, 100), want)
     # each a event is also 10_007 ps before the next sparse partner
-    assert list(tcspc.window_totals(a, b, [50, 10_007], 100)) == [250, 200]
+    assert list(sliced_totals(a, b, [50, 10_007], 100)) == [250, 200]
+
+
+# --- one delay histogram, sliced ---------------------------------------------
+
+@settings(max_examples=100, deadline=None)
+@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
+       bin_width=st.integers(1, 60), span=st.integers(1, 3000),
+       centers2=st.lists(st.integers(-3000, 3000), min_size=1, max_size=6),
+       window=st.integers(1, 1500), arm_delay=st.integers(0, 1500),
+       pad=st.tuples(st.integers(0, 50), st.integers(0, 50)), caps=CAPS)
+@example(a=np.array([0]), b=np.array([0]), origin=0, bin_width=1, span=1,
+         centers2=[1], window=1, arm_delay=0, pad=(0, 0), caps=None)
+def test_one_gather_slices_match_brute_force(a, b, origin, bin_width, span,
+                                             centers2, window, arm_delay,
+                                             pad, caps):
+    s = synthetic_stream(a + origin, b + origin)
+    a, b = s.channel_times(0), s.channel_times(1)
+    config = UmiConfig(arm_delay_ns=arm_delay / 1000,
+                       postselect_window_ps=window)
+    lo, hi = zip(peak_areas_span(config), tcspc._bin_edges(bin_width, span),
+                 *(tcspc.window_edges(c2 / 2, window) for c2 in centers2))
+    lo, hi = min(lo) - pad[0], max(hi) + pad[1]
+    d = delay_matrix(a, b)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        delays = delay_histogram(a, b, lo, hi)
+        gathered = histogram(s, 0, 1, bin_width_ps=bin_width, span_ps=span)
+        areas = peak_areas(s, config)
+    want = np.bincount(d[(d >= lo) & (d <= hi)] - lo, minlength=hi - lo + 1)
+    assert (delays.lo_ps, delays.hi_ps) == (lo, hi)
+    assert np.array_equal(delays.counts, want)
+    sliced = delays.binned(bin_width, span)
+    assert np.array_equal(sliced.counts, ref_histogram(a, b, bin_width, span))
+    assert np.array_equal(sliced.counts, gathered.counts)
+    assert np.array_equal(sliced.bin_centers_ps, gathered.bin_centers_ps)
+    assert (sliced.span_ps, sliced.total) == (gathered.span_ps,
+                                              gathered.total)
+    assert list(delays.totals([c2 / 2 for c2 in centers2], window)) == \
+        [int(in_window(d, c2, window).sum()) for c2 in centers2]
+    # peak_areas: calibrated on 10-ps bins over max(8 D, 8000) ps
+    counts = ref_histogram(a, b, 10, max(8 * arm_delay, 8000))
+    peak = int(np.argmax(counts)) * 10 - len(counts) * 5 + 5
+    want_areas = tuple(int(in_window(d, 2 * (peak + k * arm_delay),
+                                     window).sum()) for k in (-1, 0, 1))
+    assert peak_areas(s, config, delays=delays) == areas == want_areas
+
+
+def test_delay_span_past_the_cap_raises_before_gathering(monkeypatch):
+    a = b = np.arange(10, dtype=np.int64)
+    monkeypatch.setattr(tcspc, "_MAX_DELAY_BINS", 100)
+    assert delay_histogram(a, b, -50, 49).counts.sum() == 100
+    monkeypatch.setattr(tcspc, "coincidences", None)  # any gather fails
+    with pytest.raises(ValueError, match="exceeds 100 one-ps bins"):
+        delay_histogram(a, b, -50, 50)
+    s = synthetic_stream(a, b)
+    with pytest.raises(ValueError, match="one-ps bins"):
+        two_fold_metrics(s, window_ps=800)
+
+
+def test_windows_outside_a_passed_histogram_raise():
+    base = np.arange(0, 10 ** 9, 10 ** 6, dtype=np.int64)
+    s = synthetic_stream(base, base + 200)
+    full = delay_histogram(base, base + 200, *tcspc.two_fold_span(800))
+    assert two_fold_metrics(s, delays=full) == two_fold_metrics(s)
+    short = delay_histogram(base, base + 200, -4000, 3999)
+    with pytest.raises(ValueError, match="outside the gathered"):
+        two_fold_metrics(s, delays=short)
+    with pytest.raises(ValueError, match="outside the gathered"):
+        short.binned(10, 8020)
+    assert short.binned().peak_delay_ps == 205
+    config = UmiConfig()
+    with pytest.raises(ValueError, match="outside the gathered"):
+        peak_areas(s, config, delays=short)
+    assert peak_areas(s, config, delays=delay_histogram(
+        base, base + 200, *peak_areas_span(config))) == (0, len(base), 0)
+
+
+def count_gathers(monkeypatch):
+    calls = []
+    gather = tcspc.coincidences
+
+    def counted(*args):
+        calls.append(args[2:])
+        return gather(*args)
+
+    monkeypatch.setattr(tcspc, "coincidences", counted)
+    return calls
+
+
+def test_two_fold_metrics_gathers_once_or_not_at_all(monkeypatch):
+    base = np.arange(0, 10 ** 9, 10 ** 6, dtype=np.int64)
+    s = synthetic_stream(base, base + 200)
+    calls = count_gathers(monkeypatch)
+    alone = two_fold_metrics(s, window_ps=800)
+    assert calls == [tcspc.two_fold_span(800)] == [(-54_400, 54_399)]
+    delays = delay_histogram(base, base + 200, -60_000, 60_000)
+    del calls[:]
+    assert two_fold_metrics(s, window_ps=800, delays=delays) == alone
+    assert calls == []

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diskspdc.material import NonlinearTensor
 from diskspdc.matching import (
@@ -9,6 +11,7 @@ from diskspdc.matching import (
     Triple,
     accumulate_intensity,
     bandwidth_scan,
+    cumulative_trapezoid,
     enumerate_triples,
     is_persistent,
     lorentzian_weight,
@@ -224,3 +227,21 @@ def test_bandwidth_scan_basics():
                           window_fraction=0.5,
                           extra_detuning_ghz=lambda t: 100.0)
     assert len(gone) == 0
+
+
+FINITE = st.floats(-1e6, 1e6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), n=st.integers(1, 40), is_complex=st.booleans())
+def test_cumulative_trapezoid_matches_scipy(data, n, is_complex):
+    integrate = pytest.importorskip("scipy.integrate")
+    x = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(FINITE, min_size=n, max_size=n)))
+    if is_complex:
+        y = y + 1j * np.array(data.draw(st.lists(FINITE, min_size=n,
+                                                 max_size=n)))
+    want = integrate.cumulative_trapezoid(y, x, initial=0.0)
+    got = cumulative_trapezoid(y, x)
+    assert got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()

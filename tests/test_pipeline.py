@@ -10,6 +10,7 @@ from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                run_franson, run_g2, run_match, run_modes,
                                run_power_sweep, run_scan, run_simulate,
                                run_spectrum, run_trace, scan_table)
+from diskspdc import tcspc
 from diskspdc.tcspc import dwdm_channel_index
 
 
@@ -301,3 +302,38 @@ xi_points = 16
                                              abs=0.01)
     assert fit_q.harmonic == 2
     assert fit_c.harmonic == 1
+
+
+def test_one_gather_per_channel_pair(monkeypatch):
+    cfg = parse_config("""
+[source]
+pump_power_uw = 10.0
+jitter_sigma_ps = 5.0
+
+[sweep]
+powers_uw = 0.4, 0.8, 1.2
+duration_s = 0.02
+losses_db = 3.0
+parallelism = 1
+
+[franson]
+duration_s = 0.05
+xi_points = 8
+""")
+    spans = []
+    gather = tcspc.coincidences
+
+    def counted(times_a, times_b, lo_ps, hi_ps):
+        spans.append((lo_ps, hi_ps))
+        return gather(times_a, times_b, lo_ps, hi_ps)
+
+    monkeypatch.setattr(tcspc, "coincidences", counted)
+    run_power_sweep(cfg)
+    # one span for both windows, the wider rate window's
+    assert spans == [tcspc.two_fold_span(2400)] * 3
+    spans.clear()
+    run_franson(cfg)
+    assert len(spans) == 1
+    spans.clear()
+    run_coinc(cfg)
+    assert spans == [tcspc.two_fold_span(800)]

@@ -1,13 +1,19 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diskspdc.material import refractive_index
+from diskspdc.material import DEFAULT_SELLMEIER, refractive_index
 from diskspdc.resonator import (
     CalibrationError,
     DiskGeometry,
     ModeFamily,
     ResonatorMode,
+    _phase_residual,
     anchor_family,
+    brentq,
     calibrate_family,
     effective_index,
     fsr,
@@ -144,3 +150,80 @@ def test_te_effective_index_below_ordinary_bulk():
         n = effective_index(TE, wl)
         assert n < refractive_index(wl * 1e-3, "o")
         assert n > refractive_index(wl * 1e-3, "e")
+
+
+# --- the Brent root finder against scipy's, bit for bit ----------------------
+
+def both_brentq(f, a, b, **kw):
+    """(port, scipy) outcomes: the root's hex, or the error class."""
+    theirs_fn = pytest.importorskip("scipy.optimize").brentq
+    out = []
+    for fn in (brentq, theirs_fn):
+        try:
+            out.append(float(fn(f, a, b, **kw)).hex())
+        except ValueError:
+            out.append(ValueError)
+        except RuntimeError:  # CalibrationError is one
+            out.append(RuntimeError)
+    return out
+
+
+TOLERANCES = dict(xtol=st.floats(1e-15, 1e-3).map(lambda v: v * 1e3),
+                  rtol=st.sampled_from([8.881784197001252e-16, 1e-15,
+                                        1e-12, 1e-9]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from([TM, TE]), m_step=st.integers(-8, 8),
+       below=st.floats(0.0, 5.0), above=st.floats(0.0, 5.0),
+       swap=st.booleans(), **TOLERANCES)
+def test_brentq_matches_scipy_on_resonances(family, m_step, below, above,
+                                            swap, xtol, rtol):
+    def f(x):
+        return _phase_residual(family, GEO, m, x, DEFAULT_SELLMEIER)
+
+    m = int(effective_index(family, 1560.0) * L_NM / 1560.0) + m_step
+    root = brentq(f, 1500.0, 1600.0, xtol=1e-12, rtol=1e-15)
+    a, b = root - below, root + above
+    if swap:
+        a, b = b, a
+    if f(a) * f(b) > 0:
+        return  # a rounded endpoint stepped past the root
+    port, scipy_root = both_brentq(f, a, b, xtol=xtol, rtol=rtol)
+    assert port == scipy_root
+
+
+SMOOTH = (lambda x, r: x - r,
+          lambda x, r: math.tanh(3.0 * (x - r)),
+          lambda x, r: (x - r) ** 3 + 0.01 * (x - r),
+          lambda x, r: math.exp(x - r) - 1.0,
+          lambda x, r: math.sin(x - r),
+          lambda x, r: math.atan(x) - math.atan(r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(0, len(SMOOTH) - 1), root=st.floats(-50.0, 50.0),
+       below=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+       above=st.one_of(st.just(0.0), st.floats(0.0, 1.5)),
+       swap=st.booleans(), maxiter=st.sampled_from([3, 100]), **TOLERANCES)
+def test_brentq_matches_scipy_on_known_roots(k, root, below, above, swap,
+                                             maxiter, xtol, rtol):
+    def f(x):
+        return SMOOTH[k](x, root)
+
+    # below or above 0.0 puts the root on an endpoint, where f is exactly 0
+    a, b = (root + above, root - below) if swap else (root - below,
+                                                       root + above)
+    port, scipy_root = both_brentq(f, a, b, xtol=xtol, rtol=rtol,
+                                   maxiter=maxiter)
+    assert port == scipy_root
+    if maxiter == 100 and port not in (ValueError, RuntimeError):
+        assert abs(float.fromhex(port) - root) <= 2 * (xtol + rtol * 60)
+
+
+def test_brentq_raises():
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-15)
+    with pytest.raises(CalibrationError, match="did not converge"):
+        brentq(math.atan, -1.0, 3.0, xtol=1e-300, rtol=1e-15, maxiter=3)
+    assert brentq(math.atan, 0.0, 3.0, xtol=1e-12, rtol=1e-15) == 0.0
