@@ -8,9 +8,9 @@ timestamp.  Delays are always t_b - t_a (idler minus signal by default).
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
 then an exact slice of that one array.  The 10-ps calibration histogram,
-the two-fold windows and the Franson peaks read it; the per-event
-reductions (window counts, heralded g2, the Franson path check) read the
-pairs themselves.
+the two-fold windows and the Franson peaks read it; window counts and the
+Franson path check read the pairs themselves, and heralded g2 gathers each
+of its two channel pairs once, for its calibration peak and its windows.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -180,8 +180,7 @@ def peak_span(window_ps: float, offset_ps: float,
     if peak_delay_ps is not None:
         return (window_edges(peak_delay_ps - offset_ps, window_ps)[0],
                 window_edges(peak_delay_ps + offset_ps, window_ps)[1])
-    edges = _bin_edges(_CAL_BIN_PS, calibration_span_ps)
-    lo, hi = int(edges[0]), int(edges[-1]) - 1
+    lo, hi = _calibration_span(calibration_span_ps)
     return (min(lo, window_edges(lo - offset_ps, window_ps)[0]),
             max(hi, window_edges(hi + offset_ps, window_ps)[1]))
 
@@ -192,10 +191,45 @@ def two_fold_span(window_ps: float, offset_max_ps: int = 50_000,
     return peak_span(window_ps, offset_max_ps, peak_delay_ps)
 
 
-def _windows_hit(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
-                 window_ps: float, flags: np.ndarray):
-    """Per window, the a events with a b event in it: all, and flagged.
+def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
+            hi_ps: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every pair with lo <= t_b - t_a <= hi as (a_idx, delays), in a order
+    and, within one a event, by ascending b.
 
+    The shorter array is the one binary-searched into the other: when a is
+    the longer, the pairs are gathered from b's side and stably sorted by a.
+    """
+    swap = len(times_a) > len(times_b)
+    chunks = coincidences(times_b, times_a, -hi_ps, -lo_ps) if swap \
+        else coincidences(times_a, times_b, lo_ps, hi_ps)
+    a_parts, delay_parts = [], []
+    for first, second in chunks:
+        a_idx, b_idx = (second, first) if swap else (first, second)
+        a_parts.append(a_idx)
+        delay_parts.append(times_b[b_idx] - times_a[a_idx])
+    if not a_parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    a_idx, delays = np.concatenate(a_parts), np.concatenate(delay_parts)
+    if swap:
+        order = np.argsort(a_idx, kind="stable")
+        a_idx, delays = a_idx[order], delays[order]
+    return a_idx, delays
+
+
+def _calibration_peak(delays: np.ndarray) -> int:
+    """:func:`calibrate_peak_delay` from the delays of a gather that covers
+    the calibration span."""
+    lo, hi = _calibration_span()
+    inside = delays[(delays >= lo) & (delays <= hi)]
+    counts = np.bincount(inside - lo, minlength=hi - lo + 1)
+    return DelayHistogram(lo, counts).binned().peak_delay_ps
+
+
+def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
+                 window_ps: float, flags: np.ndarray):
+    """Per window, the a events with a pair in it: all, and flagged.
+
+    The pairs are in a order and ascend in delay within one a event.
     Sorted by centre, both window edges ascend, so the windows holding a
     delay form a range [kl, kr); starting each range at the end of the
     previous one of the same a event counts every (a, window) hit once.
@@ -206,19 +240,22 @@ def _windows_hit(times_a: np.ndarray, times_b: np.ndarray, centers_ps,
     k = len(lo)
     hit = np.zeros(k, dtype=np.int64)
     flagged = np.zeros(k, dtype=np.int64)
-    for a_idx, b_idx in coincidences(times_a, times_b, int(lo.min()),
-                                     int(hi.max())):
-        delays = times_b[b_idx] - times_a[a_idx]
-        kl = np.searchsorted(hi, delays, side="left")
-        kr = np.searchsorted(lo, delays, side="right")
-        same_a = np.r_[False, a_idx[1:] == a_idx[:-1]]
-        kl = np.where(same_a, np.maximum(kl, np.r_[0, kr[:-1]]), kl)
-        new = kl < kr
-        for out, keep in ((hit, new), (flagged, new & flags[a_idx])):
-            out += np.cumsum(np.bincount(kl[keep], minlength=k + 1)
-                             - np.bincount(kr[keep], minlength=k + 1))[:k]
+    kl = np.searchsorted(hi, delays, side="left")
+    kr = np.searchsorted(lo, delays, side="right")
+    same_a = np.r_[False, a_idx[1:] == a_idx[:-1]]
+    kl = np.where(same_a, np.maximum(kl, np.r_[0, kr[:-1]]), kl)
+    new = kl < kr
+    for out, keep in ((hit, new), (flagged, new & flags[a_idx])):
+        out += np.cumsum(np.bincount(kl[keep], minlength=k + 1)
+                         - np.bincount(kr[keep], minlength=k + 1))[:k]
     unsort = np.argsort(order)
     return hit[unsort], flagged[unsort]
+
+
+def _calibration_span(span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
+    """Delays [lo, hi] that the 10-ps calibration histogram reads."""
+    edges = _bin_edges(_CAL_BIN_PS, span_ps)
+    return int(edges[0]), int(edges[-1]) - 1
 
 
 def _bin_edges(bin_width_ps: int, span_ps: int) -> np.ndarray:
@@ -332,8 +369,11 @@ def heralded_g2(stream: EventStream, tau_grid_ps: np.ndarray,
     For each tau: g2(tau) = N_is1s2 * N_i / (N_is1 * N_is2), with s1 windows
     centred on the calibrated i->s1 peak and s2 windows offset by tau from
     the calibrated i->s2 peak.  Returns the curve and the raw counts; entries
-    with an empty denominator are NaN.
+    with an empty denominator are NaN.  Each channel pair is gathered once,
+    over the calibration span and every window around any peak it can find.
     """
+    if len({ch_idler, ch_s1, ch_s2}) != 3:
+        raise ValueError("ch_idler, ch_s1 and ch_s2 must be distinct")
     times_i = stream.channel_times(ch_idler)
     times_1 = stream.channel_times(ch_s1)
     times_2 = stream.channel_times(ch_s2)
@@ -344,11 +384,19 @@ def heralded_g2(stream: EventStream, tau_grid_ps: np.ndarray,
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
     if n_i and len(times_1) and len(times_2) and len(tau):
-        peak1 = calibrate_peak_delay(stream, ch_idler, ch_s1)
-        peak2 = calibrate_peak_delay(stream, ch_idler, ch_s2)
-        has1 = window_counts(times_i, times_1, peak1, window_ps) > 0
+        a_idx, delays = _gather(times_i, times_1, *peak_span(window_ps, 0))
+        lo, hi = window_edges(_calibration_peak(delays), window_ps)
+        has1 = np.zeros(n_i, dtype=bool)
+        has1[a_idx[(delays >= lo) & (delays <= hi)]] = True
         n_is1 = int(has1.sum())
-        n_is2, triples = _windows_hit(times_i, times_2, peak2 + tau,
+        del a_idx, delays  # hold one channel pair's pairs at a time
+        cal_lo, cal_hi = _calibration_span()
+        a_idx, delays = _gather(
+            times_i, times_2,
+            min(cal_lo, window_edges(cal_lo + tau.min(), window_ps)[0]),
+            max(cal_hi, window_edges(cal_hi + tau.max(), window_ps)[1]))
+        n_is2, triples = _windows_hit(a_idx, delays,
+                                      _calibration_peak(delays) + tau,
                                       window_ps, has1)
         ok = (n_is2 > 0) & (n_is1 > 0)
         g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])

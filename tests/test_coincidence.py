@@ -319,6 +319,77 @@ def test_heralded_g2_counts_match_brute_force(i, s1, s2, origin, taus2,
 
 
 @settings(max_examples=100, deadline=None)
+@given(i=sorted_times(n_max=30, span=30_000),
+       s1=sorted_times(n_max=30, span=30_000),
+       s2=sorted_times(n_max=30, span=30_000), origin=ORIGINS,
+       taus2=st.lists(st.integers(-40_000, 40_000), min_size=1, max_size=7),
+       window=st.integers(1, 20_000), caps=CAPS)
+# herald longer than s1 and shorter than s2, so the gather runs both ways;
+# the windows reach past the +-4 ns calibration span, taus lie outside it
+@example(i=np.array([0, 9_000, 17_000]), s1=np.array([9_000]),
+         s2=np.array([0, 1_000, 5_000, 14_000, 26_000]), origin=2 ** 53,
+         taus2=[24_000, 10_000], window=19_000, caps=(1, 1))
+# a herald whose one s1 delay sits on the right window edge
+@example(i=np.array([0, 10_000]), s1=np.array([0, 10_405]),
+         s2=np.array([0]), origin=0, taus2=[0], window=800, caps=None)
+# the calibration's lowest delay, -4000 ps, ties and wins the peak
+@example(i=np.array([10_000, 20_000]), s1=np.array([6_000, 20_500]),
+         s2=np.array([10_000]), origin=0, taus2=[0], window=100, caps=None)
+def test_heralded_g2_wide_spans_match_brute_force(i, s1, s2, origin, taus2,
+                                                  window, caps):
+    # the same O(N^2) reference as the test above, at spans past the
+    # calibration histogram's
+    test_heralded_g2_counts_match_brute_force.hypothesis.inner_test(
+        i, s1, s2, origin, taus2, window, caps)
+
+
+def g2_stream(n_heralds=1000):
+    """Heralds 1 us apart; even ones have an s1 partner, every third one an
+    s2 partner, so the herald channel is the longest."""
+    i = np.arange(n_heralds, dtype=np.int64) * 10 ** 6
+    s1, s2 = i[::2] + 200, i[::3] + 300
+    ch = np.concatenate([np.full(len(s1), 0), np.full(len(i), 1),
+                         np.full(len(s2), 2)]).astype(np.uint8)
+    t = np.concatenate([s1, i, s2])
+    order = np.lexsort((ch, t))
+    return EventStream.from_merged(ch[order], t[order], 10 ** 9)
+
+
+def test_heralded_g2_gathers_each_channel_pair_once(monkeypatch):
+    s = g2_stream()
+    tau = np.array([-20_000.0, 0.0, 50_000.0])
+    want = heralded_g2(s, tau, window_ps=800)
+    for name in ("histogram", "calibrate_peak_delay", "window_counts"):
+        monkeypatch.setattr(tcspc, name, None)  # any call fails
+    calls = count_gathers(monkeypatch)
+    got = heralded_g2(s, tau, window_ps=800)
+    # i->s1 over the calibration span and its windows, then i->s2 over the
+    # tau windows; the heralds are the longer array, so each gather
+    # searches from the signal side over the negated span
+    assert calls == [(-4399, 4400), (-54_399, 24_400)]
+    assert want.keys() == got.keys()
+    for key in want:
+        assert np.array_equal(want[key], got[key], equal_nan=True)
+    assert list(got["n_is1"]) == [500] * 3
+    assert list(got["n_is2"]) == [0, 334, 0]
+    assert list(got["n_triples"]) == [0, 167, 0]
+    # heralded by the shortest channel, both gathers search from it
+    del calls[:]
+    heralded_g2(s, tau, window_ps=800, ch_idler=2, ch_s1=0, ch_s2=1)
+    assert calls == [(-4400, 4399), (-24_400, 54_399)]
+
+
+def test_heralded_g2_needs_distinct_channels():
+    s = g2_stream(10)
+    tau = np.array([0.0])
+    for ch_idler, ch_s1, ch_s2 in ((1, 0, 0), (1, 1, 2), (1, 0, 1),
+                                   (0, 0, 0)):
+        with pytest.raises(ValueError, match="distinct"):
+            heralded_g2(s, tau, ch_idler=ch_idler, ch_s1=ch_s1, ch_s2=ch_s2)
+    assert heralded_g2(s, tau, ch_idler=1, ch_s1=2, ch_s2=0)["n_is1"][0] == 4
+
+
+@settings(max_examples=100, deadline=None)
 @given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
        data=st.data(), center2=st.integers(-3000, 3000),
        window=st.integers(1, 1500), caps=CAPS)
