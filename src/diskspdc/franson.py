@@ -185,8 +185,8 @@ def peak_areas_span(config: UmiConfig,
                     peak_delay_ps: int | None = None) -> tuple[int, int]:
     """Delays [lo, hi] that :func:`peak_areas` reads."""
     delay_ps = int(round(config.arm_delay_ns * 1e3))
-    return peak_span(config.postselect_window_ps, delay_ps, peak_delay_ps,
-                     _calibration_span_ps(delay_ps))
+    return peak_span(config.postselect_window_ps, -delay_ps, delay_ps,
+                     peak_delay_ps, _calibration_span_ps(delay_ps))
 
 
 def peak_areas(stream: EventStream, config: UmiConfig,

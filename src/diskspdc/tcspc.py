@@ -170,25 +170,26 @@ def delay_histogram(times_a: np.ndarray, times_b: np.ndarray,
     return DelayHistogram(lo_ps, counts)
 
 
-def peak_span(window_ps: float, offset_ps: float,
+def peak_span(window_ps: float, lo_offset_ps: float, hi_offset_ps: float,
               peak_delay_ps: float | None = None,
               calibration_span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
-    """Delays [lo, hi] read by windows of window_ps centred up to offset_ps
-    either side of a peak: the given peak or, when None, any peak the 10-ps
-    calibration histogram over calibration_span_ps can find, together with
-    that histogram's own span."""
+    """Delays [lo, hi] read by windows of window_ps centred from lo_offset_ps
+    to hi_offset_ps off a peak: the given peak or, when None, any peak the
+    10-ps calibration histogram over calibration_span_ps can find, together
+    with that histogram's own span."""
     if peak_delay_ps is not None:
-        return (window_edges(peak_delay_ps - offset_ps, window_ps)[0],
-                window_edges(peak_delay_ps + offset_ps, window_ps)[1])
+        return (window_edges(peak_delay_ps + lo_offset_ps, window_ps)[0],
+                window_edges(peak_delay_ps + hi_offset_ps, window_ps)[1])
     lo, hi = _calibration_span(calibration_span_ps)
-    return (min(lo, window_edges(lo - offset_ps, window_ps)[0]),
-            max(hi, window_edges(hi + offset_ps, window_ps)[1]))
+    return (min(lo, window_edges(lo + lo_offset_ps, window_ps)[0]),
+            max(hi, window_edges(hi + hi_offset_ps, window_ps)[1]))
 
 
 def two_fold_span(window_ps: float, offset_max_ps: int = 50_000,
                   peak_delay_ps: float | None = None) -> tuple[int, int]:
     """Delays [lo, hi] that :func:`two_fold_metrics` reads."""
-    return peak_span(window_ps, offset_max_ps, peak_delay_ps)
+    return peak_span(window_ps, -offset_max_ps, offset_max_ps,
+                     peak_delay_ps)
 
 
 def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
@@ -196,23 +197,23 @@ def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
     """Every pair with lo <= t_b - t_a <= hi as (a_idx, delays), in a order
     and, within one a event, by ascending b.
 
-    The shorter array is the one binary-searched into the other: when a is
-    the longer, the pairs are gathered from b's side and stably sorted by a.
+    The b events are searched into a, then the pairs stably sorted by a: the
+    heralds of :func:`heralded_g2` outnumber each signal channel.
     """
-    swap = len(times_a) > len(times_b)
-    chunks = coincidences(times_b, times_a, -hi_ps, -lo_ps) if swap \
-        else coincidences(times_a, times_b, lo_ps, hi_ps)
     a_parts, delay_parts = [], []
-    for first, second in chunks:
-        a_idx, b_idx = (second, first) if swap else (first, second)
+    for b_idx, a_idx in coincidences(times_b, times_a, -hi_ps, -lo_ps):
         a_parts.append(a_idx)
         delay_parts.append(times_b[b_idx] - times_a[a_idx])
     if not a_parts:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    a_idx, delays = np.concatenate(a_parts), np.concatenate(delay_parts)
-    if swap:
-        order = np.argsort(a_idx, kind="stable")
-        a_idx, delays = a_idx[order], delays[order]
+    # drop each list, and each unsorted array, once it is replaced
+    a_idx = np.concatenate(a_parts)
+    del a_parts
+    delays = np.concatenate(delay_parts)
+    del delay_parts
+    order = np.argsort(a_idx, kind="stable")
+    a_idx = a_idx[order]
+    delays = delays[order]
     return a_idx, delays
 
 
@@ -242,8 +243,7 @@ def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
     flagged = np.zeros(k, dtype=np.int64)
     kl = np.searchsorted(hi, delays, side="left")
     kr = np.searchsorted(lo, delays, side="right")
-    same_a = np.r_[False, a_idx[1:] == a_idx[:-1]]
-    kl = np.where(same_a, np.maximum(kl, np.r_[0, kr[:-1]]), kl)
+    np.maximum(kl[1:], kr[:-1], out=kl[1:], where=a_idx[1:] == a_idx[:-1])
     new = kl < kr
     for out, keep in ((hit, new), (flagged, new & flags[a_idx])):
         out += np.cumsum(np.bincount(kl[keep], minlength=k + 1)
@@ -384,17 +384,14 @@ def heralded_g2(stream: EventStream, tau_grid_ps: np.ndarray,
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
     if n_i and len(times_1) and len(times_2) and len(tau):
-        a_idx, delays = _gather(times_i, times_1, *peak_span(window_ps, 0))
+        a_idx, delays = _gather(times_i, times_1, *peak_span(window_ps, 0, 0))
         lo, hi = window_edges(_calibration_peak(delays), window_ps)
         has1 = np.zeros(n_i, dtype=bool)
         has1[a_idx[(delays >= lo) & (delays <= hi)]] = True
         n_is1 = int(has1.sum())
         del a_idx, delays  # hold one channel pair's pairs at a time
-        cal_lo, cal_hi = _calibration_span()
-        a_idx, delays = _gather(
-            times_i, times_2,
-            min(cal_lo, window_edges(cal_lo + tau.min(), window_ps)[0]),
-            max(cal_hi, window_edges(cal_hi + tau.max(), window_ps)[1]))
+        a_idx, delays = _gather(times_i, times_2, *peak_span(
+            window_ps, tau.min(), tau.max()))
         n_is2, triples = _windows_hit(a_idx, delays,
                                       _calibration_peak(delays) + tau,
                                       window_ps, has1)

@@ -324,7 +324,7 @@ def test_heralded_g2_counts_match_brute_force(i, s1, s2, origin, taus2,
        s2=sorted_times(n_max=30, span=30_000), origin=ORIGINS,
        taus2=st.lists(st.integers(-40_000, 40_000), min_size=1, max_size=7),
        window=st.integers(1, 20_000), caps=CAPS)
-# herald longer than s1 and shorter than s2, so the gather runs both ways;
+# herald longer than s1 and shorter than s2;
 # the windows reach past the +-4 ns calibration span, taus lie outside it
 @example(i=np.array([0, 9_000, 17_000]), s1=np.array([9_000]),
          s2=np.array([0, 1_000, 5_000, 14_000, 26_000]), origin=2 ** 53,
@@ -364,8 +364,8 @@ def test_heralded_g2_gathers_each_channel_pair_once(monkeypatch):
     calls = count_gathers(monkeypatch)
     got = heralded_g2(s, tau, window_ps=800)
     # i->s1 over the calibration span and its windows, then i->s2 over the
-    # tau windows; the heralds are the longer array, so each gather
-    # searches from the signal side over the negated span
+    # tau windows; each gather searches from the signal side over the
+    # negated span
     assert calls == [(-4399, 4400), (-54_399, 24_400)]
     assert want.keys() == got.keys()
     for key in want:
@@ -373,10 +373,11 @@ def test_heralded_g2_gathers_each_channel_pair_once(monkeypatch):
     assert list(got["n_is1"]) == [500] * 3
     assert list(got["n_is2"]) == [0, 334, 0]
     assert list(got["n_triples"]) == [0, 167, 0]
-    # heralded by the shortest channel, both gathers search from it
+    # heralded by the shortest channel, both gathers still search from the
+    # signal side
     del calls[:]
     heralded_g2(s, tau, window_ps=800, ch_idler=2, ch_s1=0, ch_s2=1)
-    assert calls == [(-4400, 4399), (-24_400, 54_399)]
+    assert calls == [(-4399, 4400), (-54_399, 24_400)]
 
 
 def test_heralded_g2_needs_distinct_channels():
