@@ -13,14 +13,22 @@ Everything is driven by one seeded generator in a fixed order of draws, so
 a given (config, seed) always produces the same stream.
 
 An EventStream keeps one time-sorted int64 array per channel, which is what
-coincidence counting reads.  EventStream.merged() builds the merged
-stream, in time order with ties broken by channel, where one sequence is
-needed, as for event files; it sorts on every call.
+coincidence counting reads.  Generation allocates about its output and one
+block: each arm's emission times are drawn into the arm's own array and
+shifted in place, one block of draws at a time, and each channel's photons
+and dark counts are rounded straight into its int64 array.  Where one
+sequence is needed, as for event files, the channels are merged one time
+block of about _BLOCK_EVENTS events at a time, in time order with ties
+broken by channel and never split across blocks; EventStream.merged() is
+the concatenation of those blocks.  Files are read in blocks of records:
+a count pass that checks them, then a fill pass into per-channel arrays.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
 9-byte records of u8 channel + u64 LE timestamp in picoseconds, time-sorted.
-A plain-text alternative writes channel,timestamp_ps CSV rows.
+The channel count is the largest channel with events + 1, and every
+record's channel lies below it.  A plain-text alternative writes
+channel,timestamp_ps CSV rows.
 """
 
 from __future__ import annotations
@@ -37,6 +45,8 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIH6s")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<u8")])
 _EMPTY_TIMES = np.empty(0, dtype=np.int64)
+# events per block of draws, of merged output and of file records
+_BLOCK_EVENTS = 1 << 18
 
 
 class EventFormatError(ValueError):
@@ -164,34 +174,59 @@ class EventStream:
                     route_tags=None) -> EventStream:
         """Split a stream sorted by time into its per-channel arrays."""
         channels = np.asarray(channels, dtype=np.uint8)
-        timestamps_ps = np.asarray(timestamps_ps, dtype=np.int64)
-        times, tags = {}, {}
-        for c in np.flatnonzero(np.bincount(channels)):
-            sel = channels == c
-            times[int(c)] = timestamps_ps[sel]
-            if route_tags is not None:
-                tags[int(c)] = np.asarray(route_tags)[sel]
-        return cls(times, duration_ps,
-                   tags=None if route_tags is None else tags)
+        columns = [np.asarray(timestamps_ps, dtype=np.int64)]
+        if route_tags is not None:
+            columns.append(np.asarray(route_tags))
+        times, *tags = _split(_slices(channels, *columns),
+                              np.bincount(channels),
+                              [v.dtype for v in columns])
+        return cls(times, duration_ps, tags=tags[0] if tags else None)
 
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(channels, timestamps_ps, route_tags), by time and then channel.
 
-        The per-channel arrays are concatenated in channel order and put in
-        time order by a stable sort, which breaks ties by channel and keeps
-        each channel's own order.
+        The concatenation of the time blocks that write_events writes.
         """
-        order_ch = sorted(self.times)
-        times = np.concatenate([_EMPTY_TIMES]
-                               + [self.times[c] for c in order_ch])
-        order = np.argsort(times, kind="stable")
-        channels = np.repeat(np.array(order_ch, dtype=np.uint8),
-                             [len(self.times[c]) for c in order_ch])[order]
+        blocks = list(self._merged_blocks())
+        channels = np.concatenate([np.empty(0, dtype=np.uint8)]
+                                  + [b[0] for b in blocks])
+        times = np.concatenate([_EMPTY_TIMES] + [b[1] for b in blocks])
         tags = None
         if self.tags is not None:
             tags = np.concatenate([np.empty(0, dtype=np.uint8)]
-                                  + [self.tags[c] for c in order_ch])[order]
-        return channels, times[order], tags
+                                  + [b[2] for b in blocks])
+        return channels, times, tags
+
+    def _merged_blocks(self):
+        """Yield the merged stream as (channels, times, tags) time blocks.
+
+        A block holds every event up to a cut time, ties at the cut
+        included, so equal times never straddle two blocks; the cut is the
+        earliest time that lies _BLOCK_EVENTS / (channels left) events on in
+        some channel.  Within a block the channels' slices are concatenated
+        in channel order and put in time order by a stable sort, which
+        breaks ties by channel and keeps each channel's own order.
+        """
+        live = [c for c in sorted(self.times) if len(self.times[c])]
+        start = dict.fromkeys(live, 0)
+        while live:
+            step = max(1, _BLOCK_EVENTS // len(live))
+            cut = min(self.times[c][min(start[c] + step, len(self.times[c]))
+                                    - 1] for c in live)
+            stop = {c: int(np.searchsorted(self.times[c], cut, side="right"))
+                    for c in live}
+            parts = [self.times[c][start[c]:stop[c]] for c in live]
+            times = np.concatenate(parts)
+            order = np.argsort(times, kind="stable")
+            channels = np.repeat(np.array(live, dtype=np.uint8),
+                                 [len(p) for p in parts])[order]
+            tags = None
+            if self.tags is not None:
+                tags = np.concatenate([self.tags[c][start[c]:stop[c]]
+                                       for c in live])[order]
+            yield channels, times[order], tags
+            start = stop
+            live = [c for c in live if stop[c] < len(self.times[c])]
 
     def __len__(self) -> int:
         return sum(len(t) for t in self.times.values())
@@ -207,7 +242,7 @@ def _renewal_pair_times(model: SourceModel, duration_ps: float,
                         rng: np.random.Generator) -> np.ndarray:
     """Pair times of a renewal process with a hard dead time between pairs."""
     rate_hz = model.pair_rate_mhz * 1e6
-    if rate_hz <= 0:
+    if rate_hz <= 0 or duration_ps <= 0:
         return np.empty(0)
     mean_gap_ps = model.min_pair_spacing_ps + 1e12 / rate_hz
     times = []
@@ -228,10 +263,10 @@ def _emitted_photons(model: SourceModel, duration_ps: int,
     """Pair counts split by detection, and the detected photons' emission.
 
     Returns (both, signal only, idler only, neither) and the pair emission
-    times of the detected signal and idler photons.  Each photon survives
-    its arm independently, so for a Poisson source the four counts are
-    independent Poisson draws and only the pairs with a detected photon
-    need a time.
+    times of the detected signal and idler photons, each arm in an array
+    of its own.  Each photon survives its arm independently, so for a
+    Poisson source the four counts are independent Poisson draws and only
+    the pairs with a detected photon need a time.
     """
     t_s = model.signal_transmission
     t_i = model.idler_transmission
@@ -247,9 +282,53 @@ def _emitted_photons(model: SourceModel, duration_ps: int,
     split = tuple(int(n) for n in rng.poisson(mean * np.array([
         t_s * t_i, t_s * (1 - t_i), (1 - t_s) * t_i, (1 - t_s) * (1 - t_i)])))
     both, signal_only, idler_only, _ = split
-    # laid out as [signal only | both | idler only], so each arm is a slice
-    t0 = rng.uniform(0.0, duration_ps, signal_only + both + idler_only)
-    return split, t0[:signal_only + both], t0[signal_only:]
+    # one run of uniform times laid out as [signal only | both | idler
+    # only]: the signal arm draws its part, the idler arm copies the shared
+    # part and draws the rest
+    emit_s = rng.random(signal_only + both)
+    emit_s *= float(duration_ps)
+    emit_i = np.empty(both + idler_only)
+    emit_i[:both] = emit_s[signal_only:]
+    rng.random(out=emit_i[both:])
+    emit_i[both:] *= float(duration_ps)
+    return split, emit_s, emit_i
+
+
+def _scaled_draws(draw, n: int, scale: float):
+    """Yield (start, x): n standard draws times scale, a block at a time.
+
+    draw is a Generator method that fills out= with standard variates
+    (random, standard_exponential, standard_normal).  In blocks it takes
+    the same draws in the same order as in one call, and scale * x has the
+    bits of uniform(0, scale), exponential(scale) and normal(0, scale), up
+    to the sign of a zero, which rounding and adding to a time both drop.
+    """
+    block = np.empty(min(n, _BLOCK_EVENTS))
+    for start in range(0, n, _BLOCK_EVENTS):
+        x = block[:n - start]
+        draw(out=x)
+        x *= scale
+        yield start, x
+
+
+def _add_draws(t: np.ndarray, draw, scale: float) -> None:
+    """t += scale * draw(len(t)) in place, one block of draws at a time."""
+    for start, x in _scaled_draws(draw, len(t), scale):
+        t[start:start + len(x)] += x
+
+
+def _arm_channels(arm_t: np.ndarray, channels, model: SourceModel,
+                  rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """Jitter an arm's times in place and route each to one of its channels."""
+    if model.jitter_sigma_ps > 0:
+        _add_draws(arm_t, rng.standard_normal, model.jitter_sigma_ps)
+    if len(channels) == 1:
+        return {channels[0]: arm_t}
+    pick = np.empty(len(arm_t), dtype=np.uint8)
+    for start in range(0, len(pick), _BLOCK_EVENTS):
+        part = pick[start:start + _BLOCK_EVENTS]
+        part[:] = rng.integers(0, len(channels), len(part))
+    return {c: arm_t[pick == k] for k, c in enumerate(channels)}
 
 
 def generate_events(model: SourceModel, duration_s: float,
@@ -261,62 +340,64 @@ def generate_events(model: SourceModel, duration_s: float,
     rng = np.random.Generator(np.random.PCG64(seed))
 
     split, emit_s, emit_i = _emitted_photons(model, duration_ps, rng)
-    arrive_i = emit_i + model.idler_delay_sign * rng.exponential(
-        model.pair_lifetime_ps, len(emit_i))
-    photons: dict[int, np.ndarray] = {}
-    for arm_t, arm_channels in ((emit_s, model.signal_channels),
-                                (arrive_i, model.idler_channels)):
-        if model.jitter_sigma_ps > 0:
-            arm_t = arm_t + rng.normal(0.0, model.jitter_sigma_ps,
-                                       len(arm_t))
-        if len(arm_channels) == 1:
-            photons[arm_channels[0]] = arm_t
-            continue
-        pick = rng.integers(0, len(arm_channels), len(arm_t))
-        for k, channel in enumerate(arm_channels):
-            photons[channel] = arm_t[pick == k]
+    _add_draws(emit_i, rng.standard_exponential,
+               model.idler_delay_sign * model.pair_lifetime_ps)
+    photons = _arm_channels(emit_s, model.signal_channels, model, rng)
+    del emit_s  # its channels hold its times now
+    photons |= _arm_channels(emit_i, model.idler_channels, model, rng)
+    del emit_i
 
     times: dict[int, np.ndarray] = {}
+    detected: dict[int, int] = {}
     dark: dict[int, int] = {}
     clipped: dict[int, int] = {}
     for channel in sorted(photons):
+        photon_t = photons.pop(channel)  # released once rounded
+        n = detected[channel] = len(photon_t)
         dark[channel] = int(rng.poisson(
             model.dark_rate_hz * duration_ps * 1e-12))
-        t = np.concatenate([photons[channel],
-                            rng.uniform(0.0, duration_ps, dark[channel])])
-        t = np.rint(t, out=t).astype(np.int64)
+        t = np.empty(n + dark[channel], dtype=np.int64)
+        np.rint(photon_t, out=t[:n], casting="unsafe")
+        del photon_t
+        for start, x in _scaled_draws(rng.random, dark[channel],
+                                      float(duration_ps)):
+            np.rint(x, out=t[n + start:n + start + len(x)], casting="unsafe")
         t.sort()
         # one cut on the rounded times keeps every timestamp in [0, duration)
         lo, hi = np.searchsorted(t, [0, duration_ps])
         times[channel] = t[lo:hi]
         clipped[channel] = len(t) - int(hi - lo)
-    truth = TruthCounters(*split,
-                          detected={c: len(photons[c]) for c in times},
-                          dark=dark, clipped=clipped)
+    truth = TruthCounters(*split, detected=detected, dark=dark,
+                          clipped=clipped)
     return EventStream(times, duration_ps, seed=seed,
                        n_pairs_generated=sum(split), truth=truth)
 
 
 def write_events(stream: EventStream, path: str | os.PathLike,
                  fmt: str | None = None) -> None:
-    """Write a stream to a binary (default) or CSV timestamp file."""
+    """Write a stream to a binary (default) or CSV timestamp file.
+
+    The stream is merged and written one time block at a time.
+    """
     fmt = fmt or ("csv" if str(path).endswith(".csv") else "binary")
     if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
-    channels, times, _ = stream.merged()
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write("channel,timestamp_ps\n")
-            for c, t in zip(channels.tolist(), times.tolist()):
-                fh.write(f"{c},{t}\n")
+            for channels, times, _ in stream._merged_blocks():
+                for c, t in zip(channels.tolist(), times.tolist()):
+                    fh.write(f"{c},{t}\n")
         return
-    n_channels = int(channels.max()) + 1 if len(channels) else 0
-    records = np.empty(len(times), dtype=_RECORD_DTYPE)
-    records["channel"] = channels
-    records["t"] = times
+    n_channels = max((c for c, t in stream.times.items() if len(t)),
+                     default=-1) + 1
     with open(path, "wb") as fh:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_channels, b"\0" * 6))
-        fh.write(records.tobytes())
+        for channels, times, _ in stream._merged_blocks():
+            records = np.empty(len(times), dtype=_RECORD_DTYPE)
+            records["channel"] = channels
+            records["t"] = times
+            fh.write(records)
 
 
 def read_events(path: str | os.PathLike,
@@ -326,7 +407,10 @@ def read_events(path: str | os.PathLike,
     The file format does not carry the acquisition duration; pass it when
     known, otherwise the last timestamp + 1 is used.  Timestamps must be
     non-decreasing int64 values below the duration and channels fit a
-    byte; anything else raises EventFormatError.
+    byte, and a binary file's channels lie below its header's channel
+    count; anything else raises EventFormatError.  Binary records are read
+    a block at a time, once to check and count them per channel and once
+    to fill the per-channel arrays.
     """
     if str(path).endswith(".csv"):
         with open(path) as fh:
@@ -341,31 +425,91 @@ def read_events(path: str | os.PathLike,
                 raise EventFormatError(f"{path}: {err}") from err
         if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
             raise EventFormatError(f"{path}: channel outside 0-255")
-        channels, times = data[:, 0], data[:, 1]
-    else:
-        with open(path, "rb") as fh:
-            head = fh.read(_HEADER.size)
-            if len(head) < _HEADER.size:
-                raise EventFormatError(f"{path}: truncated header")
-            magic, version, _n_channels, reserved = _HEADER.unpack(head)
-            if magic != MAGIC:
-                raise EventFormatError(f"{path}: bad magic {magic!r}")
-            if version != FORMAT_VERSION:
-                raise EventFormatError(f"{path}: unsupported version "
-                                       f"{version}")
-            body = fh.read()
-        if len(body) % _RECORD_DTYPE.itemsize:
+        return _checked_stream(path, lambda: _slices(data[:, 0], data[:, 1]),
+                               256, duration_ps)
+    with open(path, "rb") as fh:
+        head = fh.read(_HEADER.size)
+        if len(head) < _HEADER.size:
+            raise EventFormatError(f"{path}: truncated header")
+        magic, version, n_channels, reserved = _HEADER.unpack(head)
+        if magic != MAGIC:
+            raise EventFormatError(f"{path}: bad magic {magic!r}")
+        if version != FORMAT_VERSION:
+            raise EventFormatError(f"{path}: unsupported version "
+                                   f"{version}")
+        n_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+        if n_bytes % _RECORD_DTYPE.itemsize:
             raise EventFormatError(f"{path}: truncated record data")
-        records = np.frombuffer(body, dtype=_RECORD_DTYPE)
-        if len(records) and records["t"].max() >= 2 ** 63:
+        n_records = n_bytes // _RECORD_DTYPE.itemsize
+        return _checked_stream(
+            path, lambda: _record_blocks(fh, path, n_records), n_channels,
+            duration_ps)
+
+
+def _record_blocks(fh, path, n_records: int):
+    """Yield (channels, timestamps) of a .ttps file's records in blocks."""
+    fh.seek(_HEADER.size)
+    for start in range(0, n_records, _BLOCK_EVENTS):
+        count = min(_BLOCK_EVENTS, n_records - start)
+        records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
+        if len(records) < count:
+            raise EventFormatError(f"{path}: truncated record data")
+        if records["t"].max() >= 2 ** 63:
             raise EventFormatError(f"{path}: timestamp past the int64 range")
-        # same-size views: the split below makes the only copies
-        channels, times = records["channel"], records["t"].view(np.int64)
-    if np.any(times[1:] < times[:-1]):
-        raise EventFormatError(f"{path}: timestamps are not time-sorted")
+        # same-size views: the split makes the only copies
+        yield records["channel"], records["t"].view(np.int64)
+
+
+def _checked_stream(path, blocks, n_channels: int,
+                    duration_ps: int | None) -> EventStream:
+    """The stream of a file's (channels, timestamps) blocks.
+
+    blocks() starts the file's blocks over: a count pass checks them and
+    counts each channel's events, then a fill pass splits them.
+    """
+    counts = np.zeros(n_channels, dtype=np.int64)
+    last = None
+    for channels, times in blocks():
+        if channels.max() >= n_channels:
+            raise EventFormatError(f"{path}: channel {int(channels.max())} "
+                                   f"not below the header's {n_channels}")
+        if (last is not None and times[0] < last) or np.any(
+                times[1:] < times[:-1]):
+            raise EventFormatError(f"{path}: timestamps are not time-sorted")
+        counts += np.bincount(channels, minlength=n_channels)
+        last = int(times[-1])
     if duration_ps is None:
-        duration_ps = int(times[-1]) + 1 if len(times) else 0
-    elif len(times) and times[-1] >= duration_ps:
-        raise EventFormatError(f"{path}: timestamp {int(times[-1])} ps at "
+        duration_ps = 0 if last is None else last + 1
+    elif last is not None and last >= duration_ps:
+        raise EventFormatError(f"{path}: timestamp {last} ps at "
                                f"or past the {duration_ps} ps duration")
-    return EventStream.from_merged(channels, times, duration_ps)
+    times, = _split(blocks(), counts, [np.int64])
+    return EventStream(times, duration_ps)
+
+
+def _slices(*columns):
+    """Yield aligned slices of _BLOCK_EVENTS rows of the columns, in order."""
+    for start in range(0, len(columns[0]), _BLOCK_EVENTS):
+        yield tuple(v[start:start + _BLOCK_EVENTS] for v in columns)
+
+
+def _split(blocks, counts, dtypes) -> list[dict[int, np.ndarray]]:
+    """Per-channel arrays of each column of (channels, *columns) blocks.
+
+    counts[c] is the number of channel c events in all the blocks, so each
+    channel's arrays are allocated once, in channel order, and filled
+    block by block in stream order.
+    """
+    present = [int(c) for c in np.flatnonzero(counts)]
+    out = [{c: np.empty(counts[c], dtype=d) for c in present}
+           for d in dtypes]
+    filled = dict.fromkeys(present, 0)
+    for channels, *columns in blocks:
+        in_block = np.bincount(channels)
+        for c in np.flatnonzero(in_block).tolist():
+            sel = channels == c
+            at = slice(filled[c], filled[c] + int(in_block[c]))
+            for v, dst in zip(columns, out):
+                np.compress(sel, v, out=dst[c][at])
+            filled[c] = at.stop
+    return out
