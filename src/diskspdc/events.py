@@ -13,10 +13,17 @@ Everything is driven by one seeded generator in a fixed order of draws, so
 a given (config, seed) always produces the same stream.
 
 An EventStream keeps one time-sorted int64 array per channel, which is what
-coincidence counting reads.  Generation allocates about its output and one
-block: each arm's emission times are drawn into the arm's own array and
-shifted in place, one block of draws at a time, and each channel's photons
-and dark counts are rounded straight into its int64 array.  Where one
+coincidence counting reads.  Generation holds about its output and one
+block.  Each arm's emission times are drawn as float64 into a view of an
+int64 array of their own and shifted in place, one block of draws at a
+time; an arm with several channels is split, a block at a time, into one
+such array per channel.  Each channel's times are then rounded to int64 in
+that same buffer, a block at a time; the buffer has room for the channel's
+dark counts, which are drawn into it after the photons, and is then fitted
+to them in place (ndarray.resize).  So at its peak generation
+holds every detected photon once, 8 B per event, and one block; while an
+arm with several channels is split it also holds that arm's channel copies
+and a uint8 pick and mask, under 14 B per event in all.  Where one
 sequence is needed, as for event files, the channels are merged one time
 block of about _BLOCK_EVENTS events at a time, in time order with ties
 broken by channel and never split across blocks; EventStream.merged() is
@@ -34,6 +41,7 @@ channel,timestamp_ps CSV rows.
 from __future__ import annotations
 
 import io
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -259,14 +267,15 @@ def _renewal_pair_times(model: SourceModel, duration_ps: float,
 
 
 def _emitted_photons(model: SourceModel, duration_ps: int,
-                     rng: np.random.Generator):
+                     rng: np.random.Generator, room: int):
     """Pair counts split by detection, and the detected photons' emission.
 
     Returns (both, signal only, idler only, neither) and the pair emission
     times of the detected signal and idler photons, each arm in an array
     of its own.  Each photon survives its arm independently, so for a
     Poisson source the four counts are independent Poisson draws and only
-    the pairs with a detected photon need a time.
+    the pairs with a detected photon need a time.  Each arm's array is a
+    _times_buffer with room spare elements.
     """
     t_s = model.signal_transmission
     t_i = model.idler_transmission
@@ -277,7 +286,8 @@ def _emitted_photons(model: SourceModel, duration_ps: int,
         split = tuple(int(np.count_nonzero(a & b)) for a, b in (
             (alive_s, alive_i), (alive_s, ~alive_i),
             (~alive_s, alive_i), (~alive_s, ~alive_i)))
-        return split, pair_t[alive_s], pair_t[alive_i]
+        return (split, _selected(alive_s, pair_t, room),
+                _selected(alive_i, pair_t, room))
     mean = model.pair_rate_mhz * 1e6 * duration_ps * 1e-12
     split = tuple(int(n) for n in rng.poisson(mean * np.array([
         t_s * t_i, t_s * (1 - t_i), (1 - t_s) * t_i, (1 - t_s) * (1 - t_i)])))
@@ -285,13 +295,64 @@ def _emitted_photons(model: SourceModel, duration_ps: int,
     # one run of uniform times laid out as [signal only | both | idler
     # only]: the signal arm draws its part, the idler arm copies the shared
     # part and draws the rest
-    emit_s = rng.random(signal_only + both)
+    emit_s = _times_buffer(signal_only + both, room)
+    rng.random(out=emit_s)
     emit_s *= float(duration_ps)
-    emit_i = np.empty(both + idler_only)
+    emit_i = _times_buffer(both + idler_only, room)
     emit_i[:both] = emit_s[signal_only:]
     rng.random(out=emit_i[both:])
     emit_i[both:] *= float(duration_ps)
     return split, emit_s, emit_i
+
+
+def _times_buffer(n: int, room: int) -> np.ndarray:
+    """A float64 view of the first n elements of a new int64 array of
+    n + room.
+
+    A channel's times are drawn and shifted as float64 in the view, then
+    rounded into the int64 array that owns the buffer (_rounded_in_place),
+    so the two forms never take two buffers.  The room takes the channel's
+    dark counts, which are drawn later: the buffer is shrunk to fit them,
+    which never moves it.  Growing it can move it, and a move can copy it
+    (numpy advises huge pages for large arrays, and Linux 6.18 copied such
+    a buffer when realloc moved it: 36 MB in 28 ms).
+    """
+    return np.empty(n + room, dtype=np.int64).view(np.float64)[:n]
+
+
+def _dark_room(model: SourceModel, duration_ps: int) -> int:
+    """Room for a channel's dark counts: their mean and ten sigma."""
+    mean = model.dark_rate_hz * duration_ps * 1e-12
+    return int(mean + 10 * math.sqrt(mean)) + 10
+
+
+def _selected(mask: np.ndarray, x: np.ndarray, room: int) -> np.ndarray:
+    """x[mask] in a new _times_buffer, one block at a time (compress takes
+    an index array as long as its output)."""
+    out = _times_buffer(np.count_nonzero(mask), room)
+    filled = 0
+    for m, v in _slices(mask, x):
+        n = np.count_nonzero(m)
+        np.compress(m, v, out=out[filled:filled + n])
+        filled += n
+    return out
+
+
+def _rounded_in_place(x: np.ndarray) -> np.ndarray:
+    """The _times_buffer x rounded to int64 in its own buffer; its owner.
+
+    One block at a time, x's values are rounded into a scratch block and
+    cast into the owner over the same bytes, which nothing reads again.
+    The view x is the caller's to drop: a resize of the owner needs it
+    gone.
+    """
+    t = x.base
+    block = np.empty(min(len(x), _BLOCK_EVENTS))
+    for start in range(0, len(x), _BLOCK_EVENTS):
+        part = block[:len(x) - start]
+        np.rint(x[start:start + len(part)], out=part)
+        t[start:start + len(part)] = part
+    return t
 
 
 def _scaled_draws(draw, n: int, scale: float):
@@ -318,7 +379,8 @@ def _add_draws(t: np.ndarray, draw, scale: float) -> None:
 
 
 def _arm_channels(arm_t: np.ndarray, channels, model: SourceModel,
-                  rng: np.random.Generator) -> dict[int, np.ndarray]:
+                  rng: np.random.Generator, room: int
+                  ) -> dict[int, np.ndarray]:
     """Jitter an arm's times in place and route each to one of its channels."""
     if model.jitter_sigma_ps > 0:
         _add_draws(arm_t, rng.standard_normal, model.jitter_sigma_ps)
@@ -328,7 +390,8 @@ def _arm_channels(arm_t: np.ndarray, channels, model: SourceModel,
     for start in range(0, len(pick), _BLOCK_EVENTS):
         part = pick[start:start + _BLOCK_EVENTS]
         part[:] = rng.integers(0, len(channels), len(part))
-    return {c: arm_t[pick == k] for k, c in enumerate(channels)}
+    return {c: _selected(pick == k, arm_t, room)
+            for k, c in enumerate(channels)}
 
 
 def generate_events(model: SourceModel, duration_s: float,
@@ -339,12 +402,13 @@ def generate_events(model: SourceModel, duration_s: float,
     duration_ps = int(round(duration_s * 1e12))
     rng = np.random.Generator(np.random.PCG64(seed))
 
-    split, emit_s, emit_i = _emitted_photons(model, duration_ps, rng)
+    room = _dark_room(model, duration_ps)
+    split, emit_s, emit_i = _emitted_photons(model, duration_ps, rng, room)
     _add_draws(emit_i, rng.standard_exponential,
                model.idler_delay_sign * model.pair_lifetime_ps)
-    photons = _arm_channels(emit_s, model.signal_channels, model, rng)
+    photons = _arm_channels(emit_s, model.signal_channels, model, rng, room)
     del emit_s  # its channels hold its times now
-    photons |= _arm_channels(emit_i, model.idler_channels, model, rng)
+    photons |= _arm_channels(emit_i, model.idler_channels, model, rng, room)
     del emit_i
 
     times: dict[int, np.ndarray] = {}
@@ -352,13 +416,15 @@ def generate_events(model: SourceModel, duration_s: float,
     dark: dict[int, int] = {}
     clipped: dict[int, int] = {}
     for channel in sorted(photons):
-        photon_t = photons.pop(channel)  # released once rounded
-        n = detected[channel] = len(photon_t)
+        n = detected[channel] = len(photons[channel])
         dark[channel] = int(rng.poisson(
             model.dark_rate_hz * duration_ps * 1e-12))
-        t = np.empty(n + dark[channel], dtype=np.int64)
-        np.rint(photon_t, out=t[:n], casting="unsafe")
-        del photon_t
+        # the float64 view dies inside the call, so nothing else refers to
+        # t and resize's reference check passes: the buffer is fitted to
+        # the darks in place.  A reference held elsewhere would make it
+        # raise ValueError rather than free memory a view still reads.
+        t = _rounded_in_place(photons.pop(channel))
+        t.resize(n + dark[channel])
         for start, x in _scaled_draws(rng.random, dark[channel],
                                       float(duration_ps)):
             np.rint(x, out=t[n + start:n + start + len(x)], casting="unsafe")

@@ -269,9 +269,16 @@ def run_power_sweep(cfg: RunConfig):
               for i, p in enumerate(cfg.sweep.powers_uw)]
     workers = cfg.sweep.parallelism or os.cpu_count() or 1
     if workers > 1 and len(points) > 1:
+        # the longest points, at the highest powers, go to the pool first;
+        # each point's seed comes from its own index, so order is only time
+        longest_first = sorted(range(len(points)),
+                               key=lambda k: points[k][1], reverse=True)
+        rows = [None] * len(points)
         with concurrent.futures.ProcessPoolExecutor(
                 max_workers=workers) as pool:
-            rows = list(pool.map(_sweep_point, points))
+            for k, row in zip(longest_first, pool.map(
+                    _sweep_point, [points[k] for k in longest_first])):
+                rows[k] = row
     else:
         rows = [_sweep_point(p) for p in points]
     columns = ("power_uw", "pair_rate_mhz", "n1", "n2", "n12",

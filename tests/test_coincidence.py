@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,67 @@ def test_chunks_respect_the_pair_cap(monkeypatch):
     assert list(sliced_totals(a, b, [50, 10_007], 100)) == [250, 200]
 
 
+# --- each chunk searches only the b events it can reach -------------------
+
+def ref_pairs(a, b, lo, hi):
+    """Every (a index, b index) with lo <= b - a <= hi, in a order and by
+    ascending b within one a event."""
+    d = delay_matrix(a, b)
+    return np.nonzero((d >= lo) & (d <= hi))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
+       lo=st.integers(-3000, 3000), width=st.integers(-1, 3000),
+       caps=st.tuples(st.integers(1, 3), st.integers(1, 3)))
+# no chunk reaches any b event
+@example(a=np.array([0, 1000]), b=np.array([500]), origin=0, lo=0, width=10,
+         caps=(1, 1))
+# the first chunk reaches none, the second some
+@example(a=np.array([0, 480, 490]), b=np.array([500]), origin=0, lo=0,
+         width=10, caps=(1, 1))
+# every slice starts at 0 and ends at len(b)
+@example(a=np.array([0, 5]), b=np.array([0, 5, 10]), origin=0, lo=-10,
+         width=20, caps=(2, 3))
+# windows wholly above zero, and wholly below it
+@example(a=np.array([0, 5, 9]), b=np.array([3, 10, 14, 30]), origin=0, lo=5,
+         width=15, caps=(1, 2))
+@example(a=np.array([10, 20, 30]), b=np.array([3, 10, 14, 30]), origin=0,
+         lo=-20, width=15, caps=(2, 1))
+# equal times at the slice edges
+@example(a=np.array([0, 4, 4]), b=np.array([3, 3, 3, 7, 7, 7]), origin=0,
+         lo=3, width=0, caps=(1, 1))
+@example(a=np.array([0, 0, 4]), b=np.array([3, 3, 3, 7, 7, 7]), origin=2 ** 62,
+         lo=3, width=4, caps=(2, 2))
+# no b events at all
+@example(a=np.array([0, 1, 2]), b=np.array([], dtype=np.int64), origin=0,
+         lo=-5, width=10, caps=(1, 1))
+def test_reachable_slices_match_brute_force(a, b, origin, lo, width, caps):
+    a, b = a + origin, b + origin
+    hi = lo + width
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        chunks = list(tcspc.coincidences(a, b, lo, hi))
+        delays = delay_histogram(a, b, lo, hi) if hi >= lo else None
+    want_a, want_b = ref_pairs(a, b, lo, hi)
+    for a_idx, b_idx in chunks:
+        assert len(a_idx) == len(b_idx) > 0
+        assert a_idx[-1] - a_idx[0] < caps[0]
+        assert len(a_idx) <= caps[1] or len(np.unique(a_idx)) == 1
+    # every pair once, in order; a chunk boundary never splits an a event
+    got_a = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [c[0] for c in chunks])
+    got_b = np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [c[1] for c in chunks])
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+    for first, second in zip(chunks, chunks[1:]):
+        assert first[0][-1] < second[0][0]
+    if delays is not None:
+        d = b[want_b] - a[want_a]
+        assert np.array_equal(delays.counts,
+                              np.bincount(d - lo, minlength=hi - lo + 1))
+
+
 # --- one delay histogram, sliced ---------------------------------------------
 
 @settings(max_examples=100, deadline=None)
@@ -538,3 +600,53 @@ def test_two_fold_metrics_gathers_once_or_not_at_all(monkeypatch):
     del calls[:]
     assert two_fold_metrics(s, window_ps=800, delays=delays) == alone
     assert calls == []
+
+
+# --- memory -----------------------------------------------------------------
+
+
+def traced_peak(fn):
+    """(fn(), peak bytes allocated while it ran)."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def pair_stream(n_pairs, seed):
+    """n_pairs pairs 200 ps apart at 2 MHz: 2 * n_pairs events."""
+    t = np.sort(np.random.default_rng(seed).integers(
+        0, n_pairs * 500_000, n_pairs))
+    return EventStream({0: t, 1: t + 200}, n_pairs * 500_000 + 200)
+
+
+def test_two_fold_peak_does_not_grow_with_the_stream():
+    # above its input, two_fold_metrics holds its 0.87 MB delay histogram
+    # and a chunk of coincidences(), with the last chunk's pairs: 6.2 MB at
+    # both sizes.  With chunks of 2^20 events and 2^22 pairs the extra peak
+    # grew from 11.5 MB at 0.3 M events to 79.5 MB at 4 M.
+    small, large = pair_stream(150_000, 1), pair_stream(2_000_000, 2)
+    (res_small, peak_small), (res_large, peak_large) = (
+        traced_peak(lambda: two_fold_metrics(s)) for s in (small, large))
+    assert res_small.n12 >= 150_000 and res_large.n12 >= 2_000_000
+    lo, hi = tcspc.two_fold_span(800)
+    hist_bytes = 8 * (hi - lo + 1)
+    assert hist_bytes < peak_small < hist_bytes + 4 * 8 * tcspc._CHUNK_PAIRS
+    assert peak_large < peak_small + 128_000
+
+
+def test_delay_histogram_peak_is_its_counts_and_one_chunk(monkeypatch):
+    # a 2^22-bin span read in about 400 chunks: a bincount per chunk as
+    # long as the span would take twice counts.nbytes
+    monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 1 << 10)
+    monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 1 << 12)
+    rng = np.random.default_rng(3)
+    a = np.sort(rng.integers(0, 10 ** 9, 20_000))
+    b = np.sort(rng.integers(0, 10 ** 9, 20_000))
+    lo, hi = -(1 << 21), (1 << 21) - 1
+    delays, peak = traced_peak(lambda: delay_histogram(a, b, lo, hi))
+    assert delays.counts.nbytes == 8 << 22
+    assert delays.counts.sum() > 300 * (1 << 12)  # many full chunks
+    assert peak < delays.counts.nbytes + 1_000_000

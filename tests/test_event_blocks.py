@@ -9,6 +9,7 @@ use tracemalloc, which numpy reports its array buffers to.
 
 import struct
 import tracemalloc
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -221,6 +222,60 @@ def test_generation_peak_per_event():
         stream, peak = traced_peak(lambda: generate_events(model, 0.01, 7))
     assert len(stream) > 700_000
     assert peak / len(stream) < 14.0
+
+
+def test_generation_peak_per_event_single_channel_arms():
+    # the replay layout, one channel per arm.  Each channel is rounded in
+    # its own 8-byte buffer and grown in place for its darks, so at the
+    # peak generation holds the output's 8 B per event and one block
+    # (8.04 B per event measured); rounding into a second array took 12.
+    model = SourceModel(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
+                        detector_efficiency=0.9, dark_rate_hz=1e4,
+                        signal_channels=(0,), idler_channels=(1,))
+    with mock.patch.object(events, "_BLOCK_EVENTS", 1 << 12):
+        stream, peak = traced_peak(lambda: generate_events(model, 0.01, 7))
+    assert len(stream) > 700_000
+    assert peak / len(stream) < 9.0
+
+
+def test_rounding_in_place_leaves_no_float_view():
+    x = events._times_buffer(10, 2)
+    x[:] = [-2.5, -0.5, 0.5, 1.5, 2.5, 3.49, 7.0, 1e15 + 0.5, 2.0 ** 62, 0.0]
+    want = np.rint(x).astype(np.int64)
+    view = weakref.ref(x)
+    with mock.patch.object(events, "_BLOCK_EVENTS", 3):
+        t = events._rounded_in_place(x)
+    del x
+    # the view died with its last reference: nothing else holds one, so
+    # the owner grows in place under resize's reference check
+    assert view() is None
+    assert t.dtype == np.int64 and t.flags.owndata and len(t) == 12
+    assert np.array_equal(t[:10], want)
+    t.resize(11)
+    assert np.array_equal(t[:10], want) and len(t) == 11
+    # a live view makes resize raise instead of freeing what it reads
+    alive = t.view(np.float64)
+    with pytest.raises(ValueError):
+        t.resize(14)
+    assert len(t) == 11 and np.shares_memory(t, alive)
+
+
+@pytest.mark.parametrize("signal_channels", [(0,), (0, 2)])
+def test_generated_channels_own_int64_buffers(signal_channels):
+    model = SourceModel(pump_power_uw=1.0, dark_rate_hz=1e6,
+                        jitter_sigma_ps=1e4, idler_delay_sign=-1,
+                        signal_channels=signal_channels, idler_channels=(1,))
+    stream = generate_events(model, 1e-3, 11)
+    for c, times in stream.times.items():
+        # a slice of the int64 array the channel was drawn, rounded and
+        # fitted to its darks in: no float64 view of that buffer is reachable
+        owner = times.base
+        assert owner.dtype == np.int64 and owner.flags.owndata
+        assert owner.base is None
+        assert len(owner) == stream.truth.detected[c] + stream.truth.dark[c]
+    # darks past the room grow the buffer instead, to the same stream
+    with mock.patch.object(events, "_dark_room", lambda model, d: 0):
+        assert_same_stream(generate_events(model, 1e-3, 11), stream)
 
 
 def io_peaks(tmp_path, n_pairs):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                run_franson, run_g2, run_match, run_modes,
                                run_power_sweep, run_scan, run_simulate,
                                run_spectrum, run_trace, scan_table)
-from diskspdc import tcspc
+from diskspdc import pipeline, tcspc
 from diskspdc.tcspc import dwdm_channel_index
 
 
@@ -214,6 +215,41 @@ parallelism = 1
         assert cf / 1.5 < car < cf * 1.5
     assert rows[0][6] > rows[1][6]
     assert "fitted rate slope" in summary[0]
+
+
+def test_sweep_pool_takes_the_longest_points_first(monkeypatch):
+    cfg = parse_config("""
+[sweep]
+powers_uw = 0.2, 0.4, 0.8
+duration_s = 0.02
+losses_db = 3.0
+parallelism = 2
+""")
+    submitted = []
+
+    class InOrder:
+        """A pool that runs its map in this process, in submission order."""
+
+        def __init__(self, max_workers):
+            assert max_workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, points):
+            points = list(points)
+            submitted.extend(p[1] for p in points)
+            return map(fn, points)
+
+    serial = run_power_sweep(dataclasses.replace(
+        cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=1)))
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor",
+                        InOrder)
+    assert run_power_sweep(cfg) == serial
+    assert submitted == [0.8, 0.4, 0.2]
 
 
 def test_run_simulate_coinc_roundtrip(tmp_path):
