@@ -2,33 +2,44 @@
 
 Pairs are emitted as a Poisson process whose rate follows the measured
 pair-generation curve (linear slope with optional saturation).  Each photon
-independently survives its arm's loss chain, so the pairs split into four
-independent Poisson counts (both photons detected, signal only, idler only,
-neither) and only detected photons are given a time: a uniform emission
-time, an exponential cavity lifetime delay on the idler, Gaussian detector
-jitter, and a detector channel of its arm.  A dead-time renewal source
-(min_pair_spacing_ps > 0) instead draws every pair time and thins it by
-loss.  Dark counts are an independent Poisson background per channel.
-Everything is driven by one seeded generator in a fixed order of draws, so
-a given (config, seed) always produces the same stream.
+independently survives its arm's loss chain and lands on one of its arm's
+channels at random, so the pairs split into independent Poisson counts, one
+per way of being detected (a signal and an idler channel, a signal channel
+only, an idler channel only, neither), and only detected photons are given
+a time: a uniform emission time, an exponential cavity lifetime delay on
+the idler and Gaussian detector jitter.  A dead-time renewal source
+(min_pair_spacing_ps > 0) instead draws every pair time and then the way
+each pair is detected.  Dark counts are an independent Poisson background
+per channel.
+
+The stream is drawn in consecutive time blocks of B ps, B a power of two
+sized from the source's expected event rate so that a block holds about
+_BLOCK_EVENTS events, and at least _MIN_BLOCK_PS; a stream shorter than B,
+and the renewal source, whose dead time couples neighbouring blocks, are
+one block.  Block k has its own generator, spawned from (seed, k), and
+draws its counts first, then its times, in a fixed order; a Poisson
+process is independent on disjoint intervals, so the blocks are exact
+pieces of one stream, and a given (config, seed) gives the same stream
+whatever the order in which the blocks are drawn.  A photon whose cavity
+delay or jitter carries it across a block edge is handed to the neighbour
+that holds its time, so event_blocks draws one block ahead; one carried
+past its neighbour raises ValueError.  Events outside [0, duration) are
+clipped.  Each block carries the TruthCounters of its own draws, and the
+stream's counters are their sums.  The block layout is part of what a seed
+means: the same seed gave another stream before generation went by blocks,
+and would again if the block sizing changed.
 
 An EventStream keeps one time-sorted int64 array per channel, which is what
-coincidence counting reads.  Generation holds about its output and one
-block.  Each arm's emission times are drawn as float64 into a view of an
-int64 array of their own and shifted in place, one block of draws at a
-time; an arm with several channels is split, a block at a time, into one
-such array per channel.  Each channel's times are then rounded to int64 in
-that same buffer, a block at a time; the buffer has room for the channel's
-dark counts, which are drawn into it after the photons, and is then fitted
-to them in place (ndarray.resize).  So at its peak generation
-holds every detected photon once, 8 B per event, and one block; while an
-arm with several channels is split it also holds that arm's channel copies
-and a uint8 pick and mask, under 14 B per event in all.  Where one
-sequence is needed, as for event files, the channels are merged one time
-block of about _BLOCK_EVENTS events at a time, in time order with ties
-broken by channel and never split across blocks; EventStream.merged() is
-the concatenation of those blocks.  Files are read in blocks of records:
-a count pass that checks them, then a fill pass into per-channel arrays.
+coincidence counting reads; a block is an EventStream of the events in
+[start_ps, duration_ps).  event_blocks yields the blocks, and generation
+then holds about three blocks.  generate_events draws every block's counts
+first, allocates each channel once and copies the blocks in, so in memory
+the stream is held once, 8 B per event, plus those blocks.  Where one
+sequence is needed, as for event files, each block's channels are merged
+one time block of about _BLOCK_EVENTS events at a time, in time order with
+ties broken by channel and never split across blocks.  Files are read in
+blocks of records, in one pass (read_blocks); read_events counts each
+channel's records first, so it too allocates each channel once.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -40,6 +51,7 @@ channel,timestamp_ps CSV rows.
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 import os
@@ -53,8 +65,10 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIH6s")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<u8")])
 _EMPTY_TIMES = np.empty(0, dtype=np.int64)
-# events per block of draws, of merged output and of file records
+# events per generation block, per block of merged output and of records
 _BLOCK_EVENTS = 1 << 18
+# shortest generation block, about 1.07 ms
+_MIN_BLOCK_PS = 1 << 30
 
 
 class EventFormatError(ValueError):
@@ -160,6 +174,18 @@ class TruthCounters:
     clipped: dict[int, int]
 
 
+def _summed(truths) -> TruthCounters | None:
+    """The counters of a stream from those of its parts."""
+    if not truths or any(t is None for t in truths):
+        return None
+    total = {}
+    for f in dataclasses.fields(TruthCounters):
+        parts = [getattr(t, f.name) for t in truths]
+        total[f.name] = ({c: sum(p[c] for p in parts) for c in parts[0]}
+                         if isinstance(parts[0], dict) else sum(parts))
+    return TruthCounters(**total)
+
+
 @dataclass
 class EventStream:
     """Detector clicks as one time-sorted int64 array per channel.
@@ -167,7 +193,9 @@ class EventStream:
     tags, when present, maps each channel to per-event interferometer path
     labels aligned with its times, for diagnostics only; they are never
     serialized.  truth holds the simulator's counters of a generated
-    stream.
+    stream.  A block of a longer stream holds the events in
+    [start_ps, duration_ps), and no later block holds a time below
+    start_ps; a whole stream is its only block.
     """
 
     times: dict[int, np.ndarray]
@@ -176,6 +204,7 @@ class EventStream:
     n_pairs_generated: int = 0
     tags: dict[int, np.ndarray] | None = field(default=None, repr=False)
     truth: TruthCounters | None = field(default=None, repr=False)
+    start_ps: int = 0
 
     @classmethod
     def from_merged(cls, channels, timestamps_ps, duration_ps: int,
@@ -190,12 +219,35 @@ class EventStream:
                               [v.dtype for v in columns])
         return cls(times, duration_ps, tags=tags[0] if tags else None)
 
+    @classmethod
+    def from_blocks(cls, blocks, counts: dict[int, int]) -> EventStream:
+        """The stream of its blocks, given in time order.
+
+        counts[c] bounds channel c's events in all the blocks, so each
+        channel is allocated once and filled block by block: the stream
+        is never held twice.  Counters and pair counts add up; the seed and
+        the duration are the last block's.
+        """
+        times = {c: np.empty(n, dtype=np.int64) for c, n in counts.items()}
+        filled = dict.fromkeys(times, 0)
+        n_pairs = 0
+        for k, block in enumerate(blocks):
+            for c, t in block.times.items():
+                times[c][filled[c]:filled[c] + len(t)] = t
+                filled[c] += len(t)
+            n_pairs += block.n_pairs_generated
+            truth = _summed([truth, block.truth]) if k else block.truth
+        return cls({c: t[:filled[c]] for c, t in times.items()},
+                   block.duration_ps, seed=block.seed,
+                   n_pairs_generated=n_pairs, truth=truth)
+
     def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
         """(channels, timestamps_ps, route_tags), by time and then channel.
 
         The concatenation of the time blocks that write_events writes.
         """
-        blocks = list(self._merged_blocks())
+        blocks = [(c[o], t[o], None if g is None else g[o])
+                  for c, t, g, o in self._merged_blocks()]
         channels = np.concatenate([np.empty(0, dtype=np.uint8)]
                                   + [b[0] for b in blocks])
         times = np.concatenate([_EMPTY_TIMES] + [b[1] for b in blocks])
@@ -206,14 +258,17 @@ class EventStream:
         return channels, times, tags
 
     def _merged_blocks(self):
-        """Yield the merged stream as (channels, times, tags) time blocks.
+        """Yield the merged stream as (channels, times, tags, order) blocks.
 
         A block holds every event up to a cut time, ties at the cut
         included, so equal times never straddle two blocks; the cut is the
         earliest time that lies _BLOCK_EVENTS / (channels left) events on in
-        some channel.  Within a block the channels' slices are concatenated
-        in channel order and put in time order by a stable sort, which
-        breaks ties by channel and keeps each channel's own order.
+        some channel, or the last time once _BLOCK_EVENTS events or fewer
+        are left.  times (and tags) are the channels' slices
+        concatenated in channel order, channels the matching channel
+        column, and order their stable time sort, which breaks ties by
+        channel and keeps each channel's own order: the merged block is
+        times[order], and nothing here builds it.
         """
         live = [c for c in sorted(self.times) if len(self.times[c])]
         start = dict.fromkeys(live, 0)
@@ -221,18 +276,20 @@ class EventStream:
             step = max(1, _BLOCK_EVENTS // len(live))
             cut = min(self.times[c][min(start[c] + step, len(self.times[c]))
                                     - 1] for c in live)
+            if sum(len(self.times[c]) - start[c] for c in live) \
+                    <= _BLOCK_EVENTS:
+                cut = max(self.times[c][-1] for c in live)
             stop = {c: int(np.searchsorted(self.times[c], cut, side="right"))
                     for c in live}
             parts = [self.times[c][start[c]:stop[c]] for c in live]
             times = np.concatenate(parts)
-            order = np.argsort(times, kind="stable")
             channels = np.repeat(np.array(live, dtype=np.uint8),
-                                 [len(p) for p in parts])[order]
+                                 [len(p) for p in parts])
             tags = None
             if self.tags is not None:
                 tags = np.concatenate([self.tags[c][start[c]:stop[c]]
-                                       for c in live])[order]
-            yield channels, times[order], tags
+                                       for c in live])
+            yield channels, times, tags, np.argsort(times, kind="stable")
             start = stop
             live = [c for c in live if stop[c] < len(self.times[c])]
 
@@ -266,217 +323,279 @@ def _renewal_pair_times(model: SourceModel, duration_ps: float,
     return t[t < duration_ps]
 
 
-def _emitted_photons(model: SourceModel, duration_ps: int,
-                     rng: np.random.Generator, room: int):
-    """Pair counts split by detection, and the detected photons' emission.
+def _pair_kinds(model: SourceModel) -> list[tuple[int | None, int | None,
+                                                  float]]:
+    """Each way a pair can be detected, with its probability.
 
-    Returns (both, signal only, idler only, neither) and the pair emission
-    times of the detected signal and idler photons, each arm in an array
-    of its own.  Each photon survives its arm independently, so for a
-    Poisson source the four counts are independent Poisson draws and only
-    the pairs with a detected photon need a time.  Each arm's array is a
-    _times_buffer with room spare elements.
+    (signal channel, idler channel, p), None for an arm whose photon is
+    lost: both detected on every pair of channels, then the signal only on
+    each signal channel, the idler only on each idler channel, and neither.
     """
-    t_s = model.signal_transmission
-    t_i = model.idler_transmission
+    t_s, t_i = model.signal_transmission, model.idler_transmission
+    sig, idl = model.signal_channels, model.idler_channels
+    return ([(s, i, t_s * t_i / (len(sig) * len(idl)))
+             for s in sig for i in idl]
+            + [(s, None, t_s * (1 - t_i) / len(sig)) for s in sig]
+            + [(None, i, (1 - t_s) * t_i / len(idl)) for i in idl]
+            + [(None, None, (1 - t_s) * (1 - t_i))])
+
+
+def _channels(model: SourceModel) -> list[int]:
+    return sorted(model.signal_channels + model.idler_channels)
+
+
+def _block_rng(seed: int, k: int) -> np.random.Generator:
+    """Block k's own generator, spawned from the stream's seed."""
+    return np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(k,))))
+
+
+def _poisson_counts(model: SourceModel, rng: np.random.Generator,
+                    length_ps: int) -> tuple[np.ndarray, np.ndarray]:
+    """A Poisson block's first draws: the pairs of each _pair_kinds kind,
+    then each channel's dark counts."""
+    pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
+                        * np.array([p for *_, p in _pair_kinds(model)]))
+    return pairs, _dark_counts(model, rng, length_ps)
+
+
+def _dark_counts(model: SourceModel, rng: np.random.Generator,
+                 length_ps: int) -> np.ndarray:
+    """Each channel's dark counts over length_ps, in _channels order."""
+    return rng.poisson(model.dark_rate_hz * length_ps * 1e-12,
+                       len(_channels(model)))
+
+
+def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
+                 length_ps: int):
+    """Block k's own draws over [start, start + length): (pairs of each
+    kind, each channel's sorted int64 times, detected and dark counts).
+
+    The times are rounded offsets from the block's start, so they are
+    exact whatever the start; delays and jitter may carry them outside.
+    """
+    rng = _block_rng(seed, k)
+    kinds = _pair_kinds(model)
+    channels = _channels(model)
+    emitted = None
     if model.min_pair_spacing_ps > 0:
-        pair_t = _renewal_pair_times(model, duration_ps, rng)
-        alive_s = rng.random(len(pair_t)) < t_s
-        alive_i = rng.random(len(pair_t)) < t_i
-        split = tuple(int(np.count_nonzero(a & b)) for a, b in (
-            (alive_s, alive_i), (alive_s, ~alive_i),
-            (~alive_s, alive_i), (~alive_s, ~alive_i)))
-        return (split, _selected(alive_s, pair_t, room),
-                _selected(alive_i, pair_t, room))
-    mean = model.pair_rate_mhz * 1e6 * duration_ps * 1e-12
-    split = tuple(int(n) for n in rng.poisson(mean * np.array([
-        t_s * t_i, t_s * (1 - t_i), (1 - t_s) * t_i, (1 - t_s) * (1 - t_i)])))
-    both, signal_only, idler_only, _ = split
-    # one run of uniform times laid out as [signal only | both | idler
-    # only]: the signal arm draws its part, the idler arm copies the shared
-    # part and draws the rest
-    emit_s = _times_buffer(signal_only + both, room)
-    rng.random(out=emit_s)
-    emit_s *= float(duration_ps)
-    emit_i = _times_buffer(both + idler_only, room)
-    emit_i[:both] = emit_s[signal_only:]
-    rng.random(out=emit_i[both:])
-    emit_i[both:] *= float(duration_ps)
-    return split, emit_s, emit_i
+        pair_t = _renewal_pair_times(model, length_ps, rng)
+        kind = rng.choice(len(kinds), len(pair_t),
+                          p=[p for *_, p in kinds])
+        pairs = np.bincount(kind, minlength=len(kinds))
+        dark = _dark_counts(model, rng, length_ps)
+        emitted = [pair_t[kind == j] for j in range(len(kinds))]
+    else:
+        pairs, dark = _poisson_counts(model, rng, length_ps)
+    # each photon's jitter is drawn into one scratch array and added in place
+    # (the last kind, neither, has no photons)
+    scratch = np.empty(int(pairs[:-1].max(initial=0)))
+    pieces = {c: [] for c in channels}
+    for j, (s, i, _) in enumerate(kinds):
+        if (s is None and i is None) or not pairs[j]:
+            continue
+        t = (emitted[j] if emitted is not None
+             else rng.uniform(0.0, length_ps, pairs[j]))
+        if s is not None:
+            pieces[s].append(_jittered(t if i is None else t.copy(), model,
+                                       rng, scratch))
+        if i is not None:
+            arrive = rng.exponential(model.pair_lifetime_ps, len(t))
+            if model.idler_delay_sign < 0:
+                np.negative(arrive, out=arrive)
+            arrive += t
+            pieces[i].append(_jittered(arrive, model, rng, scratch))
+    times, detected = {}, {}
+    for c, n_dark in zip(channels, dark.tolist()):
+        photons = pieces.pop(c)
+        detected[c] = sum(len(p) for p in photons)
+        # each part rounded straight into the channel's int64 array
+        t = np.empty(detected[c] + n_dark, dtype=np.int64)
+        at = 0
+        for p in photons + [rng.uniform(0.0, length_ps, n_dark)]:
+            np.rint(p, out=t[at:at + len(p)], casting="unsafe")
+            at += len(p)
+        t.sort()
+        t += start_ps
+        times[c] = t
+    # both, signal only, idler only, neither: TruthCounters' order
+    split = [0, 0, 0, 0]
+    for (s, i, _), n in zip(kinds, pairs.tolist()):
+        split[(s is None) * 2 + (i is None)] += n
+    return (split, times, detected,
+            dict(zip(channels, dark.tolist())))
 
 
-def _times_buffer(n: int, room: int) -> np.ndarray:
-    """A float64 view of the first n elements of a new int64 array of
-    n + room.
+def _jittered(t: np.ndarray, model: SourceModel, rng: np.random.Generator,
+              scratch: np.ndarray) -> np.ndarray:
+    """t plus each photon's detector jitter, in place.
 
-    A channel's times are drawn and shifted as float64 in the view, then
-    rounded into the int64 array that owns the buffer (_rounded_in_place),
-    so the two forms never take two buffers.  The room takes the channel's
-    dark counts, which are drawn later: the buffer is shrunk to fit them,
-    which never moves it.  Growing it can move it, and a move can copy it
-    (numpy advises huge pages for large arrays, and Linux 6.18 copied such
-    a buffer when realloc moved it: 36 MB in 28 ms).
+    scale * standard_normal has the bits of normal(0, scale), up to the
+    sign of a zero, which adding it to a time drops.
     """
-    return np.empty(n + room, dtype=np.int64).view(np.float64)[:n]
-
-
-def _dark_room(model: SourceModel, duration_ps: int) -> int:
-    """Room for a channel's dark counts: their mean and ten sigma."""
-    mean = model.dark_rate_hz * duration_ps * 1e-12
-    return int(mean + 10 * math.sqrt(mean)) + 10
-
-
-def _selected(mask: np.ndarray, x: np.ndarray, room: int) -> np.ndarray:
-    """x[mask] in a new _times_buffer, one block at a time (compress takes
-    an index array as long as its output)."""
-    out = _times_buffer(np.count_nonzero(mask), room)
-    filled = 0
-    for m, v in _slices(mask, x):
-        n = np.count_nonzero(m)
-        np.compress(m, v, out=out[filled:filled + n])
-        filled += n
-    return out
-
-
-def _rounded_in_place(x: np.ndarray) -> np.ndarray:
-    """The _times_buffer x rounded to int64 in its own buffer; its owner.
-
-    One block at a time, x's values are rounded into a scratch block and
-    cast into the owner over the same bytes, which nothing reads again.
-    The view x is the caller's to drop: a resize of the owner needs it
-    gone.
-    """
-    t = x.base
-    block = np.empty(min(len(x), _BLOCK_EVENTS))
-    for start in range(0, len(x), _BLOCK_EVENTS):
-        part = block[:len(x) - start]
-        np.rint(x[start:start + len(part)], out=part)
-        t[start:start + len(part)] = part
+    if model.jitter_sigma_ps > 0:
+        jitter = scratch[:len(t)]
+        rng.standard_normal(out=jitter)
+        jitter *= model.jitter_sigma_ps
+        t += jitter
     return t
 
 
-def _scaled_draws(draw, n: int, scale: float):
-    """Yield (start, x): n standard draws times scale, a block at a time.
+def _plan(model: SourceModel, duration_s: float) -> tuple[int, int, int]:
+    """(duration, block length, number of blocks) of a stream, in ps.
 
-    draw is a Generator method that fills out= with standard variates
-    (random, standard_exponential, standard_normal).  In blocks it takes
-    the same draws in the same order as in one call, and scale * x has the
-    bits of uniform(0, scale), exponential(scale) and normal(0, scale), up
-    to the sign of a zero, which rounding and adding to a time both drop.
+    The block is the power of two of ps nearest, in ratio, to holding
+    _BLOCK_EVENTS expected events, and at least _MIN_BLOCK_PS; a stream
+    with fewer expected events, or a renewal source, is one block.
     """
-    block = np.empty(min(n, _BLOCK_EVENTS))
-    for start in range(0, n, _BLOCK_EVENTS):
-        x = block[:n - start]
-        draw(out=x)
-        x *= scale
-        yield start, x
+    if not 0 <= duration_s < np.inf:
+        raise ValueError("duration_s must be finite and >= 0")
+    duration_ps = int(round(duration_s * 1e12))
+    per_ps = (model.pair_rate_mhz * 1e-6 * (model.signal_transmission
+                                           + model.idler_transmission)
+              + model.dark_rate_hz * 1e-12 * len(_channels(model)))
+    if model.min_pair_spacing_ps > 0 or per_ps * duration_ps <= _BLOCK_EVENTS:
+        return duration_ps, max(duration_ps, 1), 1
+    block = max(_MIN_BLOCK_PS,
+                1 << max(round(math.log2(_BLOCK_EVENTS / per_ps)), 0))
+    return duration_ps, block, -(-duration_ps // block)
 
 
-def _add_draws(t: np.ndarray, draw, scale: float) -> None:
-    """t += scale * draw(len(t)) in place, one block of draws at a time."""
-    for start, x in _scaled_draws(draw, len(t), scale):
-        t[start:start + len(x)] += x
+def _handed(model: SourceModel, seed: int, k: int, block: int,
+            duration_ps: int):
+    """Block k's draws cut at its edges: (truth, {channel: (down, own,
+    up)}), down and up the times that belong to the blocks before and
+    after it.  Times outside [0, duration) are clipped; one that lands
+    past a neighbouring block raises ValueError."""
+    start = k * block
+    stop = min(start + block, duration_ps)
+    split, times, detected, dark = _drawn_block(model, seed, k, start,
+                                                stop - start)
+    parts, clipped = {}, {}
+    for c, t in times.items():
+        i0, i1, i2, i3 = np.searchsorted(
+            t, [0, start, stop, duration_ps]).tolist()
+        if (i1 > i0 and t[i0] < start - block) or (
+                i3 > i2 and t[i3 - 1] >= stop + block):
+            raise ValueError(f"an event drawn in the {block} ps block at "
+                             f"{start} ps lands past its neighbours")
+        parts[c] = (t[i0:i1], t[i1:i2], t[i2:i3])
+        clipped[c] = len(t) - (i3 - i0)
+    return TruthCounters(*split, detected=detected, dark=dark,
+                         clipped=clipped), parts
 
 
-def _arm_channels(arm_t: np.ndarray, channels, model: SourceModel,
-                  rng: np.random.Generator, room: int
-                  ) -> dict[int, np.ndarray]:
-    """Jitter an arm's times in place and route each to one of its channels."""
-    if model.jitter_sigma_ps > 0:
-        _add_draws(arm_t, rng.standard_normal, model.jitter_sigma_ps)
-    if len(channels) == 1:
-        return {channels[0]: arm_t}
-    pick = np.empty(len(arm_t), dtype=np.uint8)
-    for start in range(0, len(pick), _BLOCK_EVENTS):
-        part = pick[start:start + _BLOCK_EVENTS]
-        part[:] = rng.integers(0, len(channels), len(part))
-    return {c: _selected(pick == k, arm_t, room)
-            for k, c in enumerate(channels)}
+def event_blocks(model: SourceModel, duration_s: float, seed: int):
+    """The stream of :func:`generate_events` as an iterator of EventStream
+    blocks, in time order, drawing one block ahead for the events handed
+    back.  An invalid duration raises here, before any block is drawn."""
+    return _blocks(model, seed, *_plan(model, duration_s))
+
+
+def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,
+            n_blocks: int):
+    up: dict[int, np.ndarray] = {}
+    here = _handed(model, seed, 0, block, duration_ps)
+    for k in range(n_blocks):
+        after = (_handed(model, seed, k + 1, block, duration_ps)
+                 if k + 1 < n_blocks else None)
+        truth, parts = here
+        times = {}
+        for c, (_, own, rise) in parts.items():
+            carried = [p for p in (up.get(c), after and after[1][c][0])
+                       if p is not None and len(p)]
+            times[c] = (np.sort(np.concatenate([own] + carried))
+                        if carried else own)
+            up[c] = rise
+        yield EventStream(times, min((k + 1) * block, duration_ps),
+                          seed=seed, n_pairs_generated=(
+                              truth.pairs_both + truth.pairs_signal_only
+                              + truth.pairs_idler_only + truth.pairs_neither),
+                          truth=truth, start_ps=k * block)
+        here = after
 
 
 def generate_events(model: SourceModel, duration_s: float,
                     seed: int) -> EventStream:
-    """Simulate a detection stream of the given duration (seconds)."""
-    if not 0 <= duration_s < np.inf:
-        raise ValueError("duration_s must be finite and >= 0")
-    duration_ps = int(round(duration_s * 1e12))
-    rng = np.random.Generator(np.random.PCG64(seed))
+    """Simulate a detection stream of the given duration (seconds).
 
-    room = _dark_room(model, duration_ps)
-    split, emit_s, emit_i = _emitted_photons(model, duration_ps, rng, room)
-    _add_draws(emit_i, rng.standard_exponential,
-               model.idler_delay_sign * model.pair_lifetime_ps)
-    photons = _arm_channels(emit_s, model.signal_channels, model, rng, room)
-    del emit_s  # its channels hold its times now
-    photons |= _arm_channels(emit_i, model.idler_channels, model, rng, room)
-    del emit_i
-
-    times: dict[int, np.ndarray] = {}
-    detected: dict[int, int] = {}
-    dark: dict[int, int] = {}
-    clipped: dict[int, int] = {}
-    for channel in sorted(photons):
-        n = detected[channel] = len(photons[channel])
-        dark[channel] = int(rng.poisson(
-            model.dark_rate_hz * duration_ps * 1e-12))
-        # the float64 view dies inside the call, so nothing else refers to
-        # t and resize's reference check passes: the buffer is fitted to
-        # the darks in place.  A reference held elsewhere would make it
-        # raise ValueError rather than free memory a view still reads.
-        t = _rounded_in_place(photons.pop(channel))
-        t.resize(n + dark[channel])
-        for start, x in _scaled_draws(rng.random, dark[channel],
-                                      float(duration_ps)):
-            np.rint(x, out=t[n + start:n + start + len(x)], casting="unsafe")
-        t.sort()
-        # one cut on the rounded times keeps every timestamp in [0, duration)
-        lo, hi = np.searchsorted(t, [0, duration_ps])
-        times[channel] = t[lo:hi]
-        clipped[channel] = len(t) - int(hi - lo)
-    truth = TruthCounters(*split, detected=detected, dark=dark,
-                          clipped=clipped)
-    return EventStream(times, duration_ps, seed=seed,
-                       n_pairs_generated=sum(split), truth=truth)
+    The blocks of :func:`event_blocks`, copied into one array per channel
+    that the blocks' counts, drawn first, size.
+    """
+    duration_ps, block, n_blocks = _plan(model, duration_s)
+    if n_blocks == 1:
+        return next(event_blocks(model, duration_s, seed))
+    kinds = _pair_kinds(model)
+    counts = dict.fromkeys(_channels(model), 0)
+    for k in range(n_blocks):
+        pairs, dark = _poisson_counts(model, _block_rng(seed, k), min(
+            block, duration_ps - k * block))
+        for (s, i, _), n in zip(kinds, pairs.tolist()):
+            for c in (s, i):
+                if c is not None:
+                    counts[c] += n
+        for c, n in zip(counts, dark.tolist()):
+            counts[c] += n
+    return EventStream.from_blocks(event_blocks(model, duration_s, seed),
+                                   counts)
 
 
-def write_events(stream: EventStream, path: str | os.PathLike,
+def write_events(stream, path: str | os.PathLike,
                  fmt: str | None = None) -> None:
-    """Write a stream to a binary (default) or CSV timestamp file.
+    """Write an EventStream, or its blocks in time order, to a binary
+    (default) or CSV timestamp file.
 
-    The stream is merged and written one time block at a time.
+    Each block is merged and written one time block at a time; a binary
+    record block is filled straight from the merge order.  The header's
+    channel count is written last, once every block has been seen.
     """
     fmt = fmt or ("csv" if str(path).endswith(".csv") else "binary")
     if fmt not in ("csv", "binary"):
         raise ValueError(f"unknown event format {fmt!r}")
+    blocks = [stream] if isinstance(stream, EventStream) else stream
     if fmt == "csv":
         with open(path, "w") as fh:
             fh.write("channel,timestamp_ps\n")
-            for channels, times, _ in stream._merged_blocks():
-                for c, t in zip(channels.tolist(), times.tolist()):
-                    fh.write(f"{c},{t}\n")
+            for block in blocks:
+                for channels, times, _, order in block._merged_blocks():
+                    for c, t in zip(channels[order].tolist(),
+                                    times[order].tolist()):
+                        fh.write(f"{c},{t}\n")
         return
-    n_channels = max((c for c, t in stream.times.items() if len(t)),
-                     default=-1) + 1
+    n_channels = 0
+    # one record buffer for every block: fresh pages for each block cost
+    # more in page faults than the merge itself
+    buffer = np.empty(0, dtype=_RECORD_DTYPE)
     with open(path, "wb") as fh:
+        fh.write(bytes(_HEADER.size))
+        for block in blocks:
+            n_channels = max([n_channels] + [c + 1 for c, t in
+                                             block.times.items() if len(t)])
+            for channels, times, _, order in block._merged_blocks():
+                if len(buffer) < len(order):
+                    buffer = np.empty(len(order), dtype=_RECORD_DTYPE)
+                records = buffer[:len(order)]
+                # mode="clip" fills out= directly; "raise" would buffer it
+                np.take(channels, order, out=records["channel"], mode="clip")
+                np.take(times, order, out=records["t"].view(np.int64),
+                        mode="clip")
+                fh.write(records)
+        fh.seek(0)
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_channels, b"\0" * 6))
-        for channels, times, _ in stream._merged_blocks():
-            records = np.empty(len(times), dtype=_RECORD_DTYPE)
-            records["channel"] = channels
-            records["t"] = times
-            fh.write(records)
 
 
-def read_events(path: str | os.PathLike,
-                duration_ps: int | None = None) -> EventStream:
-    """Read a timestamp file written by :func:`write_events`.
+def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
+    """Yield a timestamp file written by :func:`write_events` as
+    EventStream blocks of records, in time order, in one pass.
 
     The file format does not carry the acquisition duration; pass it when
-    known, otherwise the last timestamp + 1 is used.  Timestamps must be
-    non-decreasing int64 values below the duration and channels fit a
-    byte, and a binary file's channels lie below its header's channel
-    count; anything else raises EventFormatError.  Binary records are read
-    a block at a time, once to check and count them per channel and once
-    to fill the per-channel arrays.
+    known, otherwise the last timestamp + 1 is used.  Each block starts at
+    its first timestamp and ends at the duration or, without one, at its
+    last timestamp + 1, so the last block ends where the stream does; an
+    empty file is one empty block.  Timestamps must be non-decreasing int64
+    values below the duration and channels fit a byte, and a binary file's
+    channels lie below its header's channel count; anything else raises
+    EventFormatError when its block is reached.
     """
     if str(path).endswith(".csv"):
         with open(path) as fh:
@@ -491,8 +610,9 @@ def read_events(path: str | os.PathLike,
                 raise EventFormatError(f"{path}: {err}") from err
         if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
             raise EventFormatError(f"{path}: channel outside 0-255")
-        return _checked_stream(path, lambda: _slices(data[:, 0], data[:, 1]),
-                               256, duration_ps)
+        yield from _checked_blocks(path, _slices(data[:, 0], data[:, 1]),
+                                   256, duration_ps)
+        return
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
         if len(head) < _HEADER.size:
@@ -507,50 +627,70 @@ def read_events(path: str | os.PathLike,
         if n_bytes % _RECORD_DTYPE.itemsize:
             raise EventFormatError(f"{path}: truncated record data")
         n_records = n_bytes // _RECORD_DTYPE.itemsize
-        return _checked_stream(
-            path, lambda: _record_blocks(fh, path, n_records), n_channels,
+        yield from _checked_blocks(
+            path, _record_blocks(fh, path, n_records), n_channels,
             duration_ps)
 
 
+def read_events(path: str | os.PathLike,
+                duration_ps: int | None = None) -> EventStream:
+    """Read a timestamp file written by :func:`write_events` into memory.
+
+    The blocks of :func:`read_blocks`, read twice: once to count each
+    channel's events, then again into arrays of those lengths.
+    """
+    counts: dict[int, int] = {}
+    for block in read_blocks(path, duration_ps):
+        for c, t in block.times.items():
+            counts[c] = counts.get(c, 0) + len(t)
+    return EventStream.from_blocks(read_blocks(path, duration_ps), counts)
+
+
 def _record_blocks(fh, path, n_records: int):
-    """Yield (channels, timestamps) of a .ttps file's records in blocks."""
-    fh.seek(_HEADER.size)
+    """Yield (channels, timestamps) of a .ttps file's records in blocks.
+
+    Each block is read into the same buffers, valid until the next one: a
+    fresh buffer per block costs more in page faults than reading it.
+    """
+    size = min(_BLOCK_EVENTS, n_records)
+    records = np.empty(size, dtype=_RECORD_DTYPE)
+    channels = np.empty(size, dtype=np.uint8)
+    times = np.empty(size, dtype=np.int64)
     for start in range(0, n_records, _BLOCK_EVENTS):
         count = min(_BLOCK_EVENTS, n_records - start)
-        records = np.fromfile(fh, dtype=_RECORD_DTYPE, count=count)
-        if len(records) < count:
+        if fh.readinto(records[:count].view(np.uint8)) < count * \
+                _RECORD_DTYPE.itemsize:
             raise EventFormatError(f"{path}: truncated record data")
-        if records["t"].max() >= 2 ** 63:
+        if records["t"][:count].max() >= 2 ** 63:
             raise EventFormatError(f"{path}: timestamp past the int64 range")
-        # same-size views: the split makes the only copies
-        yield records["channel"], records["t"].view(np.int64)
+        # contiguous columns: the checks and the split read them about
+        # half again as fast as through the 9-byte records
+        np.copyto(channels[:count], records["channel"][:count])
+        np.copyto(times[:count], records["t"][:count], casting="unsafe")
+        yield channels[:count], times[:count]
 
 
-def _checked_stream(path, blocks, n_channels: int,
-                    duration_ps: int | None) -> EventStream:
-    """The stream of a file's (channels, timestamps) blocks.
-
-    blocks() starts the file's blocks over: a count pass checks them and
-    counts each channel's events, then a fill pass splits them.
-    """
-    counts = np.zeros(n_channels, dtype=np.int64)
+def _checked_blocks(path, blocks, n_channels: int, duration_ps: int | None):
+    """The EventStream blocks of a file's checked (channels, timestamps)
+    blocks."""
     last = None
-    for channels, times in blocks():
+    for channels, times in blocks:
         if channels.max() >= n_channels:
             raise EventFormatError(f"{path}: channel {int(channels.max())} "
                                    f"not below the header's {n_channels}")
         if (last is not None and times[0] < last) or np.any(
                 times[1:] < times[:-1]):
             raise EventFormatError(f"{path}: timestamps are not time-sorted")
-        counts += np.bincount(channels, minlength=n_channels)
         last = int(times[-1])
-    if duration_ps is None:
-        duration_ps = 0 if last is None else last + 1
-    elif last is not None and last >= duration_ps:
-        raise EventFormatError(f"{path}: timestamp {last} ps at "
-                               f"or past the {duration_ps} ps duration")
-    times, = _split(blocks(), counts, [np.int64])
-    return EventStream(times, duration_ps)
+        if duration_ps is not None and last >= duration_ps:
+            raise EventFormatError(f"{path}: timestamp {last} ps at "
+                                   f"or past the {duration_ps} ps duration")
+        split, = _split([(channels, times)], np.bincount(channels),
+                        [np.int64])
+        yield EventStream(split, last + 1 if duration_ps is None
+                          else duration_ps, start_ps=int(times[0]))
+    if last is None:
+        yield EventStream({}, duration_ps or 0)
 
 
 def _slices(*columns):

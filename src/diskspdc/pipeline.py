@@ -22,9 +22,10 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import SourceModel, generate_events, write_events, read_events
-from .tcspc import (delay_histogram, dwdm_channel_index, dwdm_grid,
-                    heralded_g2, two_fold_metrics, two_fold_span)
+from .events import (SourceModel, event_blocks, generate_events, read_blocks,
+                     write_events)
+from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, heralded_g2,
+                    two_fold_metrics, two_fold_span)
 from .franson import (UmiConfig, apply_umi, classical_fringe,
                       extract_visibility, peak_areas, peak_areas_span,
                       quantum_fringe)
@@ -251,14 +252,14 @@ def _sweep_point(args):
     model = build_source(cfg, pump_power_uw=power,
                          losses_db=cfg.sweep.losses_db,
                          saturation=cfg.sweep.apply_saturation)
-    stream = generate_events(model, cfg.sweep.duration_s, seed)
     rate_w, car_w = int(cfg.sweep.rate_window_ps), int(cfg.sweep.car_window_ps)
-    # one gather covers both windows' offset windows and the calibration
-    delays = delay_histogram(stream.channel_times(0), stream.channel_times(1),
-                             *two_fold_span(max(rate_w, car_w)))
-    rate = two_fold_metrics(stream, window_ps=rate_w, delays=delays)
-    car = two_fold_metrics(stream, window_ps=car_w,
-                           peak_delay_ps=rate.peak_delay_ps, delays=delays)
+    # one fold over the stream's blocks covers both windows' offset windows
+    # and the calibration
+    pair = fold_delays(event_blocks(model, cfg.sweep.duration_s, seed), 0, 1,
+                       *two_fold_span(max(rate_w, car_w)))
+    rate = two_fold_metrics(pair, window_ps=rate_w)
+    car = two_fold_metrics(pair, window_ps=car_w,
+                           peak_delay_ps=rate.peak_delay_ps)
     return (power, model.pair_rate_mhz, rate.n1, rate.n2, rate.n12,
             rate.pgr_estimate_hz * 1e-6, car.car)
 
@@ -347,14 +348,12 @@ def run_franson(cfg: RunConfig):
     routed = apply_umi(stream, umi, derive_seed(cfg.seed, 4))
     lo_a, hi_a = peak_areas_span(umi)
     lo_b, hi_b = two_fold_span(umi.postselect_window_ps)
-    delays = delay_histogram(routed.channel_times(0), routed.channel_times(1),
-                             min(lo_a, lo_b), max(hi_a, hi_b))
-    early, center, late = peak_areas(routed, umi, delays=delays)
+    pair = fold_delays([routed], 0, 1, min(lo_a, lo_b), max(hi_a, hi_b))
+    early, center, late = peak_areas(routed, umi, delays=pair.delays)
 
     # Split the measured central peak into its interference-capable part
     # and the accidental floor, estimated from the same stream.
-    base = two_fold_metrics(routed, window_ps=umi.postselect_window_ps,
-                            delays=delays)
+    base = two_fold_metrics(pair, window_ps=umi.postselect_window_ps)
     coherent = max(float(center) - base.accidental_mean, 0.0)
     scale = cfg.franson.integration_s / cfg.franson.duration_s
     amplitude = 2.0 * coherent * scale
@@ -496,14 +495,24 @@ def run_simulate(cfg: RunConfig, out_path: str, fmt: str | None = None,
     """Generate an event stream at the configured source and store it."""
     model = build_source(cfg)
     duration = cfg.sweep.duration_s if duration_s is None else duration_s
-    stream = generate_events(model, duration, derive_seed(cfg.seed, 6))
-    write_events(stream, out_path, fmt=fmt)
+    # each block's pairs and events, tallied as the writer takes it
+    tally = []
+
+    def tallied(blocks):
+        for b in blocks:
+            tally.append((b.n_pairs_generated, b.n_channel(0), b.n_channel(1),
+                          len(b)))
+            yield b
+
+    write_events(tallied(event_blocks(model, duration,
+                                      derive_seed(cfg.seed, 6))),
+                 out_path, fmt=fmt)
+    n_pairs, n_signal, n_idler, n_events = np.sum(tally, axis=0).tolist()
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")
-    rows = [(stream.duration_ps / 1e12, stream.n_pairs_generated,
-             stream.n_channel(0), stream.n_channel(1),
+    rows = [(int(round(duration * 1e12)) / 1e12, n_pairs, n_signal, n_idler,
              model.pair_rate_mhz)]
-    summary = [f"wrote {len(stream)} events to {out_path}"]
+    summary = [f"wrote {n_events} events to {out_path}"]
     return columns, rows, summary
 
 
@@ -513,13 +522,14 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
     if events_path is not None:
         if duration_s is not None and not 0 < duration_s < math.inf:
             raise ValueError("--duration must be finite and positive")
-        stream = read_events(events_path, None if duration_s is None
+        blocks = read_blocks(events_path, None if duration_s is None
                              else int(round(duration_s * 1e12)))
     else:
         model = build_source(cfg)
         duration = cfg.sweep.duration_s if duration_s is None else duration_s
-        stream = generate_events(model, duration, derive_seed(cfg.seed, 6))
-    res = two_fold_metrics(stream,
+        blocks = event_blocks(model, duration, derive_seed(cfg.seed, 6))
+    # folded block by block: the stream is never held whole
+    res = two_fold_metrics(blocks,
                            window_ps=int(cfg.source.coincidence_window_ps))
     columns = ("n1", "n2", "n12", "accidental_mean", "peak_delay_ps",
                "window_ps", "duration_s", "pgr_estimate_mhz", "car")

@@ -16,6 +16,14 @@ the two-fold windows and the Franson peaks read it; window counts and the
 Franson path check read the pairs themselves, and heralded g2 gathers each
 of its two channel pairs once, for its calibration peak and its windows.
 
+Histograms add, so a stream need not be held whole: :func:`fold_delays`
+folds one over a stream's time blocks (events.EventStream blocks, as
+generation and the file reader yield them), counting each pair in the
+block of its a event, and :func:`two_fold_metrics` reads blocks that way.
+Heralded g2 stays in memory: its calibration peak must be known before any
+window is counted, and a second pass over the blocks took about twice its
+time.
+
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
 estimated from the mean of identical windows placed at off-peak offsets, and
@@ -44,6 +52,7 @@ _MAX_DELAY_BINS = 1 << 22
 # Peak calibration: 10-ps bins over [-4000, 4000) ps.
 _CAL_BIN_PS = 10
 _CAL_SPAN_PS = 8000
+_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -180,14 +189,71 @@ def delay_histogram(times_a: np.ndarray, times_b: np.ndarray,
     ValueError, before gathering, for a span of more than _MAX_DELAY_BINS
     delays.
     """
+    counts = _delay_counts(lo_ps, hi_ps)
+    _add_delays(counts, times_a, times_b, lo_ps, hi_ps)
+    return DelayHistogram(lo_ps, counts)
+
+
+def _delay_counts(lo_ps: int, hi_ps: int) -> np.ndarray:
     n_bins = max(hi_ps - lo_ps + 1, 0)
     if n_bins > _MAX_DELAY_BINS:
         raise ValueError(f"delay span [{lo_ps}, {hi_ps}] ps exceeds "
                          f"{_MAX_DELAY_BINS} one-ps bins")
-    counts = np.zeros(n_bins, dtype=np.int64)
-    for a_idx, b_idx in coincidences(times_a, times_b, lo_ps, hi_ps):
-        np.add.at(counts, times_b[b_idx] - times_a[a_idx] - lo_ps, 1)
-    return DelayHistogram(lo_ps, counts)
+    return np.zeros(n_bins, dtype=np.int64)
+
+
+def _add_delays(counts: np.ndarray, times_a: np.ndarray,
+                times_b: np.ndarray, lo_ps: int, hi_ps: int) -> None:
+    """Add the pairs of times_a and times_b into counts from lo_ps on."""
+    if len(times_a) and len(times_b):
+        for a_idx, b_idx in coincidences(times_a, times_b, lo_ps, hi_ps):
+            np.add.at(counts, times_b[b_idx] - times_a[a_idx] - lo_ps, 1)
+
+
+@dataclass(frozen=True)
+class PairFold:
+    """Two channels of a stream: their event counts, the stream's duration
+    and their :func:`delay_histogram` over some span."""
+
+    n_a: int
+    n_b: int
+    duration_ps: int
+    delays: DelayHistogram
+
+
+def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int,
+                hi_ps: int) -> PairFold:
+    """:func:`delay_histogram` of two channels, folded over the blocks of a
+    stream (EventStreams in time order; see events.EventStream).
+
+    Each pair counts in the block of its a event.  An a event waits until
+    a block starts past its reach, t_a + hi, so that every b event it can
+    reach has been seen; a b event is kept while a waiting or later a
+    event can still reach it.  So the histogram is the whole stream's,
+    wherever the block edges fall, even between equal times.  The fold
+    holds about one block of each channel, and copies events only when a
+    block edge falls inside the span of a waiting or kept event.
+    """
+    counts = _delay_counts(lo_ps, hi_ps)
+    n_a = n_b = 0
+    waiting = kept = _EMPTY
+    for block in blocks:
+        a, b = block.channel_times(ch_a), block.channel_times(ch_b)
+        n_a, n_b = n_a + len(a), n_b + len(b)
+        # a events whose every partner lies before this block
+        ready = int(np.searchsorted(waiting, block.start_ps - hi_ps))
+        _add_delays(counts, waiting[:ready], kept, lo_ps, hi_ps)
+        waiting = _joined(waiting[ready:], a)
+        floor = min(block.start_ps, int(waiting[0])) if len(waiting) \
+            else block.start_ps
+        kept = _joined(kept[np.searchsorted(kept, floor + lo_ps):], b)
+    _add_delays(counts, waiting, kept, lo_ps, hi_ps)
+    return PairFold(n_a, n_b, block.duration_ps, DelayHistogram(lo_ps, counts))
+
+
+def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.concatenate([x, y]) if len(x) and len(y) else (
+        y if not len(x) else x)
 
 
 def peak_span(window_ps: float, lo_offset_ps: float, hi_offset_ps: float,
@@ -215,26 +281,32 @@ def two_fold_span(window_ps: float, offset_max_ps: int = 50_000,
 def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
             hi_ps: int) -> tuple[np.ndarray, np.ndarray]:
     """Every pair with lo <= t_b - t_a <= hi as (a_idx, delays), in a order
-    and, within one a event, by ascending b.
+    and, within one a event, by ascending delay, which is ascending b.
 
-    The b events are searched into a, then the pairs stably sorted by a: the
-    heralds of :func:`heralded_g2` outnumber each signal channel.
+    The b events are searched into a: the heralds of :func:`heralded_g2`
+    outnumber each signal channel.  Each pair is packed into one int64,
+    a_idx << s | (delay - lo) with s the bits of hi - lo, and the keys are
+    sorted in place and unpacked in place, so the gather holds 16 B per
+    pair at its peak.  Raises ValueError when a_idx does not fit in the
+    63 - s bits left.
     """
-    a_parts, delay_parts = [], []
-    for b_idx, a_idx in coincidences(times_b, times_a, -hi_ps, -lo_ps):
-        a_parts.append(a_idx)
-        delay_parts.append(times_b[b_idx] - times_a[a_idx])
-    if not a_parts:
+    if hi_ps < lo_ps:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    # drop each list, and each unsorted array, once it is replaced
-    a_idx = np.concatenate(a_parts)
-    del a_parts
-    delays = np.concatenate(delay_parts)
-    del delay_parts
-    order = np.argsort(a_idx, kind="stable")
-    a_idx = a_idx[order]
-    delays = delays[order]
-    return a_idx, delays
+    shift = (hi_ps - lo_ps).bit_length()
+    if max(len(times_a) - 1, 0).bit_length() > 63 - shift:
+        raise ValueError(f"{len(times_a)} events do not fit the "
+                         f"{63 - shift} bits left by a {hi_ps - lo_ps} ps "
+                         "span")
+    parts = [(a_idx << shift) | (times_b[b_idx] - times_a[a_idx] - lo_ps)
+             for b_idx, a_idx in coincidences(times_b, times_a, -hi_ps,
+                                              -lo_ps)]
+    keys = np.concatenate([_EMPTY] + parts)
+    del parts
+    keys.sort()
+    a_idx = keys >> shift
+    keys &= (1 << shift) - 1
+    keys += lo_ps
+    return a_idx, keys
 
 
 def _calibration_peak(delays: np.ndarray) -> int:
@@ -306,13 +378,12 @@ def calibrate_peak_delay(stream: EventStream, ch_a: int, ch_b: int,
     return histogram(stream, ch_a, ch_b, bin_width_ps, span_ps).peak_delay_ps
 
 
-def two_fold_metrics(stream: EventStream, window_ps: int = 800,
+def two_fold_metrics(stream, window_ps: int = 800,
                      ch_signal: int = 0, ch_idler: int = 1,
                      peak_delay_ps: int | None = None,
                      n_offset_windows: int = 20,
                      offset_min_ps: int = 5_000,
-                     offset_max_ps: int = 50_000,
-                     delays: DelayHistogram | None = None) -> TwoFoldResult:
+                     offset_max_ps: int = 50_000) -> TwoFoldResult:
     """Coincidence metrics between a signal and an idler channel.
 
     n12 counts delays inside a window of window_ps centred on the calibrated
@@ -320,8 +391,12 @@ def two_fold_metrics(stream: EventStream, window_ps: int = 800,
     same-width windows spread over [offset_min, offset_max] ps on both sides
     of the peak.  Zero-count denominators yield NaN metrics.
 
-    delays, when given, is the channels' delay histogram, which must cover
-    :func:`two_fold_span`; otherwise that span is gathered here.
+    stream is an EventStream, or its blocks in time order, which are folded
+    over :func:`two_fold_span` (:func:`fold_delays`): the delay histograms
+    add, each pair counted once in the block of its signal event, so the
+    result is the whole stream's and no more than the fold's blocks are
+    held.  It may also be a PairFold of the two channels already folded,
+    whose histogram must cover that span.
     """
     if window_ps <= 0:
         raise ValueError("window_ps must be positive")
@@ -329,18 +404,20 @@ def two_fold_metrics(stream: EventStream, window_ps: int = 800,
         raise ValueError("need at least 10 offset windows")
     if offset_min_ps <= window_ps or offset_max_ps <= offset_min_ps:
         raise ValueError("offset windows must sit clear of the peak window")
-    times_s = stream.channel_times(ch_signal)
-    times_i = stream.channel_times(ch_idler)
-    n1, n2 = len(times_s), len(times_i)
-    duration_s = stream.duration_ps / 1e12
+    if isinstance(stream, PairFold):
+        fold = stream
+    else:
+        fold = fold_delays(
+            [stream] if isinstance(stream, EventStream) else stream,
+            ch_signal, ch_idler,
+            *two_fold_span(window_ps, offset_max_ps, peak_delay_ps))
+    n1, n2, delays = fold.n_a, fold.n_b, fold.delays
+    duration_s = fold.duration_ps / 1e12
     if n1 == 0 or n2 == 0:
         return TwoFoldResult(n1=n1, n2=n2, n12=0, accidental_mean=math.nan,
                              peak_delay_ps=0, window_ps=window_ps,
                              duration_s=duration_s,
                              pgr_estimate_hz=math.nan, car=math.nan)
-    if delays is None:
-        delays = delay_histogram(times_s, times_i, *two_fold_span(
-            window_ps, offset_max_ps, peak_delay_ps))
     if peak_delay_ps is None:
         peak_delay_ps = delays.binned().peak_delay_ps
     per_side = n_offset_windows // 2

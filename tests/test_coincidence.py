@@ -564,10 +564,12 @@ def test_windows_outside_a_passed_histogram_raise():
     base = np.arange(0, 10 ** 9, 10 ** 6, dtype=np.int64)
     s = synthetic_stream(base, base + 200)
     full = delay_histogram(base, base + 200, *tcspc.two_fold_span(800))
-    assert two_fold_metrics(s, delays=full) == two_fold_metrics(s)
+    n = len(base)
+    assert two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, full)) \
+        == two_fold_metrics(s)
     short = delay_histogram(base, base + 200, -4000, 3999)
     with pytest.raises(ValueError, match="outside the gathered"):
-        two_fold_metrics(s, delays=short)
+        two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, short))
     with pytest.raises(ValueError, match="outside the gathered"):
         short.binned(10, 8020)
     assert short.binned().peak_delay_ps == 205
@@ -598,7 +600,9 @@ def test_two_fold_metrics_gathers_once_or_not_at_all(monkeypatch):
     assert calls == [tcspc.two_fold_span(800)] == [(-54_400, 54_399)]
     delays = delay_histogram(base, base + 200, -60_000, 60_000)
     del calls[:]
-    assert two_fold_metrics(s, window_ps=800, delays=delays) == alone
+    n = len(base)
+    assert two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, delays),
+                            window_ps=800) == alone
     assert calls == []
 
 
@@ -650,3 +654,145 @@ def test_delay_histogram_peak_is_its_counts_and_one_chunk(monkeypatch):
     assert delays.counts.nbytes == 8 << 22
     assert delays.counts.sum() > 300 * (1 << 12)  # many full chunks
     assert peak < delays.counts.nbytes + 1_000_000
+
+
+# --- the two-fold fold over blocks ------------------------------------------
+
+
+@st.composite
+def blocked_streams(draw):
+    """(whole stream, its blocks): three channels of equal and straddling
+    times, cut at record indices of the merged stream as a file's blocks
+    are (equal times may fall on both sides of an edge, and blocks may be
+    empty) or at times as generation's blocks are."""
+    n = draw(st.integers(0, 30))
+    times = np.sort(np.array(draw(st.lists(st.integers(0, 3000), min_size=n,
+                                           max_size=n)), dtype=np.int64))
+    ch = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
+                  dtype=np.uint8)
+    order = np.lexsort((ch, times))
+    ch, times = ch[order], times[order]
+    duration = 3001
+    whole = EventStream.from_merged(ch, times, duration)
+    cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
+    blocks = []
+    if draw(st.booleans()):
+        for lo, hi in zip([0] + cuts, cuts + [n]):
+            start = int(times[lo]) if lo < n else duration
+            part = EventStream.from_merged(ch[lo:hi], times[lo:hi], duration)
+            part.start_ps = start
+            blocks.append(part)
+    else:
+        edges = sorted(set(draw(st.lists(st.integers(1, 3000), max_size=8))))
+        for lo, hi in zip([0] + edges, edges + [duration]):
+            keep = (times >= lo) & (times < hi)
+            part = EventStream.from_merged(ch[keep], times[keep], hi)
+            part.start_ps = lo
+            blocks.append(part)
+    return whole, blocks
+
+
+STRADDLE = (EventStream.from_merged(np.array([0, 1], dtype=np.uint8),
+                                    np.array([99, 101], dtype=np.int64), 200),
+            [EventStream({0: np.array([99], dtype=np.int64)}, 100),
+             EventStream({1: np.array([101], dtype=np.int64)}, 200,
+                         start_ps=100)])
+TIES = (EventStream.from_merged(np.array([0, 1, 0, 1], dtype=np.uint8),
+                                np.array([7, 7, 7, 7], dtype=np.int64), 8),
+        [EventStream({0: np.array([7], dtype=np.int64)}, 8, start_ps=7),
+         EventStream({}, 8, start_ps=7),
+         EventStream({1: np.array([7], dtype=np.int64),
+                      0: np.array([7], dtype=np.int64)}, 8, start_ps=7),
+         EventStream({1: np.array([7], dtype=np.int64)}, 8, start_ps=7)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=blocked_streams(), lo=st.integers(-400, 400),
+       width=st.integers(0, 500), caps=CAPS)
+@example(stream=STRADDLE, lo=-5, width=10, caps=None)
+@example(stream=STRADDLE, lo=2, width=0, caps=(1, 1))
+@example(stream=TIES, lo=0, width=0, caps=None)
+@example(stream=TIES, lo=-1, width=2, caps=(1, 1))
+def test_fold_over_blocks_matches_the_whole_stream(stream, lo, width, caps):
+    whole, blocks = stream
+    a, b = whole.channel_times(0), whole.channel_times(1)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        fold = tcspc.fold_delays(iter(blocks), 0, 1, lo, lo + width)
+    want = delay_histogram(a, b, lo, lo + width)
+    assert np.array_equal(fold.delays.counts, want.counts)
+    assert fold.delays.lo_ps == lo
+    assert (fold.n_a, fold.n_b, fold.duration_ps) == (
+        len(a), len(b), whole.duration_ps)
+    # the same metrics as in memory, for windows inside the toy span
+    kw = dict(window_ps=30, offset_min_ps=40, offset_max_ps=300)
+    assert str(two_fold_metrics(iter(blocks), **kw)) == str(
+        two_fold_metrics(whole, **kw))
+
+
+def reference_gather(times_a, times_b, lo_ps, hi_ps):
+    """The argsort gather that key packing replaced, kept verbatim."""
+    a_parts, delay_parts = [], []
+    for b_idx, a_idx in tcspc.coincidences(times_b, times_a, -hi_ps, -lo_ps):
+        a_parts.append(a_idx)
+        delay_parts.append(times_b[b_idx] - times_a[a_idx])
+    if not a_parts:
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
+    a_idx = np.concatenate(a_parts)
+    del a_parts
+    delays = np.concatenate(delay_parts)
+    del delay_parts
+    order = np.argsort(a_idx, kind="stable")
+    a_idx = a_idx[order]
+    delays = delays[order]
+    return a_idx, delays
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=sorted_times(span=300), b=sorted_times(span=300), origin=ORIGINS,
+       lo=st.integers(-400, 400), width=st.integers(-2, 600), caps=CAPS)
+@example(a=np.array([5, 5, 9]), b=np.array([6, 6, 6, 9, 9]), origin=0,
+         lo=-10, width=20, caps=(1, 1))
+@example(a=np.array([5]), b=np.array([500]), origin=0, lo=0, width=10,
+         caps=None)
+def test_gather_matches_the_argsort_reference(a, b, origin, lo, width, caps):
+    a, b = a + origin, b + origin
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        got = tcspc._gather(a, b, lo, lo + width)
+        want = reference_gather(a, b, lo, lo + width)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype == np.int64
+        assert np.array_equal(g, w)
+
+
+def test_gather_packing_limit():
+    # a span of 2^61 ps leaves 63 - 62 = 1 bit for the a index: two a
+    # events fit, three do not
+    a, b = np.array([0, 1, 2], dtype=np.int64), np.array([3], dtype=np.int64)
+    a_idx, delays = tcspc._gather(a[:2], b, 0, 2 ** 61)
+    assert a_idx.tolist() == [0, 1] and delays.tolist() == [3, 2]
+    with pytest.raises(ValueError, match="do not fit"):
+        tcspc._gather(a, b, 0, 2 ** 61)
+    with pytest.raises(ValueError, match="do not fit"):
+        tcspc._gather(a[:2], b, 0, 2 ** 62)
+    assert tcspc._gather(a[:1], b, 0, 2 ** 62)[1].tolist() == [3]
+
+
+def test_gather_peak_is_16_bytes_per_pair(monkeypatch):
+    # the argsort gather held 32 B per pair: the pieces, the sort order and
+    # the reordered copies.  Small chunks keep coincidences' own arrays
+    # out of the figure.
+    monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 1 << 10)
+    monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 1 << 12)
+    rng = np.random.default_rng(5)
+    a = np.sort(rng.integers(0, 10 ** 9, 100_000))
+    b = np.sort(rng.integers(0, 10 ** 9, 50_000))
+    (a_idx, delays), peak = traced_peak(
+        lambda: tcspc._gather(a, b, -20_000, 20_000))
+    n_pairs = len(a_idx)
+    assert n_pairs > 150_000
+    assert peak < 16 * n_pairs + 500_000
+    _, ref_peak_bytes = traced_peak(lambda: reference_gather(
+        a, b, -20_000, 20_000))
+    assert ref_peak_bytes > 28 * n_pairs

@@ -1,15 +1,19 @@
-"""The block-wise event path against frozen whole-stream references.
+"""The block-wise event path against whole-stream references.
 
-generate_events, write_events and read_events work one block of about
-events._BLOCK_EVENTS events at a time.  The references below are the
-whole-stream versions they replaced, kept verbatim: the blocks must give
-the same draws, the same arrays and the same file bytes.  The memory tests
-use tracemalloc, which numpy reports its array buffers to.
+generate_events draws the stream in time blocks, and write_events and
+read_events work one block of about events._BLOCK_EVENTS events at a time.
+The references below are whole-stream versions: every block's draws put
+into one stream at once, and the merged-stream writer the block writer
+replaced, kept verbatim.  The blocks must give the same arrays and the same
+file bytes.  The memory tests use tracemalloc, which numpy reports its
+array buffers to.
 """
 
+import hashlib
+import random
 import struct
+import sys
 import tracemalloc
-import weakref
 from unittest import mock
 
 import numpy as np
@@ -24,68 +28,96 @@ from diskspdc.events import (
     EventStream,
     SourceModel,
     TruthCounters,
+    event_blocks,
     generate_events,
     read_events,
     write_events,
 )
 
 
-# --- frozen whole-stream references -----------------------------------------
+# --- whole-stream references ------------------------------------------------
 
 
-def reference_emitted_photons(model, duration_ps, rng):
-    t_s = model.signal_transmission
-    t_i = model.idler_transmission
+def reference_block(model, seed, k, length_ps):
+    """Block k's draws as (split, {channel: float times from the block's
+    start}, detected, dark), in the generator's order of draws."""
+    rng = np.random.Generator(np.random.PCG64(
+        np.random.SeedSequence(seed, spawn_key=(k,))))
+    t_s, t_i = model.signal_transmission, model.idler_transmission
+    sig, idl = model.signal_channels, model.idler_channels
+    kinds = ([(s, i, t_s * t_i / (len(sig) * len(idl)))
+              for s in sig for i in idl]
+             + [(s, None, t_s * (1 - t_i) / len(sig)) for s in sig]
+             + [(None, i, (1 - t_s) * t_i / len(idl)) for i in idl]
+             + [(None, None, (1 - t_s) * (1 - t_i))])
+    channels = sorted(sig + idl)
+    probs = [p for *_, p in kinds]
     if model.min_pair_spacing_ps > 0:
-        pair_t = events._renewal_pair_times(model, duration_ps, rng)
-        alive_s = rng.random(len(pair_t)) < t_s
-        alive_i = rng.random(len(pair_t)) < t_i
-        split = tuple(int(np.count_nonzero(a & b)) for a, b in (
-            (alive_s, alive_i), (alive_s, ~alive_i),
-            (~alive_s, alive_i), (~alive_s, ~alive_i)))
-        return split, pair_t[alive_s], pair_t[alive_i]
-    mean = model.pair_rate_mhz * 1e6 * duration_ps * 1e-12
-    split = tuple(int(n) for n in rng.poisson(mean * np.array([
-        t_s * t_i, t_s * (1 - t_i), (1 - t_s) * t_i, (1 - t_s) * (1 - t_i)])))
-    both, signal_only, idler_only, _ = split
-    t0 = rng.uniform(0.0, duration_ps, signal_only + both + idler_only)
-    return split, t0[:signal_only + both], t0[signal_only:]
+        pair_t = events._renewal_pair_times(model, length_ps, rng)
+        kind = rng.choice(len(kinds), len(pair_t), p=probs)
+        pairs = [int(np.sum(kind == j)) for j in range(len(kinds))]
+        dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12,
+                           len(channels))
+    else:
+        pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
+                            * np.array(probs)).tolist()
+        dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12,
+                           len(channels))
+    photons = {c: [] for c in channels}
+    for j, (s, i, _) in enumerate(kinds):
+        if pairs[j] == 0 or (s is None and i is None):
+            continue
+        if model.min_pair_spacing_ps > 0:
+            t = pair_t[kind == j]
+        else:
+            t = rng.uniform(0.0, length_ps, pairs[j])
+        sigma = model.jitter_sigma_ps
+        if s is not None:
+            photons[s].append(t + rng.normal(0.0, sigma, len(t))
+                              if sigma > 0 else t)
+        if i is not None:
+            arrive = t + model.idler_delay_sign * rng.exponential(
+                model.pair_lifetime_ps, len(t))
+            photons[i].append(arrive + rng.normal(0.0, sigma, len(t))
+                              if sigma > 0 else arrive)
+    detected = {c: sum(len(p) for p in photons[c]) for c in channels}
+    times = {}
+    for c, n in zip(channels, dark.tolist()):
+        times[c] = np.concatenate(
+            photons[c] + [rng.uniform(0.0, length_ps, n), np.empty(0)])
+    split = [sum(n for (s, i, _), n in zip(kinds, pairs)
+                 if (s is None, i is None) == key)
+             for key in ((False, False), (False, True), (True, False),
+                         (True, True))]
+    return split, times, detected, dict(zip(channels, dark.tolist()))
 
 
 def reference_generate_events(model, duration_s, seed):
-    duration_ps = int(round(duration_s * 1e12))
-    rng = np.random.Generator(np.random.PCG64(seed))
-    split, emit_s, emit_i = reference_emitted_photons(model, duration_ps, rng)
-    arrive_i = emit_i + model.idler_delay_sign * rng.exponential(
-        model.pair_lifetime_ps, len(emit_i))
-    photons = {}
-    for arm_t, arm_channels in ((emit_s, model.signal_channels),
-                                (arrive_i, model.idler_channels)):
-        if model.jitter_sigma_ps > 0:
-            arm_t = arm_t + rng.normal(0.0, model.jitter_sigma_ps,
-                                       len(arm_t))
-        if len(arm_channels) == 1:
-            photons[arm_channels[0]] = arm_t
-            continue
-        pick = rng.integers(0, len(arm_channels), len(arm_t))
-        for k, channel in enumerate(arm_channels):
-            photons[channel] = arm_t[pick == k]
-    times, dark, clipped = {}, {}, {}
-    for channel in sorted(photons):
-        dark[channel] = int(rng.poisson(
-            model.dark_rate_hz * duration_ps * 1e-12))
-        t = np.concatenate([photons[channel],
-                            rng.uniform(0.0, duration_ps, dark[channel])])
-        t = np.rint(t, out=t).astype(np.int64)
-        t.sort()
-        lo, hi = np.searchsorted(t, [0, duration_ps])
-        times[channel] = t[lo:hi]
-        clipped[channel] = len(t) - int(hi - lo)
-    truth = TruthCounters(*split,
-                          detected={c: len(photons[c]) for c in times},
-                          dark=dark, clipped=clipped)
+    """Every block's events in one stream, or ValueError when one lands past
+    a neighbouring block."""
+    duration_ps, block, n_blocks = events._plan(model, duration_s)
+    parts = {}
+    split = np.zeros(4, dtype=np.int64)
+    detected, dark, clipped = {}, {}, {}
+    for k in range(n_blocks):
+        length = min(block, duration_ps - k * block)
+        b_split, b_times, b_detected, b_dark = reference_block(
+            model, seed, k, length)
+        split += b_split
+        for c, t in b_times.items():
+            t = np.rint(t).astype(np.int64) + k * block
+            keep = (t >= 0) & (t < duration_ps)
+            if np.any(np.abs(t[keep] // block - k) > 1):
+                raise ValueError("past a neighbouring block")
+            parts.setdefault(c, []).append(t[keep])
+            detected[c] = detected.get(c, 0) + b_detected[c]
+            dark[c] = dark.get(c, 0) + b_dark[c]
+            clipped[c] = clipped.get(c, 0) + int(np.sum(~keep))
+    times = {c: np.sort(np.concatenate(p)) for c, p in parts.items()}
+    truth = TruthCounters(*split.tolist(), detected=detected, dark=dark,
+                          clipped=clipped)
     return EventStream(times, duration_ps, seed=seed,
-                       n_pairs_generated=sum(split), truth=truth)
+                       n_pairs_generated=int(split.sum()), truth=truth)
 
 
 def reference_merged(stream):
@@ -116,7 +148,7 @@ def reference_write_events(stream, path, fmt):
         fh.write(records.tobytes())
 
 
-# --- generation: same draws, same arrays ------------------------------------
+# --- generation: every block's draws, one stream ----------------------------
 
 
 @st.composite
@@ -125,7 +157,9 @@ def source_models(draw):
 
     Rates of up to 2e10 pairs/s and 3e9 darks/s over 1 ns to 1 us clip at
     both edges: jitter and a negative idler delay push photons below 0, and
-    rounding and a positive delay push them to or past the duration.
+    rounding and a positive delay push them to or past the duration.  With
+    the tests' short blocks they also cross block edges, by one block or
+    by more.
     """
     chans = draw(st.permutations(range(6)))
     n_s, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -155,44 +189,171 @@ def assert_same_stream(got, want):
     assert (got.duration_ps, got.seed) == (want.duration_ps, want.seed)
 
 
+def short_blocks(block_events, min_block_ps):
+    """Generation blocks far shorter than the real floor of 2^30 ps."""
+    return mock.patch.multiple(events, _BLOCK_EVENTS=block_events,
+                               _MIN_BLOCK_PS=min_block_ps)
+
+
 @settings(max_examples=200, deadline=None)
 @given(model=source_models(),
        duration_s=st.sampled_from([0.0, 1e-9, 3.3e-8, 1e-6]),
        seed=st.integers(0, 2 ** 64 - 1),
-       block=st.sampled_from([1, 7, 1 << 18]))
+       block_events=st.sampled_from([1, 7, 1 << 18]),
+       min_block_ps=st.sampled_from([1, 2 ** 10, 2 ** 16]))
 @example(model=SourceModel(pump_power_uw=0.0, dark_rate_hz=2e10),
-         duration_s=1e-9, seed=3, block=2)
+         duration_s=1e-9, seed=3, block_events=2, min_block_ps=1)
 @example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
                            dark_rate_hz=3e9, jitter_sigma_ps=1e4,
                            idler_delay_sign=-1, signal_channels=(4, 0),
                            idler_channels=(1, 3, 2)),
-         duration_s=3.3e-8, seed=5, block=3)
+         duration_s=3.3e-8, seed=5, block_events=3, min_block_ps=2 ** 16)
 @example(model=SourceModel(min_pair_spacing_ps=1e4, pgr_slope_mhz_per_uw=100),
-         duration_s=0.0, seed=1, block=2)
-def test_generation_matches_the_whole_stream_reference(model, duration_s,
-                                                       seed, block):
-    with mock.patch.object(events, "_BLOCK_EVENTS", block):
+         duration_s=0.0, seed=1, block_events=2, min_block_ps=1)
+@example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                           pair_lifetime_ps=1e5),
+         duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 10)
+@example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                           pair_lifetime_ps=1e5, idler_delay_sign=-1),
+         duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 10)
+def test_generation_matches_the_whole_stream_reference(
+        model, duration_s, seed, block_events, min_block_ps):
+    with short_blocks(block_events, min_block_ps):
+        try:
+            want = reference_generate_events(model, duration_s, seed)
+        except ValueError:
+            with pytest.raises(ValueError, match="past its neighbours"):
+                generate_events(model, duration_s, seed)
+            return
         got = generate_events(model, duration_s, seed)
-    assert_same_stream(got, reference_generate_events(model, duration_s,
-                                                      seed))
+        blocks = list(event_blocks(model, duration_s, seed))
+    assert_same_stream(got, want)
+    # the blocks tile [0, duration) and hold the stream in time order
+    assert blocks[0].start_ps == 0
+    assert blocks[-1].duration_ps == want.duration_ps
+    for before, after in zip(blocks, blocks[1:]):
+        assert before.duration_ps == after.start_ps
+    for b in blocks:
+        for t in b.times.values():
+            assert np.all((t >= b.start_ps) & (t < b.duration_ps))
 
 
 def test_generation_matches_the_reference_at_scale():
-    # the g2 layout (two signal channels) over about 2e5 events, in
-    # default-size blocks and in blocks that do not divide the arms
+    # the g2 layout (two signal channels) over about 3.5e5 events, in one
+    # block, in two and in 1,193 blocks, with jitter that carries photons
+    # across their edges
     model = SourceModel(pump_power_uw=2.0, pgr_slope_mhz_per_uw=5.13,
                         detector_efficiency=0.85, dark_rate_hz=1e5,
+                        jitter_sigma_ps=2000.0,
                         signal_channels=(0, 2), idler_channels=(1,))
-    want = reference_generate_events(model, 0.02, seed=12345)
-    assert len(want) > 150_000
-    assert_same_stream(generate_events(model, 0.02, seed=12345), want)
-    with mock.patch.object(events, "_BLOCK_EVENTS", 4099):
-        assert_same_stream(generate_events(model, 0.02, seed=12345), want)
+    for blocks, n_blocks in (((1 << 20, 1 << 30), 1),
+                             ((1 << 18, 1 << 30), 2),
+                             ((1 << 8, 1 << 20), 1193)):
+        with short_blocks(*blocks):
+            assert events._plan(model, 0.02)[2] == n_blocks
+            want = reference_generate_events(model, 0.02, 12345)
+            assert len(want) > 300_000
+            assert_same_stream(generate_events(model, 0.02, seed=12345),
+                               want)
+            if n_blocks > 1000:
+                handed = sum(len(p) for _, parts in (
+                    events._handed(model, 12345, k, *events._plan(
+                        model, 0.02)[1::-1]) for k in range(n_blocks))
+                    for down, _, up in parts.values() for p in (down, up))
+                assert handed > 10
+
+
+def test_block_length_is_sized_from_the_rate():
+    for pump, n_blocks in ((0.001, 1), (0.46, 30), (2.0, 117)):
+        model = SourceModel(pump_power_uw=pump, detector_efficiency=0.95)
+        duration_ps, block, n = events._plan(model, 2.0)
+        assert n == n_blocks and n == -(-duration_ps // block)
+        if n > 1:
+            per_block = block * 1e-12 * 1e6 * model.pair_rate_mhz * 1.9
+            assert block & (block - 1) == 0 and block >= 1 << 30
+            # the nearest power of two: within a factor sqrt(2)
+            assert events._BLOCK_EVENTS / 2 ** 0.5 <= per_block \
+                <= events._BLOCK_EVENTS * 2 ** 0.5
+    # a source too bright for the floor keeps 2^30 ps blocks
+    bright = SourceModel(pump_power_uw=1e3, detector_efficiency=1.0)
+    assert events._plan(bright, 0.01)[1] == 1 << 30
+    # the renewal source is one block, whatever its rate
+    assert events._plan(SourceModel(pump_power_uw=1e3,
+                                    min_pair_spacing_ps=1.0), 2.0)[2] == 1
+
+
+def test_blocks_drawn_in_any_order_give_the_same_stream(tmp_path):
+    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
+                        signal_channels=(0, 2), idler_channels=(1,))
+    draw = events._drawn_block
+
+    def stream_and_file(order_seed):
+        """The stream and file sha256, every block drawn first in a
+        shuffled order (None: in the generator's own order)."""
+        if order_seed is None:
+            stream = generate_events(model, 0.02, 99)
+            write_events(event_blocks(model, 0.02, 99), tmp_path / "e.ttps")
+        else:
+            duration_ps, block, n_blocks = events._plan(model, 0.02)
+            ks = list(range(n_blocks))
+            random.Random(order_seed).shuffle(ks)
+            drawn = {k: draw(model, 99, k, k * block,
+                             min(block, duration_ps - k * block))
+                     for k in ks}
+            with mock.patch.object(events, "_drawn_block",
+                                   lambda m, s, k, *a: drawn[k]):
+                stream = generate_events(model, 0.02, 99)
+                write_events(event_blocks(model, 0.02, 99),
+                             tmp_path / "e.ttps")
+        digest = hashlib.sha256((tmp_path / "e.ttps").read_bytes())
+        return stream, digest.hexdigest()
+
+    with short_blocks(1 << 12, 1 << 20):
+        want, want_sha = stream_and_file(None)
+        assert events._plan(model, 0.02)[2] > 10
+        for order_seed in (1, 2):
+            got, sha = stream_and_file(order_seed)
+            assert_same_stream(got, want)
+            assert sha == want_sha
+
+
+def test_displacement_past_a_neighbour_exits_3(tmp_path):
+    # a 0.1 s cavity lifetime carries idlers past the 34 ms blocks
+    cfg = tmp_path / "slow.cfg"
+    cfg.write_text("[source]\npump_power_uw = 1.0\nsignal_losses_db = 0.0\n"
+                   "idler_losses_db = 0.0\npair_lifetime_ps = 1e11\n")
+    assert main(["coinc", "-c", str(cfg), "--duration", "0.1"]) == 3
+    model = SourceModel(pump_power_uw=1.0, pair_lifetime_ps=1e11)
+    assert events._plan(model, 0.1)[1] == 1 << 35
+    with pytest.raises(ValueError, match="past its neighbours"):
+        generate_events(model, 0.1, 1)
 
 
 def test_renewal_source_of_zero_duration_is_empty():
     s = generate_events(SourceModel(min_pair_spacing_ps=10.0), 0.0, seed=1)
     assert len(s) == 0 and s.n_pairs_generated == 0
+
+
+def noop_hook(*args):
+    return None
+
+
+@pytest.mark.parametrize("install", [sys.settrace, sys.setprofile])
+def test_generation_runs_under_a_trace_hook(install, capsys):
+    # ndarray.resize's reference check failed under any trace or profile
+    # hook (cProfile, pdb, coverage); nothing in generation resizes now
+    model = SourceModel(pump_power_uw=1.0, dark_rate_hz=1e6,
+                        signal_channels=(0, 2), idler_channels=(1,))
+    want = generate_events(model, 1e-3, 11)
+    install(noop_hook)
+    try:
+        got = generate_events(model, 1e-3, 11)
+        status = main(["coinc", "--duration", "0.01"])
+    finally:
+        install(None)
+    assert_same_stream(got, want)
+    assert status == 0
+    assert "n12 =" in capsys.readouterr().out
 
 
 # --- memory -----------------------------------------------------------------
@@ -208,56 +369,60 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
+def generation_extra_peaks(model, durations):
+    """Generation's peak above the stream it returns, in 2^12-event blocks
+    of at least 2^20 ps."""
+    out = []
+    with short_blocks(1 << 12, 1 << 20):
+        for d in durations:
+            stream, peak = traced_peak(lambda: generate_events(model, d, 7))
+            out.append((len(stream), peak - 8 * len(stream)))
+    return out
+
+
 def test_generation_peak_per_event():
-    # the output is 8 B per event.  At its peak, the split of a two-channel
-    # signal arm, generation holds both arms' float64 times (8 B), the
-    # signal channels' copies (8 B per signal event), and a uint8 pick
-    # and mask (2 B per signal event): 13 B per event with equal arms, so
-    # at most 14 B with the blocks and the darks.  The whole-stream path
-    # took about 32 B.
+    # the two-signal-channel layout: at its peak generation holds the
+    # stream, allocated once from the blocks' counts (8 B per event), and
+    # about three blocks, so its peak above the stream does not grow with
+    # the duration.  The whole-stream generator took 32 B per event, and
+    # the one it replaced up to 14 B.
     model = SourceModel(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
                         detector_efficiency=0.9, dark_rate_hz=1e4,
                         signal_channels=(0, 2), idler_channels=(1,))
-    with mock.patch.object(events, "_BLOCK_EVENTS", 1 << 12):
-        stream, peak = traced_peak(lambda: generate_events(model, 0.01, 7))
-    assert len(stream) > 700_000
-    assert peak / len(stream) < 14.0
+    (n_small, small), (n_large, large) = generation_extra_peaks(
+        model, (0.002, 0.008))
+    assert n_large > 700_000 and n_large > 3.5 * n_small
+    assert small < 1_000_000
+    assert large < small + 100_000
+    assert (8 * n_large + large) / n_large < 9.0
 
 
 def test_generation_peak_per_event_single_channel_arms():
-    # the replay layout, one channel per arm.  Each channel is rounded in
-    # its own 8-byte buffer and grown in place for its darks, so at the
-    # peak generation holds the output's 8 B per event and one block
-    # (8.04 B per event measured); rounding into a second array took 12.
+    # the replay layout, one channel per arm: the same bound
     model = SourceModel(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
                         detector_efficiency=0.9, dark_rate_hz=1e4,
                         signal_channels=(0,), idler_channels=(1,))
-    with mock.patch.object(events, "_BLOCK_EVENTS", 1 << 12):
-        stream, peak = traced_peak(lambda: generate_events(model, 0.01, 7))
-    assert len(stream) > 700_000
-    assert peak / len(stream) < 9.0
+    (n_small, small), (n_large, large) = generation_extra_peaks(
+        model, (0.002, 0.008))
+    assert n_large > 700_000 and n_large > 3.5 * n_small
+    assert small < 1_000_000
+    assert large < small + 100_000
+    assert (8 * n_large + large) / n_large < 9.0
 
 
-def test_rounding_in_place_leaves_no_float_view():
-    x = events._times_buffer(10, 2)
-    x[:] = [-2.5, -0.5, 0.5, 1.5, 2.5, 3.49, 7.0, 1e15 + 0.5, 2.0 ** 62, 0.0]
-    want = np.rint(x).astype(np.int64)
-    view = weakref.ref(x)
-    with mock.patch.object(events, "_BLOCK_EVENTS", 3):
-        t = events._rounded_in_place(x)
-    del x
-    # the view died with its last reference: nothing else holds one, so
-    # the owner grows in place under resize's reference check
-    assert view() is None
-    assert t.dtype == np.int64 and t.flags.owndata and len(t) == 12
-    assert np.array_equal(t[:10], want)
-    t.resize(11)
-    assert np.array_equal(t[:10], want) and len(t) == 11
-    # a live view makes resize raise instead of freeing what it reads
-    alive = t.view(np.float64)
-    with pytest.raises(ValueError):
-        t.resize(14)
-    assert len(t) == 11 and np.shares_memory(t, alive)
+def test_block_generation_peak_does_not_grow_with_the_stream():
+    # drawing the blocks holds about three of them, whatever the duration
+    model = SourceModel(pump_power_uw=10.0, detector_efficiency=0.9,
+                        signal_channels=(0, 2), idler_channels=(1,))
+    peaks = []
+    with short_blocks(1 << 12, 1 << 20):
+        for d in (0.002, 0.008):
+            n, peak = traced_peak(lambda: sum(
+                len(b) for b in event_blocks(model, d, 7)))
+            peaks.append(peak)
+    assert n > 700_000
+    assert peaks[0] < 1_000_000
+    assert peaks[1] < peaks[0] + 100_000
 
 
 @pytest.mark.parametrize("signal_channels", [(0,), (0, 2)])
@@ -265,17 +430,20 @@ def test_generated_channels_own_int64_buffers(signal_channels):
     model = SourceModel(pump_power_uw=1.0, dark_rate_hz=1e6,
                         jitter_sigma_ps=1e4, idler_delay_sign=-1,
                         signal_channels=signal_channels, idler_channels=(1,))
-    stream = generate_events(model, 1e-3, 11)
-    for c, times in stream.times.items():
-        # a slice of the int64 array the channel was drawn, rounded and
-        # fitted to its darks in: no float64 view of that buffer is reachable
-        owner = times.base
-        assert owner.dtype == np.int64 and owner.flags.owndata
-        assert owner.base is None
-        assert len(owner) == stream.truth.detected[c] + stream.truth.dark[c]
-    # darks past the room grow the buffer instead, to the same stream
-    with mock.patch.object(events, "_dark_room", lambda model, d: 0):
-        assert_same_stream(generate_events(model, 1e-3, 11), stream)
+    for blocks in ((1 << 18, 1 << 30), (1 << 10, 1 << 20)):
+        with short_blocks(*blocks):
+            stream = generate_events(model, 1e-3, 11)
+            n_blocks = events._plan(model, 1e-3)[2]
+        assert n_blocks == (1 if blocks[0] > 1 << 10
+                            else {1: 8, 2: 15}[len(signal_channels)])
+        for c, times in stream.times.items():
+            # a slice of one int64 array sized to the channel's draws: the
+            # stream is held once, whatever the number of blocks
+            owner = times.base
+            assert owner.dtype == np.int64 and owner.flags.owndata
+            assert owner.base is None
+            assert len(owner) == (stream.truth.detected[c]
+                                  + stream.truth.dark[c])
 
 
 def io_peaks(tmp_path, n_pairs):
@@ -298,6 +466,22 @@ def test_file_io_peak_does_not_grow_with_the_stream(tmp_path, monkeypatch):
     for small_peak, large_peak in zip(small, large):
         assert small_peak < 40_000
         assert large_peak < small_peak + 8_000
+
+
+def test_writing_blocks_peak_does_not_grow_with_the_stream(tmp_path):
+    # simulate's path: the blocks go straight to the file, so writing holds
+    # about three generation blocks and one merged block
+    model = SourceModel(pump_power_uw=10.0, detector_efficiency=0.9)
+    peaks = []
+    with short_blocks(1 << 12, 1 << 20):
+        for d in (0.002, 0.008):
+            path = tmp_path / f"{d}.ttps"
+            _, peak = traced_peak(lambda: write_events(
+                event_blocks(model, d, 7), path))
+            peaks.append((peak, path.stat().st_size))
+    assert peaks[1][1] > 6_000_000 and peaks[1][1] > 3.5 * peaks[0][1]
+    assert peaks[0][0] < 1_000_000
+    assert peaks[1][0] < peaks[0][0] + 100_000
 
 
 # --- writer: same bytes as the merged-stream writer -------------------------
@@ -355,8 +539,8 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
 
 def test_merged_blocks_keep_ties_together(monkeypatch):
     monkeypatch.setattr(events, "_BLOCK_EVENTS", 1)
-    blocks = [(c.tolist(), t.tolist())
-              for c, t, _ in TIES_AT_EDGE._merged_blocks()]
+    blocks = [(c[order].tolist(), t[order].tolist())
+              for c, t, _, order in TIES_AT_EDGE._merged_blocks()]
     assert blocks == [([0], [1]), ([2], [2]),
                       ([0, 0, 0, 1, 1, 2], [5] * 6), ([2], [9])]
 

@@ -353,23 +353,25 @@ losses_db = 3.0
 parallelism = 1
 
 [franson]
-duration_s = 0.05
+duration_s = 2.0
 xi_points = 8
 """)
     spans = []
     gather = tcspc.coincidences
 
     def counted(times_a, times_b, lo_ps, hi_ps):
-        spans.append((lo_ps, hi_ps))
+        spans.append((lo_ps, hi_ps, len(times_a)))
         return gather(times_a, times_b, lo_ps, hi_ps)
 
     monkeypatch.setattr(tcspc, "coincidences", counted)
-    run_power_sweep(cfg)
-    # one span for both windows, the wider rate window's
-    assert spans == [tcspc.two_fold_span(2400)] * 3
+    rows = run_power_sweep(cfg)[1]
+    # one span for both windows, the wider rate window's, and each signal
+    # event gathered once
+    assert [s[:2] for s in spans] == [tcspc.two_fold_span(2400)] * 3
+    assert [s[2] for s in spans] == [row[2] for row in rows]
     spans.clear()
     run_franson(cfg)
     assert len(spans) == 1
     spans.clear()
-    run_coinc(cfg)
-    assert spans == [tcspc.two_fold_span(800)]
+    n1 = run_coinc(cfg)[1][0][0]
+    assert spans == [(*tcspc.two_fold_span(800), n1)]
