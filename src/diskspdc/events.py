@@ -191,33 +191,33 @@ class EventStream:
     """Detector clicks as one time-sorted int64 array per channel.
 
     tags, when present, maps each channel to per-event interferometer path
-    labels aligned with its times, for diagnostics only; they are never
-    serialized.  truth holds the simulator's counters of a generated
-    stream.  A block of a longer stream holds the events in
-    [start_ps, duration_ps), and no later block holds a time below
-    start_ps; a whole stream is its only block.
+    labels aligned with its times, for diagnostics only: no merge, split or
+    file carries them.  truth holds the simulator's counters of a generated
+    stream, whose pair counts n_pairs_generated sums.  A block of a longer
+    stream holds the events in [start_ps, duration_ps), and no later block
+    holds a time below start_ps; a whole stream is its only block.
     """
 
     times: dict[int, np.ndarray]
     duration_ps: int
-    seed: int = 0
-    n_pairs_generated: int = 0
     tags: dict[int, np.ndarray] | None = field(default=None, repr=False)
     truth: TruthCounters | None = field(default=None, repr=False)
     start_ps: int = 0
 
+    @property
+    def n_pairs_generated(self) -> int:
+        """Pairs the simulator drew, detected or not; 0 without truth."""
+        t = self.truth
+        return 0 if t is None else (t.pairs_both + t.pairs_signal_only
+                                    + t.pairs_idler_only + t.pairs_neither)
+
     @classmethod
-    def from_merged(cls, channels, timestamps_ps, duration_ps: int,
-                    route_tags=None) -> EventStream:
+    def from_merged(cls, channels, timestamps_ps,
+                    duration_ps: int) -> EventStream:
         """Split a stream sorted by time into its per-channel arrays."""
-        channels = np.asarray(channels, dtype=np.uint8)
-        columns = [np.asarray(timestamps_ps, dtype=np.int64)]
-        if route_tags is not None:
-            columns.append(np.asarray(route_tags))
-        times, *tags = _split(_slices(channels, *columns),
-                              np.bincount(channels),
-                              [v.dtype for v in columns])
-        return cls(times, duration_ps, tags=tags[0] if tags else None)
+        return cls(_split(np.asarray(channels, dtype=np.uint8),
+                          np.asarray(timestamps_ps, dtype=np.int64)),
+                   duration_ps)
 
     @classmethod
     def from_blocks(cls, blocks, counts: dict[int, int]) -> EventStream:
@@ -225,50 +225,44 @@ class EventStream:
 
         counts[c] bounds channel c's events in all the blocks, so each
         channel is allocated once and filled block by block: the stream
-        is never held twice.  Counters and pair counts add up; the seed and
-        the duration are the last block's.
+        is never held twice.  Counters add up; the duration is the last
+        block's.  An empty sequence raises ValueError.
         """
         times = {c: np.empty(n, dtype=np.int64) for c, n in counts.items()}
         filled = dict.fromkeys(times, 0)
-        n_pairs = 0
+        block = None
         for k, block in enumerate(blocks):
             for c, t in block.times.items():
                 times[c][filled[c]:filled[c] + len(t)] = t
                 filled[c] += len(t)
-            n_pairs += block.n_pairs_generated
             truth = _summed([truth, block.truth]) if k else block.truth
+        if block is None:
+            raise ValueError("no blocks: a stream has at least one")
         return cls({c: t[:filled[c]] for c, t in times.items()},
-                   block.duration_ps, seed=block.seed,
-                   n_pairs_generated=n_pairs, truth=truth)
+                   block.duration_ps, truth=truth)
 
-    def merged(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-        """(channels, timestamps_ps, route_tags), by time and then channel.
+    def merged(self) -> tuple[np.ndarray, np.ndarray]:
+        """(channels, timestamps_ps), by time and then channel.
 
         The concatenation of the time blocks that write_events writes.
         """
-        blocks = [(c[o], t[o], None if g is None else g[o])
-                  for c, t, g, o in self._merged_blocks()]
-        channels = np.concatenate([np.empty(0, dtype=np.uint8)]
-                                  + [b[0] for b in blocks])
-        times = np.concatenate([_EMPTY_TIMES] + [b[1] for b in blocks])
-        tags = None
-        if self.tags is not None:
-            tags = np.concatenate([np.empty(0, dtype=np.uint8)]
-                                  + [b[2] for b in blocks])
-        return channels, times, tags
+        blocks = [(c[o], t[o]) for c, t, o in self._merged_blocks()]
+        return (np.concatenate([np.empty(0, dtype=np.uint8)]
+                               + [c for c, _ in blocks]),
+                np.concatenate([_EMPTY_TIMES] + [t for _, t in blocks]))
 
     def _merged_blocks(self):
-        """Yield the merged stream as (channels, times, tags, order) blocks.
+        """Yield the merged stream as (channels, times, order) blocks.
 
         A block holds every event up to a cut time, ties at the cut
         included, so equal times never straddle two blocks; the cut is the
         earliest time that lies _BLOCK_EVENTS / (channels left) events on in
         some channel, or the last time once _BLOCK_EVENTS events or fewer
-        are left.  times (and tags) are the channels' slices
-        concatenated in channel order, channels the matching channel
-        column, and order their stable time sort, which breaks ties by
-        channel and keeps each channel's own order: the merged block is
-        times[order], and nothing here builds it.
+        are left.  times are the channels' slices concatenated in channel
+        order, channels the matching channel column, and order their
+        stable time sort, which breaks ties by channel and keeps each
+        channel's own order: the merged block is times[order], and nothing
+        here builds it.
         """
         live = [c for c in sorted(self.times) if len(self.times[c])]
         start = dict.fromkeys(live, 0)
@@ -285,11 +279,7 @@ class EventStream:
             times = np.concatenate(parts)
             channels = np.repeat(np.array(live, dtype=np.uint8),
                                  [len(p) for p in parts])
-            tags = None
-            if self.tags is not None:
-                tags = np.concatenate([self.tags[c][start[c]:stop[c]]
-                                       for c in live])
-            yield channels, times, tags, np.argsort(times, kind="stable")
+            yield channels, times, np.argsort(times, kind="stable")
             start = stop
             live = [c for c in live if stop[c] < len(self.times[c])]
 
@@ -508,9 +498,6 @@ def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,
                         if carried else own)
             up[c] = rise
         yield EventStream(times, min((k + 1) * block, duration_ps),
-                          seed=seed, n_pairs_generated=(
-                              truth.pairs_both + truth.pairs_signal_only
-                              + truth.pairs_idler_only + truth.pairs_neither),
                           truth=truth, start_ps=k * block)
         here = after
 
@@ -557,7 +544,7 @@ def write_events(stream, path: str | os.PathLike,
         with open(path, "w") as fh:
             fh.write("channel,timestamp_ps\n")
             for block in blocks:
-                for channels, times, _, order in block._merged_blocks():
+                for channels, times, order in block._merged_blocks():
                     for c, t in zip(channels[order].tolist(),
                                     times[order].tolist()):
                         fh.write(f"{c},{t}\n")
@@ -571,7 +558,7 @@ def write_events(stream, path: str | os.PathLike,
         for block in blocks:
             n_channels = max([n_channels] + [c + 1 for c, t in
                                              block.times.items() if len(t)])
-            for channels, times, _, order in block._merged_blocks():
+            for channels, times, order in block._merged_blocks():
                 if len(buffer) < len(order):
                     buffer = np.empty(len(order), dtype=_RECORD_DTYPE)
                 records = buffer[:len(order)]
@@ -610,8 +597,9 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
                 raise EventFormatError(f"{path}: {err}") from err
         if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
             raise EventFormatError(f"{path}: channel outside 0-255")
-        yield from _checked_blocks(path, _slices(data[:, 0], data[:, 1]),
-                                   256, duration_ps)
+        rows = (data[i:i + _BLOCK_EVENTS].T
+                for i in range(0, len(data), _BLOCK_EVENTS))
+        yield from _checked_blocks(path, rows, 256, duration_ps)
         return
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -685,37 +673,26 @@ def _checked_blocks(path, blocks, n_channels: int, duration_ps: int | None):
         if duration_ps is not None and last >= duration_ps:
             raise EventFormatError(f"{path}: timestamp {last} ps at "
                                    f"or past the {duration_ps} ps duration")
-        split, = _split([(channels, times)], np.bincount(channels),
-                        [np.int64])
-        yield EventStream(split, last + 1 if duration_ps is None
-                          else duration_ps, start_ps=int(times[0]))
+        yield EventStream(_split(channels, times),
+                          last + 1 if duration_ps is None else duration_ps,
+                          start_ps=int(times[0]))
     if last is None:
         yield EventStream({}, duration_ps or 0)
 
 
-def _slices(*columns):
-    """Yield aligned slices of _BLOCK_EVENTS rows of the columns, in order."""
-    for start in range(0, len(columns[0]), _BLOCK_EVENTS):
-        yield tuple(v[start:start + _BLOCK_EVENTS] for v in columns)
-
-
-def _split(blocks, counts, dtypes) -> list[dict[int, np.ndarray]]:
-    """Per-channel arrays of each column of (channels, *columns) blocks.
-
-    counts[c] is the number of channel c events in all the blocks, so each
-    channel's arrays are allocated once, in channel order, and filled
-    block by block in stream order.
-    """
-    present = [int(c) for c in np.flatnonzero(counts)]
-    out = [{c: np.empty(counts[c], dtype=d) for c in present}
-           for d in dtypes]
-    filled = dict.fromkeys(present, 0)
-    for channels, *columns in blocks:
-        in_block = np.bincount(channels)
+def _split(channels, times) -> dict[int, np.ndarray]:
+    """Per-channel arrays of a time-sorted (channels, times) sequence:
+    each channel's array is allocated once and filled _BLOCK_EVENTS rows at
+    a time, in stream order."""
+    counts = np.bincount(channels)
+    out = {int(c): np.empty(counts[c], dtype=np.int64)
+           for c in np.flatnonzero(counts)}
+    filled = dict.fromkeys(out, 0)
+    for start in range(0, len(channels), _BLOCK_EVENTS):
+        rows = slice(start, start + _BLOCK_EVENTS)
+        in_block = np.bincount(channels[rows])
         for c in np.flatnonzero(in_block).tolist():
-            sel = channels == c
             at = slice(filled[c], filled[c] + int(in_block[c]))
-            for v, dst in zip(columns, out):
-                np.compress(sel, v, out=dst[c][at])
+            np.compress(channels[rows] == c, times[rows], out=out[c][at])
             filled[c] = at.stop
     return out

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventStream
-from .tcspc import (DelayHistogram, coincidences, delay_histogram, peak_span,
-                    window_edges)
+from .tcspc import DelayHistogram, coincidences, peak_span, window_edges
 
 
 class FitError(RuntimeError):
@@ -68,7 +67,7 @@ def apply_umi(stream: EventStream, config: UmiConfig,
     probability of the short arm is t_S / (t_S + t_L).  The returned stream
     carries tags (0 short, 1 long) for diagnostics; tags are not
     serialized.  The duration grows by the arm delay so late long-arm events
-    stay inside the acquisition window.
+    stay inside the acquisition window; truth is the input's.
     """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
     t_s, t_l = config.arm_transmissions
@@ -84,10 +83,8 @@ def apply_umi(stream: EventStream, config: UmiConfig,
         order = np.argsort(routed, kind="stable")
         times[channel] = routed[order]
         tags[channel] = (order >= len(short)).astype(np.uint8)
-    return EventStream(times, stream.duration_ps + delay_ps,
-                       seed=stream.seed,
-                       n_pairs_generated=stream.n_pairs_generated,
-                       tags=tags)
+    return EventStream(times, stream.duration_ps + delay_ps, tags=tags,
+                       truth=stream.truth)
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,
@@ -189,23 +186,16 @@ def peak_areas_span(config: UmiConfig,
                      peak_delay_ps, _calibration_span_ps(delay_ps))
 
 
-def peak_areas(stream: EventStream, config: UmiConfig,
-               ch_signal: int = 0, ch_idler: int = 1,
-               peak_delay_ps: int | None = None,
-               delays: DelayHistogram | None = None) -> tuple[int, int, int]:
+def peak_areas(delays: DelayHistogram, config: UmiConfig,
+               peak_delay_ps: int | None = None) -> tuple[int, int, int]:
     """Coincidence counts in the three windows at peak - D, peak, peak + D.
 
-    delays, when given, is the channels' delay histogram, which must cover
-    :func:`peak_areas_span`; otherwise that span is gathered here.
+    delays is the channel pair's delay histogram, which must cover
+    :func:`peak_areas_span`.
     """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
-    if delays is None:
-        delays = delay_histogram(stream.channel_times(ch_signal),
-                                 stream.channel_times(ch_idler),
-                                 *peak_areas_span(config, peak_delay_ps))
     if peak_delay_ps is None:
-        peak_delay_ps = delays.binned(
-            span_ps=_calibration_span_ps(delay_ps)).peak_delay_ps
+        peak_delay_ps = delays.peak_ps(_calibration_span_ps(delay_ps))
     centers = [peak_delay_ps + k * delay_ps for k in (-1, 0, +1)]
     return tuple(int(n) for n in delays.totals(
         centers, config.postselect_window_ps))

@@ -349,7 +349,7 @@ def run_franson(cfg: RunConfig):
     lo_a, hi_a = peak_areas_span(umi)
     lo_b, hi_b = two_fold_span(umi.postselect_window_ps)
     pair = fold_delays([routed], 0, 1, min(lo_a, lo_b), max(hi_a, hi_b))
-    early, center, late = peak_areas(routed, umi, delays=pair.delays)
+    early, center, late = peak_areas(pair.delays, umi)
 
     # Split the measured central peak into its interference-capable part
     # and the accidental floor, estimated from the same stream.

@@ -11,10 +11,10 @@ holds its input, its result and one chunk, whatever the stream's length.
 
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
-then an exact slice of that one array.  The 10-ps calibration histogram,
-the two-fold windows and the Franson peaks read it; window counts and the
-Franson path check read the pairs themselves, and heralded g2 gathers each
-of its two channel pairs once, for its calibration peak and its windows.
+then an exact slice of that one array, read around one calibrated peak:
+DelayHistogram.peak_ps, the first fullest 10-ps bin of its span.  Window
+counts and the Franson path check read the pairs themselves, and heralded
+g2 gathers each of its two channel pairs once, for its peak and windows.
 
 Histograms add, so a stream need not be held whole: :func:`fold_delays`
 folds one over a stream's time blocks (events.EventStream blocks, as
@@ -72,7 +72,8 @@ class CoincidenceHistogram:
 
 @dataclass(frozen=True)
 class DelayHistogram:
-    """Pair counts at each whole-ps delay lo_ps, lo_ps + 1, ... hi_ps."""
+    """Pair counts at each whole-ps delay lo_ps, lo_ps + 1, ... hi_ps;
+    peak_ps is the one peak rule of every analysis."""
 
     lo_ps: int
     counts: np.ndarray
@@ -98,15 +99,13 @@ class DelayHistogram:
         below = self._below(np.concatenate([lo, hi + 1]))
         return below[len(lo):] - below[:len(lo)]
 
-    def binned(self, bin_width_ps: int = _CAL_BIN_PS,
-               span_ps: int = _CAL_SPAN_PS) -> CoincidenceHistogram:
-        """The :func:`histogram` of the same channels, sliced from here."""
-        edges = _bin_edges(bin_width_ps, span_ps)
-        counts = np.diff(self._below(edges))
-        return CoincidenceHistogram(
-            bin_centers_ps=edges[:-1] + bin_width_ps // 2, counts=counts,
-            bin_width_ps=bin_width_ps,
-            span_ps=(len(edges) - 1) * bin_width_ps, total=int(counts.sum()))
+    def peak_ps(self, span_ps: int = _CAL_SPAN_PS) -> int:
+        """The calibrated peak: the centre of the fullest 10-ps bin over
+        [-span/2, span/2), the first one on a tie.  Raises ValueError when
+        the histogram does not cover the span."""
+        edges = _bin_edges(_CAL_BIN_PS, span_ps)
+        return int(edges[np.argmax(np.diff(self._below(edges)))]) \
+            + _CAL_BIN_PS // 2
 
 
 @dataclass(frozen=True)
@@ -237,6 +236,7 @@ def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int,
     counts = _delay_counts(lo_ps, hi_ps)
     n_a = n_b = 0
     waiting = kept = _EMPTY
+    block = None
     for block in blocks:
         a, b = block.channel_times(ch_a), block.channel_times(ch_b)
         n_a, n_b = n_a + len(a), n_b + len(b)
@@ -247,6 +247,8 @@ def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int,
         floor = min(block.start_ps, int(waiting[0])) if len(waiting) \
             else block.start_ps
         kept = _joined(kept[np.searchsorted(kept, floor + lo_ps):], b)
+    if block is None:
+        raise ValueError("no blocks to fold: a stream has at least one")
     _add_delays(counts, waiting, kept, lo_ps, hi_ps)
     return PairFold(n_a, n_b, block.duration_ps, DelayHistogram(lo_ps, counts))
 
@@ -310,12 +312,12 @@ def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
 
 
 def _calibration_peak(delays: np.ndarray) -> int:
-    """:func:`calibrate_peak_delay` from the delays of a gather that covers
-    the calibration span."""
+    """:meth:`DelayHistogram.peak_ps` of the delays of a gather that covers
+    the calibration span, binning only the delays inside it."""
     lo, hi = _calibration_span()
     inside = delays[(delays >= lo) & (delays <= hi)]
     counts = np.bincount(inside - lo, minlength=hi - lo + 1)
-    return DelayHistogram(lo, counts).binned().peak_delay_ps
+    return DelayHistogram(lo, counts).peak_ps()
 
 
 def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
@@ -365,17 +367,13 @@ def histogram(stream: EventStream, ch_a: int, ch_b: int,
               ) -> CoincidenceHistogram:
     """Histogram of delays t_b - t_a within [-span/2, span/2)."""
     edges = _bin_edges(bin_width_ps, span_ps)
-    delays = delay_histogram(stream.channel_times(ch_a),
-                             stream.channel_times(ch_b),
-                             int(edges[0]), int(edges[-1]) - 1)
-    return delays.binned(bin_width_ps, span_ps)
-
-
-def calibrate_peak_delay(stream: EventStream, ch_a: int, ch_b: int,
-                         bin_width_ps: int = _CAL_BIN_PS,
-                         span_ps: int = _CAL_SPAN_PS) -> int:
-    """Delay-histogram peak position between two channels."""
-    return histogram(stream, ch_a, ch_b, bin_width_ps, span_ps).peak_delay_ps
+    counts = np.diff(delay_histogram(
+        stream.channel_times(ch_a), stream.channel_times(ch_b),
+        int(edges[0]), int(edges[-1]) - 1)._below(edges))
+    return CoincidenceHistogram(
+        bin_centers_ps=edges[:-1] + bin_width_ps // 2, counts=counts,
+        bin_width_ps=bin_width_ps,
+        span_ps=(len(edges) - 1) * bin_width_ps, total=int(counts.sum()))
 
 
 def two_fold_metrics(stream, window_ps: int = 800,
@@ -386,8 +384,9 @@ def two_fold_metrics(stream, window_ps: int = 800,
                      offset_max_ps: int = 50_000) -> TwoFoldResult:
     """Coincidence metrics between a signal and an idler channel.
 
-    n12 counts delays inside a window of window_ps centred on the calibrated
-    histogram peak; the accidental level is the mean over n_offset_windows
+    n12 counts delays inside a window of window_ps centred on peak_delay_ps
+    or, when None, on the histogram's DelayHistogram.peak_ps; the
+    accidental level is the mean over n_offset_windows
     same-width windows spread over [offset_min, offset_max] ps on both sides
     of the peak.  Zero-count denominators yield NaN metrics.
 
@@ -419,7 +418,7 @@ def two_fold_metrics(stream, window_ps: int = 800,
                              duration_s=duration_s,
                              pgr_estimate_hz=math.nan, car=math.nan)
     if peak_delay_ps is None:
-        peak_delay_ps = delays.binned().peak_delay_ps
+        peak_delay_ps = delays.peak_ps()
     per_side = n_offset_windows // 2
     bonus = n_offset_windows - 2 * per_side
     offsets = np.linspace(offset_min_ps, offset_max_ps, per_side + bonus)

@@ -23,8 +23,8 @@ from diskspdc.pipeline import build_source, derive_seed, run_franson, \
 from diskspdc.resonator import DiskGeometry, ModeFamily, ResonatorMode, \
     calibrate_family, fsr
 from diskspdc.tables import format_table
-from diskspdc.tcspc import calibrate_peak_delay, car_closed_form, \
-    heralded_g2, poisson_heralded_g2, two_fold_metrics, window_counts
+from diskspdc.tcspc import car_closed_form, delay_histogram, heralded_g2, \
+    peak_span, poisson_heralded_g2, two_fold_metrics
 
 MASTER_SEED = 12345
 GEO = DiskGeometry()
@@ -325,15 +325,13 @@ def test_criterion_08_franson():
         idler_delay_sign=1)
     stream = generate_events(model, 2.0, derive_seed(MASTER_SEED, 0x800))
     routed = apply_umi(stream, umi, derive_seed(MASTER_SEED, 0x801))
-    times_s = routed.channel_times(0)
-    times_i = routed.channel_times(1)
-    peak = calibrate_peak_delay(routed, 0, 1)
     delay_ps = int(round(umi.arm_delay_ns * 1e3))
-    areas = [int(window_counts(times_s, times_i, peak + k * delay_ps,
-                               umi.postselect_window_ps).sum())
-             for k in (-1, 0, 1)]
-    total = int(window_counts(times_s, times_i, peak,
-                              2 * delay_ps + 2000).sum())
+    delays = delay_histogram(routed.channel_times(0), routed.channel_times(1),
+                             *peak_span(2 * delay_ps + 2000, 0, 0))
+    peak = delays.peak_ps()
+    areas = [int(n) for n in delays.totals(
+        [peak + k * delay_ps for k in (-1, 0, 1)], umi.postselect_window_ps)]
+    total = int(delays.totals([peak], 2 * delay_ps + 2000)[0])
     check(failures, sum(areas) >= 0.999 * total,
           "coincidences found away from the -1.6/0/+1.6 ns peaks")
     early, center, late = areas

@@ -11,7 +11,6 @@ from diskspdc.events import EventStream, SourceModel, generate_events
 from diskspdc.franson import (UmiConfig, central_peak_is_same_path,
                               peak_areas, peak_areas_span)
 from diskspdc.tcspc import (
-    calibrate_peak_delay,
     car_closed_form,
     delay_histogram,
     dwdm_channel_index,
@@ -69,7 +68,8 @@ def test_histogram_exact_peak():
     h = histogram(s, 0, 1, bin_width_ps=10, span_ps=8000)
     assert h.total == len(base)
     assert h.peak_delay_ps == 505  # bin [500, 510) centre
-    assert calibrate_peak_delay(s, 0, 1) == 505
+    assert delay_histogram(base, base + 500,
+                           *tcspc.peak_span(0, 0, 0)).peak_ps() == 505
     assert h.counts.max() == len(base)
 
 
@@ -360,7 +360,7 @@ def test_heralded_g2_gathers_each_channel_pair_once(monkeypatch):
     s = g2_stream()
     tau = np.array([-20_000.0, 0.0, 50_000.0])
     want = heralded_g2(s, tau, window_ps=800)
-    for name in ("histogram", "calibrate_peak_delay", "window_counts"):
+    for name in ("histogram", "window_counts"):
         monkeypatch.setattr(tcspc, name, None)  # any call fails
     calls = count_gathers(monkeypatch)
     got = heralded_g2(s, tau, window_ps=800)
@@ -401,16 +401,11 @@ def test_central_peak_is_same_path_matches_brute_force(a, b, origin, data,
                                          max_size=len(a))), dtype=np.uint8)
     tags_b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(b),
                                          max_size=len(b))), dtype=np.uint8)
-    ch = np.concatenate([np.zeros(len(a)), np.ones(len(b))]).astype(np.uint8)
-    t = np.concatenate([a, b]) + origin
-    order = np.lexsort((ch, t))
-    stream = EventStream.from_merged(
-        ch[order], t[order], 10 ** 9,
-        route_tags=np.concatenate([tags_a, tags_b])[order])
+    stream = EventStream({0: a + origin, 1: b + origin}, 10 ** 9,
+                         tags={0: tags_a, 1: tags_b})
     # window_ps is an int; the centre stays half-integer via peak_delay_ps
     config = UmiConfig(postselect_window_ps=window)
     pairs = in_window(delay_matrix(a, b), center2, window)
-    # lexsort keeps equal times in input order, so tags stay aligned
     want = not np.any(pairs & (tags_a[:, None] != tags_b[None, :]))
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
@@ -528,16 +523,18 @@ def test_one_gather_slices_match_brute_force(a, b, origin, bin_width, span,
         chunk_caps(mp, caps)
         delays = delay_histogram(a, b, lo, hi)
         gathered = histogram(s, 0, 1, bin_width_ps=bin_width, span_ps=span)
-        areas = peak_areas(s, config)
+        areas = peak_areas(delay_histogram(a, b, *peak_areas_span(config)),
+                           config)
     want = np.bincount(d[(d >= lo) & (d <= hi)] - lo, minlength=hi - lo + 1)
     assert (delays.lo_ps, delays.hi_ps) == (lo, hi)
     assert np.array_equal(delays.counts, want)
-    sliced = delays.binned(bin_width, span)
-    assert np.array_equal(sliced.counts, ref_histogram(a, b, bin_width, span))
-    assert np.array_equal(sliced.counts, gathered.counts)
-    assert np.array_equal(sliced.bin_centers_ps, gathered.bin_centers_ps)
-    assert (sliced.span_ps, sliced.total) == (gathered.span_ps,
-                                              gathered.total)
+    edges = tcspc._bin_edges(bin_width, span)
+    assert np.array_equal(gathered.counts,
+                          ref_histogram(a, b, bin_width, span))
+    assert np.array_equal(gathered.bin_centers_ps,
+                          edges[:-1] + bin_width // 2)
+    assert (gathered.span_ps, gathered.total) == (
+        (len(edges) - 1) * bin_width, gathered.counts.sum())
     assert list(delays.totals([c2 / 2 for c2 in centers2], window)) == \
         [int(in_window(d, c2, window).sum()) for c2 in centers2]
     # peak_areas: calibrated on 10-ps bins over max(8 D, 8000) ps
@@ -545,7 +542,40 @@ def test_one_gather_slices_match_brute_force(a, b, origin, bin_width, span,
     peak = int(np.argmax(counts)) * 10 - len(counts) * 5 + 5
     want_areas = tuple(int(in_window(d, 2 * (peak + k * arm_delay),
                                      window).sum()) for k in (-1, 0, 1))
-    assert peak_areas(s, config, delays=delays) == areas == want_areas
+    assert peak_areas(delays, config) == areas == want_areas
+
+
+def ref_peak_ps(a, b, span):
+    """Centre of the first fullest 10-ps bin of the raw delays over
+    [-half, half), bin by bin."""
+    d = delay_matrix(a, b).ravel()
+    half = max(round(span / 10), 1) * 5
+    counts = [int(np.sum((d >= e) & (d < e + 10)))
+              for e in range(-half, half, 10)]
+    return -half + 10 * counts.index(max(counts)) + 5
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=sorted_times(span=13_000), b=sorted_times(span=13_000),
+       origin=ORIGINS, arm_delay=st.integers(0, 1500),
+       pad=st.tuples(st.integers(0, 50), st.integers(0, 50)), caps=CAPS)
+@example(a=np.array([0]), b=np.array([100, 200]), origin=0, arm_delay=0,
+         pad=(0, 0), caps=None)
+@example(a=np.array([0]), b=np.array([-4000, 3999]), origin=0,
+         arm_delay=1001, pad=(0, 0), caps=None)
+def test_peak_ps_is_the_first_fullest_10ps_bin(a, b, origin, arm_delay, pad,
+                                               caps):
+    # the two-fold and g2 span, and peak_areas' Franson span max(8 D, 8000)
+    a, b = a + origin, b + origin
+    for span in {8000, max(8 * arm_delay, 8000)}:
+        lo, hi = tcspc.peak_span(0, 0, 0, calibration_span_ps=span)
+        with pytest.MonkeyPatch.context() as mp:
+            chunk_caps(mp, caps)
+            delays = delay_histogram(a, b, lo - pad[0], hi + pad[1])
+        assert delays.peak_ps(span) == ref_peak_ps(a, b, span)
+        for short in ((lo + 1, hi), (lo, hi - 1)):
+            with pytest.raises(ValueError, match="outside the gathered"):
+                delay_histogram(a, b, *short).peak_ps(span)
 
 
 def test_delay_span_past_the_cap_raises_before_gathering(monkeypatch):
@@ -571,13 +601,24 @@ def test_windows_outside_a_passed_histogram_raise():
     with pytest.raises(ValueError, match="outside the gathered"):
         two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, short))
     with pytest.raises(ValueError, match="outside the gathered"):
-        short.binned(10, 8020)
-    assert short.binned().peak_delay_ps == 205
+        short.peak_ps(8020)
+    assert short.peak_ps() == 205
     config = UmiConfig()
     with pytest.raises(ValueError, match="outside the gathered"):
-        peak_areas(s, config, delays=short)
-    assert peak_areas(s, config, delays=delay_histogram(
-        base, base + 200, *peak_areas_span(config))) == (0, len(base), 0)
+        peak_areas(short, config)
+    assert peak_areas(delay_histogram(base, base + 200,
+                                      *peak_areas_span(config)),
+                      config) == (0, len(base), 0)
+
+
+@pytest.mark.parametrize("fold", [
+    lambda: two_fold_metrics([]),
+    lambda: tcspc.fold_delays(iter([]), 0, 1, *tcspc.two_fold_span(800)),
+    lambda: EventStream.from_blocks([], {}),
+], ids=["two_fold_metrics", "fold_delays", "from_blocks"])
+def test_an_empty_block_sequence_raises(fold):
+    with pytest.raises(ValueError, match="no blocks"):
+        fold()
 
 
 def count_gathers(monkeypatch):

@@ -116,8 +116,7 @@ def reference_generate_events(model, duration_s, seed):
     times = {c: np.sort(np.concatenate(p)) for c, p in parts.items()}
     truth = TruthCounters(*split.tolist(), detected=detected, dark=dark,
                           clipped=clipped)
-    return EventStream(times, duration_ps, seed=seed,
-                       n_pairs_generated=int(split.sum()), truth=truth)
+    return EventStream(times, duration_ps, truth=truth)
 
 
 def reference_merged(stream):
@@ -186,7 +185,7 @@ def assert_same_stream(got, want):
         assert np.array_equal(got.times[c], t)
     assert got.truth == want.truth
     assert got.n_pairs_generated == want.n_pairs_generated
-    assert (got.duration_ps, got.seed) == (want.duration_ps, want.seed)
+    assert got.duration_ps == want.duration_ps
 
 
 def short_blocks(block_events, min_block_ps):
@@ -529,8 +528,7 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
                 assert np.array_equal(back.channel_times(c), t)
             assert sorted(back.times) == sorted(
                 c for c, t in stream.times.items() if len(t))
-            channels, times, tags = stream.merged()
-        assert tags is None
+            channels, times = stream.merged()
         want_channels, want_times = reference_merged(stream)
         assert np.array_equal(channels, want_channels)
         assert np.array_equal(times, want_times)
@@ -540,22 +538,21 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
 def test_merged_blocks_keep_ties_together(monkeypatch):
     monkeypatch.setattr(events, "_BLOCK_EVENTS", 1)
     blocks = [(c[order].tolist(), t[order].tolist())
-              for c, t, _, order in TIES_AT_EDGE._merged_blocks()]
+              for c, t, order in TIES_AT_EDGE._merged_blocks()]
     assert blocks == [([0], [1]), ([2], [2]),
                       ([0, 0, 0, 1, 1, 2], [5] * 6), ([2], [9])]
 
 
 @settings(max_examples=100, deadline=None)
 @given(stream=channel_streams(), block=st.integers(1, 3))
-def test_from_merged_in_blocks_keeps_tags_aligned(stream, block):
+def test_from_merged_in_blocks_splits_each_channel(stream, block):
     channels, times = reference_merged(stream)
-    tags = np.arange(len(times), dtype=np.int32)
     with mock.patch.object(events, "_BLOCK_EVENTS", block):
-        back = EventStream.from_merged(channels, times, 10, route_tags=tags)
+        back = EventStream.from_merged(channels, times, 10)
+    assert sorted(back.times) == sorted(set(channels.tolist()))
     for c in back.times:
+        assert back.times[c].dtype == np.int64
         assert np.array_equal(back.times[c], times[channels == c])
-        assert back.tags[c].dtype == np.int32
-        assert np.array_equal(back.tags[c], tags[channels == c])
 
 
 # --- reader: errors at block boundaries -------------------------------------

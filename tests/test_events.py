@@ -74,8 +74,8 @@ def test_generation_is_deterministic_across_chunks():
     a = generate_events(m, 1.0, seed=42)
     b = generate_events(m, 1.0, seed=42)
     assert a.n_pairs_generated == b.n_pairs_generated > 2 ** 21
-    a_ch, a_t, _ = a.merged()
-    b_ch, b_t, _ = b.merged()
+    a_ch, a_t = a.merged()
+    b_ch, b_t = b.merged()
     assert np.array_equal(a_ch, b_ch)
     assert np.array_equal(a_t, b_t)
     assert a_ch.dtype == np.uint8
@@ -88,7 +88,7 @@ def test_stream_is_sorted_and_in_range():
     m = quiet_model(dark_rate_hz=200.0, jitter_sigma_ps=40.0,
                     pgr_slope_mhz_per_uw=0.05)
     s = generate_events(m, 0.5, seed=7)
-    channels, times, _ = s.merged()
+    channels, times = s.merged()
     assert np.all(np.diff(times) >= 0)
     assert times[0] >= 0
     assert times[-1] < s.duration_ps
@@ -152,14 +152,16 @@ def test_losses_thin_each_arm():
 
 
 def test_idler_delay_sign():
-    from diskspdc.tcspc import calibrate_peak_delay
+    from diskspdc.tcspc import delay_histogram, peak_span
 
     for sign in (+1, -1):
         m = quiet_model(pgr_slope_mhz_per_uw=0.1, idler_delay_sign=sign,
                         pair_lifetime_ps=400.0)
         s = generate_events(m, 0.2, seed=5)
+        delays = delay_histogram(s.channel_times(0), s.channel_times(1),
+                                 *peak_span(0, 0, 0))
         # the delay histogram is one-sided, so its peak carries the sign
-        assert np.sign(calibrate_peak_delay(s, 0, 1)) == sign
+        assert np.sign(delays.peak_ps()) == sign
 
 
 def test_renewal_source_enforces_dead_time():
@@ -203,8 +205,8 @@ def test_binary_round_trip(tmp_path):
     path = tmp_path / "events.ttps"
     write_events(s, path)
     back = read_events(path, duration_ps=s.duration_ps)
-    channels, times, _ = s.merged()
-    back_channels, back_times, _ = back.merged()
+    channels, times = s.merged()
+    back_channels, back_times = back.merged()
     assert np.array_equal(back_channels, channels)
     assert np.array_equal(back_times, times)
     assert back.duration_ps == s.duration_ps
@@ -220,8 +222,8 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "channel,timestamp_ps"
     back = read_events(path, duration_ps=s.duration_ps)
-    channels, times, _ = s.merged()
-    back_channels, back_times, _ = back.merged()
+    channels, times = s.merged()
+    back_channels, back_times = back.merged()
     assert np.array_equal(back_channels, channels)
     assert np.array_equal(back_times, times)
 
@@ -306,10 +308,8 @@ def merged_events(draw, max_size=40, t_min=0, t_max=30, n_channels=4):
                                 max_size=n)), dtype=np.uint8)
     t = np.array(draw(st.lists(st.integers(t_min, t_max), min_size=n,
                                max_size=n)), dtype=np.int64)
-    tags = np.array(draw(st.lists(st.integers(0, 1), min_size=n,
-                                  max_size=n)), dtype=np.uint8)
     order = np.lexsort((ch, t))
-    return ch[order], t[order], tags[order]
+    return ch[order], t[order]
 
 
 @settings(max_examples=200, deadline=None)
@@ -321,10 +321,9 @@ def test_merged_view_is_the_lexsort_of_the_events(ch, t):
     t = np.array(t[:n], dtype=np.int64)
     s = EventStream({c: np.sort(t[ch == c]) for c in (3, 0, 2, 1)}, 100)
     order = np.lexsort((ch, t))
-    channels, times, tags = s.merged()
+    channels, times = s.merged()
     assert np.array_equal(channels, ch[order])
     assert np.array_equal(times, t[order])
-    assert tags is None
     assert channels.dtype == np.uint8 and times.dtype == np.int64
     assert len(s) == n
 
@@ -332,20 +331,19 @@ def test_merged_view_is_the_lexsort_of_the_events(ch, t):
 @settings(max_examples=200, deadline=None)
 @given(events=merged_events())
 def test_from_merged_then_merged_is_the_identity(events):
-    ch, t, tags = events
-    s = EventStream.from_merged(ch, t, 100, route_tags=tags)
+    ch, t = events
+    s = EventStream.from_merged(ch, t, 100)
     for c in s.times:
         assert np.all(np.diff(s.channel_times(c)) >= 0)
-    channels, times, back_tags = s.merged()
+    channels, times = s.merged()
     assert np.array_equal(channels, ch)
     assert np.array_equal(times, t)
-    assert np.array_equal(back_tags, tags)
 
 
 @settings(max_examples=100, deadline=None)
 @given(events=merged_events(t_max=2 ** 63 - 1))
 def test_write_read_write_is_byte_identical(tmp_path_factory, events):
-    ch, t, _ = events
+    ch, t = events
     folder = tmp_path_factory.mktemp("files")
     s = EventStream.from_merged(ch, t, 2 ** 63 - 1)
     for name in ("a.ttps", "a.csv"):

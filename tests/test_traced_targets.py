@@ -41,3 +41,27 @@ def test_every_declared_layer_metric_is_reported():
         (ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     reported = set(load_spans().layer_metrics([], missing=[]))
     assert declared - {"trace.wall_s"} <= reported
+
+
+def test_counters_read_what_generation_and_writing_return(tmp_path):
+    # the tracer's work counters read a generated stream's pair count and
+    # length, and the size of the file write_events wrote
+    from diskspdc.events import SourceModel, generate_events, write_events
+
+    spans = load_spans()
+    stream = generate_events(SourceModel(pgr_slope_mhz_per_uw=0.1), 0.01,
+                             seed=3)
+    t = stream.truth
+    span = {}
+    spans._count(span, "events.generate", (), {}, stream)
+    assert span == {"pairs": t.pairs_both + t.pairs_signal_only
+                    + t.pairs_idler_only + t.pairs_neither,
+                    "events": len(stream)}
+    assert span["pairs"] > 0 and span["events"] > 0
+    path = tmp_path / "events.ttps"
+    write_events(stream, str(path))
+    for args, kwargs in (((stream, str(path)), {}),
+                         ((stream,), {"path": str(path)})):
+        span = {}
+        spans._count(span, "events.write", args, kwargs, None)
+        assert span == {"bytes": path.stat().st_size}
