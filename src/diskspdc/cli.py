@@ -38,8 +38,7 @@ _EXPERIMENTS = {
              lambda cfg, a: pipeline.scan_table(cfg)),
     "simulate": ("generate a timestamp stream and write it to a file",
                  lambda cfg, a: pipeline.run_simulate(
-                     cfg, a.events, fmt=a.events_format,
-                     duration_s=a.duration)),
+                     cfg, a.events, duration_s=a.duration)),
     "coinc": ("two-fold coincidence metrics of an event stream",
               lambda cfg, a: pipeline.run_coinc(cfg, events_path=a.events,
                                                 duration_s=a.duration)),
@@ -91,16 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
                    help="propagation turns (default: matching.n_turns)")
     p = parsers["simulate"]
     p.add_argument("--events", metavar="PATH", default="events.ttps",
-                   help="output event file (default events.ttps)")
-    p.add_argument("--events-format", choices=("binary", "csv"),
-                   default=None,
-                   help="event file format (default: by extension)")
+                   help="output event file, CSV text when PATH ends in "
+                        ".csv, binary otherwise (default events.ttps)")
     p.add_argument("--duration", type=float, default=None, metavar="S",
                    help="stream duration in seconds "
                         "(default: sweep.duration_s)")
     p = parsers["coinc"]
     p.add_argument("--events", metavar="PATH", default=None,
-                   help="event file to analyse (default: simulate one)")
+                   help="event file to analyse, read as CSV text when "
+                        "PATH ends in .csv (default: simulate one)")
     p.add_argument("--duration", type=float, default=None, metavar="S",
                    help="stream duration in seconds: of the simulated "
                         "stream (default: sweep.duration_s), or the "

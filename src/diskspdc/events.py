@@ -37,16 +37,16 @@ first, allocates each channel once and copies the blocks in, so in memory
 the stream is held once, 8 B per event, plus those blocks.  Where one
 sequence is needed, as for event files, each block's channels are merged
 one time block of about _BLOCK_EVENTS events at a time, in time order with
-ties broken by channel and never split across blocks.  Files are read in
-blocks of records, in one pass (read_blocks); read_events counts each
-channel's records first, so it too allocates each channel once.
+ties broken by channel and never split across blocks.  Both file formats
+are read in blocks of records, in one pass (read_blocks); read_events counts
+each channel's records first, so it too allocates each channel once.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
 9-byte records of u8 channel + u64 LE timestamp in picoseconds, time-sorted.
 The channel count is the largest channel with events + 1, and every
-record's channel lies below it.  A plain-text alternative writes
-channel,timestamp_ps CSV rows.
+record's channel lies below it.  A path ending in .csv (_is_csv) holds
+plain-text channel,timestamp_ps rows instead, after a header row.
 """
 
 from __future__ import annotations
@@ -527,20 +527,21 @@ def generate_events(model: SourceModel, duration_s: float,
                                    counts)
 
 
-def write_events(stream, path: str | os.PathLike,
-                 fmt: str | None = None) -> None:
-    """Write an EventStream, or its blocks in time order, to a binary
-    (default) or CSV timestamp file.
+def _is_csv(path: str | os.PathLike) -> bool:
+    """Whether an event file is CSV text (a .csv path) or .ttps binary."""
+    return str(path).endswith(".csv")
+
+
+def write_events(stream, path: str | os.PathLike) -> None:
+    """Write an EventStream, or its blocks in time order, to a timestamp
+    file: CSV when the path ends in .csv, binary otherwise.
 
     Each block is merged and written one time block at a time; a binary
     record block is filled straight from the merge order.  The header's
     channel count is written last, once every block has been seen.
     """
-    fmt = fmt or ("csv" if str(path).endswith(".csv") else "binary")
-    if fmt not in ("csv", "binary"):
-        raise ValueError(f"unknown event format {fmt!r}")
     blocks = [stream] if isinstance(stream, EventStream) else stream
-    if fmt == "csv":
+    if _is_csv(path):
         with open(path, "w") as fh:
             fh.write("channel,timestamp_ps\n")
             for block in blocks:
@@ -572,8 +573,8 @@ def write_events(stream, path: str | os.PathLike,
 
 
 def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
-    """Yield a timestamp file written by :func:`write_events` as
-    EventStream blocks of records, in time order, in one pass.
+    """Yield a timestamp file written by :func:`write_events`, of either
+    format, as EventStream blocks of records, in time order, in one pass.
 
     The file format does not carry the acquisition duration; pass it when
     known, otherwise the last timestamp + 1 is used.  Each block starts at
@@ -584,22 +585,11 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
     channels lie below its header's channel count; anything else raises
     EventFormatError when its block is reached.
     """
-    if str(path).endswith(".csv"):
+    if _is_csv(path):
         with open(path) as fh:
             fh.readline()  # header
-            body = fh.read()
-        data = np.empty((0, 2), dtype=np.int64)
-        if body.strip():  # loadtxt warns on a file with no data
-            try:
-                data = np.loadtxt(io.StringIO(body), delimiter=",",
-                                  dtype=np.int64, ndmin=2)
-            except ValueError as err:  # includes values outside int64
-                raise EventFormatError(f"{path}: {err}") from err
-        if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
-            raise EventFormatError(f"{path}: channel outside 0-255")
-        rows = (data[i:i + _BLOCK_EVENTS].T
-                for i in range(0, len(data), _BLOCK_EVENTS))
-        yield from _checked_blocks(path, rows, 256, duration_ps)
+            yield from _checked_blocks(path, _text_blocks(fh, path), 256,
+                                       duration_ps)
         return
     with open(path, "rb") as fh:
         head = fh.read(_HEADER.size)
@@ -658,6 +648,27 @@ def _record_blocks(fh, path, n_records: int):
         yield channels[:count], times[:count]
 
 
+def _text_blocks(fh, path):
+    """Yield (channels, timestamps) of a CSV file's rows in blocks of whole
+    lines, about _BLOCK_EVENTS rows each.  A block is read as one string: a
+    list of its lines fragmented the heap, and RSS grew with the file."""
+    row = 0
+    while text := fh.read(16 * _BLOCK_EVENTS) + fh.readline():
+        if not text.strip():  # loadtxt warns on a block with no data
+            continue
+        try:
+            data = np.loadtxt(io.StringIO(text), delimiter=",",
+                              dtype=np.int64, ndmin=2)
+        except ValueError as err:  # includes values outside int64
+            # loadtxt counts rows from the block's first
+            raise EventFormatError(
+                f"{path}: block from row {row}: {err}") from err
+        if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
+            raise EventFormatError(f"{path}: channel outside 0-255")
+        row += len(data)
+        yield data.T
+
+
 def _checked_blocks(path, blocks, n_channels: int, duration_ps: int | None):
     """The EventStream blocks of a file's checked (channels, timestamps)
     blocks."""
@@ -681,18 +692,6 @@ def _checked_blocks(path, blocks, n_channels: int, duration_ps: int | None):
 
 
 def _split(channels, times) -> dict[int, np.ndarray]:
-    """Per-channel arrays of a time-sorted (channels, times) sequence:
-    each channel's array is allocated once and filled _BLOCK_EVENTS rows at
-    a time, in stream order."""
-    counts = np.bincount(channels)
-    out = {int(c): np.empty(counts[c], dtype=np.int64)
-           for c in np.flatnonzero(counts)}
-    filled = dict.fromkeys(out, 0)
-    for start in range(0, len(channels), _BLOCK_EVENTS):
-        rows = slice(start, start + _BLOCK_EVENTS)
-        in_block = np.bincount(channels[rows])
-        for c in np.flatnonzero(in_block).tolist():
-            at = slice(filled[c], filled[c] + int(in_block[c]))
-            np.compress(channels[rows] == c, times[rows], out=out[c][at])
-            filled[c] = at.stop
-    return out
+    """Per-channel arrays of a time-sorted (channels, times) sequence."""
+    return {int(c): np.compress(channels == c, times)
+            for c in np.flatnonzero(np.bincount(channels))}

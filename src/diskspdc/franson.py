@@ -178,33 +178,32 @@ def _calibration_span_ps(delay_ps: int) -> int:
     return max(8 * delay_ps, 8000)
 
 
-def peak_areas_span(config: UmiConfig,
-                    peak_delay_ps: int | None = None) -> tuple[int, int]:
+def peak_areas_span(config: UmiConfig) -> tuple[int, int]:
     """Delays [lo, hi] that :func:`peak_areas` reads."""
     delay_ps = int(round(config.arm_delay_ns * 1e3))
     return peak_span(config.postselect_window_ps, -delay_ps, delay_ps,
-                     peak_delay_ps, _calibration_span_ps(delay_ps))
+                     calibration_span_ps=_calibration_span_ps(delay_ps))
 
 
-def peak_areas(delays: DelayHistogram, config: UmiConfig,
-               peak_delay_ps: int | None = None) -> tuple[int, int, int]:
-    """Coincidence counts in the three windows at peak - D, peak, peak + D.
+def peak_areas(delays: DelayHistogram,
+               config: UmiConfig) -> tuple[int, int, int]:
+    """Coincidence counts in the three windows at peak - D, peak, peak + D,
+    the peak calibrated over max(8 D, 8000) ps.
 
     delays is the channel pair's delay histogram, which must cover
     :func:`peak_areas_span`.
     """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
-    if peak_delay_ps is None:
-        peak_delay_ps = delays.peak_ps(_calibration_span_ps(delay_ps))
-    centers = [peak_delay_ps + k * delay_ps for k in (-1, 0, +1)]
+    peak_ps = delays.peak_ps(_calibration_span_ps(delay_ps))
+    centers = [peak_ps + k * delay_ps for k in (-1, 0, +1)]
     return tuple(int(n) for n in delays.totals(
         centers, config.postselect_window_ps))
 
 
 def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
-                              ch_signal: int = 0, ch_idler: int = 1,
                               peak_delay_ps: int = 0) -> bool:
-    """Check that central-peak coincidences pair same-path photons only.
+    """Check that central-peak coincidences of signal channel 0 and idler
+    channel 1 pair same-path photons only.
 
     Requires tags on the stream (as produced by apply_umi); used to
     validate that post-selecting the central peak keeps exactly the
@@ -212,10 +211,8 @@ def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
     """
     if stream.tags is None:
         raise ValueError("stream carries no route tags")
-    times_s = stream.channel_times(ch_signal)
-    times_i = stream.channel_times(ch_idler)
-    tags_s = stream.tags.get(ch_signal)
-    tags_i = stream.tags.get(ch_idler)
+    tags_s, tags_i = stream.tags.get(0), stream.tags.get(1)
     edges = window_edges(peak_delay_ps, config.postselect_window_ps)
     return all(np.array_equal(tags_s[a_idx], tags_i[b_idx])
-               for a_idx, b_idx in coincidences(times_s, times_i, *edges))
+               for a_idx, b_idx in coincidences(
+                   stream.channel_times(0), stream.channel_times(1), *edges))

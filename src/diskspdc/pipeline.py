@@ -490,7 +490,7 @@ def run_trace(cfg: RunConfig, delta_m: int | None = None,
     return columns, rows, summary
 
 
-def run_simulate(cfg: RunConfig, out_path: str, fmt: str | None = None,
+def run_simulate(cfg: RunConfig, out_path: str,
                  duration_s: float | None = None):
     """Generate an event stream at the configured source and store it."""
     model = build_source(cfg)
@@ -505,8 +505,7 @@ def run_simulate(cfg: RunConfig, out_path: str, fmt: str | None = None,
             yield b
 
     write_events(tallied(event_blocks(model, duration,
-                                      derive_seed(cfg.seed, 6))),
-                 out_path, fmt=fmt)
+                                      derive_seed(cfg.seed, 6))), out_path)
     n_pairs, n_signal, n_idler, n_events = np.sum(tally, axis=0).tolist()
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")

@@ -65,10 +65,6 @@ class CoincidenceHistogram:
     span_ps: int
     total: int
 
-    @property
-    def peak_delay_ps(self) -> int:
-        return int(self.bin_centers_ps[int(np.argmax(self.counts))])
-
 
 @dataclass(frozen=True)
 class DelayHistogram:
@@ -377,12 +373,11 @@ def histogram(stream: EventStream, ch_a: int, ch_b: int,
 
 
 def two_fold_metrics(stream, window_ps: int = 800,
-                     ch_signal: int = 0, ch_idler: int = 1,
                      peak_delay_ps: int | None = None,
                      n_offset_windows: int = 20,
                      offset_min_ps: int = 5_000,
                      offset_max_ps: int = 50_000) -> TwoFoldResult:
-    """Coincidence metrics between a signal and an idler channel.
+    """Coincidence metrics between signal channel 0 and idler channel 1.
 
     n12 counts delays inside a window of window_ps centred on peak_delay_ps
     or, when None, on the histogram's DelayHistogram.peak_ps; the
@@ -407,8 +402,7 @@ def two_fold_metrics(stream, window_ps: int = 800,
         fold = stream
     else:
         fold = fold_delays(
-            [stream] if isinstance(stream, EventStream) else stream,
-            ch_signal, ch_idler,
+            [stream] if isinstance(stream, EventStream) else stream, 0, 1,
             *two_fold_span(window_ps, offset_max_ps, peak_delay_ps))
     n1, n2, delays = fold.n_a, fold.n_b, fold.delays
     duration_s = fold.duration_ps / 1e12

@@ -226,13 +226,32 @@ def test_simulate_csv_events(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     ev = str(tmp_path / "ev.csv")
     rc, out, err = run_cli(["simulate", "-c", cfg, "--events", ev,
-                            "--events-format", "csv", "--duration", "0.01"],
-                           capsys)
+                            "--duration", "0.01"], capsys)
     assert rc == 0
     first = (tmp_path / "ev.csv").read_text().splitlines()[0]
     assert first == "channel,timestamp_ps"
     rc, out, err = run_cli(["coinc", "-c", cfg, "--events", ev], capsys)
     assert rc == 0
+
+
+@pytest.mark.parametrize("seed", ["1", "12345"])
+def test_the_path_suffix_picks_the_event_format(tmp_path, capsys, seed):
+    cfg = write_cfg(tmp_path)
+    tables = []
+    for name in ("a.ttps", "a.csv"):
+        ev = str(tmp_path / name)
+        assert run_cli(["simulate", "-c", cfg, "--seed", seed, "--events", ev,
+                        "--duration", "0.02"], capsys)[0] == 0
+        rc, out, err = run_cli(["coinc", "-c", cfg, "--events", ev], capsys)
+        assert rc == 0, err
+        tables.append(out)
+    assert tables[0] == tables[1]
+    assert (tmp_path / "a.ttps").read_bytes()[:4] == b"TTPS"
+    # the format has no option of its own
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--events-format", "csv", "--duration", "0.001",
+              "--events", str(tmp_path / "b.csv")])
+    assert exc.value.code == 2
 
 
 def test_run_dispatches_configured_experiment(tmp_path, capsys):

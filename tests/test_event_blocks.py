@@ -11,6 +11,7 @@ array buffers to.
 
 import hashlib
 import random
+import re
 import struct
 import sys
 import tracemalloc
@@ -445,11 +446,11 @@ def test_generated_channels_own_int64_buffers(signal_channels):
                                   + stream.truth.dark[c])
 
 
-def io_peaks(tmp_path, n_pairs):
+def io_peaks(tmp_path, n_pairs, suffix):
     """Extra peaks of writing and reading a stream of 2 * n_pairs events."""
     t = np.sort(np.random.default_rng(n_pairs).integers(0, 10 ** 9, n_pairs))
     stream = EventStream({0: t, 1: t + 10, 3: t[::2] + 20}, 10 ** 9 + 20)
-    path = tmp_path / f"{n_pairs}.ttps"
+    path = tmp_path / f"{n_pairs}{suffix}"
     _, write_peak = traced_peak(lambda: write_events(stream, path))
     back, read_peak = traced_peak(lambda: read_events(path))
     out_bytes = sum(a.nbytes for a in back.times.values())
@@ -458,13 +459,15 @@ def io_peaks(tmp_path, n_pairs):
 
 def test_file_io_peak_does_not_grow_with_the_stream(tmp_path, monkeypatch):
     # the whole-stream writer and reader took 275 kB and 163 kB above the
-    # smaller stream, and 4.3 MB and 1.6 MB above the larger one
+    # smaller stream, and 4.3 MB and 1.6 MB above the larger one; the
+    # whole-file CSV reader took 0.77 MB and 12.7 MB
     monkeypatch.setattr(events, "_BLOCK_EVENTS", 256)
-    small = io_peaks(tmp_path, 4_000)
-    large = io_peaks(tmp_path, 64_000)
-    for small_peak, large_peak in zip(small, large):
-        assert small_peak < 40_000
-        assert large_peak < small_peak + 8_000
+    for suffix, bound in ((".ttps", 40_000), (".csv", 120_000)):
+        small = io_peaks(tmp_path, 4_000, suffix)
+        large = io_peaks(tmp_path, 64_000, suffix)
+        for small_peak, large_peak in zip(small, large):
+            assert small_peak < bound
+            assert large_peak < small_peak + 8_000
 
 
 def test_writing_blocks_peak_does_not_grow_with_the_stream(tmp_path):
@@ -567,6 +570,17 @@ def ttps_bytes(records, n_channels=4):
 GOOD = [(0, 1), (1, 2), (0, 3), (1, 3), (2, 7), (0, 8)]
 
 
+def csv_text(records):
+    """A CSV event file of (channel, timestamp) records."""
+    return "channel,timestamp_ps\n" + "".join(f"{c},{t}\n"
+                                              for c, t in records)
+
+
+# GOOD 10^12 ps later: rows of 16 characters, so that a CSV block of
+# 16 * _BLOCK_EVENTS characters holds only a few of them
+CSV_GOOD = [(c, 10 ** 12 + t) for c, t in GOOD]
+
+
 @pytest.mark.parametrize("block", [1, 2, 3])
 def test_reader_errors_at_block_boundaries(tmp_path, monkeypatch, block):
     monkeypatch.setattr(events, "_BLOCK_EVENTS", block)
@@ -590,6 +604,32 @@ def test_reader_errors_at_block_boundaries(tmp_path, monkeypatch, block):
     path.write_bytes(ttps_bytes(GOOD)[:-1])
     with pytest.raises(EventFormatError, match="truncated"):
         read_events(path)
+
+    path = tmp_path / "e.csv"
+    path.write_text(csv_text(CSV_GOOD))
+    back = read_events(path, duration_ps=10 ** 12 + 9)
+    assert {c: (t - 10 ** 12).tolist() for c, t in back.times.items()} == {
+        0: [1, 3, 8], 1: [2, 3], 2: [7]}
+    # CSV blocks are of text, not rows: each bad row goes at every place,
+    # so that some case puts it at a block edge
+    cases = [("duration", CSV_GOOD, 10 ** 12 + 8)]
+    for at in range(1, len(CSV_GOOD) + 1):
+        before, after = CSV_GOOD[:at], CSV_GOOD[at:]
+        cases += [
+            ("time-sorted", before + [(0, 10 ** 12)] + after, None),
+            ("channel", before + [(256, before[-1][1])] + after, None),
+            ("int64", before + [(1, 2 ** 63)] + after, None),
+        ]
+    for match, records, duration_ps in cases:
+        path.write_text(csv_text(records))
+        with pytest.raises(EventFormatError, match=match):
+            read_events(path, duration_ps=duration_ps)
+    # a parse error names the bad row's place in the file
+    for at in range(len(CSV_GOOD) + 1):
+        path.write_text(csv_text(CSV_GOOD[:at] + [(1, "x")] + CSV_GOOD[at:]))
+        with pytest.raises(EventFormatError) as err:
+            read_events(path)
+        assert sum(map(int, re.findall(r"row (\d+)", str(err.value)))) == at
 
 
 def test_channel_past_the_header_count_is_rejected(tmp_path):

@@ -248,8 +248,6 @@ def test_format_errors(tmp_path):
                                         + raw[8:])
     with pytest.raises(EventFormatError):
         read_events(tmp_path / "ver.ttps")
-    with pytest.raises(ValueError):
-        write_events(s, tmp_path / "x.bin", fmt="hdf5")
 
 
 def test_stream_helpers():
