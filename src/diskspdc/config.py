@@ -103,6 +103,12 @@ IN_CLOSED_UNIT = Rule("must lie in [0, 1]", lambda v: 0 <= v <= 1.0)
 NON_NEGATIVE_ENTRIES = Rule("entries must not be negative",
                             lambda v: all(x >= 0 for x in v))
 SIX_ENTRIES = Rule("must have six entries", lambda v: len(v) == 6)
+# A two-fold window counts whole ps and sits clear of the accidental windows,
+# which tcspc.two_fold_metrics starts 5000 ps off the peak (offset_min_ps).
+TWO_FOLD_WINDOW = Rule("must be a whole number of ps in [1, 5000)",
+                       lambda v: v % 1 == 0 and 1 <= v < 5000)
+WHOLE_PS = Rule("must be a whole number of ps, at least 1",
+                lambda v: v % 1 == 0 and v >= 1)
 
 
 @dataclass(frozen=True)
@@ -359,7 +365,7 @@ class SourceSection:
     idler_delay_sign: int = key(
         "sign", 1, "Whether the idler lags (+1) or leads (-1) the signal.")
     coincidence_window_ps: float = key(
-        "float", 800.0, "Default coincidence window.", POSITIVE)
+        "float", 800.0, "Default coincidence window.", TWO_FOLD_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -371,7 +377,8 @@ class UmiSection:
         "float", 0.5, "Short-arm weight.", IN_UNIT)
     long_transmission: float = key("float", 0.5, "Long-arm weight.", IN_UNIT)
     postselect_window_ps: float = key(
-        "float", 800.0, "Window for the three arrival-time peaks.", POSITIVE)
+        "float", 800.0, "Window for the three arrival-time peaks.",
+        TWO_FOLD_WINDOW)
 
 
 @dataclass(frozen=True)
@@ -394,7 +401,7 @@ class G2Section:
     pump_power_uw: float = key(
         "float", 13.87, "Pump power for the heralded-g2 run.", POSITIVE)
     duration_s: float = key("float", 10.0, "Stream duration.", POSITIVE)
-    window_ps: float = key("float", 800.0, "Heralding window.", POSITIVE)
+    window_ps: float = key("float", 800.0, "Heralding window.", WHOLE_PS)
     tau_max_ns: float = key(
         "float", 50.0, "Delay scan half-range.", POSITIVE)
     tau_points: int = key(
@@ -438,9 +445,9 @@ class SweepSection:
     rate_window_ps: float = key(
         "float", 2400.0,
         "Window for the rate estimate; wide enough to capture the full "
-        "delay tail.", POSITIVE)
+        "delay tail.", TWO_FOLD_WINDOW)
     car_window_ps: float = key(
-        "float", 800.0, "Window for the CAR column.", POSITIVE)
+        "float", 800.0, "Window for the CAR column.", TWO_FOLD_WINDOW)
     parallelism: int = key(
         "int", 0,
         "Worker processes; 0 means one per CPU. The results do not depend "

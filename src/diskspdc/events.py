@@ -17,15 +17,18 @@ sized from the source's expected event rate so that a block holds about
 _BLOCK_EVENTS events, and at least _MIN_BLOCK_PS; a stream shorter than B,
 and the renewal source, whose dead time couples neighbouring blocks, are
 one block.  Block k has its own generator, spawned from (seed, k), and
-draws its counts first, then its times, in a fixed order; a Poisson
-process is independent on disjoint intervals, so the blocks are exact
-pieces of one stream, and a given (config, seed) gives the same stream
-whatever the order in which the blocks are drawn.  A photon whose cavity
-delay or jitter carries it across a block edge is handed to the neighbour
-that holds its time, so event_blocks draws one block ahead; one carried
-past its neighbour raises ValueError.  Events outside [0, duration) are
-clipped.  Each block carries the TruthCounters of its own draws, and the
-stream's counters are their sums.  The block layout is part of what a seed
+draws its counts first, then its times, in a fixed order.  Every temporary
+of a draw is one block's, so the times are plain numpy expressions with no
+reused buffer, and each channel's photons and darks are concatenated,
+rounded and cast to int64 once.  A Poisson process is independent on
+disjoint intervals, so the blocks are exact pieces of one stream, and a
+given (config, seed) gives the same stream whatever the order in which
+the blocks are drawn.  A photon whose cavity delay or jitter carries it
+across a block edge is handed to the neighbour that holds its time, so
+event_blocks draws one block ahead; one carried past its neighbour raises
+ValueError.  Events outside [0, duration) are clipped.  Each block carries
+the TruthCounters of its own draws, and the stream's counters are their
+sums.  The block layout is part of what a seed
 means: the same seed gave another stream before generation went by blocks,
 and would again if the block sizing changed.
 
@@ -377,9 +380,6 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         emitted = [pair_t[kind == j] for j in range(len(kinds))]
     else:
         pairs, dark = _poisson_counts(model, rng, length_ps)
-    # each photon's jitter is drawn into one scratch array and added in place
-    # (the last kind, neither, has no photons)
-    scratch = np.empty(int(pairs[:-1].max(initial=0)))
     pieces = {c: [] for c in channels}
     for j, (s, i, _) in enumerate(kinds):
         if (s is None and i is None) or not pairs[j]:
@@ -387,24 +387,18 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         t = (emitted[j] if emitted is not None
              else rng.uniform(0.0, length_ps, pairs[j]))
         if s is not None:
-            pieces[s].append(_jittered(t if i is None else t.copy(), model,
-                                       rng, scratch))
+            pieces[s].append(_jittered(t, model, rng))
         if i is not None:
-            arrive = rng.exponential(model.pair_lifetime_ps, len(t))
-            if model.idler_delay_sign < 0:
-                np.negative(arrive, out=arrive)
-            arrive += t
-            pieces[i].append(_jittered(arrive, model, rng, scratch))
+            arrive = model.idler_delay_sign * rng.exponential(
+                model.pair_lifetime_ps, len(t)) + t
+            pieces[i].append(_jittered(arrive, model, rng))
     times, detected = {}, {}
     for c, n_dark in zip(channels, dark.tolist()):
-        photons = pieces.pop(c)
-        detected[c] = sum(len(p) for p in photons)
-        # each part rounded straight into the channel's int64 array
-        t = np.empty(detected[c] + n_dark, dtype=np.int64)
-        at = 0
-        for p in photons + [rng.uniform(0.0, length_ps, n_dark)]:
-            np.rint(p, out=t[at:at + len(p)], casting="unsafe")
-            at += len(p)
+        # popping the pieces frees them before the cast
+        t = np.concatenate(pieces.pop(c)
+                           + [rng.uniform(0.0, length_ps, n_dark)])
+        detected[c] = len(t) - n_dark
+        t = np.rint(t, out=t).astype(np.int64)
         t.sort()
         t += start_ps
         times[c] = t
@@ -416,18 +410,12 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
             dict(zip(channels, dark.tolist())))
 
 
-def _jittered(t: np.ndarray, model: SourceModel, rng: np.random.Generator,
-              scratch: np.ndarray) -> np.ndarray:
-    """t plus each photon's detector jitter, in place.
-
-    scale * standard_normal has the bits of normal(0, scale), up to the
-    sign of a zero, which adding it to a time drops.
-    """
+def _jittered(t: np.ndarray, model: SourceModel,
+              rng: np.random.Generator) -> np.ndarray:
+    """t plus each photon's Gaussian detector jitter, as a new array; t
+    itself when the jitter is 0."""
     if model.jitter_sigma_ps > 0:
-        jitter = scratch[:len(t)]
-        rng.standard_normal(out=jitter)
-        jitter *= model.jitter_sigma_ps
-        t += jitter
+        return t + rng.normal(0.0, model.jitter_sigma_ps, len(t))
     return t
 
 

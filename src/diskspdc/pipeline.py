@@ -268,7 +268,8 @@ def run_power_sweep(cfg: RunConfig):
     """Pair rate and CAR against pump power."""
     points = [(cfg, p, derive_seed(cfg.seed, 0x5EE9 + i))
               for i, p in enumerate(cfg.sweep.powers_uw)]
-    workers = cfg.sweep.parallelism or os.cpu_count() or 1
+    # a pool forks all its workers at once, so never more than the points
+    workers = min(cfg.sweep.parallelism or os.cpu_count() or 1, len(points))
     if workers > 1 and len(points) > 1:
         # the longest points, at the highest powers, go to the pool first;
         # each point's seed comes from its own index, so order is only time

@@ -12,9 +12,12 @@ holds its input, its result and one chunk, whatever the stream's length.
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
 then an exact slice of that one array, read around one calibrated peak:
-DelayHistogram.peak_ps, the first fullest 10-ps bin of its span.  Window
-counts and the Franson path check read the pairs themselves, and heralded
-g2 gathers each of its two channel pairs once, for its peak and windows.
+DelayHistogram.peak_ps, the first fullest 10-ps bin of its span.  Each
+analysis gathers a :func:`peak_span`: the calibration span and the windows
+off any peak inside it, so a given peak reads its windows from that span.
+Window counts and the Franson path check read the pairs themselves, and
+heralded g2 gathers each of its two channel pairs once over such a span
+and bins the whole gather for its peak.
 
 Histograms add, so a stream need not be held whole: :func:`fold_delays`
 folds one over a stream's time blocks (events.EventStream blocks, as
@@ -255,25 +258,21 @@ def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def peak_span(window_ps: float, lo_offset_ps: float, hi_offset_ps: float,
-              peak_delay_ps: float | None = None,
               calibration_span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
-    """Delays [lo, hi] read by windows of window_ps centred from lo_offset_ps
-    to hi_offset_ps off a peak: the given peak or, when None, any peak the
-    10-ps calibration histogram over calibration_span_ps can find, together
-    with that histogram's own span."""
-    if peak_delay_ps is not None:
-        return (window_edges(peak_delay_ps + lo_offset_ps, window_ps)[0],
-                window_edges(peak_delay_ps + hi_offset_ps, window_ps)[1])
-    lo, hi = _calibration_span(calibration_span_ps)
+    """Delays [lo, hi] that the 10-ps calibration histogram over
+    calibration_span_ps reads, together with windows of window_ps centred
+    from lo_offset_ps to hi_offset_ps off any peak it can find."""
+    edges = _bin_edges(_CAL_BIN_PS, calibration_span_ps)
+    lo, hi = int(edges[0]), int(edges[-1]) - 1
     return (min(lo, window_edges(lo + lo_offset_ps, window_ps)[0]),
             max(hi, window_edges(hi + hi_offset_ps, window_ps)[1]))
 
 
-def two_fold_span(window_ps: float, offset_max_ps: int = 50_000,
-                  peak_delay_ps: float | None = None) -> tuple[int, int]:
-    """Delays [lo, hi] that :func:`two_fold_metrics` reads."""
-    return peak_span(window_ps, -offset_max_ps, offset_max_ps,
-                     peak_delay_ps)
+def two_fold_span(window_ps: float,
+                  offset_max_ps: int = 50_000) -> tuple[int, int]:
+    """Delays [lo, hi] that :func:`two_fold_metrics` folds: the calibration
+    span and windows up to offset_max_ps off any peak inside it."""
+    return peak_span(window_ps, -offset_max_ps, offset_max_ps)
 
 
 def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
@@ -307,13 +306,11 @@ def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
     return a_idx, keys
 
 
-def _calibration_peak(delays: np.ndarray) -> int:
-    """:meth:`DelayHistogram.peak_ps` of the delays of a gather that covers
-    the calibration span, binning only the delays inside it."""
-    lo, hi = _calibration_span()
-    inside = delays[(delays >= lo) & (delays <= hi)]
-    counts = np.bincount(inside - lo, minlength=hi - lo + 1)
-    return DelayHistogram(lo, counts).peak_ps()
+def _calibration_peak(delays: np.ndarray, lo_ps: int, hi_ps: int) -> int:
+    """:meth:`DelayHistogram.peak_ps` of the delays of a gather over
+    [lo, hi], a span that covers the calibration span."""
+    return DelayHistogram(lo_ps, np.bincount(
+        delays - lo_ps, minlength=hi_ps - lo_ps + 1)).peak_ps()
 
 
 def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
@@ -340,12 +337,6 @@ def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
                          - np.bincount(kr[keep], minlength=k + 1))[:k]
     unsort = np.argsort(order)
     return hit[unsort], flagged[unsort]
-
-
-def _calibration_span(span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
-    """Delays [lo, hi] that the 10-ps calibration histogram reads."""
-    edges = _bin_edges(_CAL_BIN_PS, span_ps)
-    return int(edges[0]), int(edges[-1]) - 1
 
 
 def _bin_edges(bin_width_ps: int, span_ps: int) -> np.ndarray:
@@ -386,11 +377,13 @@ def two_fold_metrics(stream, window_ps: int = 800,
     of the peak.  Zero-count denominators yield NaN metrics.
 
     stream is an EventStream, or its blocks in time order, which are folded
-    over :func:`two_fold_span` (:func:`fold_delays`): the delay histograms
-    add, each pair counted once in the block of its signal event, so the
-    result is the whole stream's and no more than the fold's blocks are
-    held.  It may also be a PairFold of the two channels already folded,
-    whose histogram must cover that span.
+    over :func:`two_fold_span` (:func:`fold_delays`), with or without a
+    given peak: the delay histograms add, each pair counted once in the
+    block of its signal event, so the result is the whole stream's and no
+    more than the fold's blocks are held.  It may also be a PairFold of the
+    two channels already folded, whose histogram must cover that span.  A
+    window that reaches outside the histogram, as one around a given peak
+    far off the calibration span may, raises ValueError.
     """
     if window_ps <= 0:
         raise ValueError("window_ps must be positive")
@@ -403,7 +396,7 @@ def two_fold_metrics(stream, window_ps: int = 800,
     else:
         fold = fold_delays(
             [stream] if isinstance(stream, EventStream) else stream, 0, 1,
-            *two_fold_span(window_ps, offset_max_ps, peak_delay_ps))
+            *two_fold_span(window_ps, offset_max_ps))
     n1, n2, delays = fold.n_a, fold.n_b, fold.delays
     duration_s = fold.duration_ps / 1e12
     if n1 == 0 or n2 == 0:
@@ -474,16 +467,17 @@ def heralded_g2(stream: EventStream, tau_grid_ps: np.ndarray,
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
     if n_i and len(times_1) and len(times_2) and len(tau):
-        a_idx, delays = _gather(times_i, times_1, *peak_span(window_ps, 0, 0))
-        lo, hi = window_edges(_calibration_peak(delays), window_ps)
+        span = peak_span(window_ps, 0, 0)
+        a_idx, delays = _gather(times_i, times_1, *span)
+        lo, hi = window_edges(_calibration_peak(delays, *span), window_ps)
         has1 = np.zeros(n_i, dtype=bool)
         has1[a_idx[(delays >= lo) & (delays <= hi)]] = True
         n_is1 = int(has1.sum())
         del a_idx, delays  # hold one channel pair's pairs at a time
-        a_idx, delays = _gather(times_i, times_2, *peak_span(
-            window_ps, tau.min(), tau.max()))
+        span = peak_span(window_ps, tau.min(), tau.max())
+        a_idx, delays = _gather(times_i, times_2, *span)
         n_is2, triples = _windows_hit(a_idx, delays,
-                                      _calibration_peak(delays) + tau,
+                                      _calibration_peak(delays, *span) + tau,
                                       window_ps, has1)
         ok = (n_is2 > 0) & (n_is1 > 0)
         g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])

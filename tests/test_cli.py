@@ -79,6 +79,21 @@ def test_bad_config_exit_code(tmp_path, capsys):
     assert "bad.cfg:2" in err
 
 
+@pytest.mark.parametrize("command,section,key,value", [
+    ("coinc", "source", "coincidence_window_ps", "6000"),
+    ("coinc", "source", "coincidence_window_ps", "0.5"),
+    ("franson", "umi", "postselect_window_ps", "0.6"),
+    ("g2", "g2", "window_ps", "0.5"),
+])
+def test_windows_the_analysis_rejects_fail_at_the_config(
+        tmp_path, capsys, command, section, key, value):
+    path = tmp_path / "w.cfg"
+    path.write_text(f"[{section}]\n{key} = {value}\n")
+    rc, out, err = run_cli([command, "-c", str(path)], capsys)
+    assert rc == 2
+    assert err.startswith(f"config error: {path}:2: {section}.{key} must be")
+
+
 def test_missing_config_file(capsys):
     rc, out, err = run_cli(["modes", "-c", "/no/such/file.cfg"], capsys)
     assert rc == 2

@@ -644,6 +644,15 @@ def test_two_fold_metrics_gathers_once_or_not_at_all(monkeypatch):
     assert two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, delays),
                             window_ps=800) == alone
     assert calls == []
+    # a given peak reads its windows from the same fold
+    given = two_fold_metrics(s, window_ps=800, peak_delay_ps=200)
+    assert calls == [tcspc.two_fold_span(800)]
+    assert given == two_fold_metrics(
+        tcspc.PairFold(n, n, s.duration_ps, delays), window_ps=800,
+        peak_delay_ps=200)
+    assert given.n12 == n and given.peak_delay_ps == 200
+    with pytest.raises(ValueError, match="outside the gathered"):
+        two_fold_metrics(s, window_ps=800, peak_delay_ps=10_000)
 
 
 # --- memory -----------------------------------------------------------------

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import os
 
 import pytest
@@ -13,6 +14,8 @@ from diskspdc.config import (
     NON_NEGATIVE_ENTRIES,
     POSITIVE,
     SCHEMA,
+    TWO_FOLD_WINDOW,
+    WHOLE_PS,
     ConfigError,
     ConfigFileError,
     ConfigSyntaxError,
@@ -26,6 +29,7 @@ from diskspdc.config import (
     parse_config,
     serialize_config,
 )
+from diskspdc.tcspc import two_fold_metrics
 
 
 def test_defaults():
@@ -300,7 +304,17 @@ ADMITTED = {
     IN_UNIT: _floats(min_value=0.0, max_value=1.0, exclude_min=True),
     IN_CLOSED_UNIT: _floats(min_value=0.0, max_value=1.0),
     NON_NEGATIVE_ENTRIES: _float_lists(_floats(min_value=0.0)),
+    TWO_FOLD_WINDOW: st.integers(1, 4999).map(float),
+    WHOLE_PS: st.integers(1, 2 ** 53).map(float),
 }
+
+
+def _fractional_ps(hi):
+    """Windows in (1, hi) ps that are not a whole number of ps: the analysis
+    truncated them, and ran at another window than its summary named."""
+    return st.integers(1, hi - 1).map(lambda n: n + 0.5) | _floats(
+        min_value=1.0, max_value=hi).filter(lambda v: v % 1)
+
 
 REJECTED = {
     POSITIVE: _floats(max_value=0.0),
@@ -310,7 +324,21 @@ REJECTED = {
     IN_CLOSED_UNIT: NEGATIVE | _floats(min_value=1.0, exclude_min=True),
     NON_NEGATIVE_ENTRIES: _float_lists(FINITE).filter(
         lambda v: any(x < 0 for x in v)),
+    # below 1 ps truncated to 0, and 5000 ps or more put the offset windows
+    # on the peak: both exited 3 at analysis
+    TWO_FOLD_WINDOW: _floats(max_value=1.0, exclude_max=True)
+    | _floats(min_value=5000.0) | _fractional_ps(5000),
+    WHOLE_PS: _floats(max_value=1.0, exclude_max=True)
+    | _fractional_ps(2 ** 20),
 }
+
+
+def test_two_fold_window_rule_stops_at_the_first_offset_window():
+    offset_min_ps = inspect.signature(two_fold_metrics).parameters[
+        "offset_min_ps"].default
+    assert TWO_FOLD_WINDOW.test(offset_min_ps - 1)
+    assert not TWO_FOLD_WINDOW.test(offset_min_ps)
+
 
 # int and str keys, and keys whose rule is their own or ties them to another
 # key, each with a strategy of the values that the whole config admits

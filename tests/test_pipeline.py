@@ -223,15 +223,15 @@ def test_sweep_pool_takes_the_longest_points_first(monkeypatch):
 powers_uw = 0.2, 0.4, 0.8
 duration_s = 0.02
 losses_db = 3.0
-parallelism = 2
 """)
     submitted = []
+    workers = []
 
     class InOrder:
         """A pool that runs its map in this process, in submission order."""
 
         def __init__(self, max_workers):
-            assert max_workers == 2
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -244,12 +244,20 @@ parallelism = 2
             submitted.extend(p[1] for p in points)
             return map(fn, points)
 
-    serial = run_power_sweep(dataclasses.replace(
-        cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=1)))
+    def with_parallelism(n):
+        return dataclasses.replace(
+            cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=n))
+
+    serial = run_power_sweep(with_parallelism(1))
     monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor",
                         InOrder)
-    assert run_power_sweep(cfg) == serial
-    assert submitted == [0.8, 0.4, 0.2]
+    # a pool forks all its workers at its first submit, so it gets no more
+    # than the points; the fake pool starts no process at any parallelism
+    for parallelism in (2, 1000):
+        del submitted[:]
+        assert run_power_sweep(with_parallelism(parallelism)) == serial
+        assert submitted == [0.8, 0.4, 0.2]
+    assert workers == [2, 3]
 
 
 def test_run_simulate_coinc_roundtrip(tmp_path):
