@@ -611,11 +611,22 @@ def _check_sweep(v, require):
             "must be ascending")
 
 
+def _check_umi(v, require):
+    # franson.peak_areas centres its three windows one arm delay apart, the
+    # delay rounded to whole ps, so narrower windows cannot overlap
+    delay_ps = v["arm_delay_ns"] * 1e3
+    require("postselect_window_ps", math.isinf(delay_ps)
+            or v["postselect_window_ps"] < round(delay_ps),
+            "must be narrower than the arm delay in whole ps, so the three "
+            "peak windows cannot overlap")
+
+
 _CHECKS = {
     "material": _check_material,
     "resonator.family": _check_family,
     "spectrum": _check_spectrum,
     "sweep": _check_sweep,
+    "umi": _check_umi,
 }
 
 

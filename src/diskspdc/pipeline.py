@@ -308,12 +308,12 @@ def run_g2(cfg: RunConfig):
     model = build_source(cfg, pump_power_uw=power_equiv,
                          losses_db=cfg.g2.losses_db, saturation=False,
                          signal_channels=(0, 2), idler_channels=(1,))
-    stream = generate_events(model, cfg.g2.duration_s,
-                             derive_seed(cfg.seed, 2))
     tau_ns = np.linspace(-cfg.g2.tau_max_ns, cfg.g2.tau_max_ns,
                          cfg.g2.tau_points)
     tau_ps = np.round(tau_ns * 1e3)
-    res = heralded_g2(stream, tau_ps, window_ps=int(cfg.g2.window_ps))
+    res = heralded_g2(event_blocks(model, cfg.g2.duration_s,
+                                   derive_seed(cfg.seed, 2)),
+                      tau_ps, window_ps=int(cfg.g2.window_ps))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),

@@ -15,17 +15,18 @@ then an exact slice of that one array, read around one calibrated peak:
 DelayHistogram.peak_ps, the first fullest 10-ps bin of its span.  Each
 analysis gathers a :func:`peak_span`: the calibration span and the windows
 off any peak inside it, so a given peak reads its windows from that span.
-Window counts and the Franson path check read the pairs themselves, and
-heralded g2 gathers each of its two channel pairs once over such a span
-and bins the whole gather for its peak.
+Window counts and the Franson path check read the pairs themselves.
 
-Histograms add, so a stream need not be held whole: :func:`fold_delays`
-folds one over a stream's time blocks (events.EventStream blocks, as
-generation and the file reader yield them), counting each pair in the
-block of its a event, and :func:`two_fold_metrics` reads blocks that way.
-Heralded g2 stays in memory: its calibration peak must be known before any
-window is counted, and a second pass over the blocks took about twice its
-time.
+A stream need not be held whole.  Every fold over a stream's time blocks
+(events.EventStream blocks, as generation and the file reader yield them)
+takes its pairs from one block-edge rule, :func:`_fold_batches`, which hands
+out each a event once, in a batch with every b event it can reach.
+Histograms add, so :func:`fold_delays` adds each batch's delays, and
+:func:`two_fold_metrics` reads blocks that way.  Heralded g2 folds both of
+its channel pairs in the same pass: it keeps each batch's pairs as packed
+8-byte keys and adds their delays into a calibration histogram per
+channel pair, and once the last block has been read and both peaks are
+known it counts the windows batch by batch.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -55,6 +56,8 @@ _MAX_DELAY_BINS = 1 << 22
 # Peak calibration: 10-ps bins over [-4000, 4000) ps.
 _CAL_BIN_PS = 10
 _CAL_SPAN_PS = 8000
+# A pair key, a_idx << s | (delay - lo), is a non-negative int64.
+_KEY_BITS = 63
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -219,37 +222,67 @@ class PairFold:
     delays: DelayHistogram
 
 
+def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
+                  release) -> tuple[dict[int, int], int]:
+    """The block-edge rule of every fold over a stream's blocks
+    (EventStreams in time order; see events.EventStream).
+
+    spans maps each b channel to the delays [lo, hi] of its pairs.  An a
+    event waits until a block starts past its reach, t_a + the largest hi,
+    so that every b event it can reach has been seen; a b event is kept
+    while a waiting or later a event can still reach it.  So each a event
+    is released once with all its partners, wherever the block edges fall,
+    even between equal times: release(first, a, kept) is called for each
+    non-empty batch a of a events, first the stream-wide index of its
+    first event and kept the b events it may reach, per channel of spans.
+    The batch is dropped before the next block is drawn, and the fold
+    holds about one block of each channel, copying events only when a
+    block edge falls inside the span of a waiting or kept event.  Returns
+    the event count of each channel read and the stream's duration.  An
+    empty sequence raises ValueError.
+    """
+    reach = max(hi for _, hi in spans.values())
+    seen = dict.fromkeys([ch_a, *spans], 0)
+    waiting = _EMPTY
+    kept = [_EMPTY] * len(spans)
+    first = 0
+    block = None
+    for block in blocks:
+        for c in seen:
+            seen[c] += len(block.channel_times(c))
+        # a events whose every partner lies before this block
+        ready = int(np.searchsorted(waiting, block.start_ps - reach))
+        if ready:
+            release(first, waiting[:ready], kept)
+        first += ready
+        waiting = _joined(waiting[ready:], block.channel_times(ch_a))
+        floor = min(block.start_ps, int(waiting[0])) if len(waiting) \
+            else block.start_ps
+        kept = [_joined(k[np.searchsorted(k, floor + lo):],
+                        block.channel_times(c))
+                for k, (c, (lo, _)) in zip(kept, spans.items())]
+    if block is None:
+        raise ValueError("no blocks to fold: a stream has at least one")
+    if len(waiting):
+        release(first, waiting, kept)
+    return seen, block.duration_ps
+
+
 def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int,
                 hi_ps: int) -> PairFold:
     """:func:`delay_histogram` of two channels, folded over the blocks of a
     stream (EventStreams in time order; see events.EventStream).
 
-    Each pair counts in the block of its a event.  An a event waits until
-    a block starts past its reach, t_a + hi, so that every b event it can
-    reach has been seen; a b event is kept while a waiting or later a
-    event can still reach it.  So the histogram is the whole stream's,
-    wherever the block edges fall, even between equal times.  The fold
-    holds about one block of each channel, and copies events only when a
-    block edge falls inside the span of a waiting or kept event.
+    Each pair counts once, in the batch that :func:`_fold_batches` releases
+    its a event in, so the histogram is the whole stream's wherever the
+    block edges fall, and the fold holds about one block of each channel.
     """
     counts = _delay_counts(lo_ps, hi_ps)
-    n_a = n_b = 0
-    waiting = kept = _EMPTY
-    block = None
-    for block in blocks:
-        a, b = block.channel_times(ch_a), block.channel_times(ch_b)
-        n_a, n_b = n_a + len(a), n_b + len(b)
-        # a events whose every partner lies before this block
-        ready = int(np.searchsorted(waiting, block.start_ps - hi_ps))
-        _add_delays(counts, waiting[:ready], kept, lo_ps, hi_ps)
-        waiting = _joined(waiting[ready:], a)
-        floor = min(block.start_ps, int(waiting[0])) if len(waiting) \
-            else block.start_ps
-        kept = _joined(kept[np.searchsorted(kept, floor + lo_ps):], b)
-    if block is None:
-        raise ValueError("no blocks to fold: a stream has at least one")
-    _add_delays(counts, waiting, kept, lo_ps, hi_ps)
-    return PairFold(n_a, n_b, block.duration_ps, DelayHistogram(lo_ps, counts))
+    seen, duration_ps = _fold_batches(
+        blocks, ch_a, {ch_b: (lo_ps, hi_ps)},
+        lambda _, a, kept: _add_delays(counts, a, kept[0], lo_ps, hi_ps))
+    return PairFold(seen[ch_a], seen[ch_b], duration_ps,
+                    DelayHistogram(lo_ps, counts))
 
 
 def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -275,42 +308,51 @@ def two_fold_span(window_ps: float,
     return peak_span(window_ps, -offset_max_ps, offset_max_ps)
 
 
-def _gather(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
-            hi_ps: int) -> tuple[np.ndarray, np.ndarray]:
-    """Every pair with lo <= t_b - t_a <= hi as (a_idx, delays), in a order
-    and, within one a event, by ascending delay, which is ascending b.
+def _pair_keys(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
+               hi_ps: int, first: int) -> np.ndarray:
+    """Every pair with lo <= t_b - t_a <= hi as one sorted int64 key,
+    (first + a_idx) << s | (delay - lo) with s = _key_shift(lo, hi): in a
+    order and, within one a event, by ascending delay, which is ascending b.
 
     The b events are searched into a: the heralds of :func:`heralded_g2`
-    outnumber each signal channel.  Each pair is packed into one int64,
-    a_idx << s | (delay - lo) with s the bits of hi - lo, and the keys are
-    sorted in place and unpacked in place, so the gather holds 16 B per
-    pair at its peak.  Raises ValueError when a_idx does not fit in the
-    63 - s bits left.
+    outnumber each signal channel.  Raises ValueError when first + a_idx
+    does not fit in the _KEY_BITS - s bits left.
     """
-    if hi_ps < lo_ps:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    shift = (hi_ps - lo_ps).bit_length()
-    if max(len(times_a) - 1, 0).bit_length() > 63 - shift:
-        raise ValueError(f"{len(times_a)} events do not fit the "
-                         f"{63 - shift} bits left by a {hi_ps - lo_ps} ps "
-                         "span")
-    parts = [(a_idx << shift) | (times_b[b_idx] - times_a[a_idx] - lo_ps)
+    shift = _key_shift(lo_ps, hi_ps)
+    if max(first + len(times_a) - 1, 0).bit_length() > _KEY_BITS - shift:
+        raise ValueError(f"{first + len(times_a)} events do not fit the "
+                         f"{_KEY_BITS - shift} bits left by a "
+                         f"{hi_ps - lo_ps} ps span")
+    parts = [((a_idx + first) << shift)
+             | (times_b[b_idx] - times_a[a_idx] - lo_ps)
              for b_idx, a_idx in coincidences(times_b, times_a, -hi_ps,
                                               -lo_ps)]
     keys = np.concatenate([_EMPTY] + parts)
     del parts
     keys.sort()
+    return keys
+
+
+def _key_shift(lo_ps: int, hi_ps: int) -> int:
+    """Bits of the delay part of a pair key over [lo, hi]."""
+    return max(hi_ps - lo_ps, 0).bit_length()
+
+
+def _unpacked(keys: np.ndarray, lo_ps: int,
+              hi_ps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(a_idx, delays) of pair keys over [lo, hi], in key order.  The
+    delays overwrite the keys, so unpacking holds 16 B per pair."""
+    shift = _key_shift(lo_ps, hi_ps)
     a_idx = keys >> shift
     keys &= (1 << shift) - 1
     keys += lo_ps
     return a_idx, keys
 
 
-def _calibration_peak(delays: np.ndarray, lo_ps: int, hi_ps: int) -> int:
-    """:meth:`DelayHistogram.peak_ps` of the delays of a gather over
-    [lo, hi], a span that covers the calibration span."""
-    return DelayHistogram(lo_ps, np.bincount(
-        delays - lo_ps, minlength=hi_ps - lo_ps + 1)).peak_ps()
+def _drained(batches: list, lo_ps: int, hi_ps: int):
+    """Yield each batch of pair keys over [lo, hi] unpacked, freeing it."""
+    while batches:
+        yield _unpacked(batches.pop(), lo_ps, hi_ps)
 
 
 def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
@@ -444,41 +486,62 @@ def car_closed_form(pair_rate_hz: float, window_ps: float,
     return true_rate / acc_rate
 
 
-def heralded_g2(stream: EventStream, tau_grid_ps: np.ndarray,
-                window_ps: int = 800, ch_idler: int = 1,
-                ch_s1: int = 0, ch_s2: int = 2) -> dict[str, np.ndarray]:
+def heralded_g2(stream, tau_grid_ps: np.ndarray, window_ps: int = 800,
+                ch_idler: int = 1, ch_s1: int = 0,
+                ch_s2: int = 2) -> dict[str, np.ndarray]:
     """Heralded second-order correlation across a delay grid.
 
     For each tau: g2(tau) = N_is1s2 * N_i / (N_is1 * N_is2), with s1 windows
     centred on the calibrated i->s1 peak and s2 windows offset by tau from
     the calibrated i->s2 peak.  Returns the curve and the raw counts; entries
-    with an empty denominator are NaN.  Each channel pair is gathered once,
-    over the calibration span and every window around any peak it can find.
+    with an empty denominator are NaN.
+
+    stream is an EventStream, or its blocks in time order, folded in one
+    pass (:func:`_fold_batches`, heralds as the a channel): each channel pair
+    is gathered once per batch of heralds, over the calibration span and
+    every window around any peak it can find.  Its pairs are kept as
+    packed keys, 8 B each, and their delays add into its calibration
+    histogram.  Every pair of a herald falls in its batch, so once both
+    peaks are known the windows are counted batch by batch.  So the result
+    is the whole stream's, and the fold holds the pairs and about a block.
     """
     if len({ch_idler, ch_s1, ch_s2}) != 3:
         raise ValueError("ch_idler, ch_s1 and ch_s2 must be distinct")
-    times_i = stream.channel_times(ch_idler)
-    times_1 = stream.channel_times(ch_s1)
-    times_2 = stream.channel_times(ch_s2)
-    n_i = len(times_i)
     tau = np.asarray(tau_grid_ps, dtype=float)
+    spans = {ch_s1: peak_span(window_ps, 0, 0),
+             ch_s2: peak_span(window_ps, *((tau.min(), tau.max())
+                                           if len(tau) else (0, 0)))}
+    counts = {c: np.zeros(hi - lo + 1, dtype=np.int64)
+              for c, (lo, hi) in spans.items()}
+    keys: dict[int, list] = {c: [] for c in spans}
+
+    def release(first, heralds, kept):
+        for (c, (lo, hi)), b in zip(spans.items(), kept):
+            k = _pair_keys(heralds, b, lo, hi, first)
+            np.add.at(counts[c], k & ((1 << _key_shift(lo, hi)) - 1), 1)
+            keys[c].append(k)
+
+    n, _ = _fold_batches(
+        [stream] if isinstance(stream, EventStream) else stream, ch_idler,
+        spans, release)
+    n_i = n[ch_idler]
     g2 = np.full(len(tau), math.nan)
     triples = np.zeros(len(tau), dtype=np.int64)
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
-    if n_i and len(times_1) and len(times_2) and len(tau):
-        span = peak_span(window_ps, 0, 0)
-        a_idx, delays = _gather(times_i, times_1, *span)
-        lo, hi = window_edges(_calibration_peak(delays, *span), window_ps)
+    if n_i and n[ch_s1] and n[ch_s2] and len(tau):
+        peak1, peak2 = (DelayHistogram(spans[c][0], counts[c]).peak_ps()
+                        for c in spans)
+        lo, hi = window_edges(peak1, window_ps)
         has1 = np.zeros(n_i, dtype=bool)
-        has1[a_idx[(delays >= lo) & (delays <= hi)]] = True
+        for a_idx, delays in _drained(keys[ch_s1], *spans[ch_s1]):
+            has1[a_idx[(delays >= lo) & (delays <= hi)]] = True
         n_is1 = int(has1.sum())
-        del a_idx, delays  # hold one channel pair's pairs at a time
-        span = peak_span(window_ps, tau.min(), tau.max())
-        a_idx, delays = _gather(times_i, times_2, *span)
-        n_is2, triples = _windows_hit(a_idx, delays,
-                                      _calibration_peak(delays, *span) + tau,
-                                      window_ps, has1)
+        for a_idx, delays in _drained(keys[ch_s2], *spans[ch_s2]):
+            hit, flagged = _windows_hit(a_idx, delays, peak2 + tau,
+                                        window_ps, has1)
+            n_is2 += hit
+            triples += flagged
         ok = (n_is2 > 0) & (n_is1 > 0)
         g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])
     return {"tau_ps": tau, "g2": g2, "n_triples": triples,

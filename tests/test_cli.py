@@ -83,6 +83,7 @@ def test_bad_config_exit_code(tmp_path, capsys):
     ("coinc", "source", "coincidence_window_ps", "6000"),
     ("coinc", "source", "coincidence_window_ps", "0.5"),
     ("franson", "umi", "postselect_window_ps", "0.6"),
+    ("franson", "umi", "postselect_window_ps", "4000"),
     ("g2", "g2", "window_ps", "0.5"),
 ])
 def test_windows_the_analysis_rejects_fail_at_the_config(

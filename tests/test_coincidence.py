@@ -709,19 +709,19 @@ def test_delay_histogram_peak_is_its_counts_and_one_chunk(monkeypatch):
 
 
 @st.composite
-def blocked_streams(draw):
+def blocked_streams(draw, span=3000):
     """(whole stream, its blocks): three channels of equal and straddling
-    times, cut at record indices of the merged stream as a file's blocks
-    are (equal times may fall on both sides of an edge, and blocks may be
-    empty) or at times as generation's blocks are."""
+    times in [0, span], cut at record indices of the merged stream as a
+    file's blocks are (equal times may fall on both sides of an edge, and
+    blocks may be empty) or at times as generation's blocks are."""
     n = draw(st.integers(0, 30))
-    times = np.sort(np.array(draw(st.lists(st.integers(0, 3000), min_size=n,
+    times = np.sort(np.array(draw(st.lists(st.integers(0, span), min_size=n,
                                            max_size=n)), dtype=np.int64))
     ch = np.array(draw(st.lists(st.integers(0, 2), min_size=n, max_size=n)),
                   dtype=np.uint8)
     order = np.lexsort((ch, times))
     ch, times = ch[order], times[order]
-    duration = 3001
+    duration = span + 1
     whole = EventStream.from_merged(ch, times, duration)
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
     blocks = []
@@ -732,7 +732,7 @@ def blocked_streams(draw):
             part.start_ps = start
             blocks.append(part)
     else:
-        edges = sorted(set(draw(st.lists(st.integers(1, 3000), max_size=8))))
+        edges = sorted(set(draw(st.lists(st.integers(1, span), max_size=8))))
         for lo, hi in zip([0] + edges, edges + [duration]):
             keep = (times >= lo) & (times < hi)
             part = EventStream.from_merged(ch[keep], times[keep], hi)
@@ -779,6 +779,126 @@ def test_fold_over_blocks_matches_the_whole_stream(stream, lo, width, caps):
         two_fold_metrics(whole, **kw))
 
 
+# --- heralded g2 over blocks -------------------------------------------------
+
+
+def g2_blocks(times, cuts):
+    """(whole stream, its blocks) of (channel, time) events: s1 on channel
+    0, heralds on 1, s2 on 2; the blocks start at the cut times."""
+    ch = np.array([c for c, _ in times], dtype=np.uint8)
+    t = np.array([t for _, t in times], dtype=np.int64)
+    order = np.lexsort((ch, t))
+    ch, t = ch[order], t[order]
+    duration = int(t.max()) + 1
+    blocks = []
+    for lo, hi in zip([0] + cuts, cuts + [duration]):
+        keep = (t >= lo) & (t < hi)
+        part = EventStream.from_merged(ch[keep], t[keep], hi)
+        part.start_ps = lo
+        blocks.append(part)
+    return EventStream.from_merged(ch, t, duration), blocks
+
+
+# a herald whose s1 partner and s2 partners straddle block edges, and a
+# second herald released at the third block's start
+G2_STRADDLE = g2_blocks([(1, 10_000), (0, 10_200), (2, 10_300),
+                         (2, 20_300), (1, 40_000), (0, 40_200),
+                         (2, 40_300)], [10_100, 10_250, 30_000])
+# equal times on every channel, cut between them
+G2_TIES = g2_blocks([(0, 7), (1, 7), (1, 7), (2, 7), (2, 7)], [7, 7, 7])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=blocked_streams(span=60_000),
+       taus=st.lists(st.integers(-20_000, 20_000), max_size=5),
+       window=st.integers(1, 3000), caps=CAPS)
+@example(stream=G2_STRADDLE, taus=[0, 10_000], window=400, caps=None)
+@example(stream=G2_STRADDLE, taus=[10_000], window=400, caps=(1, 1))
+@example(stream=G2_TIES, taus=[0], window=1, caps=None)
+@example(stream=G2_TIES, taus=[-1, 0], window=2, caps=(1, 1))
+def test_heralded_g2_over_blocks_matches_the_whole_stream(stream, taus,
+                                                         window, caps):
+    # the spans reach 4400 ps and more, past many blocks of a 60 ns
+    # stream, and heralds are released in several batches
+    whole, blocks = stream
+    tau = np.array(taus, dtype=float)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        got = heralded_g2(iter(blocks), tau, window_ps=window)
+    want = heralded_g2(whole, tau, window_ps=window)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+
+def test_heralded_g2_fold_releases_heralds_in_batches(monkeypatch):
+    # G2_STRADDLE's two heralds are gathered in two batches, and its
+    # counts are the brute-force ones
+    calls = count_gathers(monkeypatch)
+    out = heralded_g2(iter(G2_STRADDLE[1]), np.array([0.0, 10_000.0]),
+                      window_ps=400)
+    assert len(calls) == 4
+    assert list(out["n_is1"]) == [2, 2]
+    assert list(out["n_is2"]) == [2, 1]
+    assert list(out["n_triples"]) == [2, 1]
+
+
+def test_heralded_g2_fold_packing_limit_counts_every_block(monkeypatch):
+    # a 800 ps window at tau 0 gathers both channel pairs over
+    # [-4400, 4399] ps: 14 bits of delay.  With 15 key bits one bit is
+    # left for the herald index, so two heralds fit and three do not, even
+    # when each block's batch holds one herald.
+    heralds = [k * 10 ** 6 for k in range(3)]
+    events = [e for t in heralds for e in ((1, t), (0, t + 200),
+                                           (2, t + 300))]
+    cuts = [t - 500_000 for t in heralds[1:]]
+    tau = np.array([0.0])
+    monkeypatch.setattr(tcspc, "_KEY_BITS", 15)
+    whole, blocks = g2_blocks(events[:6], cuts[:1])
+    assert heralded_g2(iter(blocks), tau)["n_triples"].tolist() == [2]
+    _, blocks = g2_blocks(events, cuts)
+    with pytest.raises(ValueError, match="do not fit"):
+        heralded_g2(iter(blocks), tau)
+
+
+def spread_heralds(n_blocks, heralds_per_block=4_000, spacing=250_000):
+    """Blocks of heralds 250 ns apart; one herald in four has an s1
+    partner 200 ps on and another one in four an s2 partner 300 ps on.
+    Each block is built when the fold asks for it."""
+    block_ps = heralds_per_block * spacing
+    for k in range(n_blocks):
+        i = k * block_ps + np.arange(heralds_per_block,
+                                     dtype=np.int64) * spacing
+        yield EventStream({0: i[::4] + 200, 1: i, 2: i[1::4] + 300},
+                          (k + 1) * block_ps, start_ps=k * block_ps)
+
+
+def test_heralded_g2_fold_peak_is_its_pairs_and_about_a_block(monkeypatch):
+    # each s event has one herald in reach, so the fold keeps n / 2 pairs
+    # for n heralds, 4 B per herald, and has1 1 B per herald, against the
+    # 12 B per herald of the whole stream
+    monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 1 << 10)
+    monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 1 << 12)
+    n_blocks, per_block = 100, 4_000
+    block_bytes = sum(t.nbytes for t in next(spread_heralds(1)).times.values())
+    tau = np.array([-1000.0, 0.0, 1000.0])
+    out, peak = traced_peak(lambda: heralded_g2(spread_heralds(n_blocks),
+                                                tau))
+    n_i = n_blocks * per_block
+    assert out["n_idler"][0] == n_i and out["n_is1"][0] == n_i // 4
+    n_pairs = n_i // 2
+    bound = 8 * n_pairs + n_i + 4 * block_bytes + 300_000
+    assert bound < n_blocks * block_bytes
+    assert peak < bound, (peak, bound)
+
+
+def gather_pairs(times_a, times_b, lo_ps, hi_ps):
+    """Every pair as (a_idx, delays): the sorted pair keys of one batch
+    holding every a event, unpacked in place."""
+    return tcspc._unpacked(
+        tcspc._pair_keys(times_a, times_b, lo_ps, hi_ps, 0), lo_ps, hi_ps)
+
+
 def reference_gather(times_a, times_b, lo_ps, hi_ps):
     """The argsort gather that key packing replaced, kept verbatim."""
     a_parts, delay_parts = [], []
@@ -808,7 +928,7 @@ def test_gather_matches_the_argsort_reference(a, b, origin, lo, width, caps):
     a, b = a + origin, b + origin
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
-        got = tcspc._gather(a, b, lo, lo + width)
+        got = gather_pairs(a, b, lo, lo + width)
         want = reference_gather(a, b, lo, lo + width)
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
@@ -819,13 +939,13 @@ def test_gather_packing_limit():
     # a span of 2^61 ps leaves 63 - 62 = 1 bit for the a index: two a
     # events fit, three do not
     a, b = np.array([0, 1, 2], dtype=np.int64), np.array([3], dtype=np.int64)
-    a_idx, delays = tcspc._gather(a[:2], b, 0, 2 ** 61)
+    a_idx, delays = gather_pairs(a[:2], b, 0, 2 ** 61)
     assert a_idx.tolist() == [0, 1] and delays.tolist() == [3, 2]
     with pytest.raises(ValueError, match="do not fit"):
-        tcspc._gather(a, b, 0, 2 ** 61)
+        gather_pairs(a, b, 0, 2 ** 61)
     with pytest.raises(ValueError, match="do not fit"):
-        tcspc._gather(a[:2], b, 0, 2 ** 62)
-    assert tcspc._gather(a[:1], b, 0, 2 ** 62)[1].tolist() == [3]
+        gather_pairs(a[:2], b, 0, 2 ** 62)
+    assert gather_pairs(a[:1], b, 0, 2 ** 62)[1].tolist() == [3]
 
 
 def test_gather_peak_is_16_bytes_per_pair(monkeypatch):
@@ -838,7 +958,7 @@ def test_gather_peak_is_16_bytes_per_pair(monkeypatch):
     a = np.sort(rng.integers(0, 10 ** 9, 100_000))
     b = np.sort(rng.integers(0, 10 ** 9, 50_000))
     (a_idx, delays), peak = traced_peak(
-        lambda: tcspc._gather(a, b, -20_000, 20_000))
+        lambda: gather_pairs(a, b, -20_000, 20_000))
     n_pairs = len(a_idx)
     assert n_pairs > 150_000
     assert peak < 16 * n_pairs + 500_000

@@ -361,6 +361,10 @@ OWN_STRATEGY = {
     ("spectrum", "band_hi_nm"): _floats(min_value=1535.0, exclude_min=True),
     ("g2", "tau_points"): st.integers(min_value=1).map(lambda n: 2 * n + 1),
     ("franson", "xi_points"): st.integers(min_value=8),
+    # narrower than the default 1.6 ns arm delay, and an arm delay past
+    # the default 800 ps window in whole ps
+    ("umi", "postselect_window_ps"): st.integers(1, 1599).map(float),
+    ("umi", "arm_delay_ns"): _floats(min_value=0.801),
     ("sweep", "powers_uw"): _float_lists(
         _floats(min_value=0.0, exclude_min=True)).map(sorted).map(tuple),
     ("sweep", "parallelism"): st.integers(min_value=0),

@@ -538,6 +538,33 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
         assert channels.dtype == np.uint8 and times.dtype == np.int64
 
 
+# timestamps: a few shared ones, so equal times fall on different
+# channels, and any int64, the extremes and negative ones included
+ANY_TIME = st.integers(-3, 3) | st.integers(-2 ** 63, 2 ** 63 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(st.tuples(st.integers(0, 255), ANY_TIME), max_size=40),
+       block=st.integers(1, 5))
+@example(rows=[(3, 5), (0, 5), (255, 5), (1, 0), (2, -2 ** 63),
+               (2, 2 ** 63 - 1), (7, -10), (7, 10), (9, 9)], block=2)
+def test_csv_writer_matches_row_by_row_formatting(tmp_path_factory, rows,
+                                                  block):
+    # the vectorised CSV formatting against the row-by-row writer kept in
+    # reference_write_events
+    times = {}
+    for c, t in rows:
+        times.setdefault(c, []).append(t)
+    stream = EventStream({c: np.sort(np.array(t, dtype=np.int64))
+                          for c, t in times.items()}, 2 ** 63 - 1)
+    folder = tmp_path_factory.mktemp("csv")
+    reference_write_events(stream, folder / "want.csv", "csv")
+    with mock.patch.object(events, "_BLOCK_EVENTS", block):
+        write_events(stream, folder / "got.csv")
+    assert (folder / "got.csv").read_bytes() == (
+        folder / "want.csv").read_bytes()
+
+
 def test_merged_blocks_keep_ties_together(monkeypatch):
     monkeypatch.setattr(events, "_BLOCK_EVENTS", 1)
     blocks = [(c[order].tolist(), t[order].tolist())

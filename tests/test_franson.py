@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diskspdc.config import InvariantError, parse_config
 from diskspdc.events import SourceModel, generate_events
 from diskspdc.franson import (
     FitError,
@@ -15,7 +16,7 @@ from diskspdc.franson import (
     peak_areas_span,
     quantum_fringe,
 )
-from diskspdc.tcspc import delay_histogram
+from diskspdc.tcspc import delay_histogram, window_edges
 
 CFG = UmiConfig()  # 1.6 ns arms, balanced splitter
 
@@ -90,6 +91,35 @@ def test_three_peak_structure():
     assert abs(center - total / 2) < 5 * sigma_center
     # nothing spills outside the three windows for a dark-free stream
     assert total == pytest.approx(len(s) / 2, rel=0.02)
+
+
+@pytest.mark.parametrize("arm_delay_ns", [1.6, 1.2345, 0.0025, 0.004])
+def test_widest_admitted_window_counts_three_disjoint_slices(arm_delay_ns):
+    # the config admits windows narrower than the arm delay in whole ps
+    delay_ps = int(round(arm_delay_ns * 1e3))
+    text = f"[umi]\narm_delay_ns = {arm_delay_ns!r}\npostselect_window_ps = "
+    umi = parse_config(text + f"{delay_ps - 1}\n").umi
+    with pytest.raises(InvariantError, match="postselect_window_ps must be "
+                       "narrower than the arm delay"):
+        parse_config(text + f"{delay_ps}\n")
+    config = UmiConfig(arm_delay_ns=umi.arm_delay_ns,
+                       postselect_window_ps=int(umi.postselect_window_ps))
+    # one pair at every whole-ps delay the windows may read, and ten more
+    # at 0 ps to place the peak
+    lo, hi = peak_areas_span(config)
+    a = np.zeros(1, dtype=np.int64)
+    b = np.sort(np.concatenate([np.arange(lo, hi + 1), np.zeros(10, int)]))
+    delays = delay_histogram(a, b, lo, hi)
+    areas = peak_areas(delays, config)
+    peak = delays.peak_ps(max(8 * delay_ps, 8000))  # peak_areas' span
+    assert abs(peak) <= 5
+    edges = [window_edges(peak + k * delay_ps, config.postselect_window_ps)
+             for k in (-1, 0, 1)]
+    assert edges[0][1] < edges[1][0] and edges[1][1] < edges[2][0]
+    assert areas == tuple(int(delay_histogram(a, b, *e).counts.sum())
+                          for e in edges)
+    assert sum(areas) <= delay_histogram(a, b, edges[0][0],
+                                         edges[2][1]).counts.sum()
 
 
 def test_central_peak_pairs_same_path():
