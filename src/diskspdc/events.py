@@ -35,9 +35,10 @@ and would again if the block sizing changed.
 An EventStream keeps one time-sorted int64 array per channel, which is what
 coincidence counting reads; a block is an EventStream of the events in
 [start_ps, duration_ps).  event_blocks yields the blocks, and generation
-then holds about three blocks.  generate_events draws every block's counts
-first, allocates each channel once and copies the blocks in, so in memory
-the stream is held once, 8 B per event, plus those blocks.  Where one
+then holds about three blocks; every experiment folds them as they come.
+generate_events, which only tests and examples call, draws every block's
+counts first, allocates each channel once and copies the blocks in, so in
+memory the stream is held once, 8 B per event, plus those blocks.  Where one
 sequence is needed, as for event files, each block's channels are merged
 one time block of about _BLOCK_EVENTS events at a time, in time order with
 ties broken by channel and never split across blocks.  Both file formats
@@ -49,7 +50,8 @@ Streams serialize to a binary timestamp format: a 16-byte header (magic
 9-byte records of u8 channel + u64 LE timestamp in picoseconds, time-sorted.
 The channel count is the largest channel with events + 1, and every
 record's channel lies below it.  A path ending in .csv (_is_csv) holds
-plain-text channel,timestamp_ps rows instead, after a header row.
+plain-text channel,timestamp_ps rows instead, after that header row.
+Neither format holds a negative timestamp.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIH6s")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<u8")])
 _EMPTY_TIMES = np.empty(0, dtype=np.int64)
+_CSV_HEADER = "channel,timestamp_ps"
 # events per generation block, per block of merged output and of records
 _BLOCK_EVENTS = 1 << 18
 # shortest generation block, about 1.07 ms
@@ -194,9 +197,10 @@ class EventStream:
     """Detector clicks as one time-sorted int64 array per channel.
 
     tags, when present, maps each channel to per-event interferometer path
-    labels aligned with its times, for diagnostics only: no merge, split or
-    file carries them.  truth holds the simulator's counters of a generated
-    stream, whose pair counts n_pairs_generated sums.  A block of a longer
+    labels aligned with its times, for diagnostics only: no file, merge or
+    split here carries them (franson.routed_blocks hands them on between
+    blocks).  truth holds the simulator's counters of a generated stream,
+    whose pair counts n_pairs_generated sums.  A block of a longer
     stream holds the events in [start_ps, duration_ps), and no later block
     holds a time below start_ps; a whole stream is its only block.
     """
@@ -213,14 +217,6 @@ class EventStream:
         t = self.truth
         return 0 if t is None else (t.pairs_both + t.pairs_signal_only
                                     + t.pairs_idler_only + t.pairs_neither)
-
-    @classmethod
-    def from_merged(cls, channels, timestamps_ps,
-                    duration_ps: int) -> EventStream:
-        """Split a stream sorted by time into its per-channel arrays."""
-        return cls(_split(np.asarray(channels, dtype=np.uint8),
-                          np.asarray(timestamps_ps, dtype=np.int64)),
-                   duration_ps)
 
     @classmethod
     def from_blocks(cls, blocks, counts: dict[int, int]) -> EventStream:
@@ -243,16 +239,6 @@ class EventStream:
             raise ValueError("no blocks: a stream has at least one")
         return cls({c: t[:filled[c]] for c, t in times.items()},
                    block.duration_ps, truth=truth)
-
-    def merged(self) -> tuple[np.ndarray, np.ndarray]:
-        """(channels, timestamps_ps), by time and then channel.
-
-        The concatenation of the time blocks that write_events writes.
-        """
-        blocks = [(c[o], t[o]) for c, t, o in self._merged_blocks()]
-        return (np.concatenate([np.empty(0, dtype=np.uint8)]
-                               + [c for c, _ in blocks]),
-                np.concatenate([_EMPTY_TIMES] + [t for _, t in blocks]))
 
     def _merged_blocks(self):
         """Yield the merged stream as (channels, times, order) blocks.
@@ -495,8 +481,8 @@ def generate_events(model: SourceModel, duration_s: float,
     """Simulate a detection stream of the given duration (seconds).
 
     The blocks of :func:`event_blocks`, copied into one array per channel
-    that the blocks' counts, drawn first, size.  Only the franson
-    experiment and tests still call it: every other path folds the blocks.
+    that the blocks' counts, drawn first, size.  No experiment calls it,
+    only tests and examples: every experiment folds the blocks.
     """
     duration_ps, block, n_blocks = _plan(model, duration_s)
     if n_blocks == 1:
@@ -527,12 +513,15 @@ def write_events(stream, path: str | os.PathLike) -> None:
 
     Each block is merged and written one time block at a time; a binary
     record block is filled straight from the merge order.  The header's
-    channel count is written last, once every block has been seen.
+    channel count is written last, once every block has been seen.  A
+    block that holds a negative timestamp raises ValueError before it is
+    written: neither format can hold one.
     """
-    blocks = [stream] if isinstance(stream, EventStream) else stream
+    blocks = map(_unsigned,
+                 [stream] if isinstance(stream, EventStream) else stream)
     if _is_csv(path):
         with open(path, "wb") as fh:
-            fh.write(b"channel,timestamp_ps\n")
+            fh.write(_CSV_HEADER.encode() + b"\n")
             for block in blocks:
                 for channels, times, order in block._merged_blocks():
                     fh.write(_csv_rows(channels[order], times[order]))
@@ -559,6 +548,14 @@ def write_events(stream, path: str | os.PathLike) -> None:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_channels, b"\0" * 6))
 
 
+def _unsigned(block: EventStream) -> EventStream:
+    """The block, or ValueError when it holds a negative timestamp."""
+    if any(len(t) and t[0] < 0 for t in block.times.values()):
+        raise ValueError(f"the block from {block.start_ps} ps holds a "
+                         f"negative timestamp, which no event file holds")
+    return block
+
+
 def _csv_rows(channels: np.ndarray, times: np.ndarray) -> bytes:
     """channel,timestamp_ps rows, each ending in a newline, formatted at
     once: one byte table of the columns, whose zero bytes are dropped."""
@@ -570,17 +567,15 @@ def _csv_rows(channels: np.ndarray, times: np.ndarray) -> bytes:
 
 
 def _decimal(x: np.ndarray) -> np.ndarray:
-    """Each integer of x as an ASCII row: its sign, if negative, then its
-    decimal digits, right-aligned, with zero bytes as padding between.
-    The rows are columns of a digit-major array, which fills faster."""
-    # |-2^63| wraps to itself in int64 and reads 2^63 as uint64
-    mag = np.abs(x.astype(np.int64, copy=False)).view(np.uint64)
-    width = len(str(int(mag.max()))) if len(mag) else 1
-    out = np.zeros((width + 1, len(x)), dtype=np.uint8)
-    out[0, x < 0] = ord("-")
-    out[width] = mag % 10 + ord("0")
-    rest = (mag // 10).view(np.int64)  # int64 divides faster than uint64
-    for k in range(width - 1, 0, -1):
+    """Each non-negative integer of x as an ASCII row of its decimal
+    digits, right-aligned, with zero bytes as padding before them.  The
+    rows are columns of a digit-major array, which fills faster."""
+    x = x.astype(np.int64, copy=False)
+    width = len(str(int(x.max()))) if len(x) else 1
+    out = np.zeros((width, len(x)), dtype=np.uint8)
+    out[width - 1] = x % 10 + ord("0")
+    rest = x // 10
+    for k in range(width - 2, -1, -1):
         q = rest // 10
         np.copyto(out[k], rest - q * 10 + ord("0"), casting="unsafe",
                   where=rest != 0)
@@ -597,13 +592,16 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
     its first timestamp and ends at the duration or, without one, at its
     last timestamp + 1, so the last block ends where the stream does; an
     empty file is one empty block.  Timestamps must be non-decreasing int64
-    values below the duration and channels fit a byte, and a binary file's
-    channels lie below its header's channel count; anything else raises
-    EventFormatError when its block is reached.
+    values in [0, duration) and channels fit a byte; a binary file's
+    channels lie below its header's channel count, and a CSV file starts
+    with the header row channel,timestamp_ps and has two columns.  Anything
+    else raises EventFormatError when its block is reached.
     """
     if _is_csv(path):
         with open(path) as fh:
-            fh.readline()  # header
+            if fh.readline().rstrip("\n") != _CSV_HEADER:
+                raise EventFormatError(f"{path}: the first row is not the "
+                                       f"header {_CSV_HEADER}")
             yield from _checked_blocks(path, _text_blocks(fh, path), 256,
                                        duration_ps)
         return
@@ -679,8 +677,13 @@ def _text_blocks(fh, path):
             # loadtxt counts rows from the block's first
             raise EventFormatError(
                 f"{path}: block from row {row}: {err}") from err
+        if data.shape[1] != 2:
+            raise EventFormatError(f"{path}: block from row {row}: "
+                                   f"{data.shape[1]} columns, not 2")
         if np.any((data[:, 0] < 0) | (data[:, 0] > 255)):
             raise EventFormatError(f"{path}: channel outside 0-255")
+        if np.any(data[:, 1] < 0):
+            raise EventFormatError(f"{path}: negative timestamp")
         row += len(data)
         yield data.T
 

@@ -9,6 +9,8 @@ post-selected central peak are evaluated at expectation level: the
 post-selected state (|SS> + e^{2 i xi} |LL>)/sqrt(2) interferes with the
 summed phase of the two photons, so quantum fringes run as cos(2 xi) while
 a classical field through the same interferometer fringes as cos(xi).
+A stream is routed block by block as it is drawn (:func:`routed_blocks`),
+so its routed blocks fold like any other stream's.
 """
 
 from __future__ import annotations
@@ -60,14 +62,14 @@ class FransonResult:
 
 
 def apply_umi(stream: EventStream, config: UmiConfig,
-              seed: int) -> EventStream:
-    """Route every event through the interferometer.
+              seed: int | np.random.SeedSequence) -> EventStream:
+    """Route every event of a stream or block through the interferometer.
 
     Short keeps the timestamp, long adds the arm delay; the routing
     probability of the short arm is t_S / (t_S + t_L).  The returned stream
     carries tags (0 short, 1 long) for diagnostics; tags are not
     serialized.  The duration grows by the arm delay so late long-arm events
-    stay inside the acquisition window; truth is the input's.
+    stay inside the acquisition window; start_ps and truth are the input's.
     """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
     t_s, t_l = config.arm_transmissions
@@ -84,7 +86,37 @@ def apply_umi(stream: EventStream, config: UmiConfig,
         times[channel] = routed[order]
         tags[channel] = (order >= len(short)).astype(np.uint8)
     return EventStream(times, stream.duration_ps + delay_ps, tags=tags,
-                       truth=stream.truth)
+                       truth=stream.truth, start_ps=stream.start_ps)
+
+
+def routed_blocks(blocks, config: UmiConfig, seed: int):
+    """Yield the blocks of a stream, each ending where the next starts and
+    holding the same channels (as event_blocks' do), routed by
+    :func:`apply_umi`, block k with a generator spawned from (seed, k).
+    Routed events at or past a block's end are merged, tags included, into
+    the next block, and those past the last block make a tail block, so
+    each holds [start_ps, duration_ps)."""
+    rest = None
+    for k, block in enumerate(blocks):
+        routed = apply_umi(block, config,
+                           np.random.SeedSequence(seed, spawn_key=(k,)))
+        times, tags = routed.times, routed.tags
+        for c, t in (rest.times.items() if rest else ()):
+            if len(t):  # rare: an arm delay is a sliver of a block
+                t = np.concatenate([times[c], t])
+                order = np.argsort(t, kind="stable")
+                times[c] = t[order]
+                tags[c] = np.concatenate([tags[c], rest.tags[c]])[order]
+        cut = {c: np.searchsorted(t, block.duration_ps)
+               for c, t in times.items()}
+        yield EventStream({c: t[:cut[c]] for c, t in times.items()},
+                          block.duration_ps, start_ps=block.start_ps,
+                          tags={c: g[:cut[c]] for c, g in tags.items()})
+        rest = EventStream({c: t[cut[c]:] for c, t in times.items()},
+                           routed.duration_ps, start_ps=block.duration_ps,
+                           tags={c: g[cut[c]:] for c, g in tags.items()})
+    if rest is not None:
+        yield rest
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,

@@ -22,13 +22,12 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, event_blocks, generate_events, read_blocks,
-                     write_events)
+from .events import SourceModel, event_blocks, read_blocks, write_events
 from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, heralded_g2,
                     two_fold_metrics, two_fold_span)
-from .franson import (UmiConfig, apply_umi, classical_fringe,
-                      extract_visibility, peak_areas, peak_areas_span,
-                      quantum_fringe)
+from .franson import (UmiConfig, classical_fringe, extract_visibility,
+                      peak_areas, peak_areas_span, quantum_fringe,
+                      routed_blocks)
 
 
 _MASK64 = (1 << 64) - 1
@@ -344,12 +343,12 @@ def run_franson(cfg: RunConfig):
     rate_hz = channel_pair_rate_hz(cfg, cfg.source.pump_power_uw)
     power_equiv = rate_hz * 1e-6 / cfg.source.pgr_slope_mhz_per_uw
     model = build_source(cfg, pump_power_uw=power_equiv, saturation=False)
-    stream = generate_events(model, cfg.franson.duration_s,
-                             derive_seed(cfg.seed, 3))
-    routed = apply_umi(stream, umi, derive_seed(cfg.seed, 4))
+    blocks = routed_blocks(event_blocks(model, cfg.franson.duration_s,
+                                        derive_seed(cfg.seed, 3)),
+                           umi, derive_seed(cfg.seed, 4))
     lo_a, hi_a = peak_areas_span(umi)
     lo_b, hi_b = two_fold_span(umi.postselect_window_ps)
-    pair = fold_delays([routed], 0, 1, min(lo_a, lo_b), max(hi_a, hi_b))
+    pair = fold_delays(blocks, 0, 1, min(lo_a, lo_b), max(hi_a, hi_b))
     early, center, late = peak_areas(pair.delays, umi)
 
     # Split the measured central peak into its interference-capable part

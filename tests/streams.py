@@ -1,0 +1,39 @@
+"""Stream helpers shared by the tests.
+
+The package reads and writes streams in blocks and has no whole-stream
+merge: merged joins the merged blocks that write_events writes, and
+from_merged splits a merged sequence by brute force.  short_blocks makes
+generation draw blocks of a few events.
+"""
+
+from unittest import mock
+
+import numpy as np
+
+from diskspdc import events
+from diskspdc.events import EventStream
+
+
+def merged(stream):
+    """(channels, timestamps_ps) of a stream, by time and then channel:
+    the stream's merged blocks (EventStream._merged_blocks) joined."""
+    blocks = [(c[o], t[o]) for c, t, o in stream._merged_blocks()]
+    return (np.concatenate([np.empty(0, dtype=np.uint8)]
+                           + [c for c, _ in blocks]),
+            np.concatenate([np.empty(0, dtype=np.int64)]
+                           + [t for _, t in blocks]))
+
+
+def from_merged(channels, timestamps_ps, duration_ps):
+    """The EventStream of a time-sorted (channels, timestamps_ps)
+    sequence: one array per channel that has events."""
+    channels = np.asarray(channels, dtype=np.uint8)
+    times = np.asarray(timestamps_ps, dtype=np.int64)
+    return EventStream({int(c): times[channels == c]
+                        for c in np.unique(channels)}, duration_ps)
+
+
+def short_blocks(block_events, min_block_ps):
+    """Generation blocks far shorter than the real floor of 2^30 ps."""
+    return mock.patch.multiple(events, _BLOCK_EVENTS=block_events,
+                               _MIN_BLOCK_PS=min_block_ps)

@@ -22,6 +22,8 @@ from diskspdc.tcspc import (
     window_counts,
 )
 
+from streams import from_merged
+
 # analytic values frozen from the independent script
 CAR_718K_800 = 1740.9470752089137            # 1/(r w), unit capture
 CAR_718K_800_CAPT = 1505.335509685563        # capture 1 - exp(-2)
@@ -37,7 +39,7 @@ def synthetic_stream(times_a, times_b, duration_ps=10 ** 9):
     t = np.concatenate([np.asarray(times_a, dtype=np.int64),
                         np.asarray(times_b, dtype=np.int64)])
     order = np.lexsort((ch, t))
-    return EventStream.from_merged(ch[order], t[order], duration_ps)
+    return from_merged(ch[order], t[order], duration_ps)
 
 
 def test_window_counts_boundaries():
@@ -122,9 +124,8 @@ def test_two_fold_validation():
 
 
 def test_two_fold_empty_channel():
-    s = EventStream.from_merged(np.zeros(5, dtype=np.uint8),
-                                np.arange(5, dtype=np.int64) * 1000,
-                                duration_ps=10 ** 6)
+    s = from_merged(np.zeros(5, dtype=np.uint8),
+                    np.arange(5, dtype=np.int64) * 1000, duration_ps=10 ** 6)
     r = two_fold_metrics(s)
     assert r.n12 == 0
     assert math.isnan(r.car)
@@ -300,7 +301,7 @@ def test_heralded_g2_counts_match_brute_force(i, s1, s2, origin, taus2,
                          np.full(len(s2), 2)]).astype(np.uint8)
     t = np.concatenate([s1, i, s2]) + origin
     order = np.lexsort((ch, t))
-    stream = EventStream.from_merged(ch[order], t[order], 10 ** 9)
+    stream = from_merged(ch[order], t[order], 10 ** 9)
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
         out = heralded_g2(stream, np.array(taus2) / 2, window_ps=window)
@@ -352,7 +353,7 @@ def g2_stream(n_heralds=1000):
                          np.full(len(s2), 2)]).astype(np.uint8)
     t = np.concatenate([s1, i, s2])
     order = np.lexsort((ch, t))
-    return EventStream.from_merged(ch[order], t[order], 10 ** 9)
+    return from_merged(ch[order], t[order], 10 ** 9)
 
 
 def test_heralded_g2_gathers_each_channel_pair_once(monkeypatch):
@@ -722,32 +723,32 @@ def blocked_streams(draw, span=3000):
     order = np.lexsort((ch, times))
     ch, times = ch[order], times[order]
     duration = span + 1
-    whole = EventStream.from_merged(ch, times, duration)
+    whole = from_merged(ch, times, duration)
     cuts = sorted(draw(st.lists(st.integers(0, n), max_size=8)))
     blocks = []
     if draw(st.booleans()):
         for lo, hi in zip([0] + cuts, cuts + [n]):
             start = int(times[lo]) if lo < n else duration
-            part = EventStream.from_merged(ch[lo:hi], times[lo:hi], duration)
+            part = from_merged(ch[lo:hi], times[lo:hi], duration)
             part.start_ps = start
             blocks.append(part)
     else:
         edges = sorted(set(draw(st.lists(st.integers(1, span), max_size=8))))
         for lo, hi in zip([0] + edges, edges + [duration]):
             keep = (times >= lo) & (times < hi)
-            part = EventStream.from_merged(ch[keep], times[keep], hi)
+            part = from_merged(ch[keep], times[keep], hi)
             part.start_ps = lo
             blocks.append(part)
     return whole, blocks
 
 
-STRADDLE = (EventStream.from_merged(np.array([0, 1], dtype=np.uint8),
-                                    np.array([99, 101], dtype=np.int64), 200),
+STRADDLE = (from_merged(np.array([0, 1], dtype=np.uint8),
+                        np.array([99, 101], dtype=np.int64), 200),
             [EventStream({0: np.array([99], dtype=np.int64)}, 100),
              EventStream({1: np.array([101], dtype=np.int64)}, 200,
                          start_ps=100)])
-TIES = (EventStream.from_merged(np.array([0, 1, 0, 1], dtype=np.uint8),
-                                np.array([7, 7, 7, 7], dtype=np.int64), 8),
+TIES = (from_merged(np.array([0, 1, 0, 1], dtype=np.uint8),
+                    np.array([7, 7, 7, 7], dtype=np.int64), 8),
         [EventStream({0: np.array([7], dtype=np.int64)}, 8, start_ps=7),
          EventStream({}, 8, start_ps=7),
          EventStream({1: np.array([7], dtype=np.int64),
@@ -793,10 +794,10 @@ def g2_blocks(times, cuts):
     blocks = []
     for lo, hi in zip([0] + cuts, cuts + [duration]):
         keep = (t >= lo) & (t < hi)
-        part = EventStream.from_merged(ch[keep], t[keep], hi)
+        part = from_merged(ch[keep], t[keep], hi)
         part.start_ps = lo
         blocks.append(part)
-    return EventStream.from_merged(ch, t, duration), blocks
+    return from_merged(ch, t, duration), blocks
 
 
 # a herald whose s1 partner and s2 partners straddle block edges, and a

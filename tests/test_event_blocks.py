@@ -35,6 +35,8 @@ from diskspdc.events import (
     write_events,
 )
 
+from streams import merged, short_blocks
+
 
 # --- whole-stream references ------------------------------------------------
 
@@ -187,12 +189,6 @@ def assert_same_stream(got, want):
     assert got.truth == want.truth
     assert got.n_pairs_generated == want.n_pairs_generated
     assert got.duration_ps == want.duration_ps
-
-
-def short_blocks(block_events, min_block_ps):
-    """Generation blocks far shorter than the real floor of 2^30 ps."""
-    return mock.patch.multiple(events, _BLOCK_EVENTS=block_events,
-                               _MIN_BLOCK_PS=min_block_ps)
 
 
 @settings(max_examples=200, deadline=None)
@@ -531,7 +527,7 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
                 assert np.array_equal(back.channel_times(c), t)
             assert sorted(back.times) == sorted(
                 c for c, t in stream.times.items() if len(t))
-            channels, times = stream.merged()
+            channels, times = merged(stream)
         want_channels, want_times = reference_merged(stream)
         assert np.array_equal(channels, want_channels)
         assert np.array_equal(times, want_times)
@@ -539,15 +535,15 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
 
 
 # timestamps: a few shared ones, so equal times fall on different
-# channels, and any int64, the extremes and negative ones included
-ANY_TIME = st.integers(-3, 3) | st.integers(-2 ** 63, 2 ** 63 - 1)
+# channels, and any int64 an event file holds, the extremes included
+ANY_TIME = st.integers(0, 6) | st.integers(0, 2 ** 63 - 1)
 
 
 @settings(max_examples=200, deadline=None)
 @given(rows=st.lists(st.tuples(st.integers(0, 255), ANY_TIME), max_size=40),
        block=st.integers(1, 5))
-@example(rows=[(3, 5), (0, 5), (255, 5), (1, 0), (2, -2 ** 63),
-               (2, 2 ** 63 - 1), (7, -10), (7, 10), (9, 9)], block=2)
+@example(rows=[(3, 5), (0, 5), (255, 5), (1, 0), (2, 0),
+               (2, 2 ** 63 - 1), (7, 1), (7, 10), (9, 9)], block=2)
 def test_csv_writer_matches_row_by_row_formatting(tmp_path_factory, rows,
                                                   block):
     # the vectorised CSV formatting against the row-by-row writer kept in
@@ -575,10 +571,15 @@ def test_merged_blocks_keep_ties_together(monkeypatch):
 
 @settings(max_examples=100, deadline=None)
 @given(stream=channel_streams(), block=st.integers(1, 3))
-def test_from_merged_in_blocks_splits_each_channel(stream, block):
+def test_from_merged_in_blocks_splits_each_channel(tmp_path_factory, stream,
+                                                   block):
+    # the merged records of a file, read in blocks of `block` records, each
+    # block split into its channels
     channels, times = reference_merged(stream)
+    path = tmp_path_factory.mktemp("split") / "a.ttps"
+    write_events(stream, path)
     with mock.patch.object(events, "_BLOCK_EVENTS", block):
-        back = EventStream.from_merged(channels, times, 10)
+        back = read_events(path)
     assert sorted(back.times) == sorted(set(channels.tolist()))
     for c in back.times:
         assert back.times[c].dtype == np.int64
@@ -598,9 +599,10 @@ GOOD = [(0, 1), (1, 2), (0, 3), (1, 3), (2, 7), (0, 8)]
 
 
 def csv_text(records):
-    """A CSV event file of (channel, timestamp) records."""
-    return "channel,timestamp_ps\n" + "".join(f"{c},{t}\n"
-                                              for c, t in records)
+    """A CSV event file of (channel, timestamp) records, or of rows of
+    other lengths."""
+    return "channel,timestamp_ps\n" + "".join(
+        ",".join(map(str, r)) + "\n" for r in records)
 
 
 # GOOD 10^12 ps later: rows of 16 characters, so that a CSV block of
@@ -646,6 +648,8 @@ def test_reader_errors_at_block_boundaries(tmp_path, monkeypatch, block):
             ("time-sorted", before + [(0, 10 ** 12)] + after, None),
             ("channel", before + [(256, before[-1][1])] + after, None),
             ("int64", before + [(1, 2 ** 63)] + after, None),
+            ("negative", before + [(1, -1)] + after, None),
+            ("columns", before + [(1, before[-1][1], 0)] + after, None),
         ]
     for match, records, duration_ps in cases:
         path.write_text(csv_text(records))
@@ -657,6 +661,11 @@ def test_reader_errors_at_block_boundaries(tmp_path, monkeypatch, block):
         with pytest.raises(EventFormatError) as err:
             read_events(path)
         assert sum(map(int, re.findall(r"row (\d+)", str(err.value)))) == at
+    # a file without the header row would lose its first event
+    path.write_text("0,100\n1,200\n0,300\n")
+    with pytest.raises(EventFormatError, match=f"{re.escape(str(path))}: "
+                       "the first row is not the header"):
+        read_events(path)
 
 
 def test_channel_past_the_header_count_is_rejected(tmp_path):

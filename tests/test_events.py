@@ -15,6 +15,8 @@ from diskspdc.events import (
 )
 from diskspdc.franson import UmiConfig, apply_umi
 
+from streams import from_merged, merged
+
 # saturating rate law at 27.3 uW, slope 5.13 MHz/uW, ceiling 5385 MHz,
 # frozen from 140.049 / (1 + 140.049/5385)
 RATE_AT_27P3 = 136.49903647913348
@@ -74,21 +76,21 @@ def test_generation_is_deterministic_across_chunks():
     a = generate_events(m, 1.0, seed=42)
     b = generate_events(m, 1.0, seed=42)
     assert a.n_pairs_generated == b.n_pairs_generated > 2 ** 21
-    a_ch, a_t = a.merged()
-    b_ch, b_t = b.merged()
+    a_ch, a_t = merged(a)
+    b_ch, b_t = merged(b)
     assert np.array_equal(a_ch, b_ch)
     assert np.array_equal(a_t, b_t)
     assert a_ch.dtype == np.uint8
     assert a_t.dtype == np.int64
     c = generate_events(m, 1.0, seed=43)
-    assert not np.array_equal(a_t, c.merged()[1])
+    assert not np.array_equal(a_t, merged(c)[1])
 
 
 def test_stream_is_sorted_and_in_range():
     m = quiet_model(dark_rate_hz=200.0, jitter_sigma_ps=40.0,
                     pgr_slope_mhz_per_uw=0.05)
     s = generate_events(m, 0.5, seed=7)
-    channels, times = s.merged()
+    channels, times = merged(s)
     assert np.all(np.diff(times) >= 0)
     assert times[0] >= 0
     assert times[-1] < s.duration_ps
@@ -101,7 +103,7 @@ def test_rounded_timestamps_stay_below_duration():
     m = SourceModel(pump_power_uw=0, dark_rate_hz=2e10)
     for seed in range(200):
         s = generate_events(m, 1e-9, seed=seed)
-        times = s.merged()[1]
+        times = merged(s)[1]
         assert np.all(times >= 0)
         assert np.all(times < s.duration_ps)
 
@@ -205,8 +207,8 @@ def test_binary_round_trip(tmp_path):
     path = tmp_path / "events.ttps"
     write_events(s, path)
     back = read_events(path, duration_ps=s.duration_ps)
-    channels, times = s.merged()
-    back_channels, back_times = back.merged()
+    channels, times = merged(s)
+    back_channels, back_times = merged(back)
     assert np.array_equal(back_channels, channels)
     assert np.array_equal(back_times, times)
     assert back.duration_ps == s.duration_ps
@@ -222,8 +224,8 @@ def test_csv_round_trip(tmp_path):
     text = path.read_text().splitlines()
     assert text[0] == "channel,timestamp_ps"
     back = read_events(path, duration_ps=s.duration_ps)
-    channels, times = s.merged()
-    back_channels, back_times = back.merged()
+    channels, times = merged(s)
+    back_channels, back_times = merged(back)
     assert np.array_equal(back_channels, channels)
     assert np.array_equal(back_times, times)
 
@@ -251,9 +253,8 @@ def test_format_errors(tmp_path):
 
 
 def test_stream_helpers():
-    s = EventStream.from_merged(np.array([0, 1, 0], dtype=np.uint8),
-                                np.array([10, 20, 30], dtype=np.int64),
-                                duration_ps=100)
+    s = from_merged(np.array([0, 1, 0], dtype=np.uint8),
+                    np.array([10, 20, 30], dtype=np.int64), duration_ps=100)
     assert len(s) == 3
     assert s.n_channel(0) == 2
     assert list(s.channel_times(1)) == [20]
@@ -281,9 +282,8 @@ def test_unsorted_csv_is_rejected(tmp_path):
 
 
 def test_binary_timestamp_past_int64_is_rejected(tmp_path):
-    s = EventStream.from_merged(np.array([0, 1], dtype=np.uint8),
-                                np.array([5, 9], dtype=np.int64),
-                                duration_ps=10)
+    s = from_merged(np.array([0, 1], dtype=np.uint8),
+                    np.array([5, 9], dtype=np.int64), duration_ps=10)
     path = tmp_path / "events.ttps"
     write_events(s, path)
     raw = bytearray(path.read_bytes())
@@ -293,6 +293,26 @@ def test_binary_timestamp_past_int64_is_rejected(tmp_path):
     with pytest.raises(EventFormatError, match="int64"):
         read_events(path)
     assert main(["coinc", "--events", str(path)]) == 3
+
+
+def test_negative_timestamps_are_rejected_on_both_sides(tmp_path):
+    # the CSV reader used to accept 0,-100, and the writer then put it in
+    # a .ttps record as 2^64 - 100, which its own reader rejects
+    path = tmp_path / "neg.csv"
+    path.write_text("channel,timestamp_ps\n0,-100\n1,200\n")
+    with pytest.raises(EventFormatError, match="negative"):
+        read_events(path)
+    assert main(["coinc", "--events", str(path)]) == 3
+    good = EventStream({0: np.array([5], dtype=np.int64)}, 10)
+    bad = EventStream({0: np.array([-100, 15], dtype=np.int64),
+                       1: np.array([12], dtype=np.int64)}, 20, start_ps=10)
+    for name in ("neg.ttps", "neg.csv"):
+        with pytest.raises(ValueError, match="negative"):
+            write_events(bad, tmp_path / name)
+    # raised before the block that holds one is written
+    with pytest.raises(ValueError, match="negative"):
+        write_events(iter([good, bad]), path)
+    assert path.read_text() == "channel,timestamp_ps\n0,5\n"
 
 
 # --- per-channel streams against the merged order ---------------------------
@@ -319,7 +339,7 @@ def test_merged_view_is_the_lexsort_of_the_events(ch, t):
     t = np.array(t[:n], dtype=np.int64)
     s = EventStream({c: np.sort(t[ch == c]) for c in (3, 0, 2, 1)}, 100)
     order = np.lexsort((ch, t))
-    channels, times = s.merged()
+    channels, times = merged(s)
     assert np.array_equal(channels, ch[order])
     assert np.array_equal(times, t[order])
     assert channels.dtype == np.uint8 and times.dtype == np.int64
@@ -330,10 +350,10 @@ def test_merged_view_is_the_lexsort_of_the_events(ch, t):
 @given(events=merged_events())
 def test_from_merged_then_merged_is_the_identity(events):
     ch, t = events
-    s = EventStream.from_merged(ch, t, 100)
+    s = from_merged(ch, t, 100)
     for c in s.times:
         assert np.all(np.diff(s.channel_times(c)) >= 0)
-    channels, times = s.merged()
+    channels, times = merged(s)
     assert np.array_equal(channels, ch)
     assert np.array_equal(times, t)
 
@@ -343,7 +363,7 @@ def test_from_merged_then_merged_is_the_identity(events):
 def test_write_read_write_is_byte_identical(tmp_path_factory, events):
     ch, t = events
     folder = tmp_path_factory.mktemp("files")
-    s = EventStream.from_merged(ch, t, 2 ** 63 - 1)
+    s = from_merged(ch, t, 2 ** 63 - 1)
     for name in ("a.ttps", "a.csv"):
         first, second = folder / name, folder / ("again_" + name)
         write_events(s, first)
@@ -368,8 +388,8 @@ def test_routing_keeps_channels_sorted_and_tags_aligned():
 
 @pytest.mark.filterwarnings("error")
 def test_empty_csv_reads_without_a_warning(tmp_path):
-    empty = EventStream.from_merged(np.zeros(0, dtype=np.uint8),
-                                    np.zeros(0, dtype=np.int64), 10)
+    empty = from_merged(np.zeros(0, dtype=np.uint8),
+                        np.zeros(0, dtype=np.int64), 10)
     for text in (None, "channel,timestamp_ps\n", "channel,timestamp_ps\n\n"):
         path = tmp_path / "empty.csv"
         if text is None:

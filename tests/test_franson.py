@@ -2,9 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from diskspdc.config import InvariantError, parse_config
-from diskspdc.events import SourceModel, generate_events
+from diskspdc.events import (EventStream, SourceModel, event_blocks,
+                             generate_events)
 from diskspdc.franson import (
     FitError,
     UmiConfig,
@@ -15,8 +18,11 @@ from diskspdc.franson import (
     peak_areas,
     peak_areas_span,
     quantum_fringe,
+    routed_blocks,
 )
-from diskspdc.tcspc import delay_histogram, window_edges
+from diskspdc.tcspc import delay_histogram, fold_delays, window_edges
+
+from streams import merged, short_blocks
 
 CFG = UmiConfig()  # 1.6 ns arms, balanced splitter
 
@@ -48,13 +54,13 @@ def test_umi_routing_extremes():
     s = pair_stream(duration_s=0.05)
     short_only = apply_umi(s, UmiConfig(arm_transmissions=(1.0, 0.0)),
                            seed=1)
-    _, times = s.merged()
-    _, short_times = short_only.merged()
+    _, times = merged(s)
+    _, short_times = merged(short_only)
     assert np.array_equal(short_times, times)
     assert all_tags(short_only).max() == 0
     long_only = apply_umi(s, UmiConfig(arm_transmissions=(0.0, 1.0)),
                           seed=1)
-    _, long_times = long_only.merged()
+    _, long_times = merged(long_only)
     assert np.array_equal(long_times, times + 1600)
     assert all_tags(long_only).min() == 1
     assert long_only.duration_ps == s.duration_ps + 1600
@@ -64,8 +70,8 @@ def test_umi_routing_balance_and_determinism():
     s = pair_stream(duration_s=0.2)
     out = apply_umi(s, CFG, seed=9)
     again = apply_umi(s, CFG, seed=9)
-    _, times = out.merged()
-    _, again_times = again.merged()
+    _, times = merged(out)
+    _, again_times = merged(again)
     tags = all_tags(out)
     assert np.array_equal(times, again_times)
     assert np.array_equal(tags, all_tags(again))
@@ -130,6 +136,127 @@ def test_central_peak_pairs_same_path():
     assert central_peak_is_same_path(out, CFG)
     with pytest.raises(ValueError):
         central_peak_is_same_path(s, CFG)
+
+
+# --- routing a stream block by block ----------------------------------------
+
+
+def cut_at(whole, edges):
+    """The blocks [lo, hi) of a stream between sorted edges, each ending
+    where the next starts, as generation's blocks do."""
+    bounds = [0, *edges, whole.duration_ps]
+    return whole, [EventStream({c: t[(t >= lo) & (t < hi)]
+                                for c, t in whole.times.items()},
+                               hi, start_ps=lo)
+                   for lo, hi in zip(bounds, bounds[1:])]
+
+
+def channel_routes(blocks, c):
+    """(times, tags as int64) of channel c over routed blocks, joined."""
+    return (np.concatenate([b.channel_times(c) for b in blocks]),
+            np.concatenate([b.tags.get(c, np.zeros(0, np.uint8))
+                            for b in blocks]).astype(np.int64))
+
+
+# a busy source in blocks of about eight events, at least 4096 ps long
+BUSY = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8,
+                   signal_channels=(0, 2), idler_channels=(1,))
+
+
+@st.composite
+def cut_streams(draw, span=400):
+    """(whole stream, its blocks): toy events on channels 0-2 with many
+    equal times in [0, span], cut at edges anywhere, so blocks may be
+    shorter than the arm delay; or a generated stream in short blocks."""
+    if draw(st.booleans()):
+        with short_blocks(8, 1 << 12):
+            blocks = list(event_blocks(BUSY, 1e-7,
+                                       draw(st.integers(0, 2 ** 32 - 1))))
+        return EventStream({c: np.concatenate([b.times[c] for b in blocks])
+                            for c in blocks[0].times},
+                           blocks[-1].duration_ps), blocks
+    times = {c: np.sort(np.array(draw(st.lists(st.integers(0, span),
+                                               max_size=10)), dtype=np.int64))
+             for c in draw(st.sets(st.integers(0, 2)))}
+    edges = sorted(draw(st.sets(st.integers(1, span), max_size=8)))
+    return cut_at(EventStream(times, span + 1), edges)
+
+
+# long-arm events that land in the next block, merged there with its own;
+# equal times routed onto a block edge; blocks of 1 ps against a 5 ps arm
+STRADDLE = cut_at(EventStream({0: np.array([99, 105], dtype=np.int64),
+                               1: np.array([99, 109], dtype=np.int64)}, 120),
+                  [100])
+TIES = cut_at(EventStream({0: np.array([7, 7], dtype=np.int64),
+                           1: np.array([7], dtype=np.int64)}, 20), [7, 8])
+SLIVERS = cut_at(EventStream({0: np.array([3, 4, 4, 6], dtype=np.int64),
+                              1: np.array([4, 5], dtype=np.int64)}, 10),
+                 list(range(1, 10)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=cut_streams(), delay=st.integers(0, 300) | st.just(1600),
+       arms=st.sampled_from([(0.5, 0.5), (1.0, 0.0), (0.0, 1.0),
+                             (0.2, 0.7)]),
+       seed=st.integers(0, 2 ** 32 - 1), lo=st.integers(-2000, 2000),
+       width=st.integers(0, 2000))
+@example(stream=STRADDLE, delay=10, arms=(0.0, 1.0), seed=1, lo=-20,
+         width=40)
+@example(stream=STRADDLE, delay=10, arms=(0.5, 0.5), seed=3, lo=-20,
+         width=40)
+@example(stream=TIES, delay=1, arms=(0.5, 0.5), seed=2, lo=-1, width=2)
+@example(stream=SLIVERS, delay=5, arms=(0.5, 0.5), seed=4, lo=-6,
+         width=12)
+def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
+                                              width):
+    whole, blocks = stream
+    config = UmiConfig(arm_delay_ns=delay / 1000, arm_transmissions=arms)
+    routed = list(routed_blocks(iter(blocks), config, seed))
+    # one routed block per block, then the tail, an arm delay long
+    assert len(routed) == len(blocks) + 1
+    assert [b.start_ps for b in routed[1:]] == [
+        b.duration_ps for b in routed[:-1]]
+    assert routed[-1].duration_ps == whole.duration_ps + delay
+    for b in routed:
+        for c, t in b.times.items():
+            assert len(b.tags[c]) == len(t)
+            assert np.all(np.diff(t) >= 0)
+            assert np.all((t >= b.start_ps) & (t < b.duration_ps))
+    # the reference: each block routed on its own, block k with the
+    # generator of (seed, k)
+    alone = [apply_umi(b, config, np.random.SeedSequence(seed, spawn_key=(k,)))
+             for k, b in enumerate(blocks)]
+    joined = {}
+    for c in range(3):
+        t, tags = channel_routes(routed, c)
+        want_t, want_tags = channel_routes(alone, c)
+        joined[c] = t
+        # each channel keeps its events, and undoing each event's route
+        # gives them back
+        assert len(t) == whole.n_channel(c)
+        assert np.array_equal(np.sort(t - delay * tags),
+                              whole.channel_times(c))
+        got, want = np.lexsort((tags, t)), np.lexsort((want_tags, want_t))
+        assert np.array_equal(t[got], want_t[want])
+        assert np.array_equal(tags[got], want_tags[want])
+    fold = fold_delays(iter(routed), 0, 1, lo, lo + width)
+    want = delay_histogram(joined[0], joined[1], lo, lo + width)
+    assert np.array_equal(fold.delays.counts, want.counts)
+    assert (fold.n_a, fold.n_b, fold.duration_ps) == (
+        len(joined[0]), len(joined[1]), whole.duration_ps + delay)
+    # a whole stream is one block, routed with the generator of (seed, 0)
+    one = apply_umi(whole, config,
+                    np.random.SeedSequence(seed, spawn_key=(0,)))
+    parts = list(routed_blocks([whole], config, seed))
+    for c, t in one.times.items():
+        assert np.array_equal(
+            np.concatenate([b.channel_times(c) for b in parts]), t)
+        assert np.array_equal(
+            np.concatenate([b.tags[c] for b in parts]), one.tags[c])
+
+
+def test_no_blocks_route_to_no_blocks():
+    assert list(routed_blocks(iter([]), CFG, 1)) == []
 
 
 def test_noiseless_visibility_recovery():

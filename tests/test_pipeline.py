@@ -11,7 +11,7 @@ from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                run_franson, run_g2, run_match, run_modes,
                                run_power_sweep, run_scan, run_simulate,
                                run_spectrum, run_trace, scan_table)
-from diskspdc import pipeline, tcspc
+from diskspdc import events, pipeline, tcspc
 from diskspdc.tcspc import dwdm_channel_index
 
 
@@ -378,8 +378,18 @@ xi_points = 8
     assert [s[:2] for s in spans] == [tcspc.two_fold_span(2400)] * 3
     assert [s[2] for s in spans] == [row[2] for row in rows]
     spans.clear()
-    run_franson(cfg)
-    assert len(spans) == 1
+    # franson folds its routed blocks: one gather per released batch of
+    # signal events, all over one span, each signal event gathered once.
+    # Blocks of about 2^10 events make several batches.
+    folds = []
+    fold = pipeline.fold_delays
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(events, "_BLOCK_EVENTS", 1 << 10)
+        mp.setattr(pipeline, "fold_delays",
+                   lambda *args: folds.append(fold(*args)) or folds[-1])
+        run_franson(cfg)
+    assert len(spans) > 1 and len({s[:2] for s in spans}) == 1
+    assert sum(s[2] for s in spans) == folds[0].n_a
     spans.clear()
     n1 = run_coinc(cfg)[1][0][0]
     assert spans == [(*tcspc.two_fold_span(800), n1)]
