@@ -36,6 +36,9 @@ An EventStream keeps one time-sorted int64 array per channel, which is what
 coincidence counting reads; a block is an EventStream of the events in
 [start_ps, duration_ps).  event_blocks yields the blocks, and generation
 then holds about three blocks; every experiment folds them as they come.
+drawn_ahead draws the next block on a worker thread while the caller folds
+the current one, a block more in memory; each block has its own generator,
+so the stream is the same whichever thread draws it.
 generate_events, which only tests and examples call, draws every block's
 counts first, allocates each channel once and copies the blocks in, so in
 memory the stream is held once, 8 B per event, plus those blocks.  Where one
@@ -56,6 +59,7 @@ Neither format holds a negative timestamp.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import io
 import math
@@ -454,6 +458,22 @@ def event_blocks(model: SourceModel, duration_s: float, seed: int):
     blocks, in time order, drawing one block ahead for the events handed
     back.  An invalid duration raises here, before any block is drawn."""
     return _blocks(model, seed, *_plan(model, duration_s))
+
+
+def drawn_ahead(blocks):
+    """Yield the blocks of an iterator, each drawn on a worker thread while
+    the caller works on the one before it.
+
+    The blocks (never None), their order and any error the iterator raises
+    are those of plain iteration.  The worker is joined when the iteration
+    ends, raises or is closed, so a caller that may stop early closes it.
+    """
+    blocks = iter(blocks)
+    with concurrent.futures.ThreadPoolExecutor(1) as pool:
+        ahead = pool.submit(next, blocks, None)
+        while (block := ahead.result()) is not None:
+            ahead = pool.submit(next, blocks, None)
+            yield block
 
 
 def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,

@@ -9,6 +9,7 @@ of machine or worker count.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -22,7 +23,8 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import SourceModel, event_blocks, read_blocks, write_events
+from .events import (SourceModel, drawn_ahead, event_blocks, read_blocks,
+                     write_events)
 from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, heralded_g2,
                     two_fold_metrics, two_fold_span)
 from .franson import (UmiConfig, classical_fringe, extract_visibility,
@@ -310,9 +312,11 @@ def run_g2(cfg: RunConfig):
     tau_ns = np.linspace(-cfg.g2.tau_max_ns, cfg.g2.tau_max_ns,
                          cfg.g2.tau_points)
     tau_ps = np.round(tau_ns * 1e3)
-    res = heralded_g2(event_blocks(model, cfg.g2.duration_s,
-                                   derive_seed(cfg.seed, 2)),
-                      tau_ps, window_ps=int(cfg.g2.window_ps))
+    # the next blocks are drawn on a worker thread while the fold runs;
+    # closing joins the thread when the fold raises
+    with contextlib.closing(drawn_ahead(event_blocks(
+            model, cfg.g2.duration_s, derive_seed(cfg.seed, 2)))) as blocks:
+        res = heralded_g2(blocks, tau_ps, window_ps=int(cfg.g2.window_ps))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),

@@ -807,6 +807,16 @@ G2_STRADDLE = g2_blocks([(1, 10_000), (0, 10_200), (2, 10_300),
                          (2, 40_300)], [10_100, 10_250, 30_000])
 # equal times on every channel, cut between them
 G2_TIES = g2_blocks([(0, 7), (1, 7), (1, 7), (2, 7), (2, 7)], [7, 7, 7])
+# two batches of heralds 10 ns apart, three released at the block from
+# 60 ns on and four at the end: in each, the first and the last herald
+# have an s1 partner and the others none, and the first and the second
+# herald an s2 partner, so s1 hits flagged one herald off, or against
+# another batch's heralds, change n_is1 or the triples
+G2_BATCH_ENDS = g2_blocks(
+    [(1, 10_000), (0, 10_200), (2, 10_300), (1, 20_000), (2, 20_300),
+     (1, 30_000), (0, 30_200), (1, 100_000), (0, 100_200), (2, 100_300),
+     (1, 110_000), (2, 110_300), (1, 120_000), (1, 130_000), (0, 130_200)],
+    [60_000])
 
 
 @settings(max_examples=300, deadline=None)
@@ -817,6 +827,8 @@ G2_TIES = g2_blocks([(0, 7), (1, 7), (1, 7), (2, 7), (2, 7)], [7, 7, 7])
 @example(stream=G2_STRADDLE, taus=[10_000], window=400, caps=(1, 1))
 @example(stream=G2_TIES, taus=[0], window=1, caps=None)
 @example(stream=G2_TIES, taus=[-1, 0], window=2, caps=(1, 1))
+@example(stream=G2_BATCH_ENDS, taus=[0, 10_000], window=400, caps=None)
+@example(stream=G2_BATCH_ENDS, taus=[0], window=400, caps=(1, 1))
 def test_heralded_g2_over_blocks_matches_the_whole_stream(stream, taus,
                                                          window, caps):
     # the spans reach 4400 ps and more, past many blocks of a 60 ns
@@ -876,8 +888,8 @@ def spread_heralds(n_blocks, heralds_per_block=4_000, spacing=250_000):
 
 def test_heralded_g2_fold_peak_is_its_pairs_and_about_a_block(monkeypatch):
     # each s event has one herald in reach, so the fold keeps n / 2 pairs
-    # for n heralds, 4 B per herald, and has1 1 B per herald, against the
-    # 12 B per herald of the whole stream
+    # for n heralds, 4 B per herald, and has1 at most 1 B per herald,
+    # against the 12 B per herald of the whole stream
     monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 1 << 10)
     monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 1 << 12)
     n_blocks, per_block = 100, 4_000

@@ -14,6 +14,7 @@ import random
 import re
 import struct
 import sys
+import threading
 import tracemalloc
 from unittest import mock
 
@@ -22,13 +23,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diskspdc import events
+from diskspdc import events, pipeline
 from diskspdc.cli import main
+from diskspdc.config import parse_config
 from diskspdc.events import (
     EventFormatError,
     EventStream,
     SourceModel,
     TruthCounters,
+    drawn_ahead,
     event_blocks,
     generate_events,
     read_events,
@@ -350,6 +353,86 @@ def test_generation_runs_under_a_trace_hook(install, capsys):
     assert_same_stream(got, want)
     assert status == 0
     assert "n12 =" in capsys.readouterr().out
+
+
+# --- drawn ahead on a worker thread ------------------------------------------
+
+
+# about 2^12 events a block under short_blocks(1 << 12, 1 << 20): 19 blocks
+# in 5 ms, with jitter that carries photons across their edges
+AHEAD = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
+                    jitter_sigma_ps=2000.0, signal_channels=(0, 2),
+                    idler_channels=(1,))
+
+
+def block_record(block):
+    return (block.start_ps, block.duration_ps, block.truth,
+            {c: t.tobytes() for c, t in block.times.items()})
+
+
+def counted_until_error(blocks):
+    """(blocks read, the ValueError's message, or None at the end)."""
+    n = 0
+    try:
+        for _ in blocks:
+            n += 1
+    except ValueError as err:
+        return n, str(err)
+    return n, None
+
+
+def test_drawn_ahead_yields_the_blocks_of_plain_iteration():
+    with short_blocks(1 << 12, 1 << 20):
+        want = [block_record(b) for b in event_blocks(AHEAD, 0.005, 7)]
+        got = [block_record(b)
+               for b in drawn_ahead(event_blocks(AHEAD, 0.005, 7))]
+    assert len(want) == 19 and got == want
+
+
+def test_drawn_ahead_raises_what_the_drawing_raises():
+    # at seed 3 a 32 us cavity lifetime carries an idler drawn in block
+    # 12 past its neighbour, which shows once blocks 0 to 10 are read
+    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
+                        pair_lifetime_ps=3.2e7)
+    with short_blocks(1 << 12, 1 << 20):
+        got = counted_until_error(drawn_ahead(event_blocks(model, 0.005, 3)))
+        want = counted_until_error(event_blocks(model, 0.005, 3))
+    assert got == want == (11, "an event drawn in the 268435456 ps block "
+                               "at 3221225472 ps lands past its neighbours")
+
+
+def test_closing_drawn_ahead_early_joins_its_worker():
+    baseline = threading.active_count()
+    with short_blocks(1 << 12, 1 << 20):
+        blocks = drawn_ahead(event_blocks(AHEAD, 0.005, 7))
+        next(blocks)
+        next(blocks)
+        blocks.close()
+    assert threading.active_count() == baseline
+
+
+def test_a_g2_fold_that_raises_leaves_no_thread(monkeypatch):
+    # run_g2 closes the blocks it draws ahead when its fold raises
+    def failing_fold(blocks, *args, **kwargs):
+        next(blocks)
+        next(blocks)
+        raise RuntimeError("mid-fold")
+
+    monkeypatch.setattr(pipeline, "heralded_g2", failing_fold)
+    cfg = parse_config("[g2]\nduration_s = 0.05\n")
+    baseline = threading.active_count()
+    with short_blocks(1 << 12, 1 << 20), pytest.raises(
+            RuntimeError, match="mid-fold") as raised:
+        pipeline.run_g2(cfg)
+    # the traceback, and with it every frame of the fold, is still held
+    assert raised.traceback and threading.active_count() == baseline
+
+
+def test_invalid_duration_raises_before_any_thread_starts():
+    baseline = threading.active_count()
+    with pytest.raises(ValueError, match="duration_s must be finite"):
+        drawn_ahead(event_blocks(AHEAD, -1.0, 7))
+    assert threading.active_count() == baseline
 
 
 # --- memory -----------------------------------------------------------------

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                run_spectrum, run_trace, scan_table)
 from diskspdc import events, pipeline, tcspc
 from diskspdc.tcspc import dwdm_channel_index
+
+from streams import short_blocks
 
 
 def test_derive_seed_golden():
@@ -317,6 +320,28 @@ losses_db = 2.0
     center = rows[2]
     assert center[1] < 0.05  # deep antibunching at this pump level
     assert "g2(0)" in summary[1]
+
+
+def test_run_g2_draws_ahead_the_rows_of_plain_iteration(monkeypatch):
+    # blocks of about 2^10 events: the fold reads many, each drawn on
+    # run_g2's worker thread, or on the fold's own with iter in its place
+    cfg = parse_config("[g2]\nduration_s = 0.02\ntau_points = 11\n")
+    drawn_on = []
+
+    def recorded(model, duration_s, seed):
+        for block in events.event_blocks(model, duration_s, seed):
+            drawn_on.append(threading.get_ident())
+            yield block
+
+    monkeypatch.setattr(pipeline, "event_blocks", recorded)
+    with short_blocks(1 << 10, 1 << 20):
+        drawn = run_g2(cfg)
+        ahead_on = set(drawn_on)
+        monkeypatch.setattr(pipeline, "drawn_ahead", iter)
+        plain = run_g2(cfg)
+    assert len(drawn_on) > 20 and threading.get_ident() not in ahead_on
+    # repr: the rows hold NaN, which equals nothing
+    assert repr(drawn) == repr(plain)
 
 
 def test_run_franson_tiny():

@@ -10,8 +10,12 @@ import importlib
 import importlib.util
 import json
 import pathlib
+import sys
+import threading
 
 import pytest
+
+from streams import short_blocks
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -65,3 +69,33 @@ def test_counters_read_what_generation_and_writing_return(tmp_path):
         span = {}
         spans._count(span, "events.write", args, kwargs, None)
         assert span == {"bytes": path.stat().st_size}
+
+
+def test_no_traced_target_runs_on_g2s_drawing_thread(monkeypatch):
+    # the tracer keeps one call stack per process, so a target called on
+    # the thread that draws g2's next blocks would nest its spans under
+    # whatever the fold has open.  Each target is replaced, as the tracer
+    # replaces it, by a spy that notes the thread calling it.
+    from diskspdc import pipeline
+    from diskspdc.config import parse_config
+
+    callers = set()
+    for _, module_name, attr in load_spans().TARGETS:
+        owner, _, leaf = attr.rpartition(".")
+        holder = importlib.import_module(module_name)
+        holder = getattr(holder, owner) if owner else holder
+        original = getattr(holder, leaf)
+
+        def spy(*args, _original=original, **kwargs):
+            callers.add(threading.get_ident())
+            return _original(*args, **kwargs)
+
+        holders = [holder] if owner else [
+            m for name, m in list(sys.modules.items())
+            if name.startswith("diskspdc") and m is not None
+            and getattr(m, leaf, None) is original]
+        for h in holders:
+            monkeypatch.setattr(h, leaf, spy)
+    with short_blocks(1 << 12, 1 << 20):
+        pipeline.run_g2(parse_config("[g2]\nduration_s = 0.05\n"))
+    assert callers == {threading.get_ident()}
