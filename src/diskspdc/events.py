@@ -39,14 +39,13 @@ then holds about three blocks; every experiment folds them as they come.
 drawn_ahead draws the next block on a worker thread while the caller folds
 the current one, a block more in memory; each block has its own generator,
 so the stream is the same whichever thread draws it.
-generate_events, which only tests and examples call, draws every block's
-counts first, allocates each channel once and copies the blocks in, so in
-memory the stream is held once, 8 B per event, plus those blocks.  Where one
-sequence is needed, as for event files, each block's channels are merged
-one time block of about _BLOCK_EVENTS events at a time, in time order with
-ties broken by channel and never split across blocks.  Both file formats
-are read in blocks of records, in one pass (read_blocks); read_events counts
-each channel's records first, so it too allocates each channel once.
+Where one sequence is needed, as for event files, each block's channels are
+merged one time block of about _BLOCK_EVENTS events at a time, in time order
+with ties broken by channel and never split across blocks.  Both file
+formats are read in blocks of records, in one pass (read_blocks).
+generate_events and read_events, which only tests and examples call, join
+the blocks in one pass (EventStream.from_blocks): they hold every block and
+the joined stream at once, about 16 B per event, twice the stream.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -223,26 +222,25 @@ class EventStream:
                                     + t.pairs_idler_only + t.pairs_neither)
 
     @classmethod
-    def from_blocks(cls, blocks, counts: dict[int, int]) -> EventStream:
-        """The stream of its blocks, given in time order.
+    def from_blocks(cls, blocks) -> EventStream:
+        """The stream of its blocks, given in time order, joined in one pass.
 
-        counts[c] bounds channel c's events in all the blocks, so each
-        channel is allocated once and filled block by block: the stream
-        is never held twice.  Counters add up; the duration is the last
-        block's.  An empty sequence raises ValueError.
+        Each channel is its times in every block that holds it (a file's
+        blocks hold only the channels with events), concatenated, so the
+        blocks and the joined stream are held at once.  Counters add up;
+        the duration is the last block's.  An empty sequence raises
+        ValueError.
         """
-        times = {c: np.empty(n, dtype=np.int64) for c, n in counts.items()}
-        filled = dict.fromkeys(times, 0)
-        block = None
-        for k, block in enumerate(blocks):
-            for c, t in block.times.items():
-                times[c][filled[c]:filled[c] + len(t)] = t
-                filled[c] += len(t)
-            truth = _summed([truth, block.truth]) if k else block.truth
-        if block is None:
+        blocks = list(blocks)
+        if not blocks:
             raise ValueError("no blocks: a stream has at least one")
-        return cls({c: t[:filled[c]] for c, t in times.items()},
-                   block.duration_ps, truth=truth)
+        parts: dict[int, list[np.ndarray]] = {}
+        for block in blocks:
+            for c, t in block.times.items():
+                parts.setdefault(c, []).append(t)
+        return cls({c: np.concatenate(p) for c, p in parts.items()},
+                   blocks[-1].duration_ps,
+                   truth=_summed([b.truth for b in blocks]))
 
     def _merged_blocks(self):
         """Yield the merged stream as (channels, times, order) blocks.
@@ -333,22 +331,6 @@ def _block_rng(seed: int, k: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
-def _poisson_counts(model: SourceModel, rng: np.random.Generator,
-                    length_ps: int) -> tuple[np.ndarray, np.ndarray]:
-    """A Poisson block's first draws: the pairs of each _pair_kinds kind,
-    then each channel's dark counts."""
-    pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
-                        * np.array([p for *_, p in _pair_kinds(model)]))
-    return pairs, _dark_counts(model, rng, length_ps)
-
-
-def _dark_counts(model: SourceModel, rng: np.random.Generator,
-                 length_ps: int) -> np.ndarray:
-    """Each channel's dark counts over length_ps, in _channels order."""
-    return rng.poisson(model.dark_rate_hz * length_ps * 1e-12,
-                       len(_channels(model)))
-
-
 def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
                  length_ps: int):
     """Block k's own draws over [start, start + length): (pairs of each
@@ -366,10 +348,11 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         kind = rng.choice(len(kinds), len(pair_t),
                           p=[p for *_, p in kinds])
         pairs = np.bincount(kind, minlength=len(kinds))
-        dark = _dark_counts(model, rng, length_ps)
         emitted = [pair_t[kind == j] for j in range(len(kinds))]
     else:
-        pairs, dark = _poisson_counts(model, rng, length_ps)
+        pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
+                            * np.array([p for *_, p in kinds]))
+    dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12, len(channels))
     pieces = {c: [] for c in channels}
     for j, (s, i, _) in enumerate(kinds):
         if (s is None and i is None) or not pairs[j]:
@@ -498,28 +481,11 @@ def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,
 
 def generate_events(model: SourceModel, duration_s: float,
                     seed: int) -> EventStream:
-    """Simulate a detection stream of the given duration (seconds).
-
-    The blocks of :func:`event_blocks`, copied into one array per channel
-    that the blocks' counts, drawn first, size.  No experiment calls it,
-    only tests and examples: every experiment folds the blocks.
+    """Simulate a detection stream of the given duration (seconds): the
+    blocks of :func:`event_blocks`, joined.  No experiment calls it, only
+    tests and examples: every experiment folds the blocks.
     """
-    duration_ps, block, n_blocks = _plan(model, duration_s)
-    if n_blocks == 1:
-        return next(event_blocks(model, duration_s, seed))
-    kinds = _pair_kinds(model)
-    counts = dict.fromkeys(_channels(model), 0)
-    for k in range(n_blocks):
-        pairs, dark = _poisson_counts(model, _block_rng(seed, k), min(
-            block, duration_ps - k * block))
-        for (s, i, _), n in zip(kinds, pairs.tolist()):
-            for c in (s, i):
-                if c is not None:
-                    counts[c] += n
-        for c, n in zip(counts, dark.tolist()):
-            counts[c] += n
-    return EventStream.from_blocks(event_blocks(model, duration_s, seed),
-                                   counts)
+    return EventStream.from_blocks(event_blocks(model, duration_s, seed))
 
 
 def _is_csv(path: str | os.PathLike) -> bool:
@@ -646,16 +612,9 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
 
 def read_events(path: str | os.PathLike,
                 duration_ps: int | None = None) -> EventStream:
-    """Read a timestamp file written by :func:`write_events` into memory.
-
-    The blocks of :func:`read_blocks`, read twice: once to count each
-    channel's events, then again into arrays of those lengths.
-    """
-    counts: dict[int, int] = {}
-    for block in read_blocks(path, duration_ps):
-        for c, t in block.times.items():
-            counts[c] = counts.get(c, 0) + len(t)
-    return EventStream.from_blocks(read_blocks(path, duration_ps), counts)
+    """Read a timestamp file written by :func:`write_events` into memory:
+    the blocks of :func:`read_blocks`, joined."""
+    return EventStream.from_blocks(read_blocks(path, duration_ps))
 
 
 def _record_blocks(fh, path, n_records: int):

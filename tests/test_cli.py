@@ -270,6 +270,23 @@ def test_the_path_suffix_picks_the_event_format(tmp_path, capsys, seed):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("seed", ["1", "12345"])
+def test_coinc_draws_the_stream_simulate_writes(tmp_path, capsys, seed):
+    # both draw at the same seed index over the same duration: analysing
+    # the written file gives the table of drawing the stream afresh
+    ev = str(tmp_path / "f.ttps")
+    rc, drawn, err = run_cli(["coinc", "--seed", seed, "--duration", "0.02"],
+                             capsys)
+    assert rc == 0, err
+    assert run_cli(["simulate", "--seed", seed, "--duration", "0.02",
+                    "--events", ev], capsys)[0] == 0
+    rc, read, err = run_cli(["coinc", "--events", ev, "--duration", "0.02"],
+                            capsys)
+    assert rc == 0, err
+    assert read == drawn
+    assert "n12 =" in drawn
+
+
 def test_run_dispatches_configured_experiment(tmp_path, capsys):
     cfg = write_cfg(tmp_path, "experiment = scan\n")
     rc_run, out_run, _ = run_cli(["run", "-c", cfg], capsys)

@@ -614,7 +614,7 @@ def test_windows_outside_a_passed_histogram_raise():
 @pytest.mark.parametrize("fold", [
     lambda: two_fold_metrics([]),
     lambda: tcspc.fold_delays(iter([]), 0, 1, *tcspc.two_fold_span(800)),
-    lambda: EventStream.from_blocks([], {}),
+    lambda: EventStream.from_blocks([]),
 ], ids=["two_fold_metrics", "fold_delays", "from_blocks"])
 def test_an_empty_block_sequence_raises(fold):
     with pytest.raises(ValueError, match="no blocks"):

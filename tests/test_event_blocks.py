@@ -1,12 +1,15 @@
 """The block-wise event path against whole-stream references.
 
-generate_events draws the stream in time blocks, and write_events and
-read_events work one block of about events._BLOCK_EVENTS events at a time.
+event_blocks draws the stream in time blocks, and write_events and
+read_blocks work one block of about events._BLOCK_EVENTS events at a time.
 The references below are whole-stream versions: every block's draws put
 into one stream at once, and the merged-stream writer the block writer
 replaced, kept verbatim.  The blocks must give the same arrays and the same
-file bytes.  The memory tests use tracemalloc, which numpy reports its
-array buffers to.
+file bytes.  generate_events and read_events, which only tests and examples
+call, join the blocks in one pass (EventStream.from_blocks), checked here
+against streams cut at arbitrary times; the join holds the blocks and the
+stream at once, twice the stream, so the memory tests bound the blocks, not
+the join.  They use tracemalloc, which numpy reports its array buffers to.
 """
 
 import hashlib
@@ -20,7 +23,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diskspdc import events, pipeline
@@ -34,6 +37,7 @@ from diskspdc.events import (
     drawn_ahead,
     event_blocks,
     generate_events,
+    read_blocks,
     read_events,
     write_events,
 )
@@ -200,6 +204,7 @@ def assert_same_stream(got, want):
        seed=st.integers(0, 2 ** 64 - 1),
        block_events=st.sampled_from([1, 7, 1 << 18]),
        min_block_ps=st.sampled_from([1, 2 ** 10, 2 ** 16]))
+# every example is at most 1,024 blocks, so none is skipped
 @example(model=SourceModel(pump_power_uw=0.0, dark_rate_hz=2e10),
          duration_s=1e-9, seed=3, block_events=2, min_block_ps=1)
 @example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
@@ -218,6 +223,9 @@ def assert_same_stream(got, want):
 def test_generation_matches_the_whole_stream_reference(
         model, duration_s, seed, block_events, min_block_ps):
     with short_blocks(block_events, min_block_ps):
+        # draws of up to 15,625 blocks of 64 ps took most of the suite's
+        # time; the test at scale covers 1,193 blocks
+        assume(events._plan(model, duration_s)[2] <= 1024)
         try:
             want = reference_generate_events(model, duration_s, seed)
         except ValueError:
@@ -448,58 +456,25 @@ def traced_peak(fn):
         tracemalloc.stop()
 
 
-def generation_extra_peaks(model, durations):
-    """Generation's peak above the stream it returns, in 2^12-event blocks
-    of at least 2^20 ps."""
-    out = []
-    with short_blocks(1 << 12, 1 << 20):
-        for d in durations:
-            stream, peak = traced_peak(lambda: generate_events(model, d, 7))
-            out.append((len(stream), peak - 8 * len(stream)))
-    return out
-
-
-def test_generation_peak_per_event():
-    # the two-signal-channel layout: at its peak generation holds the
-    # stream, allocated once from the blocks' counts (8 B per event), and
-    # about three blocks, so its peak above the stream does not grow with
-    # the duration.  The whole-stream generator took 32 B per event, and
-    # the one it replaced up to 14 B.
+@pytest.mark.parametrize("signal_channels", [(0,), (0, 2)],
+                         ids=["one_signal_channel", "two_signal_channels"])
+def test_block_generation_peak_does_not_grow_with_the_stream(
+        signal_channels):
+    # the replay layout (one channel per arm) and the g2 layout (two
+    # signal channels): drawing the blocks holds about three of them,
+    # whatever the duration.  The whole-stream generator took 32 B per
+    # event, and the one it replaced up to 14 B.
     model = SourceModel(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
                         detector_efficiency=0.9, dark_rate_hz=1e4,
-                        signal_channels=(0, 2), idler_channels=(1,))
-    (n_small, small), (n_large, large) = generation_extra_peaks(
-        model, (0.002, 0.008))
-    assert n_large > 700_000 and n_large > 3.5 * n_small
-    assert small < 1_000_000
-    assert large < small + 100_000
-    assert (8 * n_large + large) / n_large < 9.0
-
-
-def test_generation_peak_per_event_single_channel_arms():
-    # the replay layout, one channel per arm: the same bound
-    model = SourceModel(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
-                        detector_efficiency=0.9, dark_rate_hz=1e4,
-                        signal_channels=(0,), idler_channels=(1,))
-    (n_small, small), (n_large, large) = generation_extra_peaks(
-        model, (0.002, 0.008))
-    assert n_large > 700_000 and n_large > 3.5 * n_small
-    assert small < 1_000_000
-    assert large < small + 100_000
-    assert (8 * n_large + large) / n_large < 9.0
-
-
-def test_block_generation_peak_does_not_grow_with_the_stream():
-    # drawing the blocks holds about three of them, whatever the duration
-    model = SourceModel(pump_power_uw=10.0, detector_efficiency=0.9,
-                        signal_channels=(0, 2), idler_channels=(1,))
-    peaks = []
+                        signal_channels=signal_channels, idler_channels=(1,))
+    counts, peaks = [], []
     with short_blocks(1 << 12, 1 << 20):
         for d in (0.002, 0.008):
             n, peak = traced_peak(lambda: sum(
                 len(b) for b in event_blocks(model, d, 7)))
+            counts.append(n)
             peaks.append(peak)
-    assert n > 700_000
+    assert counts[1] > 700_000 and counts[1] > 3.5 * counts[0]
     assert peaks[0] < 1_000_000
     assert peaks[1] < peaks[0] + 100_000
 
@@ -515,14 +490,14 @@ def test_generated_channels_own_int64_buffers(signal_channels):
             n_blocks = events._plan(model, 1e-3)[2]
         assert n_blocks == (1 if blocks[0] > 1 << 10
                             else {1: 8, 2: 15}[len(signal_channels)])
+        truth = stream.truth
         for c, times in stream.times.items():
-            # a slice of one int64 array sized to the channel's draws: the
-            # stream is held once, whatever the number of blocks
-            owner = times.base
-            assert owner.dtype == np.int64 and owner.flags.owndata
-            assert owner.base is None
-            assert len(owner) == (stream.truth.detected[c]
-                                  + stream.truth.dark[c])
+            # one int64 array per channel, whatever the number of blocks,
+            # holding every event drawn for it and not clipped
+            assert times.dtype == np.int64 and times.flags.owndata
+            assert times.base is None
+            assert len(times) == (truth.detected[c] + truth.dark[c]
+                                  - truth.clipped[c])
 
 
 def io_peaks(tmp_path, n_pairs, suffix):
@@ -531,9 +506,10 @@ def io_peaks(tmp_path, n_pairs, suffix):
     stream = EventStream({0: t, 1: t + 10, 3: t[::2] + 20}, 10 ** 9 + 20)
     path = tmp_path / f"{n_pairs}{suffix}"
     _, write_peak = traced_peak(lambda: write_events(stream, path))
-    back, read_peak = traced_peak(lambda: read_events(path))
-    out_bytes = sum(a.nbytes for a in back.times.values())
-    return write_peak, read_peak - out_bytes
+    n, read_peak = traced_peak(lambda: sum(
+        len(b) for b in read_blocks(path)))
+    assert n == len(stream)
+    return write_peak, read_peak
 
 
 def test_file_io_peak_does_not_grow_with_the_stream(tmp_path, monkeypatch):
@@ -667,6 +643,74 @@ def test_from_merged_in_blocks_splits_each_channel(tmp_path_factory, stream,
     for c in back.times:
         assert back.times[c].dtype == np.int64
         assert np.array_equal(back.times[c], times[channels == c])
+
+
+# --- join: a stream cut into blocks and joined again -------------------------
+
+
+TRUTH_CHANNELS = (0, 1, 3)
+
+
+@st.composite
+def truth_counters(draw):
+    count = st.integers(0, 1000)
+    return TruthCounters(*(draw(count) for _ in range(4)), **{
+        name: {c: draw(count) for c in TRUTH_CHANNELS}
+        for name in ("detected", "dark", "clipped")})
+
+
+@st.composite
+def cut_streams(draw):
+    """(stream, blocks): a stream cut at arbitrary times into consecutive
+    blocks, empty ones among them, each block missing some of the channels
+    it holds no events of, and each with counters or None."""
+    stream = draw(channel_streams())
+    cuts = sorted(draw(st.lists(st.integers(0, 40) | st.integers(
+        0, stream.duration_ps), max_size=6)))
+    edges = [0] + cuts + [stream.duration_ps]
+    blocks = []
+    for lo, hi in zip(edges, edges[1:]):
+        times = {}
+        for c, t in stream.times.items():
+            part = t[np.searchsorted(t, lo):np.searchsorted(t, hi)]
+            if len(part) or draw(st.booleans()):
+                times[c] = part
+        blocks.append(EventStream(times, hi, start_ps=lo,
+                                  truth=draw(st.none() | truth_counters())))
+    return stream, blocks
+
+
+def reference_truth(truths):
+    """The counters summed field by field; None when any part has none."""
+    if any(t is None for t in truths):
+        return None
+    return TruthCounters(
+        *(sum(getattr(t, name) for t in truths) for name in (
+            "pairs_both", "pairs_signal_only", "pairs_idler_only",
+            "pairs_neither")),
+        **{name: {c: sum(getattr(t, name)[c] for t in truths)
+                  for c in TRUTH_CHANNELS}
+           for name in ("detected", "dark", "clipped")})
+
+
+@settings(max_examples=200, deadline=None)
+@given(cut=cut_streams())
+@example(cut=(TIES_AT_EDGE, [
+    EventStream({0: np.array([1], dtype=np.int64)}, 2),
+    EventStream({2: np.array([2], dtype=np.int64)}, 5, start_ps=2),
+    EventStream({}, 5, start_ps=5),
+    EventStream({c: t[t >= 5] for c, t in TIES_AT_EDGE.times.items()}, 10,
+                start_ps=5)]))
+def test_from_blocks_joins_a_stream_cut_into_blocks(cut):
+    stream, blocks = cut
+    got = EventStream.from_blocks(iter(blocks))
+    held = {c for b in blocks for c in b.times}
+    assert set(got.times) == held
+    for c, t in stream.times.items():
+        assert got.channel_times(c).dtype == np.int64
+        assert np.array_equal(got.channel_times(c), t)
+    assert got.duration_ps == blocks[-1].duration_ps == stream.duration_ps
+    assert got.truth == reference_truth([b.truth for b in blocks])
 
 
 # --- reader: errors at block boundaries -------------------------------------
