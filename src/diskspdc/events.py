@@ -47,6 +47,17 @@ generate_events and read_events, which only tests and examples call, join
 the blocks in one pass (EventStream.from_blocks): they hold every block and
 the joined stream at once, about 16 B per event, twice the stream.
 
+A stream splits exactly into time shards [t0, t1), so that separate
+processes can each take one.  A generated stream's shards are cut at block
+starts (block_shards); event_blocks given a shard draws only the blocks
+that hold it, and the one before, for the events that block hands up.  A
+.ttps file's shards are cut at the timestamps of evenly spaced records
+(file_shards), and shard_records finds a shard's records by bisecting the
+file one record at a time; a CSV file, which has no fixed-size records, is
+one shard.  A fold given a shard reads the blocks that also hold its
+events' partners (see tcspc._fold_batches).  event_parts writes one file
+as consecutive parts, each by its own write_events, and appends them.
+
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
 9-byte records of u8 channel + u64 LE timestamp in picoseconds, time-sorted.
@@ -59,11 +70,14 @@ Neither format holds a negative timestamp.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import dataclasses
 import io
 import math
 import os
+import shutil
 import struct
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -436,11 +450,41 @@ def _handed(model: SourceModel, seed: int, k: int, block: int,
                          clipped=clipped), parts
 
 
-def event_blocks(model: SourceModel, duration_s: float, seed: int):
+def event_blocks(model: SourceModel, duration_s: float, seed: int,
+                 shard: tuple[int | None, int | None] = (None, None),
+                 lo_ps: int = 0, hi_ps: int = 0):
     """The stream of :func:`generate_events` as an iterator of EventStream
     blocks, in time order, drawing one block ahead for the events handed
-    back.  An invalid duration raises here, before any block is drawn."""
-    return _blocks(model, seed, *_plan(model, duration_s))
+    back.  An invalid duration raises here, before any block is drawn.
+
+    shard = (t0, t1), None an open end, keeps the blocks that a fold of
+    that time shard reads, for pairs whose delays lie in [lo, hi]: those
+    that hold a time in [t0 + min(lo, 0), t1 + max(hi, 0)).  The block
+    before the first is drawn too, for the events it hands up, so each
+    block is the one a whole pass yields.
+    """
+    duration_ps, block, n_blocks = _plan(model, duration_s)
+    t0, t1 = shard
+    first = 0 if t0 is None else min(max((t0 + min(lo_ps, 0)) // block, 0),
+                                     n_blocks)
+    stop = n_blocks if t1 is None else min(
+        max(-(-(t1 + max(hi_ps, 0)) // block), 0), n_blocks)
+    return _blocks(model, seed, duration_ps, block, n_blocks, first, stop)
+
+
+def block_shards(model: SourceModel, duration_s: float,
+                 n_shards: int) -> list[tuple[int | None, int | None]]:
+    """The time shards [t0, t1) of a generated stream, None an open end:
+    S = min(n_shards, n) of them for a stream of n blocks, cut at the
+    starts of blocks n.j/S."""
+    _, block, n_blocks = _plan(model, duration_s)
+    return _shards([n_blocks * j // n_shards * block
+                    for j in range(1, min(n_shards, n_blocks))])
+
+
+def _shards(cuts: list[int]) -> list[tuple[int | None, int | None]]:
+    edges = [None, *cuts, None]
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def drawn_ahead(blocks):
@@ -460,10 +504,16 @@ def drawn_ahead(blocks):
 
 
 def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,
-            n_blocks: int):
+            n_blocks: int, first: int, stop: int):
+    """Blocks first to stop - 1 of a stream of n_blocks."""
+    if first >= stop:
+        return
     up: dict[int, np.ndarray] = {}
-    here = _handed(model, seed, 0, block, duration_ps)
-    for k in range(n_blocks):
+    if first:
+        up = {c: rise for c, (*_, rise) in
+              _handed(model, seed, first - 1, block, duration_ps)[1].items()}
+    here = _handed(model, seed, first, block, duration_ps)
+    for k in range(first, stop):
         after = (_handed(model, seed, k + 1, block, duration_ps)
                  if k + 1 < n_blocks else None)
         truth, parts = here
@@ -534,6 +584,71 @@ def write_events(stream, path: str | os.PathLike) -> None:
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_channels, b"\0" * 6))
 
 
+def splittable(path: str | os.PathLike) -> bool:
+    """Whether :func:`event_parts` can write path in parts: a regular
+    file or none yet, not a device such as /dev/null or a pipe."""
+    return not os.path.exists(path) or os.path.isfile(path)
+
+
+@contextlib.contextmanager
+def event_parts(path: str | os.PathLike, n_parts: int):
+    """Write one event file as n_parts consecutive parts, each by its own
+    :func:`write_events`: yields the parts' paths, path itself first and
+    then new files beside it, of path's format.  More than one part needs
+    a :func:`splittable` path.
+
+    On leaving, the later parts' records are appended to path in order,
+    copied in the kernel (os.copy_file_range) where the platform has it,
+    and a binary header's channel count becomes the largest of the parts',
+    so the file is the one a single write_events of every block gives.
+    The part files are removed then, and when anything raises.
+    """
+    parts = []
+    try:
+        # path first, so that one that cannot be written raises as a
+        # single write_events would
+        open(path, "wb").close()
+        for j in range(1, n_parts):
+            fd, part = tempfile.mkstemp(
+                suffix=os.path.splitext(path)[1],
+                prefix=f"{os.path.basename(path)}.part{j}.",
+                dir=os.path.dirname(os.path.abspath(path)))
+            os.close(fd)
+            parts.append(part)
+        yield [path, *parts]
+        if not parts:
+            return
+        skip = len(_CSV_HEADER) + 1 if _is_csv(path) else _HEADER.size
+        with open(path, "r+b", buffering=0) as out:
+            heads = [out.read(skip)]
+            out.seek(0, os.SEEK_END)
+            for part in parts:
+                with open(part, "rb", buffering=0) as fh:
+                    heads.append(fh.read(skip))
+                    _append(out, fh, skip)
+            if not _is_csv(path):
+                out.seek(0)
+                out.write(_HEADER.pack(
+                    MAGIC, FORMAT_VERSION,
+                    max(_HEADER.unpack(h)[2] for h in heads), b"\0" * 6))
+    finally:
+        for part in parts:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(part)
+
+
+def _append(out, src, offset: int) -> None:
+    """Append src's bytes from offset on at out's position."""
+    if not hasattr(os, "copy_file_range"):
+        src.seek(offset)
+        shutil.copyfileobj(src, out)
+        return
+    size = os.fstat(src.fileno()).st_size
+    while offset < size and (n := os.copy_file_range(
+            src.fileno(), out.fileno(), size - offset, offset)):
+        offset += n
+
+
 def _unsigned(block: EventStream) -> EventStream:
     """The block, or ValueError when it holds a negative timestamp."""
     if any(len(t) and t[0] < 0 for t in block.times.values()):
@@ -569,7 +684,8 @@ def _decimal(x: np.ndarray) -> np.ndarray:
     return out.T
 
 
-def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
+def read_blocks(path: str | os.PathLike, duration_ps: int | None = None,
+                records: tuple[int, int | None] = (0, None)):
     """Yield a timestamp file written by :func:`write_events`, of either
     format, as EventStream blocks of records, in time order, in one pass.
 
@@ -581,9 +697,13 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
     values in [0, duration) and channels fit a byte; a binary file's
     channels lie below its header's channel count, and a CSV file starts
     with the header row channel,timestamp_ps and has two columns.  Anything
-    else raises EventFormatError when its block is reached.
+    else raises EventFormatError when its block is reached.  records =
+    (first, stop) reads only a .ttps file's records [first, stop) (None:
+    to the end), and checks them alone; a CSV file is read whole.
     """
     if _is_csv(path):
+        if records != (0, None):
+            raise ValueError("a CSV file is read whole")
         with open(path) as fh:
             if fh.readline().rstrip("\n") != _CSV_HEADER:
                 raise EventFormatError(f"{path}: the first row is not the "
@@ -592,22 +712,93 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None):
                                        duration_ps)
         return
     with open(path, "rb") as fh:
-        head = fh.read(_HEADER.size)
-        if len(head) < _HEADER.size:
-            raise EventFormatError(f"{path}: truncated header")
-        magic, version, n_channels, reserved = _HEADER.unpack(head)
-        if magic != MAGIC:
-            raise EventFormatError(f"{path}: bad magic {magic!r}")
-        if version != FORMAT_VERSION:
-            raise EventFormatError(f"{path}: unsupported version "
-                                   f"{version}")
-        n_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
-        if n_bytes % _RECORD_DTYPE.itemsize:
-            raise EventFormatError(f"{path}: truncated record data")
-        n_records = n_bytes // _RECORD_DTYPE.itemsize
+        n_channels, n_records = _ttps_header(fh, path)
+        first, stop = records
+        stop = n_records if stop is None else min(stop, n_records)
+        fh.seek(_HEADER.size + first * _RECORD_DTYPE.itemsize)
         yield from _checked_blocks(
-            path, _record_blocks(fh, path, n_records), n_channels,
+            path, _record_blocks(fh, path, max(stop - first, 0)), n_channels,
             duration_ps)
+
+
+def _ttps_header(fh, path) -> tuple[int, int]:
+    """(channel count, record count) of an open .ttps file, or
+    EventFormatError for a bad header or a part record at the end."""
+    head = fh.read(_HEADER.size)
+    if len(head) < _HEADER.size:
+        raise EventFormatError(f"{path}: truncated header")
+    magic, version, n_channels, reserved = _HEADER.unpack(head)
+    if magic != MAGIC:
+        raise EventFormatError(f"{path}: bad magic {magic!r}")
+    if version != FORMAT_VERSION:
+        raise EventFormatError(f"{path}: unsupported version {version}")
+    n_bytes = os.fstat(fh.fileno()).st_size - _HEADER.size
+    if n_bytes % _RECORD_DTYPE.itemsize:
+        raise EventFormatError(f"{path}: truncated record data")
+    return n_channels, n_bytes // _RECORD_DTYPE.itemsize
+
+
+def file_shards(path: str | os.PathLike,
+                n_shards: int) -> list[tuple[int | None, int | None]]:
+    """The time shards [t0, t1) of an event file, None an open end.
+
+    A .ttps file of n records has min(n_shards, its blocks of records)
+    shards, at least one, cut at the timestamps of records n.j/S, each
+    read on its own (os.pread); a CSV file is one shard.  A bad header
+    raises the EventFormatError that read_blocks raises.
+    """
+    if _is_csv(path):
+        return _shards([])
+    with open(path, "rb") as fh:
+        _, n = _ttps_header(fh, path)
+        n_shards = min(n_shards, -(-n // _BLOCK_EVENTS))
+        # a cut past the int64 range stays a valid search key: the
+        # record's own block raises when it is read
+        return _shards([min(_record_time(fh, n * j // n_shards), 2 ** 63 - 1)
+                        for j in range(1, n_shards)])
+
+
+def shard_records(path: str | os.PathLike,
+                  shard: tuple[int | None, int | None], lo_ps: int = 0,
+                  hi_ps: int = 0) -> tuple[int, int | None]:
+    """The records [first, stop) of a .ttps file that a fold of the time
+    shard [t0, t1) reads, for pairs whose delays lie in [lo, hi]: those
+    with timestamps in [t0 + min(lo, 0), t1 + max(hi, 0)), found by
+    bisecting the file one record at a time, and one record more.
+
+    On any file, sorted or not, the bisection's record for a time never
+    falls as the time rises, so the shards of one list of cuts, in any
+    order, overlap by at least that one record: every pair of neighbouring
+    records lies in one of them, and their checks together are a whole
+    pass's.  A shard open at both ends is (0, None), the whole file, of
+    either format.
+    """
+    t0, t1 = shard
+    if t0 is None and t1 is None:
+        return 0, None
+    with open(path, "rb") as fh:
+        _, n = _ttps_header(fh, path)
+
+        def at(t):
+            """The first record at or past t, by bisection."""
+            lo, hi = 0, n
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if _record_time(fh, mid) < t:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo
+
+        return (0 if t0 is None else at(t0 + min(lo_ps, 0)),
+                n if t1 is None else min(at(t1 + max(hi_ps, 0)) + 1, n))
+
+
+def _record_time(fh, k: int) -> int:
+    """The timestamp of a .ttps file's record k, read on its own."""
+    return int.from_bytes(os.pread(
+        fh.fileno(), 8, _HEADER.size + k * _RECORD_DTYPE.itemsize + 1),
+        "little")
 
 
 def read_events(path: str | os.PathLike,
@@ -618,7 +809,8 @@ def read_events(path: str | os.PathLike,
 
 
 def _record_blocks(fh, path, n_records: int):
-    """Yield (channels, timestamps) of a .ttps file's records in blocks.
+    """Yield (channels, timestamps) of n_records .ttps records from fh's
+    position on, in blocks.
 
     Each block is read into the same buffers, valid until the next one: a
     fresh buffer per block costs more in page faults than reading it.

@@ -4,12 +4,19 @@ Every run_* function returns (columns, rows, summary) where summary is a
 list of human-readable lines.  All randomness flows from the master seed
 through derive_seed, so a fixed config gives identical tables regardless
 of machine or worker count.
+
+The sweep's points, and the time shards of simulate and coinc (see
+events), run in forked worker processes, one per CPU this process may run
+on at most (_mapped); one task, or one CPU, runs inline with no pool.
+Shards are exact pieces of the stream, so the file and the tables are
+those of one pass whatever the number of CPUs.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -23,10 +30,12 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, drawn_ahead, event_blocks, read_blocks,
-                     write_events)
-from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, heralded_g2,
-                    two_fold_metrics, two_fold_span)
+from .events import (SourceModel, block_shards, drawn_ahead, event_blocks,
+                     event_parts, file_shards, read_blocks, shard_records,
+                     splittable, write_events)
+from .tcspc import (DelayHistogram, PairFold, dwdm_channel_index, dwdm_grid,
+                    fold_delays, heralded_g2, two_fold_metrics,
+                    two_fold_span)
 from .franson import (UmiConfig, classical_fringe, extract_visibility,
                       peak_areas, peak_areas_span, quantum_fringe,
                       routed_blocks)
@@ -269,27 +278,49 @@ def run_power_sweep(cfg: RunConfig):
     """Pair rate and CAR against pump power."""
     points = [(cfg, p, derive_seed(cfg.seed, 0x5EE9 + i))
               for i, p in enumerate(cfg.sweep.powers_uw)]
-    # a pool forks all its workers at once, so never more than the points
-    workers = min(cfg.sweep.parallelism or os.cpu_count() or 1, len(points))
-    if workers > 1 and len(points) > 1:
-        # the longest points, at the highest powers, go to the pool first;
-        # each point's seed comes from its own index, so order is only time
-        longest_first = sorted(range(len(points)),
-                               key=lambda k: points[k][1], reverse=True)
-        rows = [None] * len(points)
-        with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers) as pool:
-            for k, row in zip(longest_first, pool.map(
-                    _sweep_point, [points[k] for k in longest_first])):
-                rows[k] = row
-    else:
-        rows = [_sweep_point(p) for p in points]
+    workers = cfg.sweep.parallelism or _cpus()
+    # the longest points, at the highest powers, go to a pool first; each
+    # point's seed comes from its own index, so order is only time
+    order = sorted(range(len(points)), key=lambda k: points[k][1],
+                   reverse=True) if workers > 1 else range(len(points))
+    rows = [None] * len(points)
+    for k, row in zip(order, _mapped(_sweep_point,
+                                     [points[k] for k in order], workers)):
+        rows[k] = row
     columns = ("power_uw", "pair_rate_mhz", "n1", "n2", "n12",
                "pgr_estimate_mhz", "car")
     slope = _fit_slope([r[0] for r in rows], [r[5] for r in rows])
     summary = [f"fitted rate slope: {slope:.4f} MHz/uW over "
                f"{len(rows)} points"]
     return columns, rows, summary
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _mapped(fn, tasks: list, workers: int) -> list:
+    """[fn(t) for t in tasks], in worker processes when there are more
+    workers and tasks than one, inline otherwise.
+
+    A pool forks all its workers at once, so it gets no more than the
+    tasks.  Forked workers inherit the imported package, so they start at
+    once; no thread runs in this program when a pool is made.  The first
+    task to raise, in task order, raises here once every task is done.
+    """
+    workers = min(workers, len(tasks))
+    if workers <= 1:
+        return [fn(t) for t in tasks]
+    # imported here: about 9 ms of start-up that only a pool needs
+    import multiprocessing
+    context = (multiprocessing.get_context("fork")
+               if "fork" in multiprocessing.get_all_start_methods() else None)
+    with concurrent.futures.ProcessPoolExecutor(
+            max_workers=workers, mp_context=context) as pool:
+        return list(pool.map(fn, tasks))
 
 
 def _fit_slope(x, y) -> float:
@@ -496,21 +527,22 @@ def run_trace(cfg: RunConfig, delta_m: int | None = None,
 
 def run_simulate(cfg: RunConfig, out_path: str,
                  duration_s: float | None = None):
-    """Generate an event stream at the configured source and store it."""
+    """Generate an event stream at the configured source and store it.
+
+    The stream's time shards (events.block_shards, one per CPU at most)
+    are drawn and written in parallel, each to its part of the file
+    (events.event_parts), and their tallies add up.  A path that is no
+    regular file, such as /dev/null, takes one shard.
+    """
     model = build_source(cfg)
     duration = cfg.sweep.duration_s if duration_s is None else duration_s
-    # each block's pairs and events, tallied as the writer takes it
-    tally = []
-
-    def tallied(blocks):
-        for b in blocks:
-            tally.append((b.n_pairs_generated, b.n_channel(0), b.n_channel(1),
-                          len(b)))
-            yield b
-
-    write_events(tallied(event_blocks(model, duration,
-                                      derive_seed(cfg.seed, 6))), out_path)
-    n_pairs, n_signal, n_idler, n_events = np.sum(tally, axis=0).tolist()
+    shards = block_shards(model, duration,
+                          _cpus() if splittable(out_path) else 1)
+    with event_parts(out_path, len(shards)) as paths:
+        tallies = _mapped(functools.partial(
+            _written_shard, model, duration, derive_seed(cfg.seed, 6)),
+            list(zip(shards, paths)), len(shards))
+    n_pairs, n_signal, n_idler, n_events = np.sum(tallies, axis=0).tolist()
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")
     rows = [(int(round(duration * 1e12)) / 1e12, n_pairs, n_signal, n_idler,
@@ -519,21 +551,58 @@ def run_simulate(cfg: RunConfig, out_path: str,
     return columns, rows, summary
 
 
+def _written_shard(model: SourceModel, duration_s: float, seed: int,
+                   shard_path) -> list[int]:
+    """Write one time shard's blocks to its part of the event file; its
+    pairs and events, tallied as the writer takes each block."""
+    shard, path = shard_path
+    tally = []
+
+    def tallied(blocks):
+        for b in blocks:
+            tally.append((b.n_pairs_generated, b.n_channel(0), b.n_channel(1),
+                          len(b)))
+            yield b
+
+    write_events(tallied(event_blocks(model, duration_s, seed, shard)), path)
+    return np.sum(tally, axis=0).tolist()
+
+
 def run_coinc(cfg: RunConfig, events_path: str | None = None,
               duration_s: float | None = None):
-    """Two-fold coincidence metrics of a stored or fresh stream."""
+    """Two-fold coincidence metrics of a stored or fresh stream.
+
+    The stream's time shards, one per CPU at most, are folded in parallel
+    (tcspc.fold_delays), each over the blocks that hold its signal events'
+    partners: a .ttps file's records (events.file_shards, a CSV file is
+    one shard) or the generated blocks (events.block_shards).  Their
+    histograms and counts add up to the whole stream's.
+    """
+    window = int(cfg.source.coincidence_window_ps)
+    lo, hi = two_fold_span(window)
     if events_path is not None:
         if duration_s is not None and not 0 < duration_s < math.inf:
             raise ValueError("--duration must be finite and positive")
-        blocks = read_blocks(events_path, None if duration_s is None
-                             else int(round(duration_s * 1e12)))
+        blocks = functools.partial(read_blocks, events_path,
+                                   None if duration_s is None
+                                   else int(round(duration_s * 1e12)))
+        shards = [(s, shard_records(events_path, s, lo, hi))
+                  for s in file_shards(events_path, _cpus())]
     else:
         model = build_source(cfg)
         duration = cfg.sweep.duration_s if duration_s is None else duration_s
-        blocks = event_blocks(model, duration, derive_seed(cfg.seed, 6))
-    # folded block by block: the stream is never held whole
-    res = two_fold_metrics(blocks,
-                           window_ps=int(cfg.source.coincidence_window_ps))
+        blocks = functools.partial(event_blocks, model, duration,
+                                   derive_seed(cfg.seed, 6), lo_ps=lo,
+                                   hi_ps=hi)
+        shards = [(s, s) for s in block_shards(model, duration, _cpus())]
+    # folded block by block: no shard holds the stream
+    folds = _mapped(functools.partial(_folded_shard, blocks, lo, hi), shards,
+                    len(shards))
+    pair = PairFold(sum(f.n_a for f in folds), sum(f.n_b for f in folds),
+                    max(f.duration_ps for f in folds),
+                    DelayHistogram(lo, np.sum([f.delays.counts
+                                               for f in folds], axis=0)))
+    res = two_fold_metrics(pair, window_ps=window)
     columns = ("n1", "n2", "n12", "accidental_mean", "peak_delay_ps",
                "window_ps", "duration_s", "pgr_estimate_mhz", "car")
     rows = [(res.n1, res.n2, res.n12, res.accidental_mean,
@@ -541,3 +610,10 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
              res.pgr_estimate_hz * 1e-6, res.car)]
     summary = [f"n12 = {res.n12}, CAR = {res.car:.1f}"]
     return columns, rows, summary
+
+
+def _folded_shard(blocks, lo_ps: int, hi_ps: int, shard) -> PairFold:
+    """The signal-idler fold of one time shard (own, reads): of the events
+    in the times own, over the blocks that blocks(reads) gives."""
+    own, reads = shard
+    return fold_delays(blocks(reads), 0, 1, lo_ps, hi_ps, own)

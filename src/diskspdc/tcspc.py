@@ -22,11 +22,15 @@ A stream need not be held whole.  Every fold over a stream's time blocks
 takes its pairs from one block-edge rule, :func:`_fold_batches`, which hands
 out each a event once, in a batch with every b event it can reach.
 Histograms add, so :func:`fold_delays` adds each batch's delays, and
-:func:`two_fold_metrics` reads blocks that way.  Heralded g2 folds both of
-its channel pairs in the same pass: it keeps each batch's pairs as packed
-8-byte keys and adds their delays into a calibration histogram per
-channel pair, and once the last block has been read and both peaks are
-known it counts the windows batch by batch.
+:func:`two_fold_metrics` reads blocks that way.  For the same reason a
+stream's time shards fold apart: a fold given a shard [t0, t1) releases
+and counts only that shard's events, pairing its a events with b events
+on either side of its edges, so the folds of consecutive shards, given the
+blocks that hold [t0 + lo, t1 + hi), add up to one pass.  Heralded g2
+folds both of its channel pairs in the same pass: it keeps each batch's
+pairs as packed 8-byte keys and adds their delays into a calibration
+histogram per channel pair, and once the last block has been read and
+both peaks are known it counts the windows batch by batch.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -224,7 +228,7 @@ class PairFold:
 
 
 def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
-                  release) -> tuple[dict[int, int], int]:
+                  release, own_ps=(None, None)) -> tuple[dict[int, int], int]:
     """The block-edge rule of every fold over a stream's blocks
     (EventStreams in time order; see events.EventStream).
 
@@ -234,13 +238,18 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
     while a waiting or later a event can still reach it.  So each a event
     is released once with all its partners, wherever the block edges fall,
     even between equal times: release(first, a, kept) is called for each
-    non-empty batch a of a events, first the stream-wide index of its
-    first event and kept the b events it may reach, per channel of spans.
+    non-empty batch a of a events, first the fold's index of its first
+    event and kept the b events it may reach, per channel of spans.
     The batch is dropped before the next block is drawn, and the fold
     holds about one block of each channel, copying events only when a
-    block edge falls inside the span of a waiting or kept event.  Returns
-    the event count of each channel read and the stream's duration.  An
-    empty sequence raises ValueError.
+    block edge falls inside the span of a waiting or kept event.
+
+    own_ps = (t0, t1), None an open end, is the time shard the fold owns:
+    only its a events in [t0, t1) are released, and only its events in
+    [t0, t1) are counted, so folds of consecutive shards, each given the
+    blocks that hold [t0 + lo, t1 + hi), add up to the whole stream's.
+    Returns the event count of each channel read and the stream's
+    duration, the last block's.  An empty sequence raises ValueError.
     """
     reach = max(hi for _, hi in spans.values())
     seen = dict.fromkeys([ch_a, *spans], 0)
@@ -249,14 +258,15 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
     first = 0
     block = None
     for block in blocks:
+        owned = {c: _owned(block.channel_times(c), own_ps) for c in seen}
         for c in seen:
-            seen[c] += len(block.channel_times(c))
+            seen[c] += len(owned[c])
         # a events whose every partner lies before this block
         ready = int(np.searchsorted(waiting, block.start_ps - reach))
         if ready:
             release(first, waiting[:ready], kept)
         first += ready
-        waiting = _joined(waiting[ready:], block.channel_times(ch_a))
+        waiting = _joined(waiting[ready:], owned[ch_a])
         floor = min(block.start_ps, int(waiting[0])) if len(waiting) \
             else block.start_ps
         kept = [_joined(k[np.searchsorted(k, floor + lo):],
@@ -269,19 +279,29 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
     return seen, block.duration_ps
 
 
-def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int,
-                hi_ps: int) -> PairFold:
+def _owned(times: np.ndarray, own_ps) -> np.ndarray:
+    """The sorted times in [t0, t1) of own_ps, None an open end."""
+    t0, t1 = own_ps
+    return times[0 if t0 is None else np.searchsorted(times, t0):
+                 None if t1 is None else np.searchsorted(times, t1)]
+
+
+def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int, hi_ps: int,
+                own_ps=(None, None)) -> PairFold:
     """:func:`delay_histogram` of two channels, folded over the blocks of a
     stream (EventStreams in time order; see events.EventStream).
 
     Each pair counts once, in the batch that :func:`_fold_batches` releases
     its a event in, so the histogram is the whole stream's wherever the
     block edges fall, and the fold holds about one block of each channel.
+    own_ps limits the fold to one time shard of the stream, as
+    _fold_batches says: PairFolds of consecutive shards add up.
     """
     counts = _delay_counts(lo_ps, hi_ps)
     seen, duration_ps = _fold_batches(
         blocks, ch_a, {ch_b: (lo_ps, hi_ps)},
-        lambda _, a, kept: _add_delays(counts, a, kept[0], lo_ps, hi_ps))
+        lambda _, a, kept: _add_delays(counts, a, kept[0], lo_ps, hi_ps),
+        own_ps)
     return PairFold(seen[ch_a], seen[ch_b], duration_ps,
                     DelayHistogram(lo_ps, counts))
 

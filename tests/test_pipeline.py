@@ -233,7 +233,7 @@ losses_db = 3.0
     class InOrder:
         """A pool that runs its map in this process, in submission order."""
 
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context=None):
             workers.append(max_workers)
 
         def __enter__(self):
@@ -261,6 +261,33 @@ losses_db = 3.0
         assert run_power_sweep(with_parallelism(parallelism)) == serial
         assert submitted == [0.8, 0.4, 0.2]
     assert workers == [2, 3]
+
+
+def test_worker_count_follows_the_cpu_affinity(monkeypatch):
+    # pinned to one CPU (taskset -c 0), the sweep at parallelism = 0 runs
+    # inline: it used to fork os.cpu_count() workers onto that one CPU
+    cfg = parse_config("""
+[sweep]
+powers_uw = 0.2, 0.4
+duration_s = 0.02
+parallelism = 0
+""")
+    want = run_power_sweep(dataclasses.replace(
+        cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=1)))
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a pool was made for one CPU")
+
+    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor",
+                        no_pool)
+    monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 8)
+    monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {3},
+                        raising=False)
+    assert pipeline._cpus() == 1
+    assert run_power_sweep(cfg) == want
+    # where the platform has no affinity call, every CPU counts
+    monkeypatch.delattr(pipeline.os, "sched_getaffinity")
+    assert pipeline._cpus() == 8
 
 
 def test_run_simulate_coinc_roundtrip(tmp_path):
