@@ -48,15 +48,16 @@ the blocks in one pass (EventStream.from_blocks): they hold every block and
 the joined stream at once, about 16 B per event, twice the stream.
 
 A stream splits exactly into time shards [t0, t1), so that separate
-processes can each take one.  A generated stream's shards are cut at block
-starts (block_shards); event_blocks given a shard draws only the blocks
-that hold it, and the one before, for the events that block hands up.  A
-.ttps file's shards are cut at the timestamps of evenly spaced records
-(file_shards), and shard_records finds a shard's records by bisecting the
-file one record at a time; a CSV file, which has no fixed-size records, is
-one shard.  A fold given a shard reads the blocks that also hold its
-events' partners (see tcspc._fold_batches).  event_parts writes one file
-as consecutive parts, each by its own write_events, and appends them.
+processes can each take one.  A generated stream's shards, which simulate
+writes, are cut at block starts (block_shards); event_blocks given a shard
+draws only the blocks that hold it, and the one before, for the events
+that block hands up.  event_parts writes one file as consecutive parts,
+each by its own write_events, and appends them.  A .ttps file's shards,
+which coinc folds, are cut at the timestamps of evenly spaced records
+(file_shards), and shard_records finds the records that hold a shard's
+events and their partners (see tcspc._fold_batches) by bisecting the file
+one record at a time; a CSV file, which has no fixed-size records, is one
+shard.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -451,24 +452,21 @@ def _handed(model: SourceModel, seed: int, k: int, block: int,
 
 
 def event_blocks(model: SourceModel, duration_s: float, seed: int,
-                 shard: tuple[int | None, int | None] = (None, None),
-                 lo_ps: int = 0, hi_ps: int = 0):
+                 shard: tuple[int | None, int | None] = (None, None)):
     """The stream of :func:`generate_events` as an iterator of EventStream
     blocks, in time order, drawing one block ahead for the events handed
     back.  An invalid duration raises here, before any block is drawn.
 
-    shard = (t0, t1), None an open end, keeps the blocks that a fold of
-    that time shard reads, for pairs whose delays lie in [lo, hi]: those
-    that hold a time in [t0 + min(lo, 0), t1 + max(hi, 0)).  The block
-    before the first is drawn too, for the events it hands up, so each
-    block is the one a whole pass yields.
+    shard = (t0, t1), None an open end, keeps the blocks that hold a time
+    in [t0, t1): a shard of :func:`block_shards` is whole blocks.  The
+    block before the first is drawn too, for the events it hands up, so
+    each block is the one a whole pass yields.
     """
     duration_ps, block, n_blocks = _plan(model, duration_s)
     t0, t1 = shard
-    first = 0 if t0 is None else min(max((t0 + min(lo_ps, 0)) // block, 0),
-                                     n_blocks)
-    stop = n_blocks if t1 is None else min(
-        max(-(-(t1 + max(hi_ps, 0)) // block), 0), n_blocks)
+    first = (0 if t0 is None else n_blocks if t0 >= duration_ps
+             else max(t0 // block, 0))
+    stop = n_blocks if t1 is None else min(max(-(-t1 // block), 0), n_blocks)
     return _blocks(model, seed, duration_ps, block, n_blocks, first, stop)
 
 
@@ -598,7 +596,6 @@ def event_parts(path: str | os.PathLike, n_parts: int):
     a :func:`splittable` path.
 
     On leaving, the later parts' records are appended to path in order,
-    copied in the kernel (os.copy_file_range) where the platform has it,
     and a binary header's channel count becomes the largest of the parts',
     so the file is the one a single write_events of every block gives.
     The part files are removed then, and when anything raises.
@@ -619,13 +616,13 @@ def event_parts(path: str | os.PathLike, n_parts: int):
         if not parts:
             return
         skip = len(_CSV_HEADER) + 1 if _is_csv(path) else _HEADER.size
-        with open(path, "r+b", buffering=0) as out:
+        with open(path, "r+b") as out:
             heads = [out.read(skip)]
             out.seek(0, os.SEEK_END)
             for part in parts:
-                with open(part, "rb", buffering=0) as fh:
+                with open(part, "rb") as fh:
                     heads.append(fh.read(skip))
-                    _append(out, fh, skip)
+                    shutil.copyfileobj(fh, out)
             if not _is_csv(path):
                 out.seek(0)
                 out.write(_HEADER.pack(
@@ -635,18 +632,6 @@ def event_parts(path: str | os.PathLike, n_parts: int):
         for part in parts:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(part)
-
-
-def _append(out, src, offset: int) -> None:
-    """Append src's bytes from offset on at out's position."""
-    if not hasattr(os, "copy_file_range"):
-        src.seek(offset)
-        shutil.copyfileobj(src, out)
-        return
-    size = os.fstat(src.fileno()).st_size
-    while offset < size and (n := os.copy_file_range(
-            src.fileno(), out.fileno(), size - offset, offset)):
-        offset += n
 
 
 def _unsigned(block: EventStream) -> EventStream:
@@ -769,9 +754,11 @@ def shard_records(path: str | os.PathLike,
     On any file, sorted or not, the bisection's record for a time never
     falls as the time rises, so the shards of one list of cuts, in any
     order, overlap by at least that one record: every pair of neighbouring
-    records lies in one of them, and their checks together are a whole
-    pass's.  A shard open at both ends is (0, None), the whole file, of
-    either format.
+    records lies in one of them, so every check of a whole pass is made in
+    some shard and a malformed file raises in one.  Where a block of one
+    pass holds two defects on either side of a cut, the shards may name
+    the other one.  A shard open at both ends is (0, None), the whole
+    file, of either format.
     """
     t0, t1 = shard
     if t0 is None and t1 is None:

@@ -5,9 +5,10 @@ list of human-readable lines.  All randomness flows from the master seed
 through derive_seed, so a fixed config gives identical tables regardless
 of machine or worker count.
 
-The sweep's points, and the time shards of simulate and coinc (see
-events), run in forked worker processes, one per CPU this process may run
-on at most (_mapped); one task, or one CPU, runs inline with no pool.
+The sweep's points, and the time shards of simulate and of coinc on a
+.ttps file (see events), run in forked worker processes, one per CPU this
+process may run on at most (_mapped); one task, or one CPU, runs inline
+with no pool.
 Shards are exact pieces of the stream, so the file and the tables are
 those of one pass whatever the number of CPUs.
 """
@@ -572,11 +573,11 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
               duration_s: float | None = None):
     """Two-fold coincidence metrics of a stored or fresh stream.
 
-    The stream's time shards, one per CPU at most, are folded in parallel
-    (tcspc.fold_delays), each over the blocks that hold its signal events'
-    partners: a .ttps file's records (events.file_shards, a CSV file is
-    one shard) or the generated blocks (events.block_shards).  Their
-    histograms and counts add up to the whole stream's.
+    A .ttps file's time shards (events.file_shards), one per CPU at most,
+    are folded in parallel (tcspc.fold_delays), each over the records that
+    hold its signal events' partners; their histograms and counts add up
+    to the whole stream's.  A CSV file and a generated stream are one
+    shard, folded inline.
     """
     window = int(cfg.source.coincidence_window_ps)
     lo, hi = two_fold_span(window)
@@ -592,9 +593,8 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
         model = build_source(cfg)
         duration = cfg.sweep.duration_s if duration_s is None else duration_s
         blocks = functools.partial(event_blocks, model, duration,
-                                   derive_seed(cfg.seed, 6), lo_ps=lo,
-                                   hi_ps=hi)
-        shards = [(s, s) for s in block_shards(model, duration, _cpus())]
+                                   derive_seed(cfg.seed, 6))
+        shards = [((None, None), (None, None))]
     # folded block by block: no shard holds the stream
     folds = _mapped(functools.partial(_folded_shard, blocks, lo, hi), shards,
                     len(shards))

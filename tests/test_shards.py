@@ -52,6 +52,19 @@ BUSY = SourceModel(pump_power_uw=20.0, pgr_slope_mhz_per_uw=1000.0,
 BUSY_S = 2e-7
 
 
+def block_record(block):
+    return (block.start_ps, block.duration_ps, block.truth,
+            {c: t.tobytes() for c, t in block.times.items()})
+
+
+def reach(shard, lo, hi):
+    """The times [t0 + min(lo, 0), t1 + max(hi, 0)) that a fold of the
+    shard reads, None an open end."""
+    t0, t1 = shard
+    return (None if t0 is None else t0 + min(lo, 0),
+            None if t1 is None else t1 + max(hi, 0))
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2 ** 32),
        cuts=st.lists(st.integers(-3000, 203_000) | st.integers(0, 200).map(
@@ -62,9 +75,19 @@ BUSY_S = 2e-7
 def test_generated_shards_add_up_to_one_pass(seed, cuts, lo, hi):
     with short_blocks(6, 1 << 10):
         assert events._plan(BUSY, BUSY_S)[2] > 100
-        whole = fold_delays(event_blocks(BUSY, BUSY_S, seed), 0, 1, lo, hi)
-        shards = [(s, list(event_blocks(BUSY, BUSY_S, seed, s, lo, hi)))
-                  for s in edges_of(sorted(cuts))]
+        every = list(event_blocks(BUSY, BUSY_S, seed))
+        shards = []
+        for s in edges_of(sorted(cuts)):
+            r0, r1 = reach(s, lo, hi)
+            # event_blocks given times draws the blocks of one pass that
+            # hold them
+            blocks = list(event_blocks(BUSY, BUSY_S, seed, (r0, r1)))
+            assert list(map(block_record, blocks)) == [
+                block_record(b) for b in every
+                if (r0 is None or b.duration_ps > r0)
+                and (r1 is None or b.start_ps < r1)]
+            shards.append((s, blocks))
+    whole = fold_delays(iter(every), 0, 1, lo, hi)
     # a shard that holds no time of the stream reads no block
     folds = [fold_delays(blocks, 0, 1, lo, hi, s) for s, blocks in shards
              if blocks]
@@ -210,6 +233,22 @@ def test_simulate_and_coinc_match_at_every_shard_count(tmp_path, monkeypatch,
         f"{n}.{suffix}" for n in (1, 2, 3, 4))
 
 
+def test_coinc_folds_a_generated_stream_inline(monkeypatch):
+    # shards of a generated stream would draw each cut's neighbouring
+    # blocks twice or more, for no gain in wall time: one pass, no pool
+    cfg = parse_config(SHORT_CFG)
+    with short_blocks(1 << 12, 1 << 20):
+        want = pipeline.run_coinc(cfg, None, 0.005)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was made")
+
+        monkeypatch.setattr(pipeline.concurrent.futures,
+                            "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 4)
+        assert pipeline.run_coinc(cfg, None, 0.005) == want
+
+
 def test_a_failed_shard_leaves_no_part_file(tmp_path, monkeypatch, capsys):
     # a 0.1 s cavity lifetime carries idlers past the 34 ms blocks, which
     # raises in whichever shards draw them
@@ -273,6 +312,7 @@ def swapped(records, k):
     return out
 
 
+# each file holds one defect: see the test after this one for two
 @pytest.mark.parametrize("records, duration_ps, match", [
     (swapped(GOOD, 200), None, "not time-sorted"),
     (swapped(GOOD, 100), None, "not time-sorted"),
@@ -312,3 +352,25 @@ def test_malformed_files_raise_what_one_pass_raises(tmp_path, monkeypatch,
         got.append((str(err.value), status, capsys.readouterr().err))
     assert got[0] == got[1]
     assert got[0][1] == 3
+
+
+def test_a_file_with_two_defects_raises_in_every_shard_count(
+        tmp_path, monkeypatch, capsys):
+    # an unsorted pair just before the cut at record 100 and a channel past
+    # the header's count just after shard 0's reach, records 0-101, in one
+    # pass's block of records 96-111: one pass checks channels first and
+    # names the channel, while shard 0 names the unsorted pair.  Both
+    # raise EventFormatError and exit 3
+    records = swapped(GOOD, 99)
+    records[102] = (2, records[102][1])
+    path = tmp_path / "e.ttps"
+    records_file(path, records)
+    monkeypatch.setattr(events, "_BLOCK_EVENTS", 16)
+    errors = []
+    for n_cpus, match in ((1, "channel 2"), (4, "not time-sorted")):
+        monkeypatch.setattr(pipeline, "_cpus", lambda n=n_cpus: n)
+        with pytest.raises(EventFormatError, match=match):
+            pipeline.run_coinc(parse_config(""), str(path))
+        assert main(["coinc", "--events", str(path)]) == 3
+        errors.append(capsys.readouterr().err)
+    assert errors[0] != errors[1]
