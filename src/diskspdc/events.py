@@ -35,10 +35,8 @@ and would again if the block sizing changed.
 An EventStream keeps one time-sorted int64 array per channel, which is what
 coincidence counting reads; a block is an EventStream of the events in
 [start_ps, duration_ps).  event_blocks yields the blocks, and generation
-then holds about three blocks; every experiment folds them as they come.
-drawn_ahead draws the next block on a worker thread while the caller folds
-the current one, a block more in memory; each block has its own generator,
-so the stream is the same whichever thread draws it.
+then holds about three blocks; every experiment folds them as they come,
+in the process that draws them: no thread draws ahead.
 Where one sequence is needed, as for event files, each block's channels are
 merged one time block of about _BLOCK_EVENTS events at a time, in time order
 with ties broken by channel and never split across blocks.  Both file
@@ -49,15 +47,16 @@ the joined stream at once, about 16 B per event, twice the stream.
 
 A stream splits exactly into time shards [t0, t1), so that separate
 processes can each take one.  A generated stream's shards, which simulate
-writes, are cut at block starts (block_shards); event_blocks given a shard
-draws only the blocks that hold it, and the one before, for the events
-that block hands up.  event_parts writes one file as consecutive parts,
-each by its own write_events, and appends them.  A .ttps file's shards,
-which coinc folds, are cut at the timestamps of evenly spaced records
-(file_shards), and shard_records finds the records that hold a shard's
-events and their partners (see tcspc._fold_batches) by bisecting the file
-one record at a time; a CSV file, which has no fixed-size records, is one
-shard.
+writes and g2 folds, are cut at block starts (block_shards); event_blocks
+given a shard draws only the blocks that hold it, and the one before, for
+the events that block hands up; each block has its own generator, so a
+block is the same whichever shard draws it.  event_parts writes one file
+as consecutive parts, each by its own write_events, and appends them.  A
+.ttps file's shards, which coinc folds, are cut at the timestamps of
+evenly spaced records (file_shards), and shard_records finds the records
+that hold a shard's events and their partners (see tcspc._fold_batches)
+by bisecting the file one record at a time; a CSV file, which has no
+fixed-size records, is one shard.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -70,7 +69,6 @@ Neither format holds a negative timestamp.
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import dataclasses
 import io
@@ -483,22 +481,6 @@ def block_shards(model: SourceModel, duration_s: float,
 def _shards(cuts: list[int]) -> list[tuple[int | None, int | None]]:
     edges = [None, *cuts, None]
     return list(zip(edges[:-1], edges[1:]))
-
-
-def drawn_ahead(blocks):
-    """Yield the blocks of an iterator, each drawn on a worker thread while
-    the caller works on the one before it.
-
-    The blocks (never None), their order and any error the iterator raises
-    are those of plain iteration.  The worker is joined when the iteration
-    ends, raises or is closed, so a caller that may stop early closes it.
-    """
-    blocks = iter(blocks)
-    with concurrent.futures.ThreadPoolExecutor(1) as pool:
-        ahead = pool.submit(next, blocks, None)
-        while (block := ahead.result()) is not None:
-            ahead = pool.submit(next, blocks, None)
-            yield block
 
 
 def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,

@@ -5,21 +5,24 @@ list of human-readable lines.  All randomness flows from the master seed
 through derive_seed, so a fixed config gives identical tables regardless
 of machine or worker count.
 
-The sweep's points, and the time shards of simulate and of coinc on a
-.ttps file (see events), run in forked worker processes, one per CPU this
-process may run on at most (_mapped); one task, or one CPU, runs inline
-with no pool.
-Shards are exact pieces of the stream, so the file and the tables are
-those of one pass whatever the number of CPUs.
+The sweep's points, and the time shards of simulate, of coinc on a .ttps
+file and of g2 (see events), run in forked worker processes, one per CPU
+this process may run on at most (_mapped); one task, or one CPU, runs
+inline.  Shards are exact pieces of the stream, so the file and the tables
+are those of one pass whatever the number of CPUs.  g2's shards need both
+calibration peaks of the whole stream before they count their windows:
+each sends its event counts and the calibration span of its two delay
+histograms, and is sent back the peaks, while the pairs it gathered stay
+in its own process.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import contextlib
 import functools
 import math
 import os
+import traceback
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,12 +34,12 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, block_shards, drawn_ahead, event_blocks,
-                     event_parts, file_shards, read_blocks, shard_records,
-                     splittable, write_events)
+from .events import (SourceModel, block_shards, event_blocks, event_parts,
+                     file_shards, read_blocks, shard_records, splittable,
+                     write_events)
 from .tcspc import (DelayHistogram, PairFold, dwdm_channel_index, dwdm_grid,
-                    fold_delays, heralded_g2, two_fold_metrics,
-                    two_fold_span)
+                    fold_delays, fold_heralds, g2_curve, herald_peaks,
+                    heralded_g2_span, two_fold_metrics, two_fold_span)
 from .franson import (UmiConfig, classical_fringe, extract_visibility,
                       peak_areas, peak_areas_span, quantum_fringe,
                       routed_blocks)
@@ -303,25 +306,140 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mapped(fn, tasks: list, workers: int) -> list:
+def _mapped(fn, tasks: list, workers: int, reply=None) -> list:
     """[fn(t) for t in tasks], in worker processes when there are more
     workers and tasks than one, inline otherwise.
 
-    A pool forks all its workers at once, so it gets no more than the
-    tasks.  Forked workers inherit the imported package, so they start at
-    once; no thread runs in this program when a pool is made.  The first
-    task to raise, in task order, raises here once every task is done.
+    With reply, a task takes two steps: fn(t) returns (part, finish), the
+    parts of every task go to reply, and its answer to each task's finish,
+    in the process that ran fn(t); the finishes' results are returned.
+    What a task holds between its steps stays in its process: only parts,
+    the answer and results cross.  Its tasks all run at once, so workers
+    is then 1 or at least the number of tasks.  The first task to raise,
+    in task order, raises here once every task is done, or once every
+    part is in when one raises.
     """
     workers = min(workers, len(tasks))
     if workers <= 1:
-        return [fn(t) for t in tasks]
-    # imported here: about 9 ms of start-up that only a pool needs
+        if reply is None:
+            return [fn(t) for t in tasks]
+        steps = [fn(t) for t in tasks]
+        answer = reply([part for part, _ in steps])
+        return [finish(answer) for _, finish in steps]
+    if reply is not None and workers < len(tasks):
+        raise ValueError(f"{len(tasks)} two-step tasks need as many "
+                         f"workers, not {workers}")
+    return _in_processes(fn, tasks, workers, reply)
+
+
+def _in_processes(fn, tasks: list, workers: int, reply) -> list:
+    """_mapped's tasks in worker processes, each a multiprocessing Process
+    with a pipe of its own, forked where the platform can: a worker
+    inherits the imported package and starts at once.  No thread runs.
+
+    A worker is sent the index of a task when it is free, so the tasks
+    start in order and the workers share them as they finish.  Task k of
+    two steps goes to worker k.  The parent waits; every worker is joined
+    before this returns or raises, and terminated first when the parent
+    itself fails.
+    """
+    # imported here: about 9 ms of start-up that only workers need
     import multiprocessing
-    context = (multiprocessing.get_context("fork")
-               if "fork" in multiprocessing.get_all_start_methods() else None)
-    with concurrent.futures.ProcessPoolExecutor(
-            max_workers=workers, mp_context=context) as pool:
-        return list(pool.map(fn, tasks))
+    from multiprocessing.connection import wait
+    context = multiprocessing.get_context(
+        "fork" if "fork" in multiprocessing.get_all_start_methods() else None)
+    links, procs = [], []
+    try:
+        for _ in range(workers):
+            link, end = context.Pipe()
+            links.append(link)
+            proc = context.Process(target=_worker, args=(
+                fn, tasks, reply is not None, end, links))
+            proc.start()
+            procs.append(proc)
+            end.close()
+        todo = iter(range(len(tasks)))
+        outcomes = [None] * len(tasks)
+        busy = {}
+
+        def hand(link):
+            k = next(todo, None)
+            if k is not None:
+                link.send(k)
+                busy[link] = k
+
+        for link in links:
+            hand(link)
+        while busy:
+            for link in wait(list(busy)):
+                outcomes[busy.pop(link)] = _received(link)
+                if reply is None:
+                    hand(link)
+        if reply is not None and all(ok for ok, _ in outcomes):
+            answer = reply([part for _, part in outcomes])
+            for link in links:
+                link.send((answer,))
+            outcomes = [_received(link) for link in links]
+    except BaseException:
+        for proc in procs:
+            proc.terminate()
+        raise
+    finally:
+        for link in links:
+            with contextlib.suppress(OSError):
+                link.send(None)
+            link.close()
+        for proc in procs:
+            proc.join()
+    for ok, value in outcomes:
+        if not ok:
+            err, remote = value
+            raise err from _RemoteError(remote)
+    return [value for _, value in outcomes]
+
+
+def _worker(fn, tasks: list, two_steps: bool, link, inherited) -> None:
+    """A worker process of _in_processes: runs task k for each index k it
+    is sent, and sends back (True, result) or (False, (error, traceback));
+    a task of two steps sends its part so first, and is then sent (answer,).
+    None stops it, at either point.  An outcome that does not pickle
+    raises here, and the parent finds the pipe closed."""
+    # the parent's ends of the pipes forked so far: with them closed, a
+    # worker whose parent dies reads the end of its own pipe
+    for other in inherited:
+        other.close()
+    while (k := link.recv()) is not None:
+        outcome = _attempt(fn, tasks[k])
+        if two_steps and outcome[0]:
+            part, finish = outcome[1]
+            link.send((True, part))
+            if (answer := link.recv()) is None:
+                return
+            outcome = _attempt(finish, *answer)
+        link.send(outcome)
+
+
+def _attempt(fn, *args):
+    try:
+        return True, fn(*args)
+    except Exception as err:
+        return False, (err, traceback.format_exc())
+
+
+def _received(link):
+    try:
+        return link.recv()
+    except EOFError:
+        raise RuntimeError("a worker process ended without its "
+                           "result") from None
+
+
+class _RemoteError(Exception):
+    """The traceback of an error raised in a worker process, as its
+    cause."""
+
+    def __str__(self):
+        return "\n" + self.args[0]
 
 
 def _fit_slope(x, y) -> float:
@@ -344,11 +462,13 @@ def run_g2(cfg: RunConfig):
     tau_ns = np.linspace(-cfg.g2.tau_max_ns, cfg.g2.tau_max_ns,
                          cfg.g2.tau_points)
     tau_ps = np.round(tau_ns * 1e3)
-    # the next blocks are drawn on a worker thread while the fold runs;
-    # closing joins the thread when the fold raises
-    with contextlib.closing(drawn_ahead(event_blocks(
-            model, cfg.g2.duration_s, derive_seed(cfg.seed, 2)))) as blocks:
-        res = heralded_g2(blocks, tau_ps, window_ps=int(cfg.g2.window_ps))
+    window = int(cfg.g2.window_ps)
+    # each time shard folds its own heralds and keeps their pairs; the
+    # parent adds their calibrations and sends back both peaks
+    shards = block_shards(model, cfg.g2.duration_s, _cpus())
+    res = g2_curve(tau_ps, _mapped(functools.partial(
+        _g2_shard, model, cfg.g2.duration_s, derive_seed(cfg.seed, 2),
+        tau_ps, window), shards, len(shards), reply=herald_peaks))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),
@@ -363,6 +483,18 @@ def run_g2(cfg: RunConfig):
         f"{int(res['n_triples'][center])} triple coincidences",
     ]
     return columns, rows, summary
+
+
+def _g2_shard(model: SourceModel, duration_s: float, seed: int,
+              tau_ps: np.ndarray, window_ps: int, shard):
+    """tcspc.fold_heralds of the heralds in the time shard [t0, t1), over
+    the blocks that hold [t0 + lo, t1 + hi) of tcspc.heralded_g2_span."""
+    lo, hi = heralded_g2_span(tau_ps, window_ps)
+    t0, t1 = shard
+    reads = (None if t0 is None else t0 + min(lo, 0),
+             None if t1 is None else t1 + max(hi, 0))
+    return fold_heralds(event_blocks(model, duration_s, seed, reads), tau_ps,
+                        window_ps, own_ps=shard)
 
 
 def _umi_config(cfg: RunConfig) -> UmiConfig:

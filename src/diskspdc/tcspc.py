@@ -27,10 +27,16 @@ stream's time shards fold apart: a fold given a shard [t0, t1) releases
 and counts only that shard's events, pairing its a events with b events
 on either side of its edges, so the folds of consecutive shards, given the
 blocks that hold [t0 + lo, t1 + hi), add up to one pass.  Heralded g2
-folds both of its channel pairs in the same pass: it keeps each batch's
-pairs as packed 8-byte keys and adds their delays into a calibration
-histogram per channel pair, and once the last block has been read and
-both peaks are known it counts the windows batch by batch.
+folds both of its channel pairs in the same pass (:func:`fold_heralds`):
+it keeps each batch's pairs as packed 8-byte keys and adds their delays
+into a calibration histogram per channel pair.  Its windows sit around
+both peaks of the whole stream, so the fold stops there and gives its
+event counts and the calibration span of both histograms
+(HeraldCalibration); those of a stream's time shards add up to the peaks
+(:func:`herald_peaks`), and each fold then counts its own heralds'
+windows around them, batch by batch, into HeraldCounts that add
+(:func:`g2_curve`).  A single pass, :func:`heralded_g2`, takes the same
+steps with one fold.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -41,6 +47,7 @@ N1 * N2 / (N12 * T).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,9 +58,10 @@ from .events import EventStream
 # Caps per chunk of coincidences(): a events and pairs.  A chunk's int64
 # temporaries are then 128 KB per a event array and 512 KB per pair array
 # at most, small enough for glibc to reuse freed heap rather than map each
-# one afresh and fault it in again: with g2's next blocks drawn on a second
-# thread, g2's main thread took 52.5 k minor faults at 2^16 events and
-# 2^18 pairs, and 7.1 k at these sizes (default config, seed 12345).
+# one afresh and fault it in again.  At seed 12345, g2 (two time shards in
+# two processes) took 30.1 k minor faults over its processes at these sizes
+# and 31.9 k at 2^16 events and 2^18 pairs, and coinc on the drawn
+# bench/replay.cfg stream 19.8 k against 38.8 k (BENCH_pr21.json).
 _CHUNK_EVENTS = 1 << 14
 _CHUNK_PAIRS = 1 << 16
 # Largest span of a delay histogram, in 1-ps bins (32 MiB of counts).
@@ -316,10 +324,15 @@ def peak_span(window_ps: float, lo_offset_ps: float, hi_offset_ps: float,
     """Delays [lo, hi] that the 10-ps calibration histogram over
     calibration_span_ps reads, together with windows of window_ps centred
     from lo_offset_ps to hi_offset_ps off any peak it can find."""
-    edges = _bin_edges(_CAL_BIN_PS, calibration_span_ps)
-    lo, hi = int(edges[0]), int(edges[-1]) - 1
+    lo, hi = _calibration_delays(calibration_span_ps)
     return (min(lo, window_edges(lo + lo_offset_ps, window_ps)[0]),
             max(hi, window_edges(hi + hi_offset_ps, window_ps)[1]))
+
+
+def _calibration_delays(span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
+    """Delays [lo, hi] that DelayHistogram.peak_ps reads over span_ps."""
+    edges = _bin_edges(_CAL_BIN_PS, span_ps)
+    return int(edges[0]), int(edges[-1]) - 1
 
 
 def two_fold_span(window_ps: float,
@@ -515,22 +528,81 @@ def heralded_g2(stream, tau_grid_ps: np.ndarray, window_ps: int = 800,
     with an empty denominator are NaN.
 
     stream is an EventStream, or its blocks in time order, folded in one
-    pass (:func:`_fold_batches`, heralds as the a channel): each channel pair
-    is gathered once per batch of heralds, over the calibration span and
+    pass by :func:`fold_heralds`; both peaks come from that fold
+    (:func:`herald_peaks`) and its windows are counted around them
+    (:func:`g2_curve`), the steps that a stream's time shards take
+    together.
+    """
+    calibration, count = fold_heralds(
+        [stream] if isinstance(stream, EventStream) else stream, tau_grid_ps,
+        window_ps, ch_idler, ch_s1, ch_s2)
+    return g2_curve(tau_grid_ps, [count(herald_peaks([calibration]))])
+
+
+@dataclass(frozen=True)
+class HeraldCalibration:
+    """What the g2 fold of some heralds knows before the windows are
+    counted: the event counts of the herald, s1 and s2 channels, and the
+    i->s1 and i->s2 delays over the calibration span, the part of each
+    histogram that DelayHistogram.peak_ps reads.  Those of a stream's
+    time shards add up to the stream's."""
+
+    n: tuple[int, int, int]
+    delays: tuple[DelayHistogram, DelayHistogram]
+
+
+@dataclass(frozen=True)
+class HeraldCounts:
+    """The window counts of some heralds, around given peaks: heralds,
+    heralds with an s1 partner, and per tau heralds with an s2 partner
+    and with both.  Those of a stream's time shards add up."""
+
+    n_idler: int
+    n_is1: int
+    n_is2: np.ndarray
+    triples: np.ndarray
+
+
+def _herald_spans(tau: np.ndarray,
+                  window_ps: float) -> tuple[tuple[int, int], ...]:
+    """The delays [lo, hi] that the i->s1 and i->s2 folds gather."""
+    return (peak_span(window_ps, 0, 0),
+            peak_span(window_ps, *((tau.min(), tau.max()) if len(tau)
+                                   else (0, 0))))
+
+
+def heralded_g2_span(tau_grid_ps, window_ps: float) -> tuple[int, int]:
+    """Delays [lo, hi] of every pair :func:`heralded_g2` gathers, over both
+    signal channels: a fold of the heralds in [t0, t1) reads the blocks
+    that hold [t0 + lo, t1 + hi)."""
+    spans = _herald_spans(np.asarray(tau_grid_ps, dtype=float), window_ps)
+    return min(lo for lo, _ in spans), max(hi for _, hi in spans)
+
+
+def fold_heralds(blocks, tau_grid_ps, window_ps: int = 800,
+                 ch_idler: int = 1, ch_s1: int = 0, ch_s2: int = 2,
+                 own_ps=(None, None)):
+    """The fold of :func:`heralded_g2` over a stream's blocks, in time
+    order: (calibration, count), a HeraldCalibration and a function of the
+    peaks that counts the windows around them.
+
+    The blocks are folded in one pass (:func:`_fold_batches`, heralds as
+    the a channel, own_ps the time shard it owns): each channel pair is
+    gathered once per batch of heralds, over the calibration span and
     every window around any peak it can find.  Its pairs are kept as
     packed keys, 8 B each, and their delays add into its calibration
-    histogram.  Every pair of a herald falls in its batch, so once both
-    peaks are known the windows are counted batch by batch: each batch's
-    s1 and s2 pairs together, its heralds' s1 hits flagged in an array of
-    that batch's heralds, and no array spans every herald.  So the result
-    is the whole stream's, and the fold holds the pairs and about a block.
+    histogram.  count((peak1, peak2)) then counts the windows batch by
+    batch (:func:`_herald_counts`): each batch's s1 and s2 pairs together,
+    its heralds' s1 hits flagged in an array of that batch's heralds, and
+    no array spans every herald.  Every pair of a herald falls in its
+    batch, so the counts are those of the heralds folded, and the fold
+    holds the pairs and about a block.  count(None) counts nothing, for a
+    stream with an empty channel, as does an empty grid.
     """
     if len({ch_idler, ch_s1, ch_s2}) != 3:
         raise ValueError("ch_idler, ch_s1 and ch_s2 must be distinct")
     tau = np.asarray(tau_grid_ps, dtype=float)
-    spans = {ch_s1: peak_span(window_ps, 0, 0),
-             ch_s2: peak_span(window_ps, *((tau.min(), tau.max())
-                                           if len(tau) else (0, 0)))}
+    spans = dict(zip((ch_s1, ch_s2), _herald_spans(tau, window_ps)))
     counts = {c: np.zeros(hi - lo + 1, dtype=np.int64)
               for c, (lo, hi) in spans.items()}
     # [first herald, heralds, s1 keys, s2 keys] of each batch
@@ -544,34 +616,68 @@ def heralded_g2(stream, tau_grid_ps: np.ndarray, window_ps: int = 800,
             batch.append(k)
         batches.append(batch)
 
-    n, _ = _fold_batches(
-        [stream] if isinstance(stream, EventStream) else stream, ch_idler,
-        spans, release)
-    n_i = n[ch_idler]
-    g2 = np.full(len(tau), math.nan)
-    triples = np.zeros(len(tau), dtype=np.int64)
+    n, _ = _fold_batches(blocks, ch_idler, spans, release, own_ps)
+    cal_lo, cal_hi = _calibration_delays()
+    calibration = HeraldCalibration(
+        (n[ch_idler], n[ch_s1], n[ch_s2]),
+        tuple(DelayHistogram(cal_lo, counts[c][cal_lo - lo:cal_hi - lo + 1])
+              for c, (lo, _) in spans.items()))
+    return calibration, functools.partial(
+        _herald_counts, batches, spans[ch_s1], spans[ch_s2], tau, window_ps,
+        n[ch_idler])
+
+
+def _herald_counts(batches: list, span1: tuple[int, int],
+                   span2: tuple[int, int], tau: np.ndarray, window_ps: float,
+                   n_idler: int, peaks) -> HeraldCounts:
+    """The window counts of :func:`fold_heralds`' batches around peaks =
+    (peak1, peak2), or none for None, batch by batch, last first, freeing
+    each: has1 flags the batch's heralds with an s1 partner in the peak
+    window."""
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
-    if n_i and n[ch_s1] and n[ch_s2] and len(tau):
-        peak1, peak2 = (DelayHistogram(spans[c][0], counts[c]).peak_ps()
-                        for c in spans)
+    triples = np.zeros(len(tau), dtype=np.int64)
+    if peaks is not None and len(tau):
+        peak1, peak2 = peaks
         lo, hi = window_edges(peak1, window_ps)
-        # batch by batch, last first, freeing each: has1 flags the
-        # batch's heralds with an s1 partner in the peak window
         while batches:
             first, n_heralds, keys1, keys2 = batches.pop()
-            a_idx, delays = _unpacked(keys1, *spans[ch_s1])
+            a_idx, delays = _unpacked(keys1, *span1)
             has1 = np.zeros(n_heralds, dtype=bool)
             has1[a_idx[(delays >= lo) & (delays <= hi)] - first] = True
             n_is1 += int(has1.sum())
-            a_idx, delays = _unpacked(keys2, *spans[ch_s2])
+            a_idx, delays = _unpacked(keys2, *span2)
             a_idx -= first
             hit, flagged = _windows_hit(a_idx, delays, peak2 + tau,
                                         window_ps, has1)
             n_is2 += hit
             triples += flagged
-        ok = (n_is2 > 0) & (n_is1 > 0)
-        g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])
+    return HeraldCounts(n_idler, n_is1, n_is2, triples)
+
+
+def herald_peaks(calibrations) -> tuple[int, int] | None:
+    """The calibrated i->s1 and i->s2 peaks (DelayHistogram.peak_ps) of the
+    HeraldCalibrations of a stream's shards, added; None when the herald
+    or a signal channel has no events."""
+    if not np.all(np.sum([c.n for c in calibrations], axis=0)):
+        return None
+    return tuple(DelayHistogram(h[0].lo_ps,
+                                np.sum([d.counts for d in h], axis=0)
+                                ).peak_ps()
+                 for h in zip(*(c.delays for c in calibrations)))
+
+
+def g2_curve(tau_grid_ps, counts) -> dict[str, np.ndarray]:
+    """:func:`heralded_g2`'s result from the HeraldCounts of a stream's
+    shards, added."""
+    tau = np.asarray(tau_grid_ps, dtype=float)
+    n_i = sum(c.n_idler for c in counts)
+    n_is1 = sum(c.n_is1 for c in counts)
+    n_is2 = sum(c.n_is2 for c in counts)
+    triples = sum(c.triples for c in counts)
+    g2 = np.full(len(tau), math.nan)
+    ok = (n_is2 > 0) & (n_is1 > 0)
+    g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])
     return {"tau_ps": tau, "g2": g2, "n_triples": triples,
             "n_idler": np.full(len(tau), n_i, dtype=np.int64),
             "n_is1": np.full(len(tau), n_is1, dtype=np.int64),

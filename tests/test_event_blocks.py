@@ -12,7 +12,9 @@ stream at once, twice the stream, so the memory tests bound the blocks, not
 the join.  They use tracemalloc, which numpy reports its array buffers to.
 """
 
+import dataclasses
 import hashlib
+import multiprocessing
 import random
 import re
 import struct
@@ -26,7 +28,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diskspdc import events, pipeline
+from diskspdc import events, pipeline, tcspc
 from diskspdc.cli import main
 from diskspdc.config import parse_config
 from diskspdc.events import (
@@ -34,7 +36,6 @@ from diskspdc.events import (
     EventStream,
     SourceModel,
     TruthCounters,
-    drawn_ahead,
     event_blocks,
     generate_events,
     read_blocks,
@@ -363,84 +364,90 @@ def test_generation_runs_under_a_trace_hook(install, capsys):
     assert "n12 =" in capsys.readouterr().out
 
 
-# --- drawn ahead on a worker thread ------------------------------------------
+# --- g2 as time shards in worker processes ----------------------------------
 
 
-# about 2^12 events a block under short_blocks(1 << 12, 1 << 20): 19 blocks
-# in 5 ms, with jitter that carries photons across their edges
-AHEAD = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
-                    jitter_sigma_ps=2000.0, signal_channels=(0, 2),
-                    idler_channels=(1,))
+# under short_blocks(1 << 12, 1 << 20): 60 blocks of 34 us in 2 ms, about
+# 78 M heralds/s and 39 M signals/s on each channel, with 2000 ps of jitter
+# that carries photons across block edges, so heralds within g2's 54 ns
+# reach of a cut, on either side, have partners across it
+G2_AHEAD = ("[source]\njitter_sigma_ps = 2000.0\ndark_rate_hz = 1e5\n"
+            "saturation_rate_mhz = none\n{}[g2]\npump_power_uw = 1000.0\n"
+            "duration_s = 0.002\nlosses_db = 0.0\n")
 
 
-def block_record(block):
-    return (block.start_ps, block.duration_ps, block.truth,
-            {c: t.tobytes() for c, t in block.times.items()})
-
-
-def counted_until_error(blocks):
-    """(blocks read, the ValueError's message, or None at the end)."""
-    n = 0
-    try:
-        for _ in blocks:
-            n += 1
-    except ValueError as err:
-        return n, str(err)
-    return n, None
-
-
-def test_drawn_ahead_yields_the_blocks_of_plain_iteration():
+def sharded_g2(monkeypatch, cfg, n_cpus):
+    """run_g2 as time shards on n_cpus CPUs, at most one per block."""
+    monkeypatch.setattr(pipeline, "_cpus", lambda: n_cpus)
     with short_blocks(1 << 12, 1 << 20):
-        want = [block_record(b) for b in event_blocks(AHEAD, 0.005, 7)]
-        got = [block_record(b)
-               for b in drawn_ahead(event_blocks(AHEAD, 0.005, 7))]
-    assert len(want) == 19 and got == want
+        return pipeline.run_g2(cfg)
 
 
-def test_drawn_ahead_raises_what_the_drawing_raises():
-    # at seed 3 a 32 us cavity lifetime carries an idler drawn in block
-    # 12 past its neighbour, which shows once blocks 0 to 10 are read
-    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
-                        pair_lifetime_ps=3.2e7)
-    with short_blocks(1 << 12, 1 << 20):
-        got = counted_until_error(drawn_ahead(event_blocks(model, 0.005, 3)))
-        want = counted_until_error(event_blocks(model, 0.005, 3))
-    assert got == want == (11, "an event drawn in the 268435456 ps block "
-                               "at 3221225472 ps lands past its neighbours")
+def assert_no_worker_left(threads):
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
-def test_closing_drawn_ahead_early_joins_its_worker():
-    baseline = threading.active_count()
-    with short_blocks(1 << 12, 1 << 20):
-        blocks = drawn_ahead(event_blocks(AHEAD, 0.005, 7))
-        next(blocks)
-        next(blocks)
-        blocks.close()
-    assert threading.active_count() == baseline
+def test_g2_rows_match_at_every_shard_count(monkeypatch):
+    cfg = parse_config(G2_AHEAD.format(""))
+    threads = threading.active_count()
+    # repr: the rows hold NaN, which equals nothing
+    want = repr(sharded_g2(monkeypatch, cfg, 1))
+    for n_cpus in (2, 3, 4):
+        assert repr(sharded_g2(monkeypatch, cfg, n_cpus)) == want
+        assert_no_worker_left(threads)
+
+
+def test_a_g2_shard_raising_before_the_exchange_raises_as_one_pass(
+        monkeypatch):
+    # a 3.2 us cavity lifetime carries an idler drawn in block 28 past its
+    # neighbour: the shards that draw block 28 raise in their fold, before
+    # the parent takes the peaks, and the others wait for them
+    cfg = parse_config(G2_AHEAD.format("pair_lifetime_ps = 3.2e6\n"))
+    peaks = []
+    monkeypatch.setattr(pipeline, "herald_peaks",
+                        lambda parts: peaks.append(parts))
+    threads = threading.active_count()
+    for n_cpus in (1, 2, 3, 4):
+        with pytest.raises(ValueError) as raised:
+            sharded_g2(monkeypatch, cfg, n_cpus)
+        assert str(raised.value) == ("an event drawn in the 33554432 ps "
+                                     "block at 939524096 ps lands past its "
+                                     "neighbours")
+        assert_no_worker_left(threads)
+    assert peaks == []
 
 
 def test_a_g2_fold_that_raises_leaves_no_thread(monkeypatch):
-    # run_g2 closes the blocks it draws ahead when its fold raises
-    def failing_fold(blocks, *args, **kwargs):
-        next(blocks)
-        next(blocks)
-        raise RuntimeError("mid-fold")
+    # every shard raises as it counts its windows, after the exchange
+    def failing_count(*args):
+        raise RuntimeError("mid-count")
 
-    monkeypatch.setattr(pipeline, "heralded_g2", failing_fold)
-    cfg = parse_config("[g2]\nduration_s = 0.05\n")
-    baseline = threading.active_count()
-    with short_blocks(1 << 12, 1 << 20), pytest.raises(
-            RuntimeError, match="mid-fold") as raised:
-        pipeline.run_g2(cfg)
-    # the traceback, and with it every frame of the fold, is still held
-    assert raised.traceback and threading.active_count() == baseline
+    monkeypatch.setattr(tcspc, "_herald_counts", failing_count)
+    cfg = parse_config(G2_AHEAD.format(""))
+    threads = threading.active_count()
+    for n_cpus in (1, 2, 4):
+        with pytest.raises(RuntimeError) as raised:
+            sharded_g2(monkeypatch, cfg, n_cpus)
+        assert str(raised.value) == "mid-count"
+        # the traceback, and with it every frame of the fold, is still held
+        assert raised.traceback
+        assert_no_worker_left(threads)
 
 
-def test_invalid_duration_raises_before_any_thread_starts():
-    baseline = threading.active_count()
+def test_invalid_duration_raises_before_any_thread_starts(monkeypatch):
+    cfg = parse_config(G2_AHEAD.format(""))
+    cfg = dataclasses.replace(cfg, g2=dataclasses.replace(cfg.g2,
+                                                          duration_s=-1.0))
+
+    def no_workers(*args):
+        raise AssertionError("worker processes were started")
+
+    monkeypatch.setattr(pipeline, "_in_processes", no_workers)
+    threads = threading.active_count()
     with pytest.raises(ValueError, match="duration_s must be finite"):
-        drawn_ahead(event_blocks(AHEAD, -1.0, 7))
-    assert threading.active_count() == baseline
+        sharded_g2(monkeypatch, cfg, 4)
+    assert_no_worker_left(threads)
 
 
 # --- memory -----------------------------------------------------------------

@@ -1,6 +1,6 @@
 import dataclasses
 import math
-import threading
+import os
 
 import numpy as np
 import pytest
@@ -230,32 +230,20 @@ losses_db = 3.0
     submitted = []
     workers = []
 
-    class InOrder:
-        """A pool that runs its map in this process, in submission order."""
-
-        def __init__(self, max_workers, mp_context=None):
-            workers.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, points):
-            points = list(points)
-            submitted.extend(p[1] for p in points)
-            return map(fn, points)
+    def in_order(fn, points, n_workers, reply):
+        """Worker processes that run in this one, in submission order."""
+        workers.append(n_workers)
+        submitted.extend(p[1] for p in points)
+        return [fn(p) for p in points]
 
     def with_parallelism(n):
         return dataclasses.replace(
             cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=n))
 
     serial = run_power_sweep(with_parallelism(1))
-    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor",
-                        InOrder)
-    # a pool forks all its workers at its first submit, so it gets no more
-    # than the points; the fake pool starts no process at any parallelism
+    monkeypatch.setattr(pipeline, "_in_processes", in_order)
+    # no more workers than points are started; the fake starts no process
+    # at any parallelism
     for parallelism in (2, 1000):
         del submitted[:]
         assert run_power_sweep(with_parallelism(parallelism)) == serial
@@ -275,11 +263,10 @@ parallelism = 0
     want = run_power_sweep(dataclasses.replace(
         cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=1)))
 
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool was made for one CPU")
+    def no_workers(*args):
+        raise AssertionError("worker processes were started for one CPU")
 
-    monkeypatch.setattr(pipeline.concurrent.futures, "ProcessPoolExecutor",
-                        no_pool)
+    monkeypatch.setattr(pipeline, "_in_processes", no_workers)
     monkeypatch.setattr(pipeline.os, "cpu_count", lambda: 8)
     monkeypatch.setattr(pipeline.os, "sched_getaffinity", lambda pid: {3},
                         raising=False)
@@ -349,26 +336,34 @@ losses_db = 2.0
     assert "g2(0)" in summary[1]
 
 
-def test_run_g2_draws_ahead_the_rows_of_plain_iteration(monkeypatch):
-    # blocks of about 2^10 events: the fold reads many, each drawn on
-    # run_g2's worker thread, or on the fold's own with iter in its place
+def test_run_g2_draws_its_blocks_in_its_shard_processes(monkeypatch,
+                                                        tmp_path):
+    # blocks of about 2^10 events: on 2 CPUs each of the two time shards
+    # draws and folds its blocks in a worker process of its own, and the
+    # rows are those of one pass in this process
     cfg = parse_config("[g2]\nduration_s = 0.02\ntau_points = 11\n")
-    drawn_on = []
+    log = tmp_path / "drawn"
 
-    def recorded(model, duration_s, seed):
-        for block in events.event_blocks(model, duration_s, seed):
-            drawn_on.append(threading.get_ident())
+    def recorded(model, duration_s, seed, shard):
+        for block in events.event_blocks(model, duration_s, seed, shard):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
             yield block
+
+    def drawn_on(n_cpus):
+        monkeypatch.setattr(pipeline, "_cpus", lambda: n_cpus)
+        log.write_text("")
+        rows = run_g2(cfg)
+        return rows, set(log.read_text().split())
 
     monkeypatch.setattr(pipeline, "event_blocks", recorded)
     with short_blocks(1 << 10, 1 << 20):
-        drawn = run_g2(cfg)
-        ahead_on = set(drawn_on)
-        monkeypatch.setattr(pipeline, "drawn_ahead", iter)
-        plain = run_g2(cfg)
-    assert len(drawn_on) > 20 and threading.get_ident() not in ahead_on
+        plain, one = drawn_on(1)
+        sharded, two = drawn_on(2)
+    assert one == {str(os.getpid())}
+    assert len(two) == 2 and str(os.getpid()) not in two
     # repr: the rows hold NaN, which equals nothing
-    assert repr(drawn) == repr(plain)
+    assert repr(sharded) == repr(plain)
 
 
 def test_run_franson_tiny():

@@ -1,4 +1,4 @@
-"""simulate and coinc as time shards, against one pass.
+"""simulate, coinc and g2 as time shards, against one pass.
 
 A time shard [t0, t1) owns the events in it; a fold of it reads the blocks,
 or the records, that hold its events' partners, and the folds of
@@ -8,6 +8,7 @@ shards there are (at most one per block), so the tests set it: with more
 than one, the shards run in forked worker processes.
 """
 
+import dataclasses
 import hashlib
 import os
 
@@ -23,7 +24,7 @@ from diskspdc.events import (EventFormatError, EventStream, SourceModel,
                              block_shards, event_blocks, event_parts,
                              file_shards, read_blocks, shard_records,
                              write_events)
-from diskspdc.tcspc import fold_delays
+from diskspdc.tcspc import fold_delays, g2_curve, herald_peaks, heralded_g2
 
 from streams import from_merged, short_blocks
 
@@ -92,6 +93,36 @@ def test_generated_shards_add_up_to_one_pass(seed, cuts, lo, hi):
     folds = [fold_delays(blocks, 0, 1, lo, hi, s) for s, blocks in shards
              if blocks]
     assert_sums_to(folds, whole)
+
+
+# BUSY's rates with heralds on channel 1 and two signal channels
+HERALDED = dataclasses.replace(BUSY, signal_channels=(0, 2),
+                               idler_channels=(1,))
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       cuts=st.lists(st.integers(0, 195), max_size=4),
+       taus=st.lists(st.integers(-3000, 3000), min_size=1, max_size=4),
+       window=st.integers(1, 2000))
+@example(seed=3, cuts=[50, 100], taus=[-3000, 3000], window=2000)
+def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
+    # cut at block starts, as block_shards cuts: each shard folds its own
+    # heralds over the blocks pipeline._g2_shard draws for them, which
+    # reach up to 8 blocks of 2^10 ps past each cut, and counts them around
+    # the peaks of every shard's calibration
+    tau = np.array(taus, dtype=float)
+    with short_blocks(6, 1 << 10):
+        _, block, n_blocks = events._plan(HERALDED, BUSY_S)
+        assert n_blocks == 196
+        steps = [pipeline._g2_shard(HERALDED, BUSY_S, seed, tau, window, s)
+                 for s in edges_of(sorted(k * block for k in cuts))]
+        want = heralded_g2(event_blocks(HERALDED, BUSY_S, seed), tau, window)
+    peaks = herald_peaks([calibration for calibration, _ in steps])
+    got = g2_curve(tau, [count(peaks) for _, count in steps])
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
 @st.composite
@@ -235,16 +266,15 @@ def test_simulate_and_coinc_match_at_every_shard_count(tmp_path, monkeypatch,
 
 def test_coinc_folds_a_generated_stream_inline(monkeypatch):
     # shards of a generated stream would draw each cut's neighbouring
-    # blocks twice or more, for no gain in wall time: one pass, no pool
+    # blocks twice or more, for no gain in wall time: one pass, no worker
     cfg = parse_config(SHORT_CFG)
     with short_blocks(1 << 12, 1 << 20):
         want = pipeline.run_coinc(cfg, None, 0.005)
 
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was made")
+        def no_workers(*args):
+            raise AssertionError("worker processes were started")
 
-        monkeypatch.setattr(pipeline.concurrent.futures,
-                            "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(pipeline, "_in_processes", no_workers)
         monkeypatch.setattr(pipeline, "_cpus", lambda: 4)
         assert pipeline.run_coinc(cfg, None, 0.005) == want
 

@@ -9,6 +9,7 @@ the package, under its name, until the benchmark stops naming it.
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
 import sys
 import threading
@@ -71,15 +72,18 @@ def test_counters_read_what_generation_and_writing_return(tmp_path):
         assert span == {"bytes": path.stat().st_size}
 
 
-def test_no_traced_target_runs_on_g2s_drawing_thread(monkeypatch):
+def test_every_traced_target_runs_on_its_process_main_thread(monkeypatch,
+                                                            tmp_path):
     # the tracer keeps one call stack per process, so a target called on
-    # the thread that draws g2's next blocks would nest its spans under
-    # whatever the fold has open.  Each target is replaced, as the tracer
-    # replaces it, by a spy that notes the thread calling it.
+    # a second thread would nest its spans under whatever the main thread
+    # has open.  Each target is replaced, as the tracer replaces it, by a
+    # spy that notes its process and whether it runs on that process's
+    # main thread; g2 on 2 CPUs folds its time shards in worker processes,
+    # which inherit the spies.
     from diskspdc import pipeline
     from diskspdc.config import parse_config
 
-    callers = set()
+    log = tmp_path / "callers"
     for _, module_name, attr in load_spans().TARGETS:
         owner, _, leaf = attr.rpartition(".")
         holder = importlib.import_module(module_name)
@@ -87,7 +91,9 @@ def test_no_traced_target_runs_on_g2s_drawing_thread(monkeypatch):
         original = getattr(holder, leaf)
 
         def spy(*args, _original=original, **kwargs):
-            callers.add(threading.get_ident())
+            main = threading.current_thread() is threading.main_thread()
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {main}\n")
             return _original(*args, **kwargs)
 
         holders = [holder] if owner else [
@@ -96,6 +102,9 @@ def test_no_traced_target_runs_on_g2s_drawing_thread(monkeypatch):
             and getattr(m, leaf, None) is original]
         for h in holders:
             monkeypatch.setattr(h, leaf, spy)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
     with short_blocks(1 << 12, 1 << 20):
         pipeline.run_g2(parse_config("[g2]\nduration_s = 0.05\n"))
-    assert callers == {threading.get_ident()}
+    callers = {tuple(line.split()) for line in log.read_text().splitlines()}
+    assert {main for _, main in callers} == {"True"}
+    assert len(callers) == 2
