@@ -15,6 +15,7 @@ the join.  They use tracemalloc, which numpy reports its array buffers to.
 import dataclasses
 import hashlib
 import multiprocessing
+import os
 import random
 import re
 import struct
@@ -395,6 +396,75 @@ def test_g2_rows_match_at_every_shard_count(monkeypatch):
     want = repr(sharded_g2(monkeypatch, cfg, 1))
     for n_cpus in (2, 3, 4):
         assert repr(sharded_g2(monkeypatch, cfg, n_cpus)) == want
+        assert_no_worker_left(threads)
+
+
+def block_record(block):
+    return (block.start_ps, block.duration_ps, block.truth,
+            {c: t.tobytes() for c, t in block.times.items()})
+
+
+def drawn_ahead_by(monkeypatch, cfg, n_cpus):
+    """(pid, own shard, records of the blocks it drew) of each of run_g2's
+    time shards on n_cpus CPUs, in shard order: each shard's fold is
+    replaced by one that records its blocks."""
+    drawn = []
+
+    def recorded(blocks, tau_ps, window_ps, own_ps):
+        part = (os.getpid(), own_ps, [block_record(b) for b in blocks])
+        return part, lambda peaks: None
+
+    monkeypatch.setattr(pipeline, "fold_heralds", recorded)
+    monkeypatch.setattr(pipeline, "herald_peaks", drawn.extend)
+    monkeypatch.setattr(pipeline, "g2_curve", lambda tau, counts: dict.fromkeys(
+        ("g2", "n_triples", "n_idler", "n_is1", "n_is2"), np.zeros(len(tau))))
+    sharded_g2(monkeypatch, cfg, n_cpus)
+    return drawn
+
+
+def test_drawn_ahead_yields_the_blocks_of_plain_iteration(monkeypatch):
+    # each time shard draws its blocks in a worker process of its own,
+    # ahead of the parent's exchange: every block it draws is the block of
+    # that start in one plain pass, and it draws a run of them that holds
+    # the times it owns
+    cfg = parse_config(G2_AHEAD.format(""))
+    [(pid, own, plain)] = drawn_ahead_by(monkeypatch, cfg, 1)
+    assert pid == os.getpid() and own == (None, None) and len(plain) == 60
+    starts = [start for start, *_ in plain]
+    for n_cpus in (2, 3, 4):
+        shards = drawn_ahead_by(monkeypatch, cfg, n_cpus)
+        pids = {pid for pid, *_ in shards}
+        assert len(pids) == n_cpus and os.getpid() not in pids
+        edges = [edge for _, own, _ in shards for edge in own]
+        assert edges[0] is None and edges[-1] is None
+        assert edges[1:-1:2] == edges[2:-1:2]
+        drawn = set()
+        for _, (t0, t1), records in shards:
+            first = starts.index(records[0][0])
+            assert records == plain[first:first + len(records)]
+            assert t0 is None or records[0][0] <= t0
+            assert t1 is None or records[-1][1] >= t1
+            drawn.update(start for start, *_ in records)
+        assert drawn == set(starts)
+
+
+def test_closing_drawn_ahead_early_joins_its_worker(monkeypatch):
+    # the parent stops g2 while its shards wait for the peaks, each holding
+    # the pairs it has drawn: every worker is stopped and joined
+    alive = []
+
+    def closed(parts):
+        alive.append(len(multiprocessing.active_children()))
+        raise RuntimeError("closed early")
+
+    monkeypatch.setattr(pipeline, "herald_peaks", closed)
+    cfg = parse_config(G2_AHEAD.format(""))
+    threads = threading.active_count()
+    for n_cpus in (1, 2, 4):
+        alive.clear()
+        with pytest.raises(RuntimeError, match="closed early"):
+            sharded_g2(monkeypatch, cfg, n_cpus)
+        assert alive == [n_cpus if n_cpus > 1 else 0]
         assert_no_worker_left(threads)
 
 
