@@ -448,10 +448,6 @@ class SweepSection:
         "delay tail.", TWO_FOLD_WINDOW)
     car_window_ps: float = key(
         "float", 800.0, "Window for the CAR column.", TWO_FOLD_WINDOW)
-    parallelism: int = key(
-        "int", 0,
-        "Worker processes; 0 means one per CPU. The results do not depend "
-        "on it.", NON_NEGATIVE)
 
 
 @dataclass(frozen=True)

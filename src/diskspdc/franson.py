@@ -92,29 +92,24 @@ def apply_umi(stream: EventStream, config: UmiConfig,
 def routed_blocks(blocks, config: UmiConfig, seed: int):
     """Yield the blocks of a stream, each ending where the next starts and
     holding the same channels (as event_blocks' do), routed by
-    :func:`apply_umi`, block k with a generator spawned from (seed, k).
-    Routed events at or past a block's end are merged, tags included, into
-    the next block, and those past the last block make a tail block, so
-    each holds [start_ps, duration_ps)."""
+    :func:`apply_umi`, block k with a generator spawned from (seed, k), and
+    without route tags.  Routed events at or past a block's end are merged
+    into the next block, and those past the last block make a tail block,
+    so each holds [start_ps, duration_ps)."""
     rest = None
     for k, block in enumerate(blocks):
         routed = apply_umi(block, config,
                            np.random.SeedSequence(seed, spawn_key=(k,)))
-        times, tags = routed.times, routed.tags
+        times = routed.times
         for c, t in (rest.times.items() if rest else ()):
             if len(t):  # rare: an arm delay is a sliver of a block
-                t = np.concatenate([times[c], t])
-                order = np.argsort(t, kind="stable")
-                times[c] = t[order]
-                tags[c] = np.concatenate([tags[c], rest.tags[c]])[order]
+                times[c] = np.sort(np.concatenate([times[c], t]))
         cut = {c: np.searchsorted(t, block.duration_ps)
                for c, t in times.items()}
         yield EventStream({c: t[:cut[c]] for c, t in times.items()},
-                          block.duration_ps, start_ps=block.start_ps,
-                          tags={c: g[:cut[c]] for c, g in tags.items()})
+                          block.duration_ps, start_ps=block.start_ps)
         rest = EventStream({c: t[cut[c]:] for c, t in times.items()},
-                           routed.duration_ps, start_ps=block.duration_ps,
-                           tags={c: g[cut[c]:] for c, g in tags.items()})
+                           routed.duration_ps, start_ps=block.duration_ps)
     if rest is not None:
         yield rest
 

@@ -282,14 +282,12 @@ def run_power_sweep(cfg: RunConfig):
     """Pair rate and CAR against pump power."""
     points = [(cfg, p, derive_seed(cfg.seed, 0x5EE9 + i))
               for i, p in enumerate(cfg.sweep.powers_uw)]
-    workers = cfg.sweep.parallelism or _cpus()
-    # the longest points, at the highest powers, go to a pool first; each
-    # point's seed comes from its own index, so order is only time
-    order = sorted(range(len(points)), key=lambda k: points[k][1],
-                   reverse=True) if workers > 1 else range(len(points))
+    # the longest points, at the highest powers, go to the workers first;
+    # each point's seed comes from its own index, so order is only time
+    order = sorted(range(len(points)), key=lambda k: -points[k][1])
     rows = [None] * len(points)
     for k, row in zip(order, _mapped(_sweep_point,
-                                     [points[k] for k in order], workers)):
+                                     [points[k] for k in order])):
         rows[k] = row
     columns = ("power_uw", "pair_rate_mhz", "n1", "n2", "n12",
                "pgr_estimate_mhz", "car")
@@ -306,20 +304,20 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mapped(fn, tasks: list, workers: int, reply=None) -> list:
-    """[fn(t) for t in tasks], in worker processes when there are more
-    workers and tasks than one, inline otherwise.
+def _mapped(fn, tasks: list, reply=None) -> list:
+    """[fn(t) for t in tasks], in min(_cpus(), len(tasks)) worker processes
+    when that is more than one, inline otherwise.
 
     With reply, a task takes two steps: fn(t) returns (part, finish), the
     parts of every task go to reply, and its answer to each task's finish,
     in the process that ran fn(t); the finishes' results are returned.
     What a task holds between its steps stays in its process: only parts,
-    the answer and results cross.  Its tasks all run at once, so workers
-    is then 1 or at least the number of tasks.  The first task to raise,
+    the answer and results cross.  Its tasks all run at once, so there
+    must then be one CPU or one per task.  The first task to raise,
     in task order, raises here once every task is done, or once every
     part is in when one raises.
     """
-    workers = min(workers, len(tasks))
+    workers = min(_cpus(), len(tasks))
     if workers <= 1:
         if reply is None:
             return [fn(t) for t in tasks]
@@ -430,8 +428,8 @@ def _received(link):
     try:
         return link.recv()
     except EOFError:
-        raise RuntimeError("a worker process ended without its "
-                           "result") from None
+        raise ChildProcessError("a worker process ended without its "
+                                "result") from None
 
 
 class _RemoteError(Exception):
@@ -468,7 +466,7 @@ def run_g2(cfg: RunConfig):
     shards = block_shards(model, cfg.g2.duration_s, _cpus())
     res = g2_curve(tau_ps, _mapped(functools.partial(
         _g2_shard, model, cfg.g2.duration_s, derive_seed(cfg.seed, 2),
-        tau_ps, window), shards, len(shards), reply=herald_peaks))
+        tau_ps, window), shards, reply=herald_peaks))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),
@@ -674,7 +672,7 @@ def run_simulate(cfg: RunConfig, out_path: str,
     with event_parts(out_path, len(shards)) as paths:
         tallies = _mapped(functools.partial(
             _written_shard, model, duration, derive_seed(cfg.seed, 6)),
-            list(zip(shards, paths)), len(shards))
+            list(zip(shards, paths)))
     n_pairs, n_signal, n_idler, n_events = np.sum(tallies, axis=0).tolist()
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")
@@ -728,8 +726,7 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
                                    derive_seed(cfg.seed, 6))
         shards = [((None, None), (None, None))]
     # folded block by block: no shard holds the stream
-    folds = _mapped(functools.partial(_folded_shard, blocks, lo, hi), shards,
-                    len(shards))
+    folds = _mapped(functools.partial(_folded_shard, blocks, lo, hi), shards)
     pair = PairFold(sum(f.n_a for f in folds), sum(f.n_b for f in folds),
                     max(f.duration_ps for f in folds),
                     DelayHistogram(lo, np.sum([f.delays.counts

@@ -10,6 +10,7 @@ import os
 
 import numpy as np
 
+from diskspdc import pipeline
 from diskspdc.config import default_config, load_config, parse_config
 from diskspdc.events import SourceModel, generate_events, read_events, \
     write_events
@@ -179,13 +180,13 @@ def test_criterion_04_spectrum_shape():
 
 # --- criterion 5: pair-rate slope and saturation point ---------------------
 
-def test_criterion_05_pgr_slope():
+def test_criterion_05_pgr_slope(monkeypatch):
     failures = []
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     cfg = parse_config("""
 [sweep]
 powers_uw = 0.05, 0.1, 0.2, 0.3, 0.4
 duration_s = 2.0
-parallelism = 1
 """)
     columns, rows, _ = run_power_sweep(cfg)
     check(failures, len(rows) >= 5, "sweep has fewer than 5 points")
@@ -415,7 +416,7 @@ def test_criterion_09_pgr_estimator():
 
 # --- criterion 10: determinism and stream format -----------------------------
 
-def test_criterion_10_determinism(tmp_path):
+def test_criterion_10_determinism(tmp_path, monkeypatch):
     failures = []
     model = SourceModel(
         pump_power_uw=1.0, pgr_slope_mhz_per_uw=2.0,
@@ -441,18 +442,18 @@ def test_criterion_10_determinism(tmp_path):
           "binary event file did not round-trip record-exactly")
 
     tables = []
-    rows_by_par = []
-    for par in (1, 2):
-        cfg = parse_config(f"""
+    rows_by_cpus = []
+    cfg = parse_config("""
 [sweep]
 powers_uw = 0.3, 0.6
 duration_s = 0.05
-parallelism = {par}
 """)
+    for n_cpus in (1, 2):
+        monkeypatch.setattr(pipeline, "_cpus", lambda n=n_cpus: n)
         columns, rows, _ = run_power_sweep(cfg)
-        rows_by_par.append(rows)
+        rows_by_cpus.append(rows)
         tables.append(format_table(columns, rows))
-    check(failures, rows_by_par[0] == rows_by_par[1],
+    check(failures, rows_by_cpus[0] == rows_by_cpus[1],
           "sweep rows differ between 1 and 2 workers")
     check(failures, tables[0] == tables[1],
           "sweep tables differ between 1 and 2 workers")

@@ -1,7 +1,10 @@
 import json
+import multiprocessing
+import os
 
 import pytest
 
+from diskspdc import pipeline
 from diskspdc.cli import main
 
 TINY_CFG = """
@@ -18,7 +21,6 @@ dark_rate_hz = 0.0
 powers_uw = 0.5, 1.0
 duration_s = 0.05
 losses_db = 3.0
-parallelism = 1
 
 [g2]
 pump_power_uw = 5.0
@@ -330,3 +332,16 @@ def test_delay_span_past_the_cap_exit_code(tmp_path, capsys):
         rc, out, err = run_cli(["franson", "-c", cfg], capsys)
         assert rc == want, (delay_ns, err)
     assert "exceeds 4194304 one-ps bins" in err
+
+
+def test_a_worker_that_dies_exits_3(monkeypatch, capsys):
+    # a worker process that ends without its result is a runtime failure:
+    # one error line and exit status 3, with every worker joined
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "_sweep_point", lambda point: os._exit(9))
+    rc, out, err = run_cli(["sweep", "--seed", "1"], capsys)
+    assert rc == 3
+    assert out == ""
+    assert err.splitlines() == [
+        "error: a worker process ended without its result"]
+    assert multiprocessing.active_children() == []

@@ -367,7 +367,6 @@ OWN_STRATEGY = {
     ("umi", "arm_delay_ns"): _floats(min_value=0.801),
     ("sweep", "powers_uw"): _float_lists(
         _floats(min_value=0.0, exclude_min=True)).map(sorted).map(tuple),
-    ("sweep", "parallelism"): st.integers(min_value=0),
 }
 
 SCALAR_KEYS = [(name, key) for name, spec in SCHEMA.items()

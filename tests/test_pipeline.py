@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 
@@ -191,7 +190,8 @@ def test_run_trace():
     assert two_turn[-1][0] == pytest.approx(4.0 * math.pi)
 
 
-def test_run_power_sweep_tiny():
+def test_run_power_sweep_tiny(monkeypatch):
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     cfg = parse_config("""
 [source]
 jitter_sigma_ps = 0.0
@@ -200,7 +200,6 @@ jitter_sigma_ps = 0.0
 powers_uw = 0.4, 0.8
 duration_s = 0.2
 losses_db = 3.0
-parallelism = 1
 """)
     columns, rows, summary = run_power_sweep(cfg)
     assert columns == ("power_uw", "pair_rate_mhz", "n1", "n2", "n12",
@@ -236,32 +235,30 @@ losses_db = 3.0
         submitted.extend(p[1] for p in points)
         return [fn(p) for p in points]
 
-    def with_parallelism(n):
-        return dataclasses.replace(
-            cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=n))
-
-    serial = run_power_sweep(with_parallelism(1))
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    serial = run_power_sweep(cfg)
     monkeypatch.setattr(pipeline, "_in_processes", in_order)
     # no more workers than points are started; the fake starts no process
-    # at any parallelism
-    for parallelism in (2, 1000):
+    # at any CPU count
+    for n_cpus in (2, 1000):
+        monkeypatch.setattr(pipeline, "_cpus", lambda n=n_cpus: n)
         del submitted[:]
-        assert run_power_sweep(with_parallelism(parallelism)) == serial
+        assert run_power_sweep(cfg) == serial
         assert submitted == [0.8, 0.4, 0.2]
     assert workers == [2, 3]
 
 
 def test_worker_count_follows_the_cpu_affinity(monkeypatch):
-    # pinned to one CPU (taskset -c 0), the sweep at parallelism = 0 runs
-    # inline: it used to fork os.cpu_count() workers onto that one CPU
+    # pinned to one CPU (taskset -c 0), the sweep runs inline: it used to
+    # fork os.cpu_count() workers onto that one CPU
     cfg = parse_config("""
 [sweep]
 powers_uw = 0.2, 0.4
 duration_s = 0.02
-parallelism = 0
 """)
-    want = run_power_sweep(dataclasses.replace(
-        cfg, sweep=dataclasses.replace(cfg.sweep, parallelism=1)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "_cpus", lambda: 1)
+        want = run_power_sweep(cfg)
 
     def no_workers(*args):
         raise AssertionError("worker processes were started for one CPU")
@@ -275,6 +272,19 @@ parallelism = 0
     # where the platform has no affinity call, every CPU counts
     monkeypatch.delattr(pipeline.os, "sched_getaffinity")
     assert pipeline._cpus() == 8
+
+
+def test_two_step_tasks_need_a_worker_each(monkeypatch):
+    # two-step tasks all run at once: more than one CPU but fewer than
+    # tasks is refused before any worker starts
+    def no_workers(*args):
+        raise AssertionError("worker processes were started")
+
+    monkeypatch.setattr(pipeline, "_in_processes", no_workers)
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    with pytest.raises(ValueError, match="3 two-step tasks need as many "
+                                         "workers, not 2"):
+        pipeline._mapped(lambda t: (t, None), [1, 2, 3], reply=sum)
 
 
 def test_run_simulate_coinc_roundtrip(tmp_path):
@@ -396,6 +406,8 @@ xi_points = 16
 
 
 def test_one_gather_per_channel_pair(monkeypatch):
+    # inline, so that every gather is counted in this process
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
     cfg = parse_config("""
 [source]
 pump_power_uw = 10.0
@@ -405,7 +417,6 @@ jitter_sigma_ps = 5.0
 powers_uw = 0.4, 0.8, 1.2
 duration_s = 0.02
 losses_db = 3.0
-parallelism = 1
 
 [franson]
 duration_s = 2.0
@@ -421,9 +432,9 @@ xi_points = 8
     monkeypatch.setattr(tcspc, "coincidences", counted)
     rows = run_power_sweep(cfg)[1]
     # one span for both windows, the wider rate window's, and each signal
-    # event gathered once
+    # event gathered once, the highest power first
     assert [s[:2] for s in spans] == [tcspc.two_fold_span(2400)] * 3
-    assert [s[2] for s in spans] == [row[2] for row in rows]
+    assert [s[2] for s in spans] == [row[2] for row in reversed(rows)]
     spans.clear()
     # franson folds its routed blocks: one gather per released batch of
     # signal events, all over one span, each signal event gathered once.
