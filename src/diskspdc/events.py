@@ -46,17 +46,18 @@ the blocks in one pass (EventStream.from_blocks): they hold every block and
 the joined stream at once, about 16 B per event, twice the stream.
 
 A stream splits exactly into time shards [t0, t1), so that separate
-processes can each take one.  A generated stream's shards, which simulate
-writes and g2 folds, are cut at block starts (block_shards); event_blocks
-given a shard draws only the blocks that hold it, and the one before, for
-the events that block hands up; each block has its own generator, so a
-block is the same whichever shard draws it.  event_parts writes one file
-as consecutive parts, each by its own write_events, and appends them.  A
-.ttps file's shards, which coinc folds, are cut at the timestamps of
-evenly spaced records (file_shards), and shard_records finds the records
-that hold a shard's events and their partners (see tcspc._fold_batches)
-by bisecting the file one record at a time; a CSV file, which has no
-fixed-size records, is one shard.
+processes can each take one: a fold of [t0, t1), for pairs of delays in
+[lo, hi], reads the times [t0 + min(lo, 0), t1 + max(hi, 0))
+(pipeline._shard_fold), a window that both block sources take.  A
+generated stream's shards, which simulate writes and g2 folds, are cut at
+block starts (block_shards); event_blocks draws only the blocks that hold
+its window, and the one before, for the events that block hands up; each
+block has its own generator, so a block is the same whichever shard draws
+it.  event_parts writes one file as consecutive parts, each by its own
+write_events, and appends them.  A .ttps file's shards, which coinc folds,
+are cut at the timestamps of evenly spaced records (file_shards), and
+read_blocks finds its window's records by bisecting the file one record
+at a time; a CSV file, which has no fixed-size records, is one shard.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -652,7 +653,7 @@ def _decimal(x: np.ndarray) -> np.ndarray:
 
 
 def read_blocks(path: str | os.PathLike, duration_ps: int | None = None,
-                records: tuple[int, int | None] = (0, None)):
+                shard: tuple[int | None, int | None] = (None, None)):
     """Yield a timestamp file written by :func:`write_events`, of either
     format, as EventStream blocks of records, in time order, in one pass.
 
@@ -664,12 +665,12 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None,
     values in [0, duration) and channels fit a byte; a binary file's
     channels lie below its header's channel count, and a CSV file starts
     with the header row channel,timestamp_ps and has two columns.  Anything
-    else raises EventFormatError when its block is reached.  records =
-    (first, stop) reads only a .ttps file's records [first, stop) (None:
-    to the end), and checks them alone; a CSV file is read whole.
+    else raises EventFormatError when its block is reached.  shard = (t0,
+    t1), None an open end, reads and checks only a .ttps file's records of
+    [t0, t1) and one more (_shard_records); a CSV file is read whole.
     """
     if _is_csv(path):
-        if records != (0, None):
+        if shard != (None, None):
             raise ValueError("a CSV file is read whole")
         with open(path) as fh:
             if fh.readline().rstrip("\n") != _CSV_HEADER:
@@ -680,8 +681,7 @@ def read_blocks(path: str | os.PathLike, duration_ps: int | None = None,
         return
     with open(path, "rb") as fh:
         n_channels, n_records = _ttps_header(fh, path)
-        first, stop = records
-        stop = n_records if stop is None else min(stop, n_records)
+        first, stop = _shard_records(fh, n_records, shard)
         fh.seek(_HEADER.size + first * _RECORD_DTYPE.itemsize)
         yield from _checked_blocks(
             path, _record_blocks(fh, path, max(stop - first, 0)), n_channels,
@@ -725,13 +725,11 @@ def file_shards(path: str | os.PathLike,
                         for j in range(1, n_shards)])
 
 
-def shard_records(path: str | os.PathLike,
-                  shard: tuple[int | None, int | None], lo_ps: int = 0,
-                  hi_ps: int = 0) -> tuple[int, int | None]:
-    """The records [first, stop) of a .ttps file that a fold of the time
-    shard [t0, t1) reads, for pairs whose delays lie in [lo, hi]: those
-    with timestamps in [t0 + min(lo, 0), t1 + max(hi, 0)), found by
-    bisecting the file one record at a time, and one record more.
+def _shard_records(fh, n: int,
+                   shard: tuple[int | None, int | None]) -> tuple[int, int]:
+    """The records [first, stop) of an open .ttps file of n records that
+    hold the times [t0, t1) of shard, None an open end: found by bisecting
+    the file one record at a time, and one record more.
 
     On any file, sorted or not, the bisection's record for a time never
     falls as the time rises, so the shards of one list of cuts, in any
@@ -739,28 +737,23 @@ def shard_records(path: str | os.PathLike,
     records lies in one of them, so every check of a whole pass is made in
     some shard and a malformed file raises in one.  Where a block of one
     pass holds two defects on either side of a cut, the shards may name
-    the other one.  A shard open at both ends is (0, None), the whole
-    file, of either format.
+    the other one.
     """
+
+    def at(t):
+        """The first record at or past t, by bisection."""
+        lo, hi = 0, n
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if _record_time(fh, mid) < t:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo
+
     t0, t1 = shard
-    if t0 is None and t1 is None:
-        return 0, None
-    with open(path, "rb") as fh:
-        _, n = _ttps_header(fh, path)
-
-        def at(t):
-            """The first record at or past t, by bisection."""
-            lo, hi = 0, n
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if _record_time(fh, mid) < t:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            return lo
-
-        return (0 if t0 is None else at(t0 + min(lo_ps, 0)),
-                n if t1 is None else min(at(t1 + max(hi_ps, 0)) + 1, n))
+    return (0 if t0 is None else at(t0),
+            n if t1 is None else min(at(t1) + 1, n))
 
 
 def _record_time(fh, k: int) -> int:

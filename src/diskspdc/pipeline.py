@@ -9,11 +9,13 @@ The sweep's points, and the time shards of simulate, of coinc on a .ttps
 file and of g2 (see events), run in forked worker processes, one per CPU
 this process may run on at most (_mapped); one task, or one CPU, runs
 inline.  Shards are exact pieces of the stream, so the file and the tables
-are those of one pass whatever the number of CPUs.  g2's shards need both
-calibration peaks of the whole stream before they count their windows:
-each sends its event counts and the calibration span of its two delay
-histograms, and is sent back the peaks, while the pairs it gathered stay
-in its own process.
+are those of one pass whatever the number of CPUs.  coinc and g2 fold
+the shard [t0, t1), for pairs of delays in [lo, hi], over the times
+[t0 + min(lo, 0), t1 + max(hi, 0)) of their stream (_shard_fold).  g2's
+shards need both calibration peaks of the whole stream before they count
+their windows: each sends its event counts and the calibration span of
+its two delay histograms, and is sent back the peaks, while the pairs it
+gathered stay in its own process.
 """
 
 from __future__ import annotations
@@ -35,8 +37,7 @@ from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
 from .events import (SourceModel, block_shards, event_blocks, event_parts,
-                     file_shards, read_blocks, shard_records, splittable,
-                     write_events)
+                     file_shards, read_blocks, splittable, write_events)
 from .tcspc import (DelayHistogram, PairFold, dwdm_channel_index, dwdm_grid,
                     fold_delays, fold_heralds, g2_curve, herald_peaks,
                     heralded_g2_span, two_fold_metrics, two_fold_span)
@@ -216,6 +217,12 @@ def channel_pair_rate_hz(cfg: RunConfig, pump_power_uw: float) -> float:
     """Pair rate of the strongest filter channel at a given pump power."""
     collective = build_source(cfg, pump_power_uw=pump_power_uw).pair_rate_mhz
     return collective * 1e6 * cfg.spectrum.peak_fraction
+
+
+def _channel_source(cfg: RunConfig, rate_hz: float, **kwargs) -> SourceModel:
+    """The unsaturated source that pairs at a channel's rate_hz."""
+    power_uw = rate_hz * 1e-6 / cfg.source.pgr_slope_mhz_per_uw
+    return build_source(cfg, power_uw, saturation=False, **kwargs)
 
 
 def run_spectrum(cfg: RunConfig, system: System | None = None):
@@ -453,10 +460,8 @@ def _fit_slope(x, y) -> float:
 def run_g2(cfg: RunConfig):
     """Heralded second-order correlation of the strongest channel."""
     rate_hz = channel_pair_rate_hz(cfg, cfg.g2.pump_power_uw)
-    power_equiv = rate_hz * 1e-6 / cfg.source.pgr_slope_mhz_per_uw
-    model = build_source(cfg, pump_power_uw=power_equiv,
-                         losses_db=cfg.g2.losses_db, saturation=False,
-                         signal_channels=(0, 2), idler_channels=(1,))
+    model = _channel_source(cfg, rate_hz, losses_db=cfg.g2.losses_db,
+                            signal_channels=(0, 2), idler_channels=(1,))
     tau_ns = np.linspace(-cfg.g2.tau_max_ns, cfg.g2.tau_max_ns,
                          cfg.g2.tau_points)
     tau_ps = np.round(tau_ns * 1e3)
@@ -465,8 +470,11 @@ def run_g2(cfg: RunConfig):
     # parent adds their calibrations and sends back both peaks
     shards = block_shards(model, cfg.g2.duration_s, _cpus())
     res = g2_curve(tau_ps, _mapped(functools.partial(
-        _g2_shard, model, cfg.g2.duration_s, derive_seed(cfg.seed, 2),
-        tau_ps, window), shards, reply=herald_peaks))
+        _shard_fold,
+        functools.partial(fold_heralds, tau_grid_ps=tau_ps, window_ps=window),
+        functools.partial(event_blocks, model, cfg.g2.duration_s,
+                          derive_seed(cfg.seed, 2)),
+        heralded_g2_span(tau_ps, window)), shards, reply=herald_peaks))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),
@@ -483,18 +491,6 @@ def run_g2(cfg: RunConfig):
     return columns, rows, summary
 
 
-def _g2_shard(model: SourceModel, duration_s: float, seed: int,
-              tau_ps: np.ndarray, window_ps: int, shard):
-    """tcspc.fold_heralds of the heralds in the time shard [t0, t1), over
-    the blocks that hold [t0 + lo, t1 + hi) of tcspc.heralded_g2_span."""
-    lo, hi = heralded_g2_span(tau_ps, window_ps)
-    t0, t1 = shard
-    reads = (None if t0 is None else t0 + min(lo, 0),
-             None if t1 is None else t1 + max(hi, 0))
-    return fold_heralds(event_blocks(model, duration_s, seed, reads), tau_ps,
-                        window_ps, own_ps=shard)
-
-
 def _umi_config(cfg: RunConfig) -> UmiConfig:
     u = cfg.umi
     return UmiConfig(arm_delay_ns=u.arm_delay_ns,
@@ -506,9 +502,8 @@ def _umi_config(cfg: RunConfig) -> UmiConfig:
 def run_franson(cfg: RunConfig):
     """Time-bin fringe scan: arrival-time peaks, then visibility fits."""
     umi = _umi_config(cfg)
-    rate_hz = channel_pair_rate_hz(cfg, cfg.source.pump_power_uw)
-    power_equiv = rate_hz * 1e-6 / cfg.source.pgr_slope_mhz_per_uw
-    model = build_source(cfg, pump_power_uw=power_equiv, saturation=False)
+    model = _channel_source(cfg, channel_pair_rate_hz(
+        cfg, cfg.source.pump_power_uw))
     blocks = routed_blocks(event_blocks(model, cfg.franson.duration_s,
                                         derive_seed(cfg.seed, 3)),
                            umi, derive_seed(cfg.seed, 4))
@@ -665,14 +660,12 @@ def run_simulate(cfg: RunConfig, out_path: str,
     (events.event_parts), and their tallies add up.  A path that is no
     regular file, such as /dev/null, takes one shard.
     """
-    model = build_source(cfg)
-    duration = cfg.sweep.duration_s if duration_s is None else duration_s
+    model, duration, seed = _simulated(cfg, duration_s)
     shards = block_shards(model, duration,
                           _cpus() if splittable(out_path) else 1)
     with event_parts(out_path, len(shards)) as paths:
         tallies = _mapped(functools.partial(
-            _written_shard, model, duration, derive_seed(cfg.seed, 6)),
-            list(zip(shards, paths)))
+            _written_shard, model, duration, seed), list(zip(shards, paths)))
     n_pairs, n_signal, n_idler, n_events = np.sum(tallies, axis=0).tolist()
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")
@@ -680,6 +673,13 @@ def run_simulate(cfg: RunConfig, out_path: str,
              model.pair_rate_mhz)]
     summary = [f"wrote {n_events} events to {out_path}"]
     return columns, rows, summary
+
+
+def _simulated(cfg: RunConfig, duration_s: float | None = None):
+    """(source, duration, seed) of the stream simulate writes and coinc
+    draws: one stream."""
+    return (build_source(cfg), cfg.sweep.duration_s if duration_s is None
+            else duration_s, derive_seed(cfg.seed, 6))
 
 
 def _written_shard(model: SourceModel, duration_s: float, seed: int,
@@ -704,10 +704,9 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
     """Two-fold coincidence metrics of a stored or fresh stream.
 
     A .ttps file's time shards (events.file_shards), one per CPU at most,
-    are folded in parallel (tcspc.fold_delays), each over the records that
-    hold its signal events' partners; their histograms and counts add up
-    to the whole stream's.  A CSV file and a generated stream are one
-    shard, folded inline.
+    are folded in parallel (tcspc.fold_delays, by _shard_fold); their
+    histograms and counts add up to the whole stream's.  A CSV file and a
+    generated stream are one shard, folded inline.
     """
     window = int(cfg.source.coincidence_window_ps)
     lo, hi = two_fold_span(window)
@@ -717,16 +716,14 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
         blocks = functools.partial(read_blocks, events_path,
                                    None if duration_s is None
                                    else int(round(duration_s * 1e12)))
-        shards = [(s, shard_records(events_path, s, lo, hi))
-                  for s in file_shards(events_path, _cpus())]
+        shards = file_shards(events_path, _cpus())
     else:
-        model = build_source(cfg)
-        duration = cfg.sweep.duration_s if duration_s is None else duration_s
-        blocks = functools.partial(event_blocks, model, duration,
-                                   derive_seed(cfg.seed, 6))
-        shards = [((None, None), (None, None))]
+        blocks = functools.partial(event_blocks, *_simulated(cfg, duration_s))
+        shards = [(None, None)]
     # folded block by block: no shard holds the stream
-    folds = _mapped(functools.partial(_folded_shard, blocks, lo, hi), shards)
+    folds = _mapped(functools.partial(
+        _shard_fold, functools.partial(fold_delays, ch_a=0, ch_b=1, lo_ps=lo,
+                                       hi_ps=hi), blocks, (lo, hi)), shards)
     pair = PairFold(sum(f.n_a for f in folds), sum(f.n_b for f in folds),
                     max(f.duration_ps for f in folds),
                     DelayHistogram(lo, np.sum([f.delays.counts
@@ -741,8 +738,11 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
     return columns, rows, summary
 
 
-def _folded_shard(blocks, lo_ps: int, hi_ps: int, shard) -> PairFold:
-    """The signal-idler fold of one time shard (own, reads): of the events
-    in the times own, over the blocks that blocks(reads) gives."""
-    own, reads = shard
-    return fold_delays(blocks(reads), 0, 1, lo_ps, hi_ps, own)
+def _shard_fold(fold, blocks, span: tuple[int, int], shard):
+    """fold(blocks(reads), own_ps=shard) of the time shard [t0, t1), None
+    an open end: reads holds every time its pairs, of delays in span = [lo,
+    hi], reach.  Partials of module-level functions pickle without fork."""
+    (lo, hi), (t0, t1) = span, shard
+    return fold(blocks((None if t0 is None else t0 + min(lo, 0),
+                        None if t1 is None else t1 + max(hi, 0))),
+                own_ps=shard)

@@ -3,12 +3,14 @@
 All CLI results funnel through emit_table so a fixed input always produces
 byte-identical files: floats are rendered with repr (shortest round-trip
 form), rows are written in the order given, and both the CSV and the JSON
-form carry exactly the same values.
+form carry exactly the same values, except that JSON, which has no NaN or
+infinity, writes a non-finite float as null.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from typing import Iterable, Sequence
 
 
@@ -30,8 +32,11 @@ def format_table(columns: Sequence[str], rows: Iterable[Sequence],
         lines += [",".join(_render(v) for v in r) for r in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
-        doc = {"columns": list(columns), "rows": rows}
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        doc = {"columns": list(columns),
+               "rows": [[None if isinstance(v, float) and not math.isfinite(v)
+                         else v for v in r] for r in rows]}
+        return json.dumps(doc, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
     raise ValueError(f"unknown table format {fmt!r}")
 
 

@@ -26,7 +26,7 @@ Histograms add, so :func:`fold_delays` adds each batch's delays, and
 stream's time shards fold apart: a fold given a shard [t0, t1) releases
 and counts only that shard's events, pairing its a events with b events
 on either side of its edges, so the folds of consecutive shards, given the
-blocks that hold [t0 + lo, t1 + hi), add up to one pass.  Heralded g2
+blocks of their reach (see _fold_batches), add up to one pass.  Heralded g2
 folds both of its channel pairs in the same pass (:func:`fold_heralds`):
 it keeps each batch's pairs as packed 8-byte keys and adds their delays
 into a calibration histogram per channel pair.  Its windows sit around
@@ -255,7 +255,8 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
     own_ps = (t0, t1), None an open end, is the time shard the fold owns:
     only its a events in [t0, t1) are released, and only its events in
     [t0, t1) are counted, so folds of consecutive shards, each given the
-    blocks that hold [t0 + lo, t1 + hi), add up to the whole stream's.
+    blocks that hold its reach [t0 + min(lo, 0), t1 + max(hi, 0)), lo and
+    hi the extremes of spans, add up to the whole stream's.
     Returns the event count of each channel read and the stream's
     duration, the last block's.  An empty sequence raises ValueError.
     """
@@ -573,8 +574,7 @@ def _herald_spans(tau: np.ndarray,
 
 def heralded_g2_span(tau_grid_ps, window_ps: float) -> tuple[int, int]:
     """Delays [lo, hi] of every pair :func:`heralded_g2` gathers, over both
-    signal channels: a fold of the heralds in [t0, t1) reads the blocks
-    that hold [t0 + lo, t1 + hi)."""
+    signal channels, the span of a fold's reach (see _fold_batches)."""
     spans = _herald_spans(np.asarray(tau_grid_ps, dtype=float), window_ps)
     return min(lo for lo, _ in spans), max(hi for _, hi in spans)
 

@@ -410,7 +410,7 @@ def drawn_ahead_by(monkeypatch, cfg, n_cpus):
     replaced by one that records its blocks."""
     drawn = []
 
-    def recorded(blocks, tau_ps, window_ps, own_ps):
+    def recorded(blocks, tau_grid_ps, window_ps, own_ps):
         part = (os.getpid(), own_ps, [block_record(b) for b in blocks])
         return part, lambda peaks: None
 

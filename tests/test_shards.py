@@ -9,6 +9,7 @@ than one, the shards run in forked worker processes.
 """
 
 import dataclasses
+import functools
 import hashlib
 import os
 
@@ -22,9 +23,9 @@ from diskspdc.cli import main
 from diskspdc.config import parse_config
 from diskspdc.events import (EventFormatError, EventStream, SourceModel,
                              block_shards, event_blocks, event_parts,
-                             file_shards, read_blocks, shard_records,
-                             write_events)
-from diskspdc.tcspc import fold_delays, g2_curve, herald_peaks, heralded_g2
+                             file_shards, read_blocks, write_events)
+from diskspdc.tcspc import (fold_delays, fold_heralds, g2_curve, herald_peaks,
+                            heralded_g2, heralded_g2_span)
 
 from streams import from_merged, short_blocks
 
@@ -108,14 +109,18 @@ HERALDED = dataclasses.replace(BUSY, signal_channels=(0, 2),
 @example(seed=3, cuts=[50, 100], taus=[-3000, 3000], window=2000)
 def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
     # cut at block starts, as block_shards cuts: each shard folds its own
-    # heralds over the blocks pipeline._g2_shard draws for them, which
-    # reach up to 8 blocks of 2^10 ps past each cut, and counts them around
-    # the peaks of every shard's calibration
+    # heralds over the blocks pipeline._shard_fold draws for them, over
+    # heralded_g2_span's reach, up to 8 blocks of 2^10 ps past each cut,
+    # and counts them around the peaks of every shard's calibration
     tau = np.array(taus, dtype=float)
     with short_blocks(6, 1 << 10):
         _, block, n_blocks = events._plan(HERALDED, BUSY_S)
         assert n_blocks == 196
-        steps = [pipeline._g2_shard(HERALDED, BUSY_S, seed, tau, window, s)
+        steps = [pipeline._shard_fold(
+                     functools.partial(fold_heralds, tau_grid_ps=tau,
+                                       window_ps=window),
+                     functools.partial(event_blocks, HERALDED, BUSY_S, seed),
+                     heralded_g2_span(tau, window), s)
                  for s in edges_of(sorted(k * block for k in cuts))]
         want = heralded_g2(event_blocks(HERALDED, BUSY_S, seed), tau, window)
     peaks = herald_peaks([calibration for calibration, _ in steps])
@@ -156,8 +161,8 @@ def test_file_shards_add_up_to_one_pass(tmp_path_factory, file, lo, hi,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_BLOCK_EVENTS", block)
         whole = fold_delays(read_blocks(path), 0, 1, lo, hi)
-        folds = [fold_delays(read_blocks(path, None, shard_records(
-                     path, s, lo, hi)), 0, 1, lo, hi, s)
+        folds = [fold_delays(read_blocks(path, None, reach(s, lo, hi)),
+                             0, 1, lo, hi, s)
                  for s in edges_of(cuts)]
     assert_sums_to(folds, whole)
 
@@ -182,9 +187,9 @@ def test_shard_records_hold_every_pair_of_neighbours(tmp_path_factory, times,
     # the cuts: an unsorted file's records give them in any order
     path = tmp_path_factory.mktemp("unsorted") / "e.ttps"
     ttps_times(path, times)
-    ranges = [shard_records(path, s, lo, hi) for s in edges_of(cuts)]
-    ranges = [(first, len(times) if stop is None else stop)
-              for first, stop in ranges]
+    with open(path, "rb") as fh:
+        ranges = [events._shard_records(fh, len(times), reach(s, lo, hi))
+                  for s in edges_of(cuts)]
     for k in range(len(times) - 1):
         assert any(first <= k and k + 2 <= stop for first, stop in ranges)
 
@@ -207,6 +212,16 @@ def test_shard_counts_follow_blocks_and_cpus(tmp_path):
     # 2^18 records a block: the file is one
     assert file_shards(path, 2) == [(None, None)]
     assert file_shards(tmp_path / "e.csv", 4) == [(None, None)]
+
+
+def test_a_csv_file_is_read_whole(tmp_path):
+    path = tmp_path / "e.csv"
+    write_events(EventStream({0: np.array([5, 7]), 1: np.array([6])}, 10),
+                 path)
+    assert len(events.read_events(path)) == 3
+    for shard in ((0, None), (None, 8), (0, 8)):
+        with pytest.raises(ValueError, match="a CSV file is read whole"):
+            next(read_blocks(path, None, shard))
 
 
 def test_event_parts_join_to_one_write(tmp_path):

@@ -32,6 +32,18 @@ def test_json_document():
     assert text.endswith("\n")
 
 
+def test_json_writes_non_finite_floats_as_null():
+    # JSON (RFC 8259) has no NaN or Infinity: a strict parser rejects them
+    def reject(constant):
+        raise AssertionError(f"{constant} is not JSON")
+
+    text = format_table(["a", "b", "c", "d"],
+                        [[float("nan"), float("inf"), -float("inf"), 0.5]],
+                        fmt="json")
+    assert json.loads(text, parse_constant=reject)["rows"] == [
+        [None, None, None, 0.5]]
+
+
 def test_row_width_mismatch():
     with pytest.raises(ValueError, match="row width"):
         format_table(["a", "b"], [[1]])
