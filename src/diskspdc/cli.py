@@ -2,8 +2,10 @@
 
 One subcommand per experiment; every command accepts --config, --seed,
 --out, and --format.  Tables go to stdout (or --out) in a deterministic
-CSV or JSON form; summary lines are prefixed with '#'.  Exit codes:
-0 success, 2 configuration problems, 3 runtime failures.
+CSV or JSON form; summary lines are prefixed with '#' and go to stdout
+ahead of a CSV table, to stderr beside a JSON one, so that JSON stdout is
+one document.  Exit codes: 0 success, 2 configuration problems, 3 runtime
+failures.
 """
 
 from __future__ import annotations
@@ -138,10 +140,11 @@ def main(argv=None) -> int:
             ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    notes = sys.stderr if args.format == "json" else sys.stdout
     for line in summary:
-        print(f"# {line}")
+        print(f"# {line}", file=notes)
     if args.out:
-        print(f"# wrote {args.out}")
+        print(f"# wrote {args.out}", file=notes)
     else:
         print(text, end="")
     return 0

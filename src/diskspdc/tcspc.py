@@ -2,12 +2,15 @@
 
 One primitive, :func:`coincidences`, binary-searches time-sorted
 per-channel arrays and yields the index pairs whose delay t_b - t_a lies in
-a closed window of whole picoseconds: O(N log N + pairs), exact at any
-timestamp.  Delays are always t_b - t_a (idler minus signal by default).
-It works through the a events in chunks of at most _CHUNK_EVENTS events and
-_CHUNK_PAIRS pairs, and each chunk searches only the slice of b events it
-can reach, so a chunk's few int64 arrays stay in cache and every analysis
-holds its input, its result and one chunk, whatever the stream's length.
+a closed window of whole picoseconds, exact at any timestamp.  Each a event
+costs one search, for the window's low edge, and a gather of the next two b
+events; only the k a events with two b events or more in the window search
+again, for its high edge: O((N_a + k) log N_b + pairs).  Delays are always
+t_b - t_a (idler minus signal by default).  It works through the a events
+in chunks of at most _CHUNK_EVENTS events and _CHUNK_PAIRS pairs, and each
+chunk searches only the slice of b events it can reach, so a chunk's few
+int64 arrays stay in cache and every analysis holds its input, its result
+and one chunk, whatever the stream's length.
 
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
@@ -148,7 +151,11 @@ def coincidences(times_a: np.ndarray, times_b: np.ndarray,
     events and holds at most _CHUNK_PAIRS pairs, or one a event with more.
     The a events of a chunk, ta, are searched only into the b events in
     [ta[0] + lo, ta[-1] + hi], the ones they can reach; a chunk that
-    reaches none yields nothing.
+    reaches none yields nothing.  Each a event is searched once, for the
+    first b event at or past t_a + lo; the two b events from there, read
+    without a search, give its pair count when it is 0 or 1, and only an a
+    event with both in the window is searched again, for the last b event
+    at or before t_a + hi.
     """
     if hi_ps < lo_ps:
         return
@@ -162,14 +169,24 @@ def coincidences(times_a: np.ndarray, times_b: np.ndarray,
             continue
         tb = times_b[b_lo:b_hi]
         first = np.searchsorted(tb, ta + lo_ps, side="left")
-        n = np.searchsorted(tb, ta + hi_ps, side="right") - first
+        top = ta + hi_ps
+        # the two candidates from first on are gathered inside tb, bounded
+        # by its length: a sentinel past its end would fall inside a window
+        # whose ta + hi is the largest int64
+        n = ((first < len(tb))
+             & (tb.take(first, mode="clip") <= top)).astype(np.int64)
+        two = (first + 1 < len(tb)) & (tb.take(first + 1, mode="clip") <= top)
+        if two.any():
+            n[two] = np.searchsorted(tb, top[two], side="right") - first[two]
         first += b_lo
         ends = np.cumsum(n)
         before = ends - n
         i = 0
         while i < len(ta):
-            j = max(int(np.searchsorted(ends, before[i] + _CHUNK_PAIRS,
-                                        side="right")), i + 1)
+            # the pair cap splits the chunk only when its pairs exceed it
+            j = len(ta) if ends[-1] - before[i] <= _CHUNK_PAIRS else max(
+                int(np.searchsorted(ends, before[i] + _CHUNK_PAIRS,
+                                    side="right")), i + 1)
             if ends[j - 1] > before[i]:
                 a_idx = np.repeat(np.arange(start + i, start + j), n[i:j])
                 b_idx = np.repeat(first[i:j] - before[i:j], n[i:j]) \

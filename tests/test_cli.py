@@ -139,9 +139,11 @@ def test_json_output(capsys):
     rc, out, err = run_cli(["modes", "--family", "pump", "-f", "json"],
                            capsys)
     assert rc == 0
-    doc = json.loads("\n".join(table_lines(out)))
+    # stdout is one JSON document; the summary lines go to stderr
+    doc = json.loads(out)
     assert doc["columns"][:2] == ["family", "m"]
     assert len(doc["rows"]) == 11
+    assert err and all(ln.startswith("# ") for ln in err.splitlines())
 
 
 def test_reruns_byte_identical(capsys):

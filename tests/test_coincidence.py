@@ -472,6 +472,27 @@ def ref_pairs(a, b, lo, hi):
 # no b events at all
 @example(a=np.array([0, 1, 2]), b=np.array([], dtype=np.int64), origin=0,
          lo=-5, width=10, caps=(1, 1))
+# the first candidate is the slice's last b event, in the window, and the
+# second would lie past the slice
+@example(a=np.array([0, 20]), b=np.array([5, 27, 40]), origin=0, lo=0,
+         width=10, caps=(2, 3))
+# no first candidate in the slice (first == len(tb))
+@example(a=np.array([0, 50]), b=np.array([5]), origin=0, lo=0, width=10,
+         caps=(2, 2))
+# the second candidate is exactly t_a + hi
+@example(a=np.array([0, 1]), b=np.array([3, 10, 11]), origin=0, lo=0,
+         width=10, caps=(1, 1))
+# runs of equal b times, in and across the window's edges
+@example(a=np.array([0, 5]), b=np.array([7, 7, 7, 7, 12, 12]), origin=0,
+         lo=2, width=5, caps=(2, 3))
+@example(a=np.array([0, 0, 1]), b=np.array([0, 0, 1, 1]), origin=0, lo=0,
+         width=1, caps=(1, 1))
+# max(a) + hi == 2**63 - 1: the last b event is the largest int64, with two
+# candidates in a window and with one
+@example(a=np.array([0, 3, 9]), b=np.array([1, 9, 10, 12]),
+         origin=2 ** 63 - 1 - 12, lo=1, width=2, caps=(3, 3))
+@example(a=np.array([9]), b=np.array([12]), origin=2 ** 63 - 1 - 12, lo=1,
+         width=2, caps=(1, 1))
 def test_reachable_slices_match_brute_force(a, b, origin, lo, width, caps):
     a, b = a + origin, b + origin
     hi = lo + width
@@ -496,6 +517,46 @@ def test_reachable_slices_match_brute_force(a, b, origin, lo, width, caps):
         d = b[want_b] - a[want_a]
         assert np.array_equal(delays.counts,
                               np.bincount(d - lo, minlength=hi - lo + 1))
+
+
+def count_needles(monkeypatch):
+    """Wrap np.searchsorted; the returned list gains each call's needles."""
+    needles = []
+    searchsorted = np.searchsorted
+
+    def counted(a, v, *args, **kwargs):
+        needles.append(np.size(v))
+        return searchsorted(a, v, *args, **kwargs)
+
+    monkeypatch.setattr(np, "searchsorted", counted)
+    return needles
+
+
+def test_each_a_event_is_searched_once(monkeypatch):
+    # a events 1 ns apart in chunks of 16, every chunk reaching a b event;
+    # even a events have one partner in [0, 100] ps, odd ones none
+    monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 16)
+    a = np.arange(100, dtype=np.int64) * 1000
+    b = a[::2] + 50
+    chunks = -(-len(a) // 16)
+
+    def searched(b):
+        with pytest.MonkeyPatch.context() as mp:
+            needles = count_needles(mp)
+            got = list(tcspc.coincidences(a, b, 0, 100))
+        want_a, want_b = ref_pairs(a, b, 0, 100)
+        assert np.array_equal(np.concatenate([c[0] for c in got]), want_a)
+        assert np.array_equal(np.concatenate([c[1] for c in got]), want_b)
+        return sum(needles)
+
+    # no a event reaches two b events: one search each, and the two
+    # slice-edge keys per chunk
+    assert searched(b) == len(a) + 2 * chunks
+    # k even a events reach two or three: each searches once more
+    more = np.array([4, 30, 32, 76, 98])
+    extra = np.concatenate([a[more] + 60, a[more[::2]] + 70])
+    assert searched(np.sort(np.concatenate([b, extra]))) \
+        == len(a) + 2 * chunks + len(more)
 
 
 # --- one delay histogram, sliced ---------------------------------------------
@@ -678,7 +739,7 @@ def pair_stream(n_pairs, seed):
 
 def test_two_fold_peak_does_not_grow_with_the_stream():
     # above its input, two_fold_metrics holds its 0.87 MB delay histogram
-    # and a chunk of coincidences(), with the last chunk's pairs: 6.2 MB at
+    # and a chunk of coincidences(), with the last chunk's pairs: 2.6 MB at
     # both sizes.  With chunks of 2^20 events and 2^22 pairs the extra peak
     # grew from 11.5 MB at 0.3 M events to 79.5 MB at 4 M.
     small, large = pair_stream(150_000, 1), pair_stream(2_000_000, 2)
