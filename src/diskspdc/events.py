@@ -213,18 +213,14 @@ def _summed(truths) -> TruthCounters | None:
 class EventStream:
     """Detector clicks as one time-sorted int64 array per channel.
 
-    tags, when present, maps each channel to per-event interferometer path
-    labels aligned with its times, for diagnostics only: no file, merge,
-    split or routed block carries them.  truth holds the simulator's
-    counters of a generated stream, whose pair counts n_pairs_generated
-    sums.  A block of a longer stream holds the events in [start_ps,
-    duration_ps), and no later block holds a time below start_ps; a whole
-    stream is its only block.
+    truth holds the simulator's counters of a generated stream, whose pair
+    counts n_pairs_generated sums.  A block of a longer stream holds the
+    events in [start_ps, duration_ps), and no later block holds a time
+    below start_ps; a whole stream is its only block.
     """
 
     times: dict[int, np.ndarray]
     duration_ps: int
-    tags: dict[int, np.ndarray] | None = field(default=None, repr=False)
     truth: TruthCounters | None = field(default=None, repr=False)
     start_ps: int = 0
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .events import EventStream
-from .tcspc import DelayHistogram, coincidences, peak_span, window_edges
+from .tcspc import DelayHistogram, peak_span
 
 
 class FitError(RuntimeError):
@@ -66,36 +66,34 @@ def apply_umi(stream: EventStream, config: UmiConfig,
     """Route every event of a stream or block through the interferometer.
 
     Short keeps the timestamp, long adds the arm delay; the routing
-    probability of the short arm is t_S / (t_S + t_L).  The returned stream
-    carries tags (0 short, 1 long) for diagnostics; tags are not
-    serialized.  The duration grows by the arm delay so late long-arm events
-    stay inside the acquisition window; start_ps and truth are the input's.
+    probability of the short arm is t_S / (t_S + t_L), drawn once per event,
+    channel by channel in ascending order.  The duration grows by the arm
+    delay so late long-arm events stay inside the acquisition window;
+    start_ps and truth are the input's.
     """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
     t_s, t_l = config.arm_transmissions
     p_short = t_s / (t_s + t_l)
     rng = np.random.Generator(np.random.PCG64(seed))
-    times, tags = {}, {}
+    times = {}
     for channel in sorted(stream.times):
         t = stream.times[channel]
-        long_routed = rng.random(len(t)) >= p_short
-        short = t[~long_routed]
-        routed = np.concatenate([short, t[long_routed] + delay_ps])
-        # both parts are sorted, so the stable sort is one merge
-        order = np.argsort(routed, kind="stable")
-        times[channel] = routed[order]
-        tags[channel] = (order >= len(short)).astype(np.uint8)
-    return EventStream(times, stream.duration_ps + delay_ps, tags=tags,
+        routed = t + delay_ps * (rng.random(len(t)) >= p_short)
+        # only events closer than the arm delay can swap, so the input is
+        # nearly sorted
+        routed.sort(kind="stable")
+        times[channel] = routed
+    return EventStream(times, stream.duration_ps + delay_ps,
                        truth=stream.truth, start_ps=stream.start_ps)
 
 
 def routed_blocks(blocks, config: UmiConfig, seed: int):
     """Yield the blocks of a stream, each ending where the next starts and
     holding the same channels (as event_blocks' do), routed by
-    :func:`apply_umi`, block k with a generator spawned from (seed, k), and
-    without route tags.  Routed events at or past a block's end are merged
-    into the next block, and those past the last block make a tail block,
-    so each holds [start_ps, duration_ps)."""
+    :func:`apply_umi`, block k with a generator spawned from (seed, k).
+    Routed events at or past a block's end are merged into the next block,
+    and those past the last block make a tail block, so each holds
+    [start_ps, duration_ps)."""
     rest = None
     for k, block in enumerate(blocks):
         routed = apply_umi(block, config,
@@ -225,21 +223,3 @@ def peak_areas(delays: DelayHistogram,
     centers = [peak_ps + k * delay_ps for k in (-1, 0, +1)]
     return tuple(int(n) for n in delays.totals(
         centers, config.postselect_window_ps))
-
-
-def central_peak_is_same_path(stream: EventStream, config: UmiConfig,
-                              peak_delay_ps: int = 0) -> bool:
-    """Check that central-peak coincidences of signal channel 0 and idler
-    channel 1 pair same-path photons only.
-
-    Requires tags on the stream (as produced by apply_umi); used to
-    validate that post-selecting the central peak keeps exactly the
-    short-short and long-long amplitudes.
-    """
-    if stream.tags is None:
-        raise ValueError("stream carries no route tags")
-    tags_s, tags_i = stream.tags.get(0), stream.tags.get(1)
-    edges = window_edges(peak_delay_ps, config.postselect_window_ps)
-    return all(np.array_equal(tags_s[a_idx], tags_i[b_idx])
-               for a_idx, b_idx in coincidences(
-                   stream.channel_times(0), stream.channel_times(1), *edges))

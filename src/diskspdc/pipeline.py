@@ -279,8 +279,7 @@ def _sweep_point(args):
     pair = fold_delays(event_blocks(model, cfg.sweep.duration_s, seed), 0, 1,
                        *two_fold_span(max(rate_w, car_w)))
     rate = two_fold_metrics(pair, window_ps=rate_w)
-    car = two_fold_metrics(pair, window_ps=car_w,
-                           peak_delay_ps=rate.peak_delay_ps)
+    car = two_fold_metrics(pair, window_ps=car_w)
     return (power, model.pair_rate_mhz, rate.n1, rate.n2, rate.n12,
             rate.pgr_estimate_hz * 1e-6, car.car)
 

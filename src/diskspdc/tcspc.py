@@ -17,8 +17,7 @@ bins every delay of a span on its own: every count of a channel pair is
 then an exact slice of that one array, read around one calibrated peak:
 DelayHistogram.peak_ps, the first fullest 10-ps bin of its span.  Each
 analysis gathers a :func:`peak_span`: the calibration span and the windows
-off any peak inside it, so a given peak reads its windows from that span.
-Window counts and the Franson path check read the pairs themselves.
+off any peak inside it.  Window counts read the pairs themselves.
 
 A stream need not be held whole.  Every fold over a stream's time blocks
 (events.EventStream blocks, as generation and the file reader yield them)
@@ -455,26 +454,24 @@ def histogram(stream: EventStream, ch_a: int, ch_b: int,
 
 
 def two_fold_metrics(stream, window_ps: int = 800,
-                     peak_delay_ps: int | None = None,
                      n_offset_windows: int = 20,
                      offset_min_ps: int = 5_000,
                      offset_max_ps: int = 50_000) -> TwoFoldResult:
     """Coincidence metrics between signal channel 0 and idler channel 1.
 
-    n12 counts delays inside a window of window_ps centred on peak_delay_ps
-    or, when None, on the histogram's DelayHistogram.peak_ps; the
-    accidental level is the mean over n_offset_windows
-    same-width windows spread over [offset_min, offset_max] ps on both sides
-    of the peak.  Zero-count denominators yield NaN metrics.
+    n12 counts delays inside a window of window_ps centred on the
+    histogram's DelayHistogram.peak_ps; the accidental level is the mean
+    over n_offset_windows same-width windows spread over [offset_min,
+    offset_max] ps on both sides of the peak.  Zero-count denominators
+    yield NaN metrics.
 
     stream is an EventStream, or its blocks in time order, which are folded
-    over :func:`two_fold_span` (:func:`fold_delays`), with or without a
-    given peak: the delay histograms add, each pair counted once in the
-    block of its signal event, so the result is the whole stream's and no
-    more than the fold's blocks are held.  It may also be a PairFold of the
-    two channels already folded, whose histogram must cover that span.  A
-    window that reaches outside the histogram, as one around a given peak
-    far off the calibration span may, raises ValueError.
+    over :func:`two_fold_span` (:func:`fold_delays`): the delay histograms
+    add, each pair counted once in the block of its signal event, so the
+    result is the whole stream's and no more than the fold's blocks are
+    held.  It may also be a PairFold of the two channels already folded,
+    whose histogram must cover that span; a window that reaches outside it
+    raises ValueError.
     """
     if window_ps <= 0:
         raise ValueError("window_ps must be positive")
@@ -495,8 +492,7 @@ def two_fold_metrics(stream, window_ps: int = 800,
                              peak_delay_ps=0, window_ps=window_ps,
                              duration_s=duration_s,
                              pgr_estimate_hz=math.nan, car=math.nan)
-    if peak_delay_ps is None:
-        peak_delay_ps = delays.peak_ps()
+    peak_delay_ps = delays.peak_ps()
     per_side = n_offset_windows // 2
     bonus = n_offset_windows - 2 * per_side
     offsets = np.linspace(offset_min_ps, offset_max_ps, per_side + bonus)
@@ -510,7 +506,7 @@ def two_fold_metrics(stream, window_ps: int = 800,
     car = n12 / accidental_mean if accidental_mean > 0 else math.nan
     return TwoFoldResult(n1=n1, n2=n2, n12=n12,
                          accidental_mean=accidental_mean,
-                         peak_delay_ps=int(peak_delay_ps),
+                         peak_delay_ps=peak_delay_ps,
                          window_ps=window_ps, duration_s=duration_s,
                          pgr_estimate_hz=pgr, car=car)
 

@@ -3,7 +3,9 @@
 The package reads and writes streams in blocks and has no whole-stream
 merge: merged joins the merged blocks that write_events writes, and
 from_merged splits a merged sequence by brute force.  short_blocks makes
-generation draw blocks of a few events.
+generation draw blocks of a few events.  reference_routes redraws the
+interferometer routes that franson.apply_umi gives a stream, which carries
+times only.
 """
 
 from unittest import mock
@@ -37,3 +39,13 @@ def short_blocks(block_events, min_block_ps):
     """Generation blocks far shorter than the real floor of 2^30 ps."""
     return mock.patch.multiple(events, _BLOCK_EVENTS=block_events,
                                _MIN_BLOCK_PS=min_block_ps)
+
+
+def reference_routes(stream, config, seed):
+    """Per channel, the long-arm mask of franson.apply_umi's draw on
+    stream: one uniform per event from PCG64(seed), channel by channel in
+    ascending order, long where it reaches t_S / (t_S + t_L)."""
+    t_s, t_l = config.arm_transmissions
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return {c: rng.random(len(stream.times[c])) >= t_s / (t_s + t_l)
+            for c in sorted(stream.times)}

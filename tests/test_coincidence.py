@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from diskspdc import tcspc
 from diskspdc.events import EventStream, SourceModel, generate_events
-from diskspdc.franson import (UmiConfig, central_peak_is_same_path,
-                              peak_areas, peak_areas_span)
+from diskspdc.franson import UmiConfig, peak_areas, peak_areas_span
 from diskspdc.tcspc import (
     car_closed_form,
     delay_histogram,
@@ -391,29 +390,6 @@ def test_heralded_g2_needs_distinct_channels():
     assert heralded_g2(s, tau, ch_idler=1, ch_s1=2, ch_s2=0)["n_is1"][0] == 4
 
 
-@settings(max_examples=100, deadline=None)
-@given(a=sorted_times(), b=sorted_times(), origin=ORIGINS,
-       data=st.data(), center2=st.integers(-3000, 3000),
-       window=st.integers(1, 1500), caps=CAPS)
-def test_central_peak_is_same_path_matches_brute_force(a, b, origin, data,
-                                                      center2, window, caps):
-    tags_a = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(a),
-                                         max_size=len(a))), dtype=np.uint8)
-    tags_b = np.array(data.draw(st.lists(st.integers(0, 1), min_size=len(b),
-                                         max_size=len(b))), dtype=np.uint8)
-    stream = EventStream({0: a + origin, 1: b + origin}, 10 ** 9,
-                         tags={0: tags_a, 1: tags_b})
-    # window_ps is an int; the centre stays half-integer via peak_delay_ps
-    config = UmiConfig(postselect_window_ps=window)
-    pairs = in_window(delay_matrix(a, b), center2, window)
-    want = not np.any(pairs & (tags_a[:, None] != tags_b[None, :]))
-    with pytest.MonkeyPatch.context() as mp:
-        chunk_caps(mp, caps)
-        got = central_peak_is_same_path(stream, config,
-                                        peak_delay_ps=center2 / 2)
-    assert got == want
-
-
 def test_chunks_respect_the_pair_cap(monkeypatch):
     monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 64)
     monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 10)
@@ -706,15 +682,6 @@ def test_two_fold_metrics_gathers_once_or_not_at_all(monkeypatch):
     assert two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, delays),
                             window_ps=800) == alone
     assert calls == []
-    # a given peak reads its windows from the same fold
-    given = two_fold_metrics(s, window_ps=800, peak_delay_ps=200)
-    assert calls == [tcspc.two_fold_span(800)]
-    assert given == two_fold_metrics(
-        tcspc.PairFold(n, n, s.duration_ps, delays), window_ps=800,
-        peak_delay_ps=200)
-    assert given.n12 == n and given.peak_delay_ps == 200
-    with pytest.raises(ValueError, match="outside the gathered"):
-        two_fold_metrics(s, window_ps=800, peak_delay_ps=10_000)
 
 
 # --- memory -----------------------------------------------------------------

@@ -15,7 +15,7 @@ from diskspdc.events import (
 )
 from diskspdc.franson import UmiConfig, apply_umi
 
-from streams import from_merged, merged
+from streams import from_merged, merged, reference_routes
 
 # saturating rate law at 27.3 uW, slope 5.13 MHz/uW, ceiling 5385 MHz,
 # frozen from 140.049 / (1 + 140.049/5385)
@@ -371,19 +371,19 @@ def test_write_read_write_is_byte_identical(tmp_path_factory, events):
         assert first.read_bytes() == second.read_bytes()
 
 
-def test_routing_keeps_channels_sorted_and_tags_aligned():
+def test_routing_keeps_channels_sorted_and_matches_the_reference():
     m = quiet_model(pgr_slope_mhz_per_uw=0.5, jitter_sigma_ps=40.0,
                     signal_channels=(0, 2), idler_channels=(1,))
     s = generate_events(m, 0.05, seed=31)
     routed = apply_umi(s, UmiConfig(), seed=5)
     assert sorted(routed.times) == [0, 1, 2]
+    routes = reference_routes(s, UmiConfig(), 5)
     for c in (0, 1, 2):
-        t, tags = routed.times[c], routed.tags[c]
-        assert np.all(np.diff(t) >= 0) and len(tags) == len(t)
-        # undoing each event's route gives back the input channel
-        assert np.array_equal(np.sort(t - 1600 * tags.astype(np.int64)),
-                              s.times[c])
-        assert 0 < tags.sum() < len(tags)
+        t, long = routed.times[c], routes[c]
+        assert np.all(np.diff(t) >= 0)
+        # each event keeps its time or gains the arm delay, by its route
+        assert np.array_equal(t, np.sort(s.times[c] + 1600 * long))
+        assert 0 < long.sum() < len(long)
 
 
 @pytest.mark.filterwarnings("error")

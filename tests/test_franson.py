@@ -12,7 +12,6 @@ from diskspdc.franson import (
     FitError,
     UmiConfig,
     apply_umi,
-    central_peak_is_same_path,
     classical_fringe,
     extract_visibility,
     peak_areas,
@@ -22,7 +21,7 @@ from diskspdc.franson import (
 )
 from diskspdc.tcspc import delay_histogram, fold_delays, window_edges
 
-from streams import merged, short_blocks
+from streams import merged, reference_routes, short_blocks
 
 CFG = UmiConfig()  # 1.6 ns arms, balanced splitter
 
@@ -32,11 +31,6 @@ def pair_stream(duration_s=0.5, rate_mhz=0.2, lifetime_ps=1.0, seed=7):
                     pair_lifetime_ps=lifetime_ps, detector_efficiency=1.0,
                     dark_rate_hz=0.0, jitter_sigma_ps=0.0)
     return generate_events(m, duration_s, seed=seed)
-
-
-def all_tags(stream):
-    """Every route tag of a stream, channel after channel."""
-    return np.concatenate(list(stream.tags.values()))
 
 
 def test_umi_config_validation():
@@ -54,15 +48,12 @@ def test_umi_routing_extremes():
     s = pair_stream(duration_s=0.05)
     short_only = apply_umi(s, UmiConfig(arm_transmissions=(1.0, 0.0)),
                            seed=1)
-    _, times = merged(s)
-    _, short_times = merged(short_only)
-    assert np.array_equal(short_times, times)
-    assert all_tags(short_only).max() == 0
     long_only = apply_umi(s, UmiConfig(arm_transmissions=(0.0, 1.0)),
                           seed=1)
-    _, long_times = merged(long_only)
-    assert np.array_equal(long_times, times + 1600)
-    assert all_tags(long_only).min() == 1
+    assert sorted(short_only.times) == sorted(long_only.times) == [0, 1]
+    for c, t in s.times.items():
+        assert np.array_equal(short_only.times[c], t)
+        assert np.array_equal(long_only.times[c], t + 1600)
     assert long_only.duration_ps == s.duration_ps + 1600
 
 
@@ -72,11 +63,10 @@ def test_umi_routing_balance_and_determinism():
     again = apply_umi(s, CFG, seed=9)
     _, times = merged(out)
     _, again_times = merged(again)
-    tags = all_tags(out)
     assert np.array_equal(times, again_times)
-    assert np.array_equal(tags, all_tags(again))
     n = len(out)
-    n_long = int(tags.sum())
+    n_long = sum(int(long.sum())
+                 for long in reference_routes(s, CFG, 9).values())
     assert abs(n_long - n / 2) < 5.0 * math.sqrt(n) / 2
     assert np.all(np.diff(times) >= 0)
 
@@ -130,12 +120,21 @@ def test_widest_admitted_window_counts_three_disjoint_slices(arm_delay_ns):
 
 def test_central_peak_pairs_same_path():
     # low rate: with pairs several microseconds apart no unrelated pair can
-    # leak a mismatched tag into a central window
+    # leak a mismatched route into a central window
     s = pair_stream(duration_s=0.1, rate_mhz=0.02)
     out = apply_umi(s, CFG, seed=13)
-    assert central_peak_is_same_path(out, CFG)
-    with pytest.raises(ValueError):
-        central_peak_is_same_path(s, CFG)
+    long = reference_routes(s, CFG, 13)
+    routed = {c: s.times[c] + 1600 * long[c] for c in (0, 1)}
+    for c, t in routed.items():
+        assert np.array_equal(np.sort(t), out.times[c])
+    # every pair of routed events, brute force
+    lo, hi = window_edges(0, CFG.postselect_window_ps)
+    delays = routed[1][None, :] - routed[0][:, None]
+    central = (delays >= lo) & (delays <= hi)
+    # same-path routes, SS or LL, are half the pairs
+    n = len(routed[0])
+    assert abs(central.sum() - n / 2) < 5.0 * math.sqrt(n) / 2
+    assert not np.any(central & (long[0][:, None] != long[1][None, :]))
 
 
 # --- routing a stream block by block ----------------------------------------
@@ -154,13 +153,6 @@ def cut_at(whole, edges):
 def joined_times(blocks, c):
     """The times of channel c over blocks, joined."""
     return np.concatenate([b.channel_times(c) for b in blocks])
-
-
-def joined_tags(blocks, c):
-    """The route tags, as int64, of channel c over apply_umi's blocks,
-    joined."""
-    return np.concatenate([b.tags.get(c, np.zeros(0, np.uint8))
-                           for b in blocks]).astype(np.int64)
 
 
 # a busy source in blocks of about eight events, at least 4096 ps long
@@ -223,23 +215,21 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
         b.duration_ps for b in routed[:-1]]
     assert routed[-1].duration_ps == whole.duration_ps + delay
     for b in routed:
-        assert b.tags is None
         for c, t in b.times.items():
             assert np.all(np.diff(t) >= 0)
             assert np.all((t >= b.start_ps) & (t < b.duration_ps))
-    # the reference: each block routed on its own, block k with the
-    # generator of (seed, k)
-    alone = [apply_umi(b, config, np.random.SeedSequence(seed, spawn_key=(k,)))
-             for k, b in enumerate(blocks)]
+    # the reference: each block routed on its own, block k by the draw of
+    # the generator of (seed, k)
+    routes = [reference_routes(b, config,
+                               np.random.SeedSequence(seed, spawn_key=(k,)))
+              for k, b in enumerate(blocks)]
     joined = {}
     for c in range(3):
         t = joined[c] = joined_times(routed, c)
-        want_t, want_tags = joined_times(alone, c), joined_tags(alone, c)
-        # each channel holds the reference's routed events, and undoing
-        # each reference event's route gives the stream's back
-        assert np.array_equal(t, np.sort(want_t))
-        assert np.array_equal(np.sort(want_t - delay * want_tags),
-                              whole.channel_times(c))
+        parts = [b.times[c] + delay * r[c] for b, r in zip(blocks, routes)
+                 if c in r]
+        assert np.array_equal(t, np.sort(np.concatenate(
+            [np.zeros(0, np.int64)] + parts)))
     fold = fold_delays(iter(routed), 0, 1, lo, lo + width)
     want = delay_histogram(joined[0], joined[1], lo, lo + width)
     assert np.array_equal(fold.delays.counts, want.counts)
