@@ -47,7 +47,7 @@ _EXPERIMENTS = {
     "g2": ("heralded second-order correlation of the peak channel",
            lambda cfg, a: pipeline.run_g2(cfg)),
     "franson": ("time-bin fringe scan and visibility fits",
-                lambda cfg, a: pipeline.run_franson(cfg)[:3]),
+                lambda cfg, a: pipeline.run_franson(cfg)),
     "spectrum": ("per-channel coincidence spectrum",
                  lambda cfg, a: pipeline.run_spectrum(cfg)),
     "sweep": ("pair rate and CAR against pump power",

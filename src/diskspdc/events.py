@@ -196,17 +196,26 @@ class TruthCounters:
     dark: dict[int, int]
     clipped: dict[int, int]
 
+    @property
+    def n_pairs_generated(self) -> int:
+        """Pairs drawn, detected or not."""
+        return (self.pairs_both + self.pairs_signal_only
+                + self.pairs_idler_only + self.pairs_neither)
 
-def _summed(truths) -> TruthCounters | None:
-    """The counters of a stream from those of its parts."""
-    if not truths or any(t is None for t in truths):
+
+def summed(parts):
+    """The field-wise sum of the results of a stream's blocks or time
+    shards, all of one dataclass: dict fields add per key, the rest by +.
+    None for no parts or a None part."""
+    if not parts or any(p is None for p in parts):
         return None
     total = {}
-    for f in dataclasses.fields(TruthCounters):
-        parts = [getattr(t, f.name) for t in truths]
-        total[f.name] = ({c: sum(p[c] for p in parts) for c in parts[0]}
-                         if isinstance(parts[0], dict) else sum(parts))
-    return TruthCounters(**total)
+    for f in dataclasses.fields(parts[0]):
+        values = [getattr(p, f.name) for p in parts]
+        total[f.name] = ({k: sum(v[k] for v in values) for k in values[0]}
+                         if isinstance(values[0], dict)
+                         else sum(values[1:], values[0]))
+    return type(parts[0])(**total)
 
 
 @dataclass
@@ -227,9 +236,7 @@ class EventStream:
     @property
     def n_pairs_generated(self) -> int:
         """Pairs the simulator drew, detected or not; 0 without truth."""
-        t = self.truth
-        return 0 if t is None else (t.pairs_both + t.pairs_signal_only
-                                    + t.pairs_idler_only + t.pairs_neither)
+        return 0 if self.truth is None else self.truth.n_pairs_generated
 
     @classmethod
     def from_blocks(cls, blocks) -> EventStream:
@@ -250,7 +257,7 @@ class EventStream:
                 parts.setdefault(c, []).append(t)
         return cls({c: np.concatenate(p) for c, p in parts.items()},
                    blocks[-1].duration_ps,
-                   truth=_summed([b.truth for b in blocks]))
+                   truth=summed([b.truth for b in blocks]))
 
     def _merged_blocks(self):
         """Yield the merged stream as (channels, times, order) blocks.

@@ -8,14 +8,14 @@ of machine or worker count.
 The sweep's points, and the time shards of simulate, of coinc on a .ttps
 file and of g2 (see events), run in forked worker processes, one per CPU
 this process may run on at most (_mapped); one task, or one CPU, runs
-inline.  Shards are exact pieces of the stream, so the file and the tables
-are those of one pass whatever the number of CPUs.  coinc and g2 fold
+inline.  Shards are exact pieces of the stream, and their results add by
+one sum (events.summed), so the file and the tables are those of one pass
+whatever the number of CPUs.  coinc and g2 fold
 the shard [t0, t1), for pairs of delays in [lo, hi], over the times
 [t0 + min(lo, 0), t1 + max(hi, 0)) of their stream (_shard_fold).  g2's
 shards need both calibration peaks of the whole stream before they count
-their windows: each sends its event counts and the calibration span of
-its two delay histograms, and is sent back the peaks, while the pairs it
-gathered stay in its own process.
+their windows: each sends its calibration, two PairFolds, and is sent
+back the peaks, while the pairs it gathered stay in its own process.
 """
 
 from __future__ import annotations
@@ -36,11 +36,12 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, block_shards, event_blocks, event_parts,
-                     file_shards, read_blocks, splittable, write_events)
-from .tcspc import (DelayHistogram, PairFold, dwdm_channel_index, dwdm_grid,
-                    fold_delays, fold_heralds, g2_curve, herald_peaks,
-                    heralded_g2_span, two_fold_metrics, two_fold_span)
+from .events import (SourceModel, TruthCounters, block_shards, event_blocks,
+                     event_parts, file_shards, read_blocks, splittable,
+                     summed, write_events)
+from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, fold_heralds,
+                    g2_curve, herald_peaks, heralded_g2_span,
+                    two_fold_metrics, two_fold_span)
 from .franson import (UmiConfig, classical_fringe, extract_visibility,
                       peak_areas, peak_areas_span, quantum_fringe,
                       routed_blocks)
@@ -101,7 +102,9 @@ def build_family(fam_cfg, geometry: DiskGeometry,
     return fam
 
 
+@functools.lru_cache(maxsize=1)
 def build_system(cfg: RunConfig) -> System:
+    """The device model of a config, built once: nothing changes a System."""
     model, tensor = build_material(cfg)
     geometry = DiskGeometry(radius_um=cfg.resonator.radius_um,
                             thickness_um=cfg.resonator.thickness_um)
@@ -156,9 +159,9 @@ def dispersion_ramp(cfg: RunConfig):
     return extra
 
 
-def run_scan(cfg: RunConfig, system: System | None = None):
+def run_scan(cfg: RunConfig):
     """Matched triples over the filter band with relative strengths."""
-    sys_ = system or build_system(cfg)
+    sys_ = build_system(cfg)
     grid = dwdm_grid(cfg.spectrum.band_lo_nm, cfg.spectrum.band_hi_nm,
                      cfg.spectrum.channel_width_nm)
     band = (grid[0][0], grid[-1][1])
@@ -225,9 +228,9 @@ def _channel_source(cfg: RunConfig, rate_hz: float, **kwargs) -> SourceModel:
     return build_source(cfg, power_uw, saturation=False, **kwargs)
 
 
-def run_spectrum(cfg: RunConfig, system: System | None = None):
+def run_spectrum(cfg: RunConfig):
     """Per-channel coincidence counts across the filter bank."""
-    entries, grid, _ = run_scan(cfg, system)
+    entries, grid, _ = run_scan(cfg)
     strength = np.zeros(len(grid))
     n_triples = np.zeros(len(grid), dtype=int)
     for e in entries:
@@ -542,13 +545,12 @@ def run_franson(cfg: RunConfig):
         f"classical visibility = {fit_c.visibility:.4f} "
         f"+- {fit_c.visibility_sigma:.4f} (cos xi)",
     ]
-    return columns, rows, summary, (fit_q, fit_c)
+    return columns, rows, summary
 
 
-def run_modes(cfg: RunConfig, family_id: str | None = None,
-              system: System | None = None):
+def run_modes(cfg: RunConfig, family_id: str | None = None):
     """Resonance combs of the configured families."""
-    sys_ = system or build_system(cfg)
+    sys_ = build_system(cfg)
     wanted = sorted(sys_.combs) if family_id is None else [family_id]
     for fid in wanted:
         if fid not in sys_.families:
@@ -572,9 +574,9 @@ def run_modes(cfg: RunConfig, family_id: str | None = None,
     return columns, rows, summary
 
 
-def run_match(cfg: RunConfig, system: System | None = None):
+def run_match(cfg: RunConfig):
     """Energy-matched triples of every configured pair."""
-    sys_ = system or build_system(cfg)
+    sys_ = build_system(cfg)
     columns = ("signal_nm", "idler_nm", "signal_family", "idler_family",
                "delta_m", "delta_f_ghz")
     rows = []
@@ -593,10 +595,9 @@ def run_match(cfg: RunConfig, system: System | None = None):
     return columns, rows, summary
 
 
-def find_triple(cfg: RunConfig, delta_m: int,
-                system: System | None = None) -> Triple:
+def find_triple(cfg: RunConfig, delta_m: int) -> Triple:
     """The smallest-detuning triple with a given mode-number mismatch."""
-    sys_ = system or build_system(cfg)
+    sys_ = build_system(cfg)
     span = abs(delta_m) + 3
     best = None
     for pair in sys_.pairs:
@@ -615,17 +616,17 @@ def find_triple(cfg: RunConfig, delta_m: int,
 
 
 def run_trace(cfg: RunConfig, delta_m: int | None = None,
-              n_turns: int | None = None, system: System | None = None):
+              n_turns: int | None = None):
     """Conversion-amplitude trace around the disk for one triple."""
-    sys_ = system or build_system(cfg)
+    sys_ = build_system(cfg)
     turns = cfg.matching.n_turns if n_turns is None else n_turns
     if delta_m is None:
-        entries, _, _ = run_scan(cfg, sys_)
+        entries, _, _ = run_scan(cfg)
         if not entries:
             raise ValueError("no matched triple to trace")
         triple = max(entries, key=lambda e: e.strength).triple
     else:
-        triple = find_triple(cfg, delta_m, sys_)
+        triple = find_triple(cfg, delta_m)
     overlap = 1.0
     for pair_cfg, pair in zip(cfg.matching.pairs, sys_.pairs):
         ids = {m.family.family_id for m in (triple.signal, triple.idler)}
@@ -656,21 +657,22 @@ def run_simulate(cfg: RunConfig, out_path: str,
 
     The stream's time shards (events.block_shards, one per CPU at most)
     are drawn and written in parallel, each to its part of the file
-    (events.event_parts), and their tallies add up.  A path that is no
-    regular file, such as /dev/null, takes one shard.
+    (events.event_parts), and their TruthCounters add up (events.summed).
+    A path that is no regular file, such as /dev/null, takes one shard.
     """
     model, duration, seed = _simulated(cfg, duration_s)
     shards = block_shards(model, duration,
                           _cpus() if splittable(out_path) else 1)
     with event_parts(out_path, len(shards)) as paths:
-        tallies = _mapped(functools.partial(
-            _written_shard, model, duration, seed), list(zip(shards, paths)))
-    n_pairs, n_signal, n_idler, n_events = np.sum(tallies, axis=0).tolist()
+        truth = summed(_mapped(functools.partial(
+            _written_shard, model, duration, seed), list(zip(shards, paths))))
+    stored = {c: truth.detected[c] + truth.dark[c] - truth.clipped[c]
+              for c in truth.detected}
     columns = ("duration_s", "n_pairs_generated", "n_signal", "n_idler",
                "pair_rate_mhz")
-    rows = [(int(round(duration * 1e12)) / 1e12, n_pairs, n_signal, n_idler,
-             model.pair_rate_mhz)]
-    summary = [f"wrote {n_events} events to {out_path}"]
+    rows = [(int(round(duration * 1e12)) / 1e12, truth.n_pairs_generated,
+             stored[0], stored[1], model.pair_rate_mhz)]
+    summary = [f"wrote {sum(stored.values())} events to {out_path}"]
     return columns, rows, summary
 
 
@@ -682,20 +684,19 @@ def _simulated(cfg: RunConfig, duration_s: float | None = None):
 
 
 def _written_shard(model: SourceModel, duration_s: float, seed: int,
-                   shard_path) -> list[int]:
-    """Write one time shard's blocks to its part of the event file; its
-    pairs and events, tallied as the writer takes each block."""
+                   shard_path) -> TruthCounters:
+    """Write one time shard's blocks to its part of the event file; their
+    TruthCounters, summed as the writer takes each block."""
     shard, path = shard_path
-    tally = []
+    truths = []
 
     def tallied(blocks):
         for b in blocks:
-            tally.append((b.n_pairs_generated, b.n_channel(0), b.n_channel(1),
-                          len(b)))
+            truths.append(b.truth)
             yield b
 
     write_events(tallied(event_blocks(model, duration_s, seed, shard)), path)
-    return np.sum(tally, axis=0).tolist()
+    return summed(truths)
 
 
 def run_coinc(cfg: RunConfig, events_path: str | None = None,
@@ -704,8 +705,8 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
 
     A .ttps file's time shards (events.file_shards), one per CPU at most,
     are folded in parallel (tcspc.fold_delays, by _shard_fold); their
-    histograms and counts add up to the whole stream's.  A CSV file and a
-    generated stream are one shard, folded inline.
+    PairFolds add up to the whole stream's (events.summed).  A CSV file
+    and a generated stream are one shard, folded inline.
     """
     window = int(cfg.source.coincidence_window_ps)
     lo, hi = two_fold_span(window)
@@ -720,13 +721,9 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
         blocks = functools.partial(event_blocks, *_simulated(cfg, duration_s))
         shards = [(None, None)]
     # folded block by block: no shard holds the stream
-    folds = _mapped(functools.partial(
+    pair = summed(_mapped(functools.partial(
         _shard_fold, functools.partial(fold_delays, ch_a=0, ch_b=1, lo_ps=lo,
-                                       hi_ps=hi), blocks, (lo, hi)), shards)
-    pair = PairFold(sum(f.n_a for f in folds), sum(f.n_b for f in folds),
-                    max(f.duration_ps for f in folds),
-                    DelayHistogram(lo, np.sum([f.delays.counts
-                                               for f in folds], axis=0)))
+                                       hi_ps=hi), blocks, (lo, hi)), shards))
     res = two_fold_metrics(pair, window_ps=window)
     columns = ("n1", "n2", "n12", "accidental_mean", "peak_delay_ps",
                "window_ps", "duration_s", "pgr_estimate_mhz", "car")

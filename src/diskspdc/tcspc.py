@@ -27,18 +27,18 @@ Histograms add, so :func:`fold_delays` adds each batch's delays, and
 :func:`two_fold_metrics` reads blocks that way.  For the same reason a
 stream's time shards fold apart: a fold given a shard [t0, t1) releases
 and counts only that shard's events, pairing its a events with b events
-on either side of its edges, so the folds of consecutive shards, given the
-blocks of their reach (see _fold_batches), add up to one pass.  Heralded g2
-folds both of its channel pairs in the same pass (:func:`fold_heralds`):
-it keeps each batch's pairs as packed 8-byte keys and adds their delays
-into a calibration histogram per channel pair.  Its windows sit around
-both peaks of the whole stream, so the fold stops there and gives its
-event counts and the calibration span of both histograms
-(HeraldCalibration); those of a stream's time shards add up to the peaks
-(:func:`herald_peaks`), and each fold then counts its own heralds'
-windows around them, batch by batch, into HeraldCounts that add
-(:func:`g2_curve`).  A single pass, :func:`heralded_g2`, takes the same
-steps with one fold.
+on either side of its edges, and owns the shard's span, so the folds of
+consecutive shards, given the blocks of their reach (see _fold_batches),
+add up to one pass (events.summed).  Heralded g2 folds both of its
+channel pairs in the same pass (:func:`fold_heralds`): it keeps each
+batch's pairs as packed 8-byte keys and adds their delays into a
+calibration histogram per channel pair.  Its windows sit around both
+peaks of the whole stream, so the fold stops there and gives its
+calibration, two PairFolds over the calibration span; those of a
+stream's time shards add up to the peaks (:func:`herald_peaks`), and
+each fold then counts its own heralds' windows around them, batch by
+batch, into HeraldCounts that add (:func:`g2_curve`).  A single pass,
+:func:`heralded_g2`, takes the same steps with one fold.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -55,7 +55,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream
+from .events import EventStream, summed
 
 # Caps per chunk of coincidences(): a events and pairs.  A chunk's int64
 # temporaries are then 128 KB per a event array and 512 KB per pair array
@@ -98,6 +98,12 @@ class DelayHistogram:
     @property
     def hi_ps(self) -> int:
         return self.lo_ps + len(self.counts) - 1
+
+    def __add__(self, other: DelayHistogram) -> DelayHistogram:
+        """Both counts over one span; ValueError for spans that differ."""
+        if (self.lo_ps, self.hi_ps) != (other.lo_ps, other.hi_ps):
+            raise ValueError("delay histograms of different spans do not add")
+        return DelayHistogram(self.lo_ps, self.counts + other.counts)
 
     def _below(self, delays_ps: np.ndarray) -> np.ndarray:
         """Pairs with delay < d, for each d in [lo, hi + 1]."""
@@ -242,8 +248,8 @@ def _add_delays(counts: np.ndarray, times_a: np.ndarray,
 
 @dataclass(frozen=True)
 class PairFold:
-    """Two channels of a stream: their event counts, the stream's duration
-    and their :func:`delay_histogram` over some span."""
+    """Two channels of a stream or of a time shard: their event counts,
+    the duration it owns and their :func:`delay_histogram` over some span."""
 
     n_a: int
     n_b: int
@@ -273,8 +279,9 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
     [t0, t1) are counted, so folds of consecutive shards, each given the
     blocks that hold its reach [t0 + min(lo, 0), t1 + max(hi, 0)), lo and
     hi the extremes of spans, add up to the whole stream's.
-    Returns the event count of each channel read and the stream's
-    duration, the last block's.  An empty sequence raises ValueError.
+    Returns the event count of each channel read and the duration the
+    fold owns: the part of [t0, t1) in [0, the last block's end), an open
+    end being that bound.  An empty sequence raises ValueError.
     """
     reach = max(hi for _, hi in spans.values())
     seen = dict.fromkeys([ch_a, *spans], 0)
@@ -301,7 +308,11 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
         raise ValueError("no blocks to fold: a stream has at least one")
     if len(waiting):
         release(first, waiting, kept)
-    return seen, block.duration_ps
+    end = block.duration_ps
+    t0, t1 = own_ps
+    t0 = 0 if t0 is None else min(max(t0, 0), end)
+    t1 = end if t1 is None else min(max(t1, 0), end)
+    return seen, max(t1 - t0, 0)
 
 
 def _owned(times: np.ndarray, own_ps) -> np.ndarray:
@@ -319,8 +330,8 @@ def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int, hi_ps: int,
     Each pair counts once, in the batch that :func:`_fold_batches` releases
     its a event in, so the histogram is the whole stream's wherever the
     block edges fall, and the fold holds about one block of each channel.
-    own_ps limits the fold to one time shard of the stream, as
-    _fold_batches says: PairFolds of consecutive shards add up.
+    own_ps limits the fold and its duration to one time shard of the
+    stream, as _fold_batches says: PairFolds of consecutive shards add up.
     """
     counts = _delay_counts(lo_ps, hi_ps)
     seen, duration_ps = _fold_batches(
@@ -554,18 +565,6 @@ def heralded_g2(stream, tau_grid_ps: np.ndarray, window_ps: int = 800,
 
 
 @dataclass(frozen=True)
-class HeraldCalibration:
-    """What the g2 fold of some heralds knows before the windows are
-    counted: the event counts of the herald, s1 and s2 channels, and the
-    i->s1 and i->s2 delays over the calibration span, the part of each
-    histogram that DelayHistogram.peak_ps reads.  Those of a stream's
-    time shards add up to the stream's."""
-
-    n: tuple[int, int, int]
-    delays: tuple[DelayHistogram, DelayHistogram]
-
-
-@dataclass(frozen=True)
 class HeraldCounts:
     """The window counts of some heralds, around given peaks: heralds,
     heralds with an s1 partner, and per tau heralds with an s2 partner
@@ -596,8 +595,9 @@ def fold_heralds(blocks, tau_grid_ps, window_ps: int = 800,
                  ch_idler: int = 1, ch_s1: int = 0, ch_s2: int = 2,
                  own_ps=(None, None)):
     """The fold of :func:`heralded_g2` over a stream's blocks, in time
-    order: (calibration, count), a HeraldCalibration and a function of the
-    peaks that counts the windows around them.
+    order: (calibration, count), calibration the i->s1 and i->s2 PairFolds
+    over the calibration span and count a function of the peaks that
+    counts the windows around them.
 
     The blocks are folded in one pass (:func:`_fold_batches`, heralds as
     the a channel, own_ps the time shard it owns): each channel pair is
@@ -629,12 +629,12 @@ def fold_heralds(blocks, tau_grid_ps, window_ps: int = 800,
             batch.append(k)
         batches.append(batch)
 
-    n, _ = _fold_batches(blocks, ch_idler, spans, release, own_ps)
+    n, duration_ps = _fold_batches(blocks, ch_idler, spans, release, own_ps)
     cal_lo, cal_hi = _calibration_delays()
-    calibration = HeraldCalibration(
-        (n[ch_idler], n[ch_s1], n[ch_s2]),
-        tuple(DelayHistogram(cal_lo, counts[c][cal_lo - lo:cal_hi - lo + 1])
-              for c, (lo, _) in spans.items()))
+    calibration = tuple(
+        PairFold(n[ch_idler], n[c], duration_ps, DelayHistogram(
+            cal_lo, counts[c][cal_lo - lo:cal_hi - lo + 1]))
+        for c, (lo, _) in spans.items())
     return calibration, functools.partial(
         _herald_counts, batches, spans[ch_s1], spans[ch_s2], tau, window_ps,
         n[ch_idler])
@@ -670,31 +670,26 @@ def _herald_counts(batches: list, span1: tuple[int, int],
 
 def herald_peaks(calibrations) -> tuple[int, int] | None:
     """The calibrated i->s1 and i->s2 peaks (DelayHistogram.peak_ps) of the
-    HeraldCalibrations of a stream's shards, added; None when the herald
-    or a signal channel has no events."""
-    if not np.all(np.sum([c.n for c in calibrations], axis=0)):
+    calibrations of a stream's shards, each fold added over the shards;
+    None when either fold has an empty channel."""
+    folds = [summed(f) for f in zip(*calibrations)]
+    if any(f.n_a == 0 or f.n_b == 0 for f in folds):
         return None
-    return tuple(DelayHistogram(h[0].lo_ps,
-                                np.sum([d.counts for d in h], axis=0)
-                                ).peak_ps()
-                 for h in zip(*(c.delays for c in calibrations)))
+    return tuple(f.delays.peak_ps() for f in folds)
 
 
 def g2_curve(tau_grid_ps, counts) -> dict[str, np.ndarray]:
     """:func:`heralded_g2`'s result from the HeraldCounts of a stream's
-    shards, added."""
+    shards, added (events.summed)."""
     tau = np.asarray(tau_grid_ps, dtype=float)
-    n_i = sum(c.n_idler for c in counts)
-    n_is1 = sum(c.n_is1 for c in counts)
-    n_is2 = sum(c.n_is2 for c in counts)
-    triples = sum(c.triples for c in counts)
+    c = summed(counts)
     g2 = np.full(len(tau), math.nan)
-    ok = (n_is2 > 0) & (n_is1 > 0)
-    g2[ok] = triples[ok] * n_i / (n_is1 * n_is2[ok])
-    return {"tau_ps": tau, "g2": g2, "n_triples": triples,
-            "n_idler": np.full(len(tau), n_i, dtype=np.int64),
-            "n_is1": np.full(len(tau), n_is1, dtype=np.int64),
-            "n_is2": n_is2}
+    ok = (c.n_is2 > 0) & (c.n_is1 > 0)
+    g2[ok] = c.triples[ok] * c.n_idler / (c.n_is1 * c.n_is2[ok])
+    return {"tau_ps": tau, "g2": g2, "n_triples": c.triples,
+            "n_idler": np.full(len(tau), c.n_idler, dtype=np.int64),
+            "n_is1": np.full(len(tau), c.n_is1, dtype=np.int64),
+            "n_is2": c.n_is2}
 
 
 def poisson_heralded_g2(mu: float) -> float:

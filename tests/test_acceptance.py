@@ -15,7 +15,7 @@ from diskspdc.config import default_config, load_config, parse_config
 from diskspdc.events import SourceModel, generate_events, read_events, \
     write_events
 from diskspdc.franson import UmiConfig, apply_umi, classical_fringe, \
-    quantum_fringe
+    extract_visibility, quantum_fringe
 from diskspdc.material import DEFAULT_SELLMEIER, n_te_azimuthal, \
     refractive_index
 from diskspdc.matching import AmplitudePrefactor, Triple, accumulate_intensity
@@ -363,7 +363,9 @@ idler_losses_db = 14.3
 duration_s = 2.0
 """)
     p_early, p_center, p_late = None, None, None
-    columns, rows, summary, (fit_q, fit_c) = run_franson(cfg)
+    columns, rows, summary = run_franson(cfg)
+    fit_q = extract_visibility(np.array([r[0] for r in rows]),
+                               np.array([r[1] for r in rows]), harmonic=2)
     p_early, p_center, p_late = (int(v) for v in
                                  summary[0].split(":")[1].split(","))
     p_ratio = (p_early + p_late) / p_center

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from diskspdc.config import default_config, parse_config
+from diskspdc.franson import extract_visibility
 from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                channel_pair_rate_hz, derive_seed,
                                dispersion_ramp, find_triple, run_coinc,
@@ -65,8 +66,7 @@ idler = only
 
 def test_scan_covers_filter_band():
     cfg = default_config()
-    sys_ = build_system(cfg)
-    entries, grid, _ = run_scan(cfg, sys_)
+    entries, grid, _ = run_scan(cfg)
     assert len(grid) == 38
     assert len(entries) == 40
     window = cfg.matching.window_fraction * cfg.matching.linewidth_ghz
@@ -119,8 +119,7 @@ def test_channel_pair_rate_tracks_source():
 def test_dispersion_ramp():
     cfg = default_config()
     ramp = dispersion_ramp(cfg)
-    sys_ = build_system(cfg)
-    entries, _, _ = run_scan(cfg, sys_)
+    entries, _, _ = run_scan(cfg)
     refs = [_ramp_reference_nm(e.triple) for e in entries]
     cutoff = cfg.matching.dispersion_cutoff_nm
     below = entries[refs.index(min(refs))].triple
@@ -139,16 +138,16 @@ def test_dispersion_ramp():
 def test_run_modes():
     cfg = default_config()
     sys_ = build_system(cfg)
-    columns, rows, _ = run_modes(cfg, system=sys_)
+    columns, rows, _ = run_modes(cfg)
     assert columns[0] == "family"
     assert {r[0] for r in rows} == set(sys_.combs)
     lo, hi = sys_.comb_band_nm
     assert all(lo <= r[2] <= hi for r in rows)
-    columns, rows, _ = run_modes(cfg, family_id="pump", system=sys_)
+    columns, rows, _ = run_modes(cfg, family_id="pump")
     assert len(rows) == 11
     assert all(r[0] == "pump" for r in rows)
     with pytest.raises(ValueError, match="no family"):
-        run_modes(cfg, family_id="nope", system=sys_)
+        run_modes(cfg, family_id="nope")
 
 
 def test_run_match():
@@ -163,20 +162,18 @@ def test_run_match():
 
 def test_find_triple():
     cfg = default_config()
-    sys_ = build_system(cfg)
-    t = find_triple(cfg, 1, sys_)
+    t = find_triple(cfg, 1)
     assert t.delta_m == 1
     assert abs(t.delta_f_ghz) < 0.01
-    t = find_triple(cfg, -1, sys_)
+    t = find_triple(cfg, -1)
     assert t.delta_m == -1
     with pytest.raises(ValueError, match="no triple"):
-        find_triple(cfg, 99, sys_)
+        find_triple(cfg, 99)
 
 
 def test_run_trace():
     cfg = default_config()
-    sys_ = build_system(cfg)
-    columns, rows, summary = run_trace(cfg, system=sys_)
+    columns, rows, summary = run_trace(cfg)
     assert columns == ("theta_rad", "re_amplitude", "im_amplitude",
                        "intensity")
     assert len(rows) == cfg.matching.grid_points + 1
@@ -185,7 +182,7 @@ def test_run_trace():
     assert rows[-1][0] == pytest.approx(2.0 * math.pi)
     assert all(r[3] >= 0.0 for r in rows)
     assert "delta_m = 1" in summary[0]
-    two_turn = run_trace(cfg, delta_m=-1, n_turns=2, system=sys_)[1]
+    two_turn = run_trace(cfg, delta_m=-1, n_turns=2)[1]
     assert len(two_turn) == 2 * cfg.matching.grid_points + 1
     assert two_turn[-1][0] == pytest.approx(4.0 * math.pi)
 
@@ -390,7 +387,10 @@ duration_s = 0.4
 integration_s = 1.2
 xi_points = 16
 """)
-    columns, rows, summary, (fit_q, fit_c) = run_franson(cfg)
+    columns, rows, summary = run_franson(cfg)
+    xi = np.array([r[0] for r in rows])
+    fit_q = extract_visibility(xi, np.array([r[1] for r in rows]), harmonic=2)
+    fit_c = extract_visibility(xi, np.array([r[2] for r in rows]), harmonic=1)
     assert len(rows) == 16
     assert all(isinstance(r[1], int) and r[1] >= 0 for r in rows)
     early, center, late = (int(v) for v in

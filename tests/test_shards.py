@@ -23,9 +23,10 @@ from diskspdc.cli import main
 from diskspdc.config import parse_config
 from diskspdc.events import (EventFormatError, EventStream, SourceModel,
                              block_shards, event_blocks, event_parts,
-                             file_shards, read_blocks, write_events)
-from diskspdc.tcspc import (fold_delays, fold_heralds, g2_curve, herald_peaks,
-                            heralded_g2, heralded_g2_span)
+                             file_shards, read_blocks, summed, write_events)
+from diskspdc.tcspc import (DelayHistogram, fold_delays, fold_heralds,
+                            g2_curve, herald_peaks, heralded_g2,
+                            heralded_g2_span)
 
 from streams import from_merged, short_blocks
 
@@ -37,11 +38,27 @@ def edges_of(cuts):
 
 
 def assert_sums_to(folds, whole):
-    assert np.array_equal(sum(f.delays.counts for f in folds),
-                          whole.delays.counts)
-    assert sum(f.n_a for f in folds) == whole.n_a
-    assert sum(f.n_b for f in folds) == whole.n_b
-    assert max(f.duration_ps for f in folds) == whole.duration_ps
+    """The one sum of the folds equals the one-pass fold in every field."""
+    total = summed(folds)
+    assert (total.n_a, total.n_b, total.duration_ps, total.delays.lo_ps) == (
+        whole.n_a, whole.n_b, whole.duration_ps, whole.delays.lo_ps)
+    assert np.array_equal(total.delays.counts, whole.delays.counts)
+
+
+def owned(shard, end_ps):
+    """The part of the shard [t0, t1), None an open end, inside [0, end)."""
+    t0, t1 = shard
+    return max(min(end_ps if t1 is None else t1, end_ps)
+               - max(0 if t0 is None else t0, 0), 0)
+
+
+def test_delay_histograms_add_over_one_span():
+    a = DelayHistogram(-1, np.array([1, 2, 3]))
+    assert np.array_equal((a + a).counts, [2, 4, 6])
+    for other in (DelayHistogram(0, np.array([1, 2, 3])),
+                  DelayHistogram(-1, np.array([1, 2]))):
+        with pytest.raises(ValueError, match="do not add"):
+            a + other
 
 
 # --- the sharded fold --------------------------------------------------------
@@ -93,6 +110,40 @@ def test_generated_shards_add_up_to_one_pass(seed, cuts, lo, hi):
     # a shard that holds no time of the stream reads no block
     folds = [fold_delays(blocks, 0, 1, lo, hi, s) for s, blocks in shards
              if blocks]
+    assert_sums_to(folds, whole)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32),
+       cuts=st.lists(st.integers(-3000, 203_000) | st.sampled_from(
+           [0, -1, 200_000, 1 << 40]), max_size=5),
+       lo=st.integers(-4000, 0), hi=st.integers(0, 4000),
+       source=st.sampled_from(["drawn", "ttps", "ttps with duration"]))
+@example(seed=4, cuts=[-1, 0, 0, 10 << 10, 1 << 40], lo=-5, hi=5,
+         source="ttps")
+def test_shard_folds_own_their_spans(tmp_path_factory, seed, cuts, lo, hi,
+                                     source):
+    # each shard's fold owns the part of [t0, t1) inside the stream's
+    # [0, end), whatever the cuts: duplicates, at 0, before the stream or
+    # past its end.  Their one sum is the one-pass fold
+    path = tmp_path_factory.mktemp("spans") / "e.ttps"
+    duration = 200_000 if source == "ttps with duration" else None
+    with short_blocks(64, 1 << 10):
+        if source == "drawn":
+            blocks = functools.partial(event_blocks, BUSY, BUSY_S, seed)
+        else:
+            write_events(event_blocks(BUSY, BUSY_S, seed), path)
+            blocks = functools.partial(read_blocks, path, duration)
+        whole = fold_delays(blocks(), 0, 1, lo, hi)
+        folds = []
+        for s in edges_of(sorted(cuts)):
+            read = list(blocks(reach(s, lo, hi)))
+            # a shard that holds no time of a drawn stream reads no block
+            if read:
+                folds.append(fold_delays(read, 0, 1, lo, hi, s))
+                assert folds[-1].duration_ps == owned(s, whole.duration_ps)
+            else:
+                assert owned(s, whole.duration_ps) == 0
     assert_sums_to(folds, whole)
 
 
