@@ -9,6 +9,12 @@ config/pipeline/cli glue on top.
 
 __version__ = "0.1.0"
 
+import os
+
+# before numpy loads: OpenBLAS's idle pool spins a CPU, and the only BLAS
+# calls here (a 3 x 3 fit, dot products) run on one thread anyway
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .material import (D22_PM_PER_V, D31_PM_PER_V, NonlinearTensor,
                        SellmeierSet, WavelengthRangeError, d_eff,
                        d_eff_fourier, group_index, n_te_average,

@@ -342,7 +342,10 @@ def _mapped(fn, tasks: list, reply=None) -> list:
 def _in_processes(fn, tasks: list, workers: int, reply) -> list:
     """_mapped's tasks in worker processes, each a multiprocessing Process
     with a pipe of its own, forked where the platform can: a worker
-    inherits the imported package and starts at once.  No thread runs.
+    inherits the imported package and starts at once.  No thread runs:
+    importing diskspdc caps OpenBLAS at one thread, so numpy starts no
+    idle pool to spin a CPU.  Two limits: numpy imported before diskspdc
+    keeps its pool, and a caller's OPENBLAS_NUM_THREADS wins.
 
     A worker is sent the index of a task when it is free, so the tasks
     start in order and the workers share them as they finish.  Task k of
@@ -350,7 +353,7 @@ def _in_processes(fn, tasks: list, workers: int, reply) -> list:
     before this returns or raises, and terminated first when the parent
     itself fails.
     """
-    # imported here: about 9 ms of start-up that only workers need
+    # imported here: about 5 ms of start-up that only workers need
     import multiprocessing
     from multiprocessing.connection import wait
     context = multiprocessing.get_context(
