@@ -17,10 +17,7 @@ import sys
 from . import __version__
 from .config import (EXPERIMENTS, ConfigError, config_reference,
                      default_config, load_config)
-from .events import EventFormatError
 from .franson import FitError
-from .material import WavelengthRangeError
-from .matching import GridResolutionError
 from .resonator import CalibrationError
 from .tables import emit_table
 from . import pipeline
@@ -135,9 +132,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (CalibrationError, FitError, EventFormatError,
-            WavelengthRangeError, GridResolutionError,
-            ValueError, OSError) as exc:
+    except (CalibrationError, FitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     notes = sys.stderr if args.format == "json" else sys.stdout

@@ -198,28 +198,22 @@ def extract_visibility(xi_rad, counts, sigma=None,
                          residual_rms=float(np.sqrt(np.mean(residuals ** 2))))
 
 
-def _calibration_span_ps(delay_ps: int) -> int:
-    """Span of the 10-ps histogram that finds the central peak."""
-    return max(8 * delay_ps, 8000)
-
-
 def peak_areas_span(config: UmiConfig) -> tuple[int, int]:
     """Delays [lo, hi] that :func:`peak_areas` reads."""
     delay_ps = int(round(config.arm_delay_ns * 1e3))
-    return peak_span(config.postselect_window_ps, -delay_ps, delay_ps,
-                     calibration_span_ps=_calibration_span_ps(delay_ps))
+    return peak_span(config.postselect_window_ps, -delay_ps, delay_ps)
 
 
 def peak_areas(delays: DelayHistogram,
                config: UmiConfig) -> tuple[int, int, int]:
     """Coincidence counts in the three windows at peak - D, peak, peak + D,
-    the peak calibrated over max(8 D, 8000) ps.
+    peak the one calibrated peak of every analysis, DelayHistogram.peak_ps.
 
     delays is the channel pair's delay histogram, which must cover
     :func:`peak_areas_span`.
     """
     delay_ps = int(round(config.arm_delay_ns * 1e3))
-    peak_ps = delays.peak_ps(_calibration_span_ps(delay_ps))
+    peak_ps = delays.peak_ps()
     centers = [peak_ps + k * delay_ps for k in (-1, 0, +1)]
     return tuple(int(n) for n in delays.totals(
         centers, config.postselect_window_ps))

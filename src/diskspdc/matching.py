@@ -22,7 +22,7 @@ all three indices only rephases the trace globally.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -327,10 +327,7 @@ def bandwidth_scan(pump: ResonatorMode, pairs: list[FamilyPair],
     if entries:
         top = max(e.strength for e in entries)
         if top > 0:
-            entries = [ScanEntry(triple=e.triple, signal_nm=e.signal_nm,
-                                 idler_nm=e.idler_nm, delta_m=e.delta_m,
-                                 delta_f_ghz=e.delta_f_ghz,
-                                 strength=e.strength / top)
+            entries = [replace(e, strength=e.strength / top)
                        for e in entries]
     entries.sort(key=lambda e: e.signal_nm)
     return entries

@@ -15,9 +15,10 @@ and one chunk, whatever the stream's length.
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
 then an exact slice of that one array, read around one calibrated peak:
-DelayHistogram.peak_ps, the first fullest 10-ps bin of its span.  Each
-analysis gathers a :func:`peak_span`: the calibration span and the windows
-off any peak inside it.  Window counts read the pairs themselves.
+DelayHistogram.peak_ps, the first fullest 10-ps bin within +-4 ns, the
+one peak rule of the two-fold, g2 and Franson analyses.  Each analysis
+gathers a :func:`peak_span`: that calibration span and the windows off
+any peak inside it.  Window counts read the pairs themselves.
 
 A stream need not be held whole.  Every fold over a stream's time blocks
 (events.EventStream blocks, as generation and the file reader yield them)
@@ -68,9 +69,11 @@ _CHUNK_EVENTS = 1 << 14
 _CHUNK_PAIRS = 1 << 16
 # Largest span of a delay histogram, in 1-ps bins (32 MiB of counts).
 _MAX_DELAY_BINS = 1 << 22
-# Peak calibration: 10-ps bins over [-4000, 4000) ps.
+# Peak calibration: 10-ps bins over [-4000, 4000) ps, the delays [lo, hi]
+# that DelayHistogram.peak_ps reads.
 _CAL_BIN_PS = 10
 _CAL_SPAN_PS = 8000
+_CAL_LO_PS, _CAL_HI_PS = -_CAL_SPAN_PS // 2, _CAL_SPAN_PS // 2 - 1
 # A pair key, a_idx << s | (delay - lo), is a non-negative int64.
 _KEY_BITS = 63
 _EMPTY = np.zeros(0, dtype=np.int64)
@@ -122,11 +125,11 @@ class DelayHistogram:
         below = self._below(np.concatenate([lo, hi + 1]))
         return below[len(lo):] - below[:len(lo)]
 
-    def peak_ps(self, span_ps: int = _CAL_SPAN_PS) -> int:
+    def peak_ps(self) -> int:
         """The calibrated peak: the centre of the fullest 10-ps bin over
-        [-span/2, span/2), the first one on a tie.  Raises ValueError when
-        the histogram does not cover the span."""
-        edges = _bin_edges(_CAL_BIN_PS, span_ps)
+        [-4000, 4000) ps, the first one on a tie.  Raises ValueError when
+        the histogram does not cover that span."""
+        edges = _bin_edges(_CAL_BIN_PS, _CAL_SPAN_PS)
         return int(edges[np.argmax(np.diff(self._below(edges)))]) \
             + _CAL_BIN_PS // 2
 
@@ -347,20 +350,14 @@ def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         y if not len(x) else x)
 
 
-def peak_span(window_ps: float, lo_offset_ps: float, hi_offset_ps: float,
-              calibration_span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
-    """Delays [lo, hi] that the 10-ps calibration histogram over
-    calibration_span_ps reads, together with windows of window_ps centred
-    from lo_offset_ps to hi_offset_ps off any peak it can find."""
-    lo, hi = _calibration_delays(calibration_span_ps)
+def peak_span(window_ps: float, lo_offset_ps: float,
+              hi_offset_ps: float) -> tuple[int, int]:
+    """Delays [lo, hi] that DelayHistogram.peak_ps reads, over [-4000,
+    4000) ps, together with windows of window_ps centred from lo_offset_ps
+    to hi_offset_ps off any peak it can find."""
+    lo, hi = _CAL_LO_PS, _CAL_HI_PS
     return (min(lo, window_edges(lo + lo_offset_ps, window_ps)[0]),
             max(hi, window_edges(hi + hi_offset_ps, window_ps)[1]))
-
-
-def _calibration_delays(span_ps: int = _CAL_SPAN_PS) -> tuple[int, int]:
-    """Delays [lo, hi] that DelayHistogram.peak_ps reads over span_ps."""
-    edges = _bin_edges(_CAL_BIN_PS, span_ps)
-    return int(edges[0]), int(edges[-1]) - 1
 
 
 def two_fold_span(window_ps: float,
@@ -630,10 +627,9 @@ def fold_heralds(blocks, tau_grid_ps, window_ps: int = 800,
         batches.append(batch)
 
     n, duration_ps = _fold_batches(blocks, ch_idler, spans, release, own_ps)
-    cal_lo, cal_hi = _calibration_delays()
     calibration = tuple(
         PairFold(n[ch_idler], n[c], duration_ps, DelayHistogram(
-            cal_lo, counts[c][cal_lo - lo:cal_hi - lo + 1]))
+            _CAL_LO_PS, counts[c][_CAL_LO_PS - lo:_CAL_HI_PS - lo + 1]))
         for c, (lo, _) in spans.items())
     return calibration, functools.partial(
         _herald_counts, batches, spans[ch_s1], spans[ch_s2], tau, window_ps,

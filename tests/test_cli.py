@@ -326,9 +326,9 @@ def test_duration_prints_as_given(tmp_path, capsys):
 
 
 def test_delay_span_past_the_cap_exit_code(tmp_path, capsys):
-    # peak_areas reads its +-4 D calibration span and a window one arm
-    # delay D past either end: 10 D + 800 one-ps bins, capped at 2^22
-    for delay_ns, want in (("419.350", 0), ("419.351", 3)):
+    # peak_areas reads the +-4 ns calibration span and a window one arm
+    # delay D past either end: 2 D + 8800 one-ps bins, capped at 2^22
+    for delay_ns, want in (("2092.752", 0), ("2092.753", 3)):
         cfg = write_cfg(tmp_path, TINY_CFG + f"\n[umi]\narm_delay_ns = "
                         f"{delay_ns}\n")
         rc, out, err = run_cli(["franson", "-c", cfg], capsys)

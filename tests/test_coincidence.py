@@ -574,8 +574,8 @@ def test_one_gather_slices_match_brute_force(a, b, origin, bin_width, span,
         (len(edges) - 1) * bin_width, gathered.counts.sum())
     assert list(delays.totals([c2 / 2 for c2 in centers2], window)) == \
         [int(in_window(d, c2, window).sum()) for c2 in centers2]
-    # peak_areas: calibrated on 10-ps bins over max(8 D, 8000) ps
-    counts = ref_histogram(a, b, 10, max(8 * arm_delay, 8000))
+    # peak_areas: calibrated on 10-ps bins over 8000 ps
+    counts = ref_histogram(a, b, 10, 8000)
     peak = int(np.argmax(counts)) * 10 - len(counts) * 5 + 5
     want_areas = tuple(int(in_window(d, 2 * (peak + k * arm_delay),
                                      window).sum()) for k in (-1, 0, 1))
@@ -594,25 +594,23 @@ def ref_peak_ps(a, b, span):
 
 @settings(max_examples=150, deadline=None)
 @given(a=sorted_times(span=13_000), b=sorted_times(span=13_000),
-       origin=ORIGINS, arm_delay=st.integers(0, 1500),
+       origin=ORIGINS,
        pad=st.tuples(st.integers(0, 50), st.integers(0, 50)), caps=CAPS)
-@example(a=np.array([0]), b=np.array([100, 200]), origin=0, arm_delay=0,
-         pad=(0, 0), caps=None)
-@example(a=np.array([0]), b=np.array([-4000, 3999]), origin=0,
-         arm_delay=1001, pad=(0, 0), caps=None)
-def test_peak_ps_is_the_first_fullest_10ps_bin(a, b, origin, arm_delay, pad,
-                                               caps):
-    # the two-fold and g2 span, and peak_areas' Franson span max(8 D, 8000)
+@example(a=np.array([0]), b=np.array([100, 200]), origin=0, pad=(0, 0),
+         caps=None)
+@example(a=np.array([0]), b=np.array([-4000, 3999]), origin=0, pad=(0, 0),
+         caps=None)
+def test_peak_ps_is_the_first_fullest_10ps_bin(a, b, origin, pad, caps):
+    # the one span of the two-fold, g2 and Franson analyses
     a, b = a + origin, b + origin
-    for span in {8000, max(8 * arm_delay, 8000)}:
-        lo, hi = tcspc.peak_span(0, 0, 0, calibration_span_ps=span)
-        with pytest.MonkeyPatch.context() as mp:
-            chunk_caps(mp, caps)
-            delays = delay_histogram(a, b, lo - pad[0], hi + pad[1])
-        assert delays.peak_ps(span) == ref_peak_ps(a, b, span)
-        for short in ((lo + 1, hi), (lo, hi - 1)):
-            with pytest.raises(ValueError, match="outside the gathered"):
-                delay_histogram(a, b, *short).peak_ps(span)
+    lo, hi = tcspc.peak_span(0, 0, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        delays = delay_histogram(a, b, lo - pad[0], hi + pad[1])
+    assert delays.peak_ps() == ref_peak_ps(a, b, 8000)
+    for short in ((lo + 1, hi), (lo, hi - 1)):
+        with pytest.raises(ValueError, match="outside the gathered"):
+            delay_histogram(a, b, *short).peak_ps()
 
 
 def test_delay_span_past_the_cap_raises_before_gathering(monkeypatch):
@@ -637,10 +635,11 @@ def test_windows_outside_a_passed_histogram_raise():
     short = delay_histogram(base, base + 200, -4000, 3999)
     with pytest.raises(ValueError, match="outside the gathered"):
         two_fold_metrics(tcspc.PairFold(n, n, s.duration_ps, short))
-    with pytest.raises(ValueError, match="outside the gathered"):
-        short.peak_ps(8020)
     assert short.peak_ps() == 205
-    config = UmiConfig()
+    # the default windows off that peak lie inside the calibration span;
+    # with 4-ns arms the late one ends past it
+    assert peak_areas(short, UmiConfig()) == (0, len(base), 0)
+    config = UmiConfig(arm_delay_ns=4.0)
     with pytest.raises(ValueError, match="outside the gathered"):
         peak_areas(short, config)
     assert peak_areas(delay_histogram(base, base + 200,

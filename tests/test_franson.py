@@ -19,7 +19,8 @@ from diskspdc.franson import (
     quantum_fringe,
     routed_blocks,
 )
-from diskspdc.tcspc import delay_histogram, fold_delays, window_edges
+from diskspdc.tcspc import (PairFold, delay_histogram, fold_delays,
+                            two_fold_metrics, two_fold_span, window_edges)
 
 from streams import merged, reference_routes, short_blocks
 
@@ -107,7 +108,7 @@ def test_widest_admitted_window_counts_three_disjoint_slices(arm_delay_ns):
     b = np.sort(np.concatenate([np.arange(lo, hi + 1), np.zeros(10, int)]))
     delays = delay_histogram(a, b, lo, hi)
     areas = peak_areas(delays, config)
-    peak = delays.peak_ps(max(8 * delay_ps, 8000))  # peak_areas' span
+    peak = delays.peak_ps()
     assert abs(peak) <= 5
     edges = [window_edges(peak + k * delay_ps, config.postselect_window_ps)
              for k in (-1, 0, 1)]
@@ -116,6 +117,22 @@ def test_widest_admitted_window_counts_three_disjoint_slices(arm_delay_ns):
                           for e in edges)
     assert sum(areas) <= delay_histogram(a, b, edges[0][0],
                                          edges[2][1]).counts.sum()
+
+
+def test_peak_areas_reads_the_two_fold_peak():
+    # 2 pairs at 0 ps and 3 at +4500 ps: the fullest 10-ps bin within
+    # +-4 D lies outside +-4 ns, and both analyses read the one inside
+    config = UmiConfig(arm_delay_ns=1.5, postselect_window_ps=100)
+    a = np.arange(5, dtype=np.int64) * 10 ** 6
+    b = a + np.array([0, 0, 4500, 4500, 4500])
+    lo, hi = zip(peak_areas_span(config), two_fold_span(100))
+    delays = delay_histogram(a, b, min(lo), max(hi))
+    peak = delays.peak_ps()
+    assert peak == two_fold_metrics(
+        PairFold(5, 5, 10 ** 7, delays), window_ps=100).peak_delay_ps == 5
+    assert peak_areas(delays, config) == tuple(
+        int(n) for n in delays.totals([peak - 1500, peak, peak + 1500], 100))
+    assert peak_areas(delays, config) == (0, 2, 0)
 
 
 def test_central_peak_pairs_same_path():
