@@ -70,6 +70,7 @@ Neither format holds a negative timestamp.
 
 from __future__ import annotations
 
+import bisect
 import contextlib
 import dataclasses
 import io
@@ -225,7 +226,9 @@ class EventStream:
     truth holds the simulator's counters of a generated stream, whose pair
     counts n_pairs_generated sums.  A block of a longer stream holds the
     events in [start_ps, duration_ps), and no later block holds a time
-    below start_ps; a whole stream is its only block.
+    below start_ps: blocks start in order, and a block may reach past the
+    next block's start (as franson's routed blocks do).  A whole stream is
+    its only block.
     """
 
     times: dict[int, np.ndarray]
@@ -243,7 +246,8 @@ class EventStream:
         """The stream of its blocks, given in time order, joined in one pass.
 
         Each channel is its times in every block that holds it (a file's
-        blocks hold only the channels with events), concatenated, so the
+        blocks hold only the channels with events), concatenated: the
+        blocks must not overlap, and generation's and a file's do not.  The
         blocks and the joined stream are held at once.  Counters add up;
         the duration is the last block's.  An empty sequence raises
         ValueError.
@@ -745,14 +749,8 @@ def _shard_records(fh, n: int,
 
     def at(t):
         """The first record at or past t, by bisection."""
-        lo, hi = 0, n
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if _record_time(fh, mid) < t:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        return bisect.bisect_left(range(n), t,
+                                  key=lambda k: _record_time(fh, k))
 
     t0, t1 = shard
     return (0 if t0 is None else at(t0),

@@ -9,8 +9,9 @@ post-selected central peak are evaluated at expectation level: the
 post-selected state (|SS> + e^{2 i xi} |LL>)/sqrt(2) interferes with the
 summed phase of the two photons, so quantum fringes run as cos(2 xi) while
 a classical field through the same interferometer fringes as cos(xi).
-A stream is routed block by block as it is drawn (:func:`routed_blocks`),
-so its routed blocks fold like any other stream's.
+A stream is routed block by block as it is drawn (:func:`routed_blocks`):
+each block through the interferometer on its own, with no events carried
+between blocks, and the routed blocks fold like any other stream's.
 """
 
 from __future__ import annotations
@@ -88,28 +89,14 @@ def apply_umi(stream: EventStream, config: UmiConfig,
 
 
 def routed_blocks(blocks, config: UmiConfig, seed: int):
-    """Yield the blocks of a stream, each ending where the next starts and
-    holding the same channels (as event_blocks' do), routed by
-    :func:`apply_umi`, block k with a generator spawned from (seed, k).
-    Routed events at or past a block's end are merged into the next block,
-    and those past the last block make a tail block, so each holds
-    [start_ps, duration_ps)."""
-    rest = None
+    """Yield the blocks of a stream, each routed by :func:`apply_umi`,
+    block k with a generator spawned from (seed, k).  A routed block keeps
+    its start, and its long-arm events may reach up to an arm delay past
+    the next block's start, as the block contract allows
+    (events.EventStream), so its blocks fold like any other stream's."""
     for k, block in enumerate(blocks):
-        routed = apply_umi(block, config,
-                           np.random.SeedSequence(seed, spawn_key=(k,)))
-        times = routed.times
-        for c, t in (rest.times.items() if rest else ()):
-            if len(t):  # rare: an arm delay is a sliver of a block
-                times[c] = np.sort(np.concatenate([times[c], t]))
-        cut = {c: np.searchsorted(t, block.duration_ps)
-               for c, t in times.items()}
-        yield EventStream({c: t[:cut[c]] for c, t in times.items()},
-                          block.duration_ps, start_ps=block.start_ps)
-        rest = EventStream({c: t[cut[c]:] for c, t in times.items()},
-                           routed.duration_ps, start_ps=block.duration_ps)
-    if rest is not None:
-        yield rest
+        yield apply_umi(block, config,
+                        np.random.SeedSequence(seed, spawn_key=(k,)))
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,

@@ -247,16 +247,14 @@ def fsr_ghz(family: ModeFamily, geometry: DiskGeometry, wavelength_nm: float,
 
 def calibrate_family(family: ModeFamily, geometry: DiskGeometry,
                      target_fsr_nm: float, wavelength_nm: float,
-                     model: SellmeierSet = DEFAULT_SELLMEIER,
-                     rel_tol: float = 1e-6,
-                     max_iter: int = 200) -> ModeFamily:
-    """Adjust the index slope until the local FSR matches a target.
+                     model: SellmeierSet = DEFAULT_SELLMEIER) -> ModeFamily:
+    """Set the index slope so the local FSR matches a target.
 
     The linear correction changes the group index by exactly
-    -slope * ref_wavelength_um, so the required slope follows in closed
-    form; a short local bisection then absorbs the finite-difference error
-    of the group index.  The slope term vanishes at ref_wavelength_um, so a
-    previously anchored resonance at that wavelength is preserved.
+    -slope * ref_wavelength_um (the central difference of a linear term is
+    exact), so the required slope follows in closed form.  The slope term
+    vanishes at ref_wavelength_um, so a previously anchored resonance at
+    that wavelength is preserved.
     """
     if target_fsr_nm <= 0:
         raise ValueError("target_fsr_nm must be positive")
@@ -267,33 +265,11 @@ def calibrate_family(family: ModeFamily, geometry: DiskGeometry,
     ng_target = wavelength_nm ** 2 / (length_nm * target_fsr_nm)
     ng_zero = group_index(replace(family, index_slope_per_um=0.0),
                           wavelength_nm, model)
-    guess = (ng_zero - ng_target) / ref_um
     if ng_target <= 0:
         raise CalibrationError(
             f"target FSR {target_fsr_nm:g} nm implies a non-positive "
             "group index")
-
-    def residual(slope: float) -> float:
-        fam = replace(family, index_slope_per_um=slope)
-        return fsr(fam, geometry, wavelength_nm, model) - target_fsr_nm
-
-    half = max(1e-3, 1e-6 * abs(guess))
-    lo, hi = guess - half, guess + half
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo * r_hi > 0:
-        raise CalibrationError(
-            f"target FSR {target_fsr_nm:g} nm not bracketed around slope "
-            f"{guess:.6g} (residuals {r_lo:.3g}, {r_hi:.3g})")
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        r_mid = residual(mid)
-        if abs(r_mid) <= rel_tol * target_fsr_nm:
-            return replace(family, index_slope_per_um=mid)
-        if r_lo * r_mid < 0:
-            hi = mid
-        else:
-            lo, r_lo = mid, r_mid
-    raise CalibrationError("FSR bisection did not converge")
+    return replace(family, index_slope_per_um=(ng_zero - ng_target) / ref_um)
 
 
 def anchor_family(family: ModeFamily, geometry: DiskGeometry,

@@ -21,7 +21,8 @@ gathers a :func:`peak_span`: that calibration span and the windows off
 any peak inside it.  Window counts read the pairs themselves.
 
 A stream need not be held whole.  Every fold over a stream's time blocks
-(events.EventStream blocks, as generation and the file reader yield them)
+(events.EventStream blocks, as generation and the file reader yield them,
+and as franson routes them, which may reach past the next one's start)
 takes its pairs from one block-edge rule, :func:`_fold_batches`, which hands
 out each a event once, in a batch with every b event it can reach.
 Histograms add, so :func:`fold_delays` adds each batch's delays, and
@@ -263,7 +264,8 @@ class PairFold:
 def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
                   release, own_ps=(None, None)) -> tuple[dict[int, int], int]:
     """The block-edge rule of every fold over a stream's blocks
-    (EventStreams in time order; see events.EventStream).
+    (EventStreams that start in time order, a block perhaps reaching past
+    the next block's start; see events.EventStream).
 
     spans maps each b channel to the delays [lo, hi] of its pairs.  An a
     event waits until a block starts past its reach, t_a + the largest hi,
@@ -275,7 +277,8 @@ def _fold_batches(blocks, ch_a: int, spans: dict[int, tuple[int, int]],
     event and kept the b events it may reach, per channel of spans.
     The batch is dropped before the next block is drawn, and the fold
     holds about one block of each channel, copying events only when a
-    block edge falls inside the span of a waiting or kept event.
+    block edge falls inside the span of a waiting or kept event, and
+    sorting them only when a block reaches past the next block's start.
 
     own_ps = (t0, t1), None an open end, is the time shard the fold owns:
     only its a events in [t0, t1) are released, and only its events in
@@ -328,7 +331,7 @@ def _owned(times: np.ndarray, own_ps) -> np.ndarray:
 def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int, hi_ps: int,
                 own_ps=(None, None)) -> PairFold:
     """:func:`delay_histogram` of two channels, folded over the blocks of a
-    stream (EventStreams in time order; see events.EventStream).
+    stream (EventStreams that start in time order; see events.EventStream).
 
     Each pair counts once, in the batch that :func:`_fold_batches` releases
     its a event in, so the histogram is the whole stream's wherever the
@@ -346,8 +349,14 @@ def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int, hi_ps: int,
 
 
 def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.concatenate([x, y]) if len(x) and len(y) else (
-        y if not len(x) else x)
+    """Sorted x and y, one sorted array: sorted again, stably, only when
+    x reaches past y's first time, as a block may past the next's start."""
+    if not len(x) or not len(y):
+        return y if not len(x) else x
+    joined = np.concatenate([x, y])
+    if x[-1] > y[0]:
+        joined.sort(kind="stable")
+    return joined
 
 
 def peak_span(window_ps: float, lo_offset_ps: float,

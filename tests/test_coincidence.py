@@ -871,6 +871,80 @@ def test_heralded_g2_over_blocks_matches_the_whole_stream(stream, taus,
         assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
+# --- folds over blocks that overlap forward ----------------------------------
+
+
+def overlapped(blocks):
+    """(whole stream, blocks): the blocks' times joined and sorted."""
+    parts = {}
+    for block in blocks:
+        for c, t in block.times.items():
+            parts.setdefault(c, []).append(t)
+    return EventStream({c: np.sort(np.concatenate(p))
+                        for c, p in parts.items()},
+                       blocks[-1].duration_ps), blocks
+
+
+@st.composite
+def forward_blocks(draw, span=3000):
+    """(whole stream, its blocks): blocks that start in time order, on
+    channels 0-2, each holding times in [its start, span] only, so that a
+    block may reach past the next block's start, as franson's routed
+    blocks do."""
+    starts = sorted(draw(st.lists(st.integers(0, span), min_size=1,
+                                  max_size=6)))
+    return overlapped([EventStream(
+        {c: np.sort(np.array(draw(st.lists(st.integers(start, span),
+                                           max_size=6)), dtype=np.int64))
+         for c in draw(st.sets(st.integers(0, 2)))}, span + 1,
+        start_ps=start) for start in starts])
+
+
+def ps(*times):
+    return np.array(times, dtype=np.int64)
+
+
+# blocks reaching past later starts: a fold that only concatenates
+# blocks misses two pairs at delay 0
+FORWARD = overlapped([
+    EventStream({1: ps(10, 11, 12, 12)}, 78),
+    EventStream({0: ps(4), 1: ps(4, 4, 13, 13)}, 78, start_ps=4),
+    EventStream({0: ps(33)}, 78, start_ps=5),
+    EventStream({0: ps(58, 67, 77), 1: ps(62, 65, 69, 71)}, 78,
+                start_ps=50)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=forward_blocks(), lo=st.integers(-400, 400),
+       width=st.integers(0, 500),
+       taus=st.lists(st.integers(-2000, 2000), max_size=4),
+       window=st.integers(1, 900), caps=CAPS)
+@example(stream=FORWARD, lo=-18, width=22, taus=[0], window=30, caps=None)
+@example(stream=FORWARD, lo=-18, width=22, taus=[-10, 0], window=30,
+         caps=(1, 1))
+def test_folds_over_forward_overlapping_blocks_match_brute_force(
+        stream, lo, width, taus, window, caps):
+    whole, blocks = stream
+    a, b = whole.channel_times(0), whole.channel_times(1)
+    tau = np.array(taus, dtype=float)
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        fold = tcspc.fold_delays(iter(blocks), 0, 1, lo, lo + width)
+        got = heralded_g2(iter(blocks), tau, window_ps=window)
+    d = delay_matrix(a, b).ravel()
+    d = d[(d >= lo) & (d <= lo + width)]
+    assert np.array_equal(fold.delays.counts,
+                          np.bincount(d - lo, minlength=width + 1))
+    assert (fold.n_a, fold.n_b, fold.duration_ps) == (
+        len(a), len(b), whole.duration_ps)
+    # heralded g2 of the joined stream in one block, which the brute-force
+    # tests above pin
+    want = heralded_g2(whole, tau, window_ps=window)
+    assert got.keys() == want.keys()
+    for key in want:
+        assert np.array_equal(got[key], want[key], equal_nan=True), key
+
+
 def test_heralded_g2_fold_releases_heralds_in_batches(monkeypatch):
     # G2_STRADDLE's two heralds are gathered in two batches, and its
     # counts are the brute-force ones

@@ -168,8 +168,8 @@ def cut_at(whole, edges):
 
 
 def joined_times(blocks, c):
-    """The times of channel c over blocks, joined."""
-    return np.concatenate([b.channel_times(c) for b in blocks])
+    """The times of channel c over blocks, joined and sorted."""
+    return np.sort(np.concatenate([b.channel_times(c) for b in blocks]))
 
 
 # a busy source in blocks of about eight events, at least 4096 ps long
@@ -196,7 +196,7 @@ def cut_streams(draw, span=400):
     return cut_at(EventStream(times, span + 1), edges)
 
 
-# long-arm events that land in the next block, merged there with its own;
+# long-arm events that reach past the next block's start, among its own;
 # equal times routed onto a block edge; blocks of 1 ps against a 5 ps arm
 STRADDLE = cut_at(EventStream({0: np.array([99, 105], dtype=np.int64),
                                1: np.array([99, 109], dtype=np.int64)}, 120),
@@ -226,10 +226,10 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
     whole, blocks = stream
     config = UmiConfig(arm_delay_ns=delay / 1000, arm_transmissions=arms)
     routed = list(routed_blocks(iter(blocks), config, seed))
-    # one routed block per block, then the tail, an arm delay long
-    assert len(routed) == len(blocks) + 1
-    assert [b.start_ps for b in routed[1:]] == [
-        b.duration_ps for b in routed[:-1]]
+    # one routed block per block, from its start to an arm delay past its
+    # end, the last an arm delay past the stream's
+    assert [(b.start_ps, b.duration_ps) for b in routed] == [
+        (b.start_ps, b.duration_ps + delay) for b in blocks]
     assert routed[-1].duration_ps == whole.duration_ps + delay
     for b in routed:
         for c, t in b.times.items():
