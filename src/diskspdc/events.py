@@ -219,6 +219,20 @@ def summed(parts):
     return type(parts[0])(**total)
 
 
+def _joined(*parts: np.ndarray) -> np.ndarray:
+    """Sorted arrays, one per block in block order, as one sorted array:
+    concatenated, and sorted again, stably, only when one reaches past the
+    next one's first time, as a block may past the next block's start.  A
+    lone non-empty part is returned as it is."""
+    parts = [p for p in parts if len(p)] or list(parts[-1:])
+    if len(parts) == 1:
+        return parts[0]
+    joined = np.concatenate(parts)
+    if any(x[-1] > y[0] for x, y in zip(parts, parts[1:])):
+        joined.sort(kind="stable")
+    return joined
+
+
 @dataclass
 class EventStream:
     """Detector clicks as one time-sorted int64 array per channel.
@@ -246,11 +260,12 @@ class EventStream:
         """The stream of its blocks, given in time order, joined in one pass.
 
         Each channel is its times in every block that holds it (a file's
-        blocks hold only the channels with events), concatenated: the
-        blocks must not overlap, and generation's and a file's do not.  The
-        blocks and the joined stream are held at once.  Counters add up;
-        the duration is the last block's.  An empty sequence raises
-        ValueError.
+        blocks hold only the channels with events), joined by _joined, so
+        blocks that reach past the next one's start, as franson's routed
+        blocks may, join in time order too.  Each channel owns its array,
+        not a view that would hold a block's buffers.  The blocks and the
+        joined stream are held at once.  Counters add up; the duration is
+        the last block's.  An empty sequence raises ValueError.
         """
         blocks = list(blocks)
         if not blocks:
@@ -259,7 +274,8 @@ class EventStream:
         for block in blocks:
             for c, t in block.times.items():
                 parts.setdefault(c, []).append(t)
-        return cls({c: np.concatenate(p) for c, p in parts.items()},
+        return cls({c: np.require(_joined(*p), requirements="O")
+                    for c, p in parts.items()},
                    blocks[-1].duration_ps,
                    truth=summed([b.truth for b in blocks]))
 

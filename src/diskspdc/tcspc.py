@@ -3,14 +3,19 @@
 One primitive, :func:`coincidences`, binary-searches time-sorted
 per-channel arrays and yields the index pairs whose delay t_b - t_a lies in
 a closed window of whole picoseconds, exact at any timestamp.  Each a event
-costs one search, for the window's low edge, and a gather of the next two b
-events; only the k a events with two b events or more in the window search
-again, for its high edge: O((N_a + k) log N_b + pairs).  Delays are always
+costs one search, for its first partner at the window's low edge, and its
+pairs then come rank by rank, a gather each: its first partner, its second,
+and so on for _RANKS ranks.  Only the k a events with more partners than
+that search again, for the window's high edge, and have the rest of their
+pairs expanded: O(N_a log N_b + k log N_b + pairs).  Delays are always
 t_b - t_a (idler minus signal by default).  It works through the a events
-in chunks of at most _CHUNK_EVENTS events and _CHUNK_PAIRS pairs, and each
-chunk searches only the slice of b events it can reach, so a chunk's few
-int64 arrays stay in cache and every analysis holds its input, its result
-and one chunk, whatever the stream's length.
+in chunks of at most _CHUNK_EVENTS events, each rank a piece of one pair
+per a event at most and the rest in pieces of at most _CHUNK_PAIRS pairs,
+and each chunk searches only the slice of b events it can reach, so a
+chunk's few int64 arrays stay in cache and every analysis holds its input,
+its result and one piece, whatever the stream's length.  No consumer needs
+the pieces in order: histograms add, pair keys are sorted and window
+counts bin each piece on its own.
 
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
@@ -57,17 +62,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, summed
+from .events import EventStream, _joined, summed
 
-# Caps per chunk of coincidences(): a events and pairs.  A chunk's int64
-# temporaries are then 128 KB per a event array and 512 KB per pair array
-# at most, small enough for glibc to reuse freed heap rather than map each
-# one afresh and fault it in again.  At seed 12345, g2 (two time shards in
-# two processes) took 30.1 k minor faults over its processes at these sizes
-# and 31.9 k at 2^16 events and 2^18 pairs, and coinc on the drawn
-# bench/replay.cfg stream 19.8 k against 38.8 k (BENCH_pr21.json).
+# Caps of coincidences(): a events per chunk, so 128 KB per int64 array of
+# a chunk's a events or of one of its rank pieces, and pairs per piece of
+# a chunk's tail, 512 KB per int64 array, small enough for glibc to reuse
+# freed heap rather than map each one afresh and fault it in again.  At
+# seed 12345, g2 (two time shards in two processes) took 30.1 k minor
+# faults over its processes at these sizes and 31.9 k at 2^16 events and
+# 2^18 pairs, and coinc on the drawn bench/replay.cfg stream 19.8 k against
+# 38.8 k (BENCH_pr21.json).
 _CHUNK_EVENTS = 1 << 14
 _CHUNK_PAIRS = 1 << 16
+# Rank rounds per chunk of coincidences(): a gather each, before the a
+# events with more partners search for their window's high edge.  It
+# bounds a dense chunk: one a event with 1e5 partners at one time takes 4
+# rounds, one more search and one expanded piece.  Over 1, 2, 4 and 8
+# rounds, on one core of an Intel Xeon, seed 1: heralded_g2 of g2's stream
+# took 282, 220, 217 and 215 ms (0.2 and 2.5 % of its signal events have
+# more than one partner), and delay_histogram of the replay stream over
+# the two-fold span 193, 144, 123 and 121 ms (21 % of its a events).
+_RANKS = 4
 # Largest span of a delay histogram, in 1-ps bins (32 MiB of counts).
 _MAX_DELAY_BINS = 1 << 22
 # Peak calibration: 10-ps bins over [-4000, 4000) ps, the delays [lo, hi]
@@ -152,19 +167,23 @@ class TwoFoldResult:
 
 def coincidences(times_a: np.ndarray, times_b: np.ndarray,
                  lo_ps: int, hi_ps: int):
-    """Yield (a_idx, b_idx) chunks of every pair with lo <= t_b - t_a <= hi.
+    """Yield (a_idx, b_idx) pieces of every pair with lo <= t_b - t_a <= hi,
+    each pair once.
 
-    Times are sorted int64 ps and lo, hi whole ps.  Chunks are non-empty
-    and in a order; a_idx ascends, b_idx ascends per a event, and all pairs
-    of an a event share a chunk.  A chunk spans at most _CHUNK_EVENTS a
-    events and holds at most _CHUNK_PAIRS pairs, or one a event with more.
-    The a events of a chunk, ta, are searched only into the b events in
-    [ta[0] + lo, ta[-1] + hi], the ones they can reach; a chunk that
-    reaches none yields nothing.  Each a event is searched once, for the
-    first b event at or past t_a + lo; the two b events from there, read
-    without a search, give its pair count when it is 0 or 1, and only an a
-    event with both in the window is searched again, for the last b event
-    at or before t_a + hi.
+    Times are sorted int64 ps and lo, hi whole ps.  The a events go in
+    chunks of at most _CHUNK_EVENTS, in a order, and each piece holds pairs
+    of one chunk, a_idx ascending; pieces are non-empty and follow no other
+    order.  The a events of a chunk, ta, are searched only into the b
+    events in [ta[0] + lo, ta[-1] + hi], the ones they can reach; a chunk
+    that reaches none yields nothing.  Each a event is searched once, for
+    its first partner, the first b event at or past t_a + lo, and its
+    pairs come rank by rank: piece k < _RANKS pairs each a event that has
+    a (k + 1)-th partner with it, the b event k on from its first, read
+    without a search.  Only an a event with more than _RANKS partners is
+    searched again, for the last b event at or before t_a + hi, and the
+    rest of its pairs follow in pieces of at most _CHUNK_PAIRS pairs, or
+    one a event with more, b_idx ascending per a event.  So k a events
+    past _RANKS partners cost O(N_a log N_b + k log N_b + pairs).
     """
     if hi_ps < lo_ps:
         return
@@ -177,31 +196,43 @@ def coincidences(times_a: np.ndarray, times_b: np.ndarray,
         if b_hi == b_lo:
             continue
         tb = times_b[b_lo:b_hi]
-        first = np.searchsorted(tb, ta + lo_ps, side="left")
+        a_idx = np.arange(start, start + len(ta))
+        b_idx = np.searchsorted(tb, ta + lo_ps, side="left") + b_lo
         top = ta + hi_ps
-        # the two candidates from first on are gathered inside tb, bounded
-        # by its length: a sentinel past its end would fall inside a window
-        # whose ta + hi is the largest int64
-        n = ((first < len(tb))
-             & (tb.take(first, mode="clip") <= top)).astype(np.int64)
-        two = (first + 1 < len(tb)) & (tb.take(first + 1, mode="clip") <= top)
-        if two.any():
-            n[two] = np.searchsorted(tb, top[two], side="right") - first[two]
-        first += b_lo
-        ends = np.cumsum(n)
-        before = ends - n
-        i = 0
-        while i < len(ta):
-            # the pair cap splits the chunk only when its pairs exceed it
-            j = len(ta) if ends[-1] - before[i] <= _CHUNK_PAIRS else max(
-                int(np.searchsorted(ends, before[i] + _CHUNK_PAIRS,
-                                    side="right")), i + 1)
-            if ends[j - 1] > before[i]:
-                a_idx = np.repeat(np.arange(start + i, start + j), n[i:j])
-                b_idx = np.repeat(first[i:j] - before[i:j], n[i:j]) \
-                    + np.arange(before[i], ends[j - 1])
+        for rank in range(_RANKS + 1):
+            # each candidate is gathered below b_hi: a sentinel past it
+            # would fall inside a window whose ta + hi is the largest int64.
+            # The hits' positions and a gather per array take a seventh of
+            # the time of a boolean mask per array, whose branches mispredict
+            hit = np.flatnonzero(
+                (b_idx < b_hi) & (times_b.take(b_idx, mode="clip") <= top))
+            if not len(hit):
+                break
+            a_idx, b_idx, top = a_idx.take(hit), b_idx.take(hit), top.take(hit)
+            if rank < _RANKS:
                 yield a_idx, b_idx
-            i = j
+                b_idx = b_idx + 1
+            else:
+                yield from _expanded(a_idx, b_idx, np.searchsorted(
+                    tb, top, side="right") + b_lo - b_idx)
+
+
+def _expanded(a_idx: np.ndarray, first: np.ndarray, n: np.ndarray):
+    """Yield the pairs (a_idx[i], first[i] + j), j < n[i], in pieces of at
+    most _CHUNK_PAIRS pairs, or one a event with more."""
+    ends = np.cumsum(n)
+    before = ends - n
+    i = 0
+    while i < len(n):
+        # the pair cap splits the a events only when their pairs exceed it
+        j = len(n) if ends[-1] - before[i] <= _CHUNK_PAIRS else max(
+            int(np.searchsorted(ends, before[i] + _CHUNK_PAIRS,
+                                side="right")), i + 1)
+        if ends[j - 1] > before[i]:
+            yield (np.repeat(a_idx[i:j], n[i:j]),
+                   np.repeat(first[i:j] - before[i:j], n[i:j])
+                   + np.arange(before[i], ends[j - 1]))
+        i = j
 
 
 def window_edges(center_ps: float, window_ps: float) -> tuple[int, int]:
@@ -348,17 +379,6 @@ def fold_delays(blocks, ch_a: int, ch_b: int, lo_ps: int, hi_ps: int,
                     DelayHistogram(lo_ps, counts))
 
 
-def _joined(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Sorted x and y, one sorted array: sorted again, stably, only when
-    x reaches past y's first time, as a block may past the next's start."""
-    if not len(x) or not len(y):
-        return y if not len(x) else x
-    joined = np.concatenate([x, y])
-    if x[-1] > y[0]:
-        joined.sort(kind="stable")
-    return joined
-
-
 def peak_span(window_ps: float, lo_offset_ps: float,
               hi_offset_ps: float) -> tuple[int, int]:
     """Delays [lo, hi] that DelayHistogram.peak_ps reads, over [-4000,
@@ -397,9 +417,10 @@ def _pair_keys(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
                                               -lo_ps)]
     keys = np.concatenate([_EMPTY] + parts)
     del parts
-    # the keys come in b order, so they are nearly in a order already, and
-    # timsort merges such runs in close to linear time: g2's 2.44 M keys
-    # sort in 4.5 ms, against 22 ms for the default sort
+    # each rank piece's keys ascend, so the keys are a few ascending runs
+    # per chunk, which timsort merges in close to linear time: at seed 1,
+    # g2's 2.44 M keys sort in 2.6 ms, against 14.4 ms for the default
+    # sort (one core of an Intel Xeon)
     keys.sort(kind="stable")
     return keys
 

@@ -398,14 +398,22 @@ def test_chunks_respect_the_pair_cap(monkeypatch):
     a = np.concatenate([[0], sparse])
     b = np.sort(np.concatenate([np.arange(50), sparse + 7]))
     chunks = list(tcspc.coincidences(a, b, 0, 100))
-    for a_idx, b_idx in chunks:
+    ranks = tcspc._RANKS
+    # chunk 0: a rank piece of one pair per a event, then ranks - 1 of a
+    # event 0 alone, then its other 50 - ranks pairs, one a event past the
+    # cap of 10 in one piece; chunks 1 to 3 hold one rank piece each
+    assert [len(c[0]) for c in chunks] \
+        == [64] + [1] * (ranks - 1) + [50 - ranks] + [64, 64, 9]
+    for k, (a_idx, b_idx) in enumerate(chunks):
         assert len(a_idx) == len(b_idx) > 0
-        assert len(a_idx) <= 10 or len(np.unique(a_idx)) == 1
         assert a_idx[-1] - a_idx[0] < 64
-    a_all = np.concatenate([c[0] for c in chunks])
-    b_all = np.concatenate([c[1] for c in chunks])
+        if k == ranks:
+            assert np.all(a_idx == 0) and np.all(np.diff(b_idx) == 1)
+        else:
+            assert np.all(np.diff(a_idx) > 0)
+    a_all, b_all = pairs_by_a_then_b(chunks)
     assert len(a_all) == 250
-    assert np.array_equal(a_all, np.sort(a_all))
+    assert np.array_equal((a_all, b_all), ref_pairs(a, b, 0, 100))
     assert np.all((b[b_all] - a[a_all] >= 0) & (b[b_all] - a[a_all] <= 100))
     want = ((delay_matrix(a, b) >= 0) & (delay_matrix(a, b) <= 100)).sum(1)
     assert np.array_equal(window_counts(a, b, 50, 100), want)
@@ -420,6 +428,15 @@ def ref_pairs(a, b, lo, hi):
     ascending b within one a event."""
     d = delay_matrix(a, b)
     return np.nonzero((d >= lo) & (d <= hi))
+
+
+def pairs_by_a_then_b(pieces):
+    """Every pair of coincidences()' pieces, ordered as ref_pairs orders
+    them."""
+    a, b = (np.concatenate([np.zeros(0, dtype=np.int64)]
+                           + [p[k] for p in pieces]) for k in (0, 1))
+    order = np.lexsort((b, a))
+    return a[order], b[order]
 
 
 @settings(max_examples=200, deadline=None)
@@ -477,18 +494,20 @@ def test_reachable_slices_match_brute_force(a, b, origin, lo, width, caps):
         chunks = list(tcspc.coincidences(a, b, lo, hi))
         delays = delay_histogram(a, b, lo, hi) if hi >= lo else None
     want_a, want_b = ref_pairs(a, b, lo, hi)
+    # each piece lies in one chunk, chunks in a order, a_idx ascending; a
+    # piece is a rank's, one pair per a event, or within the pair cap, or
+    # one a event's
     for a_idx, b_idx in chunks:
         assert len(a_idx) == len(b_idx) > 0
-        assert a_idx[-1] - a_idx[0] < caps[0]
-        assert len(a_idx) <= caps[1] or len(np.unique(a_idx)) == 1
-    # every pair once, in order; a chunk boundary never splits an a event
-    got_a = np.concatenate([np.zeros(0, dtype=np.int64)]
-                           + [c[0] for c in chunks])
-    got_b = np.concatenate([np.zeros(0, dtype=np.int64)]
-                           + [c[1] for c in chunks])
-    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
+        assert a_idx[0] // caps[0] == a_idx[-1] // caps[0]
+        assert np.all(np.diff(a_idx) >= 0)
+        assert np.all(np.diff(a_idx) > 0) or len(a_idx) <= caps[1] \
+            or len(np.unique(a_idx)) == 1
     for first, second in zip(chunks, chunks[1:]):
-        assert first[0][-1] < second[0][0]
+        assert first[0][0] // caps[0] <= second[0][0] // caps[0]
+    # every pair once
+    got_a, got_b = pairs_by_a_then_b(chunks)
+    assert np.array_equal(got_a, want_a) and np.array_equal(got_b, want_b)
     if delays is not None:
         d = b[want_b] - a[want_a]
         assert np.array_equal(delays.counts,
@@ -521,18 +540,118 @@ def test_each_a_event_is_searched_once(monkeypatch):
             needles = count_needles(mp)
             got = list(tcspc.coincidences(a, b, 0, 100))
         want_a, want_b = ref_pairs(a, b, 0, 100)
-        assert np.array_equal(np.concatenate([c[0] for c in got]), want_a)
-        assert np.array_equal(np.concatenate([c[1] for c in got]), want_b)
+        got_a, got_b = pairs_by_a_then_b(got)
+        assert np.array_equal(got_a, want_a)
+        assert np.array_equal(got_b, want_b)
         return sum(needles)
 
     # no a event reaches two b events: one search each, and the two
     # slice-edge keys per chunk
     assert searched(b) == len(a) + 2 * chunks
-    # k even a events reach two or three: each searches once more
+    # k even a events reach two to _RANKS b events: still one search each
+    ranks = tcspc._RANKS
     more = np.array([4, 30, 32, 76, 98])
-    extra = np.concatenate([a[more] + 60, a[more[::2]] + 70])
-    assert searched(np.sort(np.concatenate([b, extra]))) \
-        == len(a) + 2 * chunks + len(more)
+    extra = np.concatenate([a[more] + 60 + j for j in range(ranks - 1)])
+    b = np.sort(np.concatenate([b, extra]))
+    assert searched(b) == len(a) + 2 * chunks
+    # each of those that reaches one b event more searches once more
+    b = np.sort(np.concatenate([b, a[more[::2]] + 90]))
+    assert searched(b) == len(a) + 2 * chunks + len(more[::2])
+
+
+# --- pairs rank by rank, and the tail past the ranks -------------------------
+
+@st.composite
+def partnered_streams(draw):
+    """(a, b, lo, hi): sorted a times, runs of equal ones among them, and
+    per a event 0 to _RANKS + 3 b events drawn in its window [t_a + lo,
+    t_a + hi], sometimes all at one time, with a few b events anywhere."""
+    lo, width = draw(st.integers(-60, 60)), draw(st.integers(0, 40))
+    gaps = draw(st.lists(st.integers(0, 50), max_size=12))
+    a = np.cumsum(np.array(gaps, dtype=np.int64))
+    b = draw(st.lists(st.integers(-100, 700), max_size=4))
+    for t in a.tolist():
+        n = draw(st.integers(0, tcspc._RANKS + 3))
+        offsets = st.integers(0, width)
+        b += [t + lo + o for o in (
+            [draw(offsets)] * n if draw(st.booleans())
+            else draw(st.lists(offsets, min_size=n, max_size=n)))]
+    return a, np.sort(np.array(b, dtype=np.int64)), lo, lo + width
+
+
+def ranked_reference(a, b, lo, hi, caps):
+    """Per chunk of caps[0] a events, the rank pieces coincidences() must
+    yield, (a_idx, b_idx) in order, and its pairs past the ranks by a then
+    by b."""
+    n = ((delay_matrix(a, b) >= lo) & (delay_matrix(a, b) <= hi)).sum(1)
+    first = np.searchsorted(b, a + lo)
+    for start in range(0, len(a), caps[0]):
+        chunk = np.arange(start, min(start + caps[0], len(a)))
+        ranks = []
+        for k in range(tcspc._RANKS):
+            has = chunk[n[chunk] > k]
+            if len(has):
+                ranks.append((has, first[has] + k))
+        tail = chunk[n[chunk] > tcspc._RANKS]
+        past = n[tail] - tcspc._RANKS
+        yield ranks, (np.repeat(tail, past), np.concatenate(
+            [np.zeros(0, dtype=np.int64)]
+            + [first[i] + np.arange(tcspc._RANKS, n[i]) for i in tail]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(stream=partnered_streams(), origin=ORIGINS,
+       caps=st.tuples(st.integers(1, 4), st.integers(1, 3)))
+# a events with exactly _RANKS partners, and with one more, at one time
+@example(stream=(np.array([0, 10]), np.array([5] * 4 + [15] * 5), 0, 5),
+         origin=0, caps=(2, 2))
+# the tail of one chunk split by the pair cap between its a events
+@example(stream=(np.array([0, 0, 1]), np.arange(7), 0, 6), origin=0,
+         caps=(3, 3))
+def test_rank_pieces_and_tails_match_brute_force(stream, origin, caps):
+    a, b, lo, hi = stream
+    a, b = a + origin, b + origin
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        pieces = list(tcspc.coincidences(a, b, lo, hi))
+        delays = delay_histogram(a, b, lo, hi)
+    for ranks, (tail_a, tail_b) in ranked_reference(a, b, lo, hi, caps):
+        got, pieces = pieces[:len(ranks)], pieces[len(ranks):]
+        for (a_idx, b_idx), (want_a, want_b) in zip(got, ranks, strict=True):
+            assert np.array_equal(a_idx, want_a)
+            assert np.array_equal(b_idx, want_b)
+        # the tail's pieces, each within the pair cap or of one a event
+        n_tail = 0
+        while n_tail < len(tail_a):
+            a_idx, b_idx = pieces.pop(0)
+            assert len(a_idx) <= caps[1] or len(np.unique(a_idx)) == 1
+            assert np.array_equal(a_idx, tail_a[n_tail:n_tail + len(a_idx)])
+            assert np.array_equal(b_idx, tail_b[n_tail:n_tail + len(b_idx)])
+            n_tail += len(a_idx)
+    assert pieces == []
+    d = delay_matrix(a, b).ravel()
+    d = d[(d >= lo) & (d <= hi)]
+    assert np.array_equal(delays.counts,
+                          np.bincount(d - lo, minlength=hi - lo + 1))
+
+
+def test_one_dense_a_event_is_searched_twice(monkeypatch):
+    # one a event with 1e5 partners at one time: the two slice-edge keys of
+    # its chunk, its low edge, its high edge once past _RANKS partners, and
+    # the pair cap's search of its tail's pair count; no rank loop over
+    # its partners
+    a = np.array([7], dtype=np.int64)
+    b = np.full(100_000, 10, dtype=np.int64)
+    needles = count_needles(monkeypatch)
+    pieces = list(tcspc.coincidences(a, b, 0, 5))
+    assert needles == [1] * 5
+    ranks = tcspc._RANKS
+    assert [len(p[0]) for p in pieces] == [1] * ranks + [len(b) - ranks]
+    assert all(np.all(p[0] == 0) for p in pieces)
+    assert np.array_equal(np.concatenate([p[1] for p in pieces]),
+                          np.arange(len(b)))
+    assert delay_histogram(a, b, 0, 5).counts.tolist() \
+        == [0, 0, 0, len(b), 0, 0]
 
 
 # --- one delay histogram, sliced ---------------------------------------------
@@ -1043,7 +1162,9 @@ def test_gather_matches_the_argsort_reference(a, b, origin, lo, width, caps):
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
         got = gather_pairs(a, b, lo, lo + width)
-        want = reference_gather(a, b, lo, lo + width)
+    # every pair by a, then by b, which within one a event is by delay
+    want_a, want_b = ref_pairs(a, b, lo, lo + width)
+    want = want_a, delay_matrix(a, b)[want_a, want_b]
     for g, w in zip(got, want):
         assert g.dtype == w.dtype == np.int64
         assert np.array_equal(g, w)

@@ -43,6 +43,7 @@ from diskspdc.events import (
     read_events,
     write_events,
 )
+from diskspdc.franson import UmiConfig, routed_blocks
 
 from streams import merged, short_blocks
 
@@ -794,6 +795,21 @@ def test_from_blocks_joins_a_stream_cut_into_blocks(cut):
         assert np.array_equal(got.channel_times(c), t)
     assert got.duration_ps == blocks[-1].duration_ps == stream.duration_ps
     assert got.truth == reference_truth([b.truth for b in blocks])
+
+
+def test_from_blocks_joins_blocks_that_reach_past_the_next_start():
+    # routed through 50-ps arms, the first block's 95 ps event lands at 140
+    # ps on the long arm, past the next block's start, so the blocks' times
+    # concatenated would read [95, 140, 101, 150]
+    blocks = [EventStream({0: np.array([90, 95], dtype=np.int64)}, 100),
+              EventStream({0: np.array([100, 101], dtype=np.int64)}, 200,
+                          start_ps=100)]
+    routed = list(routed_blocks(blocks, UmiConfig(arm_delay_ns=0.05), 0))
+    assert routed[0].channel_times(0).tolist() == [95, 140]
+    assert routed[1].channel_times(0).tolist() == [101, 150]
+    got = EventStream.from_blocks(routed)
+    assert got.channel_times(0).tolist() == [95, 101, 140, 150]
+    assert got.duration_ps == 250
 
 
 # --- reader: errors at block boundaries -------------------------------------
