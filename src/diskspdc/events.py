@@ -48,16 +48,16 @@ the joined stream at once, about 16 B per event, twice the stream.
 A stream splits exactly into time shards [t0, t1), so that separate
 processes can each take one: a fold of [t0, t1), for pairs of delays in
 [lo, hi], reads the times [t0 + min(lo, 0), t1 + max(hi, 0))
-(pipeline._shard_fold), a window that both block sources take.  A
-generated stream's shards, which simulate writes and g2 folds, are cut at
-block starts (block_shards); event_blocks draws only the blocks that hold
-its window, and the one before, for the events that block hands up; each
-block has its own generator, so a block is the same whichever shard draws
-it.  event_parts writes one file as consecutive parts, each by its own
-write_events, and appends them.  A .ttps file's shards, which coinc folds,
-are cut at the timestamps of evenly spaced records (file_shards), and
-read_blocks finds its window's records by bisecting the file one record
-at a time; a CSV file, which has no fixed-size records, is one shard.
+(pipeline._shard_fold), a window that both block sources take.  One rule
+cuts every drawn stream, of n blocks, at block starts into max(min(CPUs,
+n // _SHARD_BLOCKS), 1) shards (block_shards).  event_blocks draws only
+the blocks that hold a window, and the one before, for the events it
+hands up; each block has its own generator, so a block is the same
+whichever shard draws it.  event_parts writes one file as consecutive
+parts, each by its own write_events, and appends them.  A .ttps file's
+shards, which coinc folds, are cut at the timestamps of evenly spaced
+records (file_shards), and read_blocks finds its window's records by
+bisecting the file one record at a time; a CSV file is one shard.
 
 Streams serialize to a binary timestamp format: a 16-byte header (magic
 "TTPS", u32 LE version = 1, u16 LE channel count, 6 zero bytes) followed by
@@ -93,6 +93,9 @@ _CSV_HEADER = "channel,timestamp_ps"
 _BLOCK_EVENTS = 1 << 18
 # shortest generation block, about 1.07 ms
 _MIN_BLOCK_PS = 1 << 30
+# fewest blocks in a shard of a drawn stream (block_shards): on 2 CPUs a
+# second shard cost about 0.06 s of CPU, and cut wall time 25 % at 12 blocks
+_SHARD_BLOCKS = 6
 
 
 class EventFormatError(ValueError):
@@ -493,13 +496,13 @@ def event_blocks(model: SourceModel, duration_s: float, seed: int,
 
 
 def block_shards(model: SourceModel, duration_s: float,
-                 n_shards: int) -> list[tuple[int | None, int | None]]:
+                 n_cpus: int) -> list[tuple[int | None, int | None]]:
     """The time shards [t0, t1) of a generated stream, None an open end:
-    S = min(n_shards, n) of them for a stream of n blocks, cut at the
-    starts of blocks n.j/S."""
-    _, block, n_blocks = _plan(model, duration_s)
-    return _shards([n_blocks * j // n_shards * block
-                    for j in range(1, min(n_shards, n_blocks))])
+    S = max(min(n_cpus, n // _SHARD_BLOCKS), 1) of them for a stream of n
+    blocks, cut at the starts of blocks n.j/S."""
+    _, block, n = _plan(model, duration_s)
+    s = max(min(n_cpus, n // _SHARD_BLOCKS), 1)
+    return _shards([n * j // s * block for j in range(1, s)])
 
 
 def _shards(cuts: list[int]) -> list[tuple[int | None, int | None]]:

@@ -10,8 +10,9 @@ post-selected state (|SS> + e^{2 i xi} |LL>)/sqrt(2) interferes with the
 summed phase of the two photons, so quantum fringes run as cos(2 xi) while
 a classical field through the same interferometer fringes as cos(xi).
 A stream is routed block by block as it is drawn (:func:`routed_blocks`):
-each block through the interferometer on its own, with no events carried
-between blocks, and the routed blocks fold like any other stream's.
+each block on its own, keyed by its index in the stream, with no events
+carried between blocks.  So the routed blocks fold like any other stream's,
+in time shards too (pipeline._drawn_fold), each read an arm delay lower.
 """
 
 from __future__ import annotations
@@ -88,15 +89,16 @@ def apply_umi(stream: EventStream, config: UmiConfig,
                        truth=stream.truth, start_ps=stream.start_ps)
 
 
-def routed_blocks(blocks, config: UmiConfig, seed: int):
-    """Yield the blocks of a stream, each routed by :func:`apply_umi`,
-    block k with a generator spawned from (seed, k).  A routed block keeps
-    its start, and its long-arm events may reach up to an arm delay past
-    the next block's start, as the block contract allows
-    (events.EventStream), so its blocks fold like any other stream's."""
-    for k, block in enumerate(blocks):
-        yield apply_umi(block, config,
-                        np.random.SeedSequence(seed, spawn_key=(k,)))
+def routed_blocks(blocks, config: UmiConfig, seed: int, block_ps: int):
+    """Yield the blocks of a stream, each routed by :func:`apply_umi`, the
+    one at k * block_ps, the stream's k-th, with a generator spawned from
+    (seed, k), whichever blocks come.  A routed block keeps its start, and
+    its long-arm events may reach up to an arm delay past the next block's
+    start, as the block contract allows (events.EventStream), so its
+    blocks fold like any other stream's."""
+    for block in blocks:
+        yield apply_umi(block, config, np.random.SeedSequence(
+            seed, spawn_key=(block.start_ps // block_ps,)))
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,

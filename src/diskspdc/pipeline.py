@@ -5,17 +5,15 @@ list of human-readable lines.  All randomness flows from the master seed
 through derive_seed, so a fixed config gives identical tables regardless
 of machine or worker count.
 
-The sweep's points, and the time shards of simulate, of coinc on a .ttps
-file and of g2 (see events), run in forked worker processes, one per CPU
-this process may run on at most (_mapped); one task, or one CPU, runs
-inline.  Shards are exact pieces of the stream, and their results add by
-one sum (events.summed), so the file and the tables are those of one pass
-whatever the number of CPUs.  coinc and g2 fold
-the shard [t0, t1), for pairs of delays in [lo, hi], over the times
-[t0 + min(lo, 0), t1 + max(hi, 0)) of their stream (_shard_fold).  g2's
-shards need both calibration peaks of the whole stream before they count
-their windows: each sends its calibration, two PairFolds, and is sent
-back the peaks, while the pairs it gathered stay in its own process.
+The sweep's points and a stream's time shards run in forked worker
+processes, one per CPU this process may run on at most (_mapped); one
+task, or one CPU, runs inline.  The drawn streams of g2, franson and coinc
+are cut by one rule (events.block_shards) and folded by one path
+(_drawn_fold); simulate writes its shards, and coinc folds a .ttps file's
+(events.file_shards).  Shards are exact pieces of the stream whose results
+add by one sum (events.summed), so the file and the tables are those of
+one pass whatever the number of CPUs.  A fold of the shard [t0, t1), for
+delays in [lo, hi], reads [t0 + min(lo, 0), t1 + max(hi, 0)) (_shard_fold).
 """
 
 from __future__ import annotations
@@ -36,9 +34,9 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, TruthCounters, block_shards, event_blocks,
-                     event_parts, file_shards, read_blocks, splittable,
-                     summed, write_events)
+from .events import (SourceModel, TruthCounters, _plan, block_shards,
+                     event_blocks, event_parts, file_shards, read_blocks,
+                     splittable, summed, write_events)
 from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, fold_heralds,
                     g2_curve, herald_peaks, heralded_g2_span,
                     two_fold_metrics, two_fold_span)
@@ -471,15 +469,11 @@ def run_g2(cfg: RunConfig):
                          cfg.g2.tau_points)
     tau_ps = np.round(tau_ns * 1e3)
     window = int(cfg.g2.window_ps)
-    # each time shard folds its own heralds and keeps their pairs; the
-    # parent adds their calibrations and sends back both peaks
-    shards = block_shards(model, cfg.g2.duration_s, _cpus())
-    res = g2_curve(tau_ps, _mapped(functools.partial(
-        _shard_fold,
+    # each shard keeps its pairs and is sent the peaks of every calibration
+    res = g2_curve(tau_ps, _drawn_fold(
         functools.partial(fold_heralds, tau_grid_ps=tau_ps, window_ps=window),
-        functools.partial(event_blocks, model, cfg.g2.duration_s,
-                          derive_seed(cfg.seed, 2)),
-        heralded_g2_span(tau_ps, window)), shards, reply=herald_peaks))
+        heralded_g2_span(tau_ps, window), model, cfg.g2.duration_s,
+        derive_seed(cfg.seed, 2), reply=herald_peaks))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),
@@ -509,12 +503,15 @@ def run_franson(cfg: RunConfig):
     umi = _umi_config(cfg)
     model = _channel_source(cfg, channel_pair_rate_hz(
         cfg, cfg.source.pump_power_uw))
-    blocks = routed_blocks(event_blocks(model, cfg.franson.duration_s,
-                                        derive_seed(cfg.seed, 3)),
-                           umi, derive_seed(cfg.seed, 4))
     lo_a, hi_a = peak_areas_span(umi)
     lo_b, hi_b = two_fold_span(umi.postselect_window_ps)
-    pair = fold_delays(blocks, 0, 1, min(lo_a, lo_b), max(hi_a, hi_b))
+    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
+    # a routed event may come from an arm delay earlier: read that much lower
+    pair = summed(_drawn_fold(functools.partial(
+        _routed_fold, umi, derive_seed(cfg.seed, 4),
+        _plan(model, cfg.franson.duration_s)[1], lo, hi),
+        (lo - round(umi.arm_delay_ns * 1e3), hi), model,
+        cfg.franson.duration_s, derive_seed(cfg.seed, 3)))
     early, center, late = peak_areas(pair.delays, umi)
 
     # Split the measured central peak into its interference-capable part
@@ -549,6 +546,12 @@ def run_franson(cfg: RunConfig):
         f"+- {fit_c.visibility_sigma:.4f} (cos xi)",
     ]
     return columns, rows, summary
+
+
+def _routed_fold(umi, seed, block_ps, lo, hi, blocks, own_ps):
+    """franson's fold: fold_delays of its blocks, routed (routed_blocks)."""
+    return fold_delays(routed_blocks(blocks, umi, seed, block_ps), 0, 1, lo,
+                       hi, own_ps)
 
 
 def run_modes(cfg: RunConfig, family_id: str | None = None):
@@ -663,7 +666,8 @@ def run_simulate(cfg: RunConfig, out_path: str,
     (events.event_parts), and their TruthCounters add up (events.summed).
     A path that is no regular file, such as /dev/null, takes one shard.
     """
-    model, duration, seed = _simulated(cfg, duration_s)
+    model, seed = build_source(cfg), derive_seed(cfg.seed, 6)
+    duration = cfg.sweep.duration_s if duration_s is None else duration_s
     shards = block_shards(model, duration,
                           _cpus() if splittable(out_path) else 1)
     with event_parts(out_path, len(shards)) as paths:
@@ -677,13 +681,6 @@ def run_simulate(cfg: RunConfig, out_path: str,
              stored[0], stored[1], model.pair_rate_mhz)]
     summary = [f"wrote {sum(stored.values())} events to {out_path}"]
     return columns, rows, summary
-
-
-def _simulated(cfg: RunConfig, duration_s: float | None = None):
-    """(source, duration, seed) of the stream simulate writes and coinc
-    draws: one stream."""
-    return (build_source(cfg), cfg.sweep.duration_s if duration_s is None
-            else duration_s, derive_seed(cfg.seed, 6))
 
 
 def _written_shard(model: SourceModel, duration_s: float, seed: int,
@@ -706,27 +703,27 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
               duration_s: float | None = None):
     """Two-fold coincidence metrics of a stored or fresh stream.
 
-    A .ttps file's time shards (events.file_shards), one per CPU at most,
-    are folded in parallel (tcspc.fold_delays, by _shard_fold); their
-    PairFolds add up to the whole stream's (events.summed).  A CSV file
-    and a generated stream are one shard, folded inline.
+    Its time shards are folded (_shard_fold), one per CPU at most, and add
+    up (events.summed): a drawn stream, simulate's, is cut at block starts
+    (_drawn_fold), a .ttps file at records (file_shards), a CSV file not.
     """
     window = int(cfg.source.coincidence_window_ps)
     lo, hi = two_fold_span(window)
-    if events_path is not None:
+    # folded block by block: no shard holds the stream
+    fold = functools.partial(fold_delays, ch_a=0, ch_b=1, lo_ps=lo, hi_ps=hi)
+    if events_path is None:
+        folds = _drawn_fold(fold, (lo, hi), build_source(cfg),
+                            cfg.sweep.duration_s if duration_s is None
+                            else duration_s, derive_seed(cfg.seed, 6))
+    else:
         if duration_s is not None and not 0 < duration_s < math.inf:
             raise ValueError("--duration must be finite and positive")
-        blocks = functools.partial(read_blocks, events_path,
-                                   None if duration_s is None
-                                   else int(round(duration_s * 1e12)))
-        shards = file_shards(events_path, _cpus())
-    else:
-        blocks = functools.partial(event_blocks, *_simulated(cfg, duration_s))
-        shards = [(None, None)]
-    # folded block by block: no shard holds the stream
-    pair = summed(_mapped(functools.partial(
-        _shard_fold, functools.partial(fold_delays, ch_a=0, ch_b=1, lo_ps=lo,
-                                       hi_ps=hi), blocks, (lo, hi)), shards))
+        folds = _mapped(functools.partial(
+            _shard_fold, fold, functools.partial(
+                read_blocks, events_path, None if duration_s is None
+                else int(round(duration_s * 1e12))), (lo, hi)),
+            file_shards(events_path, _cpus()))
+    pair = summed(folds)
     res = two_fold_metrics(pair, window_ps=window)
     columns = ("n1", "n2", "n12", "accidental_mean", "peak_delay_ps",
                "window_ps", "duration_s", "pgr_estimate_mhz", "car")
@@ -735,6 +732,14 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
              res.pgr_estimate_hz * 1e-6, res.car)]
     summary = [f"n12 = {res.n12}, CAR = {res.car:.1f}"]
     return columns, rows, summary
+
+
+def _drawn_fold(fold, span, model, duration_s, seed, reply=None) -> list:
+    """_mapped's results of fold over each time shard of a drawn stream,
+    cut by events.block_shards for _cpus(), as _shard_fold reads it."""
+    blocks = functools.partial(event_blocks, model, duration_s, seed)
+    return _mapped(functools.partial(_shard_fold, fold, blocks, span),
+                   block_shards(model, duration_s, _cpus()), reply=reply)
 
 
 def _shard_fold(fold, blocks, span: tuple[int, int], shard):

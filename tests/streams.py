@@ -3,9 +3,9 @@
 The package reads and writes streams in blocks and has no whole-stream
 merge: merged joins the merged blocks that write_events writes, and
 from_merged splits a merged sequence by brute force.  short_blocks makes
-generation draw blocks of a few events.  reference_routes redraws the
-interferometer routes that franson.apply_umi gives a stream, which carries
-times only.
+generation draw blocks of a few events, and lets a drawn stream's shards
+be one block long.  reference_routes redraws the interferometer routes
+that franson.apply_umi gives a stream, which carries times only.
 """
 
 from unittest import mock
@@ -36,9 +36,10 @@ def from_merged(channels, timestamps_ps, duration_ps):
 
 
 def short_blocks(block_events, min_block_ps):
-    """Generation blocks far shorter than the real floor of 2^30 ps."""
+    """Generation blocks far shorter than the real floor of 2^30 ps, and
+    a drawn stream's shards as short as one block."""
     return mock.patch.multiple(events, _BLOCK_EVENTS=block_events,
-                               _MIN_BLOCK_PS=min_block_ps)
+                               _MIN_BLOCK_PS=min_block_ps, _SHARD_BLOCKS=1)
 
 
 def reference_routes(stream, config, seed):

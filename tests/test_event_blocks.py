@@ -804,7 +804,7 @@ def test_from_blocks_joins_blocks_that_reach_past_the_next_start():
     blocks = [EventStream({0: np.array([90, 95], dtype=np.int64)}, 100),
               EventStream({0: np.array([100, 101], dtype=np.int64)}, 200,
                           start_ps=100)]
-    routed = list(routed_blocks(blocks, UmiConfig(arm_delay_ns=0.05), 0))
+    routed = list(routed_blocks(blocks, UmiConfig(arm_delay_ns=0.05), 0, 100))
     assert routed[0].channel_times(0).tolist() == [95, 140]
     assert routed[1].channel_times(0).tolist() == [101, 150]
     got = EventStream.from_blocks(routed)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from diskspdc import events
 from diskspdc.config import InvariantError, parse_config
 from diskspdc.events import (EventStream, SourceModel, event_blocks,
                              generate_events)
@@ -225,7 +226,8 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
                                               width):
     whole, blocks = stream
     config = UmiConfig(arm_delay_ns=delay / 1000, arm_transmissions=arms)
-    routed = list(routed_blocks(iter(blocks), config, seed))
+    # blocks cut anywhere: keyed by their start, as blocks of 1 ps would be
+    routed = list(routed_blocks(iter(blocks), config, seed, 1))
     # one routed block per block, from its start to an arm delay past its
     # end, the last an arm delay past the stream's
     assert [(b.start_ps, b.duration_ps) for b in routed] == [
@@ -235,11 +237,11 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
         for c, t in b.times.items():
             assert np.all(np.diff(t) >= 0)
             assert np.all((t >= b.start_ps) & (t < b.duration_ps))
-    # the reference: each block routed on its own, block k by the draw of
-    # the generator of (seed, k)
-    routes = [reference_routes(b, config,
-                               np.random.SeedSequence(seed, spawn_key=(k,)))
-              for k, b in enumerate(blocks)]
+    # the reference: each block routed on its own, the block at k ps by
+    # the draw of the generator of (seed, k)
+    routes = [reference_routes(b, config, np.random.SeedSequence(
+                  seed, spawn_key=(b.start_ps,)))
+              for b in blocks]
     joined = {}
     for c in range(3):
         t = joined[c] = joined_times(routed, c)
@@ -255,13 +257,32 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
     # a whole stream is one block, routed with the generator of (seed, 0)
     one = apply_umi(whole, config,
                     np.random.SeedSequence(seed, spawn_key=(0,)))
-    parts = list(routed_blocks([whole], config, seed))
+    parts = list(routed_blocks([whole], config, seed, 1))
     for c, t in one.times.items():
         assert np.array_equal(joined_times(parts, c), t)
 
 
+def test_a_shard_routes_its_blocks_as_a_whole_pass():
+    # a time shard's blocks start past block 0: each is routed by the
+    # generator of its index in the stream, as in a whole pass, not by its
+    # place among the blocks the shard draws
+    with short_blocks(8, 1 << 12):
+        _, block, n_blocks = events._plan(BUSY, 1e-7)
+        whole = list(routed_blocks(event_blocks(BUSY, 1e-7, 5), CFG, 9,
+                                   block))
+        shard = list(routed_blocks(event_blocks(BUSY, 1e-7, 5,
+                                                (3 * block, None)),
+                                   CFG, 9, block))
+    assert n_blocks > 5
+    assert [b.start_ps for b in shard] == [b.start_ps for b in whole[3:]]
+    for got, want in zip(shard, whole[3:]):
+        assert got.times.keys() == want.times.keys()
+        for c, t in want.times.items():
+            assert np.array_equal(got.times[c], t)
+
+
 def test_no_blocks_route_to_no_blocks():
-    assert list(routed_blocks(iter([]), CFG, 1)) == []
+    assert list(routed_blocks(iter([]), CFG, 1, 1 << 12)) == []
 
 
 def test_noiseless_visibility_recovery():

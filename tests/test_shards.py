@@ -12,6 +12,7 @@ import dataclasses
 import functools
 import hashlib
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -43,6 +44,11 @@ def assert_sums_to(folds, whole):
     assert (total.n_a, total.n_b, total.duration_ps, total.delays.lo_ps) == (
         whole.n_a, whole.n_b, whole.duration_ps, whole.delays.lo_ps)
     assert np.array_equal(total.delays.counts, whole.delays.counts)
+
+
+def shard_blocks(n):
+    """A drawn stream's shards at least n blocks long."""
+    return mock.patch.object(events, "_SHARD_BLOCKS", n)
 
 
 def owned(shard, end_ps):
@@ -181,6 +187,67 @@ def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
         assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
+# about 8 events a block of 2^13 ps: 0.2 us hold 25 blocks
+FRANSON_CFG = """
+seed = {seed}
+
+[source]
+pump_power_uw = 100.0
+saturation_rate_mhz = 1e9
+signal_losses_db = 0.0
+idler_losses_db = 0.0
+dark_rate_hz = 1e7
+
+[spectrum]
+peak_fraction = 1.0
+
+[umi]
+arm_delay_ns = {delay_ns}
+postselect_window_ps = 200
+
+[franson]
+duration_s = 2e-7
+xi_points = 8
+"""
+
+
+def franson_on(cfg, shards):
+    """run_franson's table and PairFold, its drawn stream cut by shards(B),
+    B the block length, and folded in this process."""
+    folds = []
+    metrics = pipeline.two_fold_metrics
+    with pytest.MonkeyPatch.context() as mp, short_blocks(8, 1 << 10):
+        mp.setattr(pipeline, "_cpus", lambda: 1)
+        mp.setattr(pipeline, "block_shards", lambda model, duration_s, _:
+                   shards(events._plan(model, duration_s)[1]))
+        mp.setattr(pipeline, "two_fold_metrics",
+                   lambda pair, **kw: folds.append(pair) or metrics(pair,
+                                                                    **kw))
+        table = pipeline.run_franson(cfg)
+    return table, folds[0]
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2 ** 32), delay=st.integers(201, 1 << 13),
+       cuts=st.lists(st.integers(0, 25), max_size=3))
+@example(seed=0, delay=5331, cuts=[8])
+def test_franson_shards_add_up_to_one_pass(seed, delay, cuts):
+    # cut at any block starts, S = 1 to 4 shards: each shard routes the
+    # blocks it draws as a whole pass does, and reads an arm delay lower
+    # than its fold's span for the events the long arm carries up to it
+    cfg = parse_config(FRANSON_CFG.format(seed=seed, delay_ns=delay / 1000))
+    with short_blocks(8, 1 << 10):
+        model = pipeline._channel_source(cfg, pipeline.channel_pair_rate_hz(
+            cfg, cfg.source.pump_power_uw))
+        assert events._plan(model, 2e-7)[1:] == (1 << 13, 25)
+    whole, pair = franson_on(cfg, lambda block: [(None, None)])
+    sharded, pairs = franson_on(cfg, lambda block: edges_of(
+        sorted(k * block for k in cuts)))
+    assert min(pair.n_a, pair.n_b) > 40
+    assert sharded == whole
+    assert_sums_to([pairs], pair)
+
+
 @st.composite
 def tied_files(draw):
     """(channels, times) of a sorted file of up to 60 records on channels
@@ -246,6 +313,8 @@ def test_shard_records_hold_every_pair_of_neighbours(tmp_path_factory, times,
 
 
 def test_shard_counts_follow_blocks_and_cpus(tmp_path):
+    # a drawn stream of n blocks takes max(min(CPUs, n // _SHARD_BLOCKS), 1)
+    # shards, cut at the starts of blocks n.j/S
     model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5)
     path = tmp_path / "e.ttps"
     with short_blocks(1 << 12, 1 << 20):
@@ -255,6 +324,14 @@ def test_shard_counts_follow_blocks_and_cpus(tmp_path):
             [n_blocks // 3 * block, 2 * n_blocks // 3 * block])
         assert len(block_shards(model, 0.01, 1000)) == n_blocks
         assert block_shards(model, 0.0, 4) == [(None, None)]
+        with shard_blocks(4):
+            assert len(block_shards(model, 0.01, 1000)) == n_blocks // 4
+            assert block_shards(model, 0.01, 2) == edges_of(
+                [n_blocks // 2 * block])
+        with shard_blocks(n_blocks // 2 + 1):
+            assert block_shards(model, 0.01, 4) == [(None, None)]
+        with shard_blocks(n_blocks // 2):
+            assert len(block_shards(model, 0.01, 4)) == 2
         write_events(event_blocks(model, 0.01, 1), path)
         n = (os.path.getsize(path) - 16) // 9
         assert len(file_shards(path, 1000)) == -(-n // (1 << 12)) > 10
@@ -331,10 +408,14 @@ def test_simulate_and_coinc_match_at_every_shard_count(tmp_path, monkeypatch,
 
 
 def test_coinc_folds_a_generated_stream_inline(monkeypatch):
-    # shards of a generated stream would draw each cut's neighbouring
-    # blocks twice or more, for no gain in wall time: one pass, no worker
+    # a drawn stream of under 2 * _SHARD_BLOCKS blocks is one shard: a
+    # worker's start and each cut's neighbouring blocks drawn twice would
+    # cost more than a second CPU saves, so it folds inline, whatever the
+    # CPUs
     cfg = parse_config(SHORT_CFG)
     with short_blocks(1 << 12, 1 << 20):
+        n_blocks = events._plan(pipeline.build_source(cfg), 0.005)[2]
+        assert n_blocks >= 4
         want = pipeline.run_coinc(cfg, None, 0.005)
 
         def no_workers(*args):
@@ -342,12 +423,40 @@ def test_coinc_folds_a_generated_stream_inline(monkeypatch):
 
         monkeypatch.setattr(pipeline, "_in_processes", no_workers)
         monkeypatch.setattr(pipeline, "_cpus", lambda: 4)
-        assert pipeline.run_coinc(cfg, None, 0.005) == want
+        with shard_blocks(n_blocks // 2 + 1):
+            assert pipeline.run_coinc(cfg, None, 0.005) == want
+
+
+class Planned(Exception):
+    """A run stopped once its shards are planned, before any draw."""
+
+
+@pytest.mark.parametrize("argv, layout", [
+    (["g2"], (37, 2)),
+    (["simulate", "-c", os.path.join(os.path.dirname(__file__), os.pardir,
+                                     "bench", "replay.cfg")], (30, 2)),
+    (["franson"], (7, 1)),
+])
+def test_default_layouts_at_two_cpus(tmp_path, monkeypatch, argv, layout):
+    # (blocks, shards) of the default streams on 2 CPUs, planned without
+    # drawing: g2 and the replay stream shard, franson's 7 blocks fold
+    # inline
+    def planned(model, duration_s, n_cpus):
+        raise Planned(events._plan(model, duration_s)[2],
+                      len(block_shards(model, duration_s, n_cpus)))
+
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
+    monkeypatch.setattr(pipeline, "block_shards", planned)
+    if argv[0] == "simulate":
+        argv = [*argv, "--events", str(tmp_path / "e.ttps")]
+    with pytest.raises(Planned) as got:
+        main(argv)
+    assert got.value.args == layout
 
 
 def test_a_failed_shard_leaves_no_part_file(tmp_path, monkeypatch, capsys):
     # a 0.1 s cavity lifetime carries idlers past the 34 ms blocks, which
-    # raises in whichever shards draw them
+    # raises in whichever shards draw them: one shard a block, three parts
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("[source]\npump_power_uw = 1.0\nsignal_losses_db = 0.0\n"
                    "idler_losses_db = 0.0\npair_lifetime_ps = 1e11\n")
@@ -355,8 +464,9 @@ def test_a_failed_shard_leaves_no_part_file(tmp_path, monkeypatch, capsys):
     out.mkdir()
     monkeypatch.setattr(pipeline, "_cpus", lambda: 3)
     for name in ("e.ttps", "e.csv"):
-        assert main(["simulate", "-c", str(cfg), "--duration", "0.1",
-                     "--events", str(out / name)]) == 3
+        with shard_blocks(1):
+            assert main(["simulate", "-c", str(cfg), "--duration", "0.1",
+                         "--events", str(out / name)]) == 3
         assert "past its neighbours" in capsys.readouterr().err
         assert not [f for f in os.listdir(out) if ".part" in f]
 
