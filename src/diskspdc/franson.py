@@ -12,18 +12,19 @@ a classical field through the same interferometer fringes as cos(xi).
 A stream is routed block by block as it is drawn (:func:`routed_blocks`):
 each block on its own, keyed by its index in the stream, with no events
 carried between blocks.  So the routed blocks fold like any other stream's,
-in time shards too (pipeline._drawn_fold), each read an arm delay lower.
+in time shards too (:func:`routed_fold`), each read an arm delay lower.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream
-from .tcspc import DelayHistogram, peak_span
+from .events import EventStream, SourceModel, _plan
+from .tcspc import DelayHistogram, fold_delays, peak_span, two_fold_span
 
 
 class FitError(RuntimeError):
@@ -49,6 +50,11 @@ class UmiConfig:
         if self.postselect_window_ps <= 0:
             raise ValueError("postselect_window_ps must be positive")
 
+    @property
+    def arm_delay_ps(self) -> int:
+        """The arm delay in whole ps, as every routing and window takes it."""
+        return int(round(self.arm_delay_ns * 1e3))
+
 
 @dataclass(frozen=True)
 class FransonResult:
@@ -73,19 +79,18 @@ def apply_umi(stream: EventStream, config: UmiConfig,
     delay so late long-arm events stay inside the acquisition window;
     start_ps and truth are the input's.
     """
-    delay_ps = int(round(config.arm_delay_ns * 1e3))
     t_s, t_l = config.arm_transmissions
     p_short = t_s / (t_s + t_l)
     rng = np.random.Generator(np.random.PCG64(seed))
     times = {}
     for channel in sorted(stream.times):
         t = stream.times[channel]
-        routed = t + delay_ps * (rng.random(len(t)) >= p_short)
+        routed = t + config.arm_delay_ps * (rng.random(len(t)) >= p_short)
         # only events closer than the arm delay can swap, so the input is
         # nearly sorted
         routed.sort(kind="stable")
         times[channel] = routed
-    return EventStream(times, stream.duration_ps + delay_ps,
+    return EventStream(times, stream.duration_ps + config.arm_delay_ps,
                        truth=stream.truth, start_ps=stream.start_ps)
 
 
@@ -99,6 +104,24 @@ def routed_blocks(blocks, config: UmiConfig, seed: int, block_ps: int):
     for block in blocks:
         yield apply_umi(block, config, np.random.SeedSequence(
             seed, spawn_key=(block.start_ps // block_ps,)))
+
+
+def routed_fold(config: UmiConfig, seed: int, model: SourceModel,
+                duration_s: float):
+    """(fold, span) of the stream event_blocks(model, duration_s, .) draws:
+    fold_delays of its routed blocks over the delays [lo, hi] that
+    peak_areas and two_fold_metrics read, and the span it reads, an arm
+    delay below lo, where a routed event may come from."""
+    lo_a, hi_a = peak_areas_span(config)
+    lo, hi = two_fold_span(config.postselect_window_ps)
+    lo, hi = min(lo, lo_a), max(hi, hi_a)
+    return (functools.partial(_routed_delays, config, seed, _plan(
+        model, duration_s)[1], lo, hi), (lo - config.arm_delay_ps, hi))
+
+
+def _routed_delays(config, seed, block_ps, lo, hi, blocks, own_ps):
+    return fold_delays(routed_blocks(blocks, config, seed, block_ps), 0, 1,
+                       lo, hi, own_ps)
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,
@@ -189,8 +212,8 @@ def extract_visibility(xi_rad, counts, sigma=None,
 
 def peak_areas_span(config: UmiConfig) -> tuple[int, int]:
     """Delays [lo, hi] that :func:`peak_areas` reads."""
-    delay_ps = int(round(config.arm_delay_ns * 1e3))
-    return peak_span(config.postselect_window_ps, -delay_ps, delay_ps)
+    return peak_span(config.postselect_window_ps, -config.arm_delay_ps,
+                     config.arm_delay_ps)
 
 
 def peak_areas(delays: DelayHistogram,
@@ -201,8 +224,7 @@ def peak_areas(delays: DelayHistogram,
     delays is the channel pair's delay histogram, which must cover
     :func:`peak_areas_span`.
     """
-    delay_ps = int(round(config.arm_delay_ns * 1e3))
     peak_ps = delays.peak_ps()
-    centers = [peak_ps + k * delay_ps for k in (-1, 0, +1)]
+    centers = [peak_ps + k * config.arm_delay_ps for k in (-1, 0, +1)]
     return tuple(int(n) for n in delays.totals(
         centers, config.postselect_window_ps))

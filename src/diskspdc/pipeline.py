@@ -34,15 +34,14 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, TruthCounters, _plan, block_shards,
-                     event_blocks, event_parts, file_shards, read_blocks,
-                     splittable, summed, write_events)
+from .events import (SourceModel, TruthCounters, block_shards, event_blocks,
+                     event_parts, file_shards, read_blocks, splittable,
+                     summed, write_events)
 from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, fold_heralds,
                     g2_curve, herald_peaks, heralded_g2_span,
                     two_fold_metrics, two_fold_span)
 from .franson import (UmiConfig, classical_fringe, extract_visibility,
-                      peak_areas, peak_areas_span, quantum_fringe,
-                      routed_blocks)
+                      peak_areas, quantum_fringe, routed_fold)
 
 
 _MASK64 = (1 << 64) - 1
@@ -503,15 +502,10 @@ def run_franson(cfg: RunConfig):
     umi = _umi_config(cfg)
     model = _channel_source(cfg, channel_pair_rate_hz(
         cfg, cfg.source.pump_power_uw))
-    lo_a, hi_a = peak_areas_span(umi)
-    lo_b, hi_b = two_fold_span(umi.postselect_window_ps)
-    lo, hi = min(lo_a, lo_b), max(hi_a, hi_b)
-    # a routed event may come from an arm delay earlier: read that much lower
-    pair = summed(_drawn_fold(functools.partial(
-        _routed_fold, umi, derive_seed(cfg.seed, 4),
-        _plan(model, cfg.franson.duration_s)[1], lo, hi),
-        (lo - round(umi.arm_delay_ns * 1e3), hi), model,
-        cfg.franson.duration_s, derive_seed(cfg.seed, 3)))
+    fold, span = routed_fold(umi, derive_seed(cfg.seed, 4), model,
+                             cfg.franson.duration_s)
+    pair = summed(_drawn_fold(fold, span, model, cfg.franson.duration_s,
+                              derive_seed(cfg.seed, 3)))
     early, center, late = peak_areas(pair.delays, umi)
 
     # Split the measured central peak into its interference-capable part
@@ -546,12 +540,6 @@ def run_franson(cfg: RunConfig):
         f"+- {fit_c.visibility_sigma:.4f} (cos xi)",
     ]
     return columns, rows, summary
-
-
-def _routed_fold(umi, seed, block_ps, lo, hi, blocks, own_ps):
-    """franson's fold: fold_delays of its blocks, routed (routed_blocks)."""
-    return fold_delays(routed_blocks(blocks, umi, seed, block_ps), 0, 1, lo,
-                       hi, own_ps)
 
 
 def run_modes(cfg: RunConfig, family_id: str | None = None):
@@ -666,8 +654,7 @@ def run_simulate(cfg: RunConfig, out_path: str,
     (events.event_parts), and their TruthCounters add up (events.summed).
     A path that is no regular file, such as /dev/null, takes one shard.
     """
-    model, seed = build_source(cfg), derive_seed(cfg.seed, 6)
-    duration = cfg.sweep.duration_s if duration_s is None else duration_s
+    model, duration, seed = _simulated(cfg, duration_s)
     shards = block_shards(model, duration,
                           _cpus() if splittable(out_path) else 1)
     with event_parts(out_path, len(shards)) as paths:
@@ -681,6 +668,13 @@ def run_simulate(cfg: RunConfig, out_path: str,
              stored[0], stored[1], model.pair_rate_mhz)]
     summary = [f"wrote {sum(stored.values())} events to {out_path}"]
     return columns, rows, summary
+
+
+def _simulated(cfg: RunConfig, duration_s: float | None = None):
+    """(source, duration, seed) of the stream simulate writes and coinc
+    draws: one stream."""
+    return (build_source(cfg), cfg.sweep.duration_s if duration_s is None
+            else duration_s, derive_seed(cfg.seed, 6))
 
 
 def _written_shard(model: SourceModel, duration_s: float, seed: int,
@@ -712,9 +706,7 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
     # folded block by block: no shard holds the stream
     fold = functools.partial(fold_delays, ch_a=0, ch_b=1, lo_ps=lo, hi_ps=hi)
     if events_path is None:
-        folds = _drawn_fold(fold, (lo, hi), build_source(cfg),
-                            cfg.sweep.duration_s if duration_s is None
-                            else duration_s, derive_seed(cfg.seed, 6))
+        folds = _drawn_fold(fold, (lo, hi), *_simulated(cfg, duration_s))
     else:
         if duration_s is not None and not 0 < duration_s < math.inf:
             raise ValueError("--duration must be finite and positive")

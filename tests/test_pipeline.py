@@ -12,7 +12,7 @@ from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                run_franson, run_g2, run_match, run_modes,
                                run_power_sweep, run_scan, run_simulate,
                                run_spectrum, run_trace, scan_table)
-from diskspdc import events, pipeline, tcspc
+from diskspdc import events, franson, pipeline, tcspc
 from diskspdc.tcspc import dwdm_channel_index
 
 from streams import short_blocks
@@ -440,10 +440,10 @@ xi_points = 8
     # signal events, all over one span, each signal event gathered once.
     # Blocks of about 2^10 events make several batches.
     folds = []
-    fold = pipeline.fold_delays
+    fold = franson.fold_delays
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_BLOCK_EVENTS", 1 << 10)
-        mp.setattr(pipeline, "fold_delays",
+        mp.setattr(franson, "fold_delays",
                    lambda *args: folds.append(fold(*args)) or folds[-1])
         run_franson(cfg)
     assert len(spans) > 1 and len({s[:2] for s in spans}) == 1
