@@ -10,7 +10,10 @@ a time: a uniform emission time, an exponential cavity lifetime delay on
 the idler and Gaussian detector jitter.  A dead-time renewal source
 (min_pair_spacing_ps > 0) instead draws every pair time and then the way
 each pair is detected.  Dark counts are an independent Poisson background
-per channel.
+per channel.  A source with an interferometer (SourceModel.interferometer)
+then routes every event through its short or long arm (UmiConfig.route),
+from the block's generator after every other draw, so franson's stream
+is drawn already routed.
 
 The stream is drawn in consecutive time blocks of B ps, B a power of two
 sized from the source's expected event rate so that a block holds about
@@ -23,14 +26,14 @@ reused buffer, and each channel's photons and darks are concatenated,
 rounded and cast to int64 once.  A Poisson process is independent on
 disjoint intervals, so the blocks are exact pieces of one stream, and a
 given (config, seed) gives the same stream whatever the order in which
-the blocks are drawn.  A photon whose cavity delay or jitter carries it
-across a block edge is handed to the neighbour that holds its time, so
-event_blocks draws one block ahead; one carried past its neighbour raises
-ValueError.  Events outside [0, duration) are clipped.  Each block carries
-the TruthCounters of its own draws, and the stream's counters are their
-sums.  The block layout is part of what a seed
-means: the same seed gave another stream before generation went by blocks,
-and would again if the block sizing changed.
+the blocks are drawn.  An event whose cavity delay, jitter or long arm
+carries it across a block edge is handed to the neighbour that holds its
+time, so event_blocks draws one block ahead; one carried past its
+neighbour raises ValueError.  Events outside [0, duration) are clipped.
+Each block carries the TruthCounters of its own draws, and the stream's
+counters are their sums.  The block layout is part of what a seed means:
+the same seed gave another stream before generation went by blocks, and
+would again if the block sizing changed.
 
 An EventStream keeps one time-sorted int64 array per channel, which is what
 coincidence counting reads; a block is an EventStream of the events in
@@ -103,6 +106,44 @@ class EventFormatError(ValueError):
 
 
 @dataclass(frozen=True)
+class UmiConfig:
+    """Unbalanced Michelson interferometer settings shared by the signal
+    and idler arms."""
+
+    arm_delay_ns: float = 1.6
+    arm_transmissions: tuple[float, float] = (0.5, 0.5)
+    postselect_window_ps: int = 800
+
+    def __post_init__(self) -> None:
+        if self.arm_delay_ns < 0:
+            raise ValueError("arm_delay_ns must be >= 0")
+        t_s, t_l = self.arm_transmissions
+        if not (0 <= t_s <= 1 and 0 <= t_l <= 1):
+            raise ValueError("arm transmissions must lie in [0, 1]")
+        if t_s + t_l <= 0:
+            raise ValueError("at least one arm must transmit")
+        if self.postselect_window_ps <= 0:
+            raise ValueError("postselect_window_ps must be positive")
+
+    @property
+    def arm_delay_ps(self) -> int:
+        """The arm delay in whole ps, as every routing and window takes it."""
+        return int(round(self.arm_delay_ns * 1e3))
+
+    def route(self, times: dict[int, np.ndarray],
+              rng: np.random.Generator) -> None:
+        """Route each event through the interferometer, in place: one
+        uniform per event, channel by channel in ascending order, long
+        where it reaches t_S / (t_S + t_L).  Short keeps the int64
+        timestamp, long adds the arm delay, so the times are left unsorted.
+        """
+        t_s, t_l = self.arm_transmissions
+        for c in sorted(times):
+            times[c] += self.arm_delay_ps * (
+                rng.random(len(times[c])) >= t_s / (t_s + t_l))
+
+
+@dataclass(frozen=True)
 class SourceModel:
     """Pair source, loss chain, and detector parameters.
 
@@ -111,7 +152,8 @@ class SourceModel:
     is the asymptotic pair rate of rate = slope*P / (1 + slope*P/sat); None
     keeps the rate linear in power.  min_pair_spacing_ps > 0 switches the
     emission to a dead-time renewal process (a synthetic single-pair source
-    for heralding tests).
+    for heralding tests).  interferometer, when set, routes every detected
+    event, pair photon or dark count, through it (UmiConfig.route).
     """
 
     pump_power_uw: float = 1.0
@@ -127,6 +169,7 @@ class SourceModel:
     idler_delay_sign: int = +1
     signal_channels: tuple[int, ...] = (0,)
     idler_channels: tuple[int, ...] = (1,)
+    interferometer: UmiConfig | None = None
 
     def __post_init__(self) -> None:
         if self.pump_power_uw < 0:
@@ -243,9 +286,9 @@ class EventStream:
     truth holds the simulator's counters of a generated stream, whose pair
     counts n_pairs_generated sums.  A block of a longer stream holds the
     events in [start_ps, duration_ps), and no later block holds a time
-    below start_ps: blocks start in order, and a block may reach past the
-    next block's start (as franson's routed blocks do).  A whole stream is
-    its only block.
+    below start_ps: blocks start in order.  Generated and read blocks are
+    disjoint, but a block given by a caller may reach past the next
+    block's start.  A whole stream is its only block.
     """
 
     times: dict[int, np.ndarray]
@@ -264,11 +307,11 @@ class EventStream:
 
         Each channel is its times in every block that holds it (a file's
         blocks hold only the channels with events), joined by _joined, so
-        blocks that reach past the next one's start, as franson's routed
-        blocks may, join in time order too.  Each channel owns its array,
-        not a view that would hold a block's buffers.  The blocks and the
-        joined stream are held at once.  Counters add up; the duration is
-        the last block's.  An empty sequence raises ValueError.
+        blocks that reach past the next one's start join in time order
+        too.  Each channel owns its array, not a view that would hold a
+        block's buffers.  The blocks and the joined stream are held at
+        once.  Counters add up; the duration is the last block's.  An empty
+        sequence raises ValueError.
         """
         blocks = list(blocks)
         if not blocks:
@@ -377,7 +420,8 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
     kind, each channel's sorted int64 times, detected and dark counts).
 
     The times are rounded offsets from the block's start, so they are
-    exact whatever the start; delays and jitter may carry them outside.
+    exact whatever the start; delays, jitter and the interferometer's long
+    arm, routed after every other draw, may carry them outside.
     """
     rng = _block_rng(seed, k)
     kinds = _pair_kinds(model)
@@ -406,15 +450,21 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
                 model.pair_lifetime_ps, len(t)) + t
             pieces[i].append(_jittered(arrive, model, rng))
     times, detected = {}, {}
+    umi = model.interferometer
     for c, n_dark in zip(channels, dark.tolist()):
         # popping the pieces frees them before the cast
         t = np.concatenate(pieces.pop(c)
                            + [rng.uniform(0.0, length_ps, n_dark)])
         detected[c] = len(t) - n_dark
-        t = np.rint(t, out=t).astype(np.int64)
-        t.sort()
+        t = times[c] = np.rint(t, out=t).astype(np.int64)
         t += start_ps
-        times[c] = t
+        # sorted while it is still in cache, unless it is routed first
+        if umi is None:
+            t.sort()
+    if umi is not None:
+        umi.route(times, rng)
+        for t in times.values():
+            t.sort()
     # both, signal only, idler only, neither: TruthCounters' order
     split = [0, 0, 0, 0]
     for (s, i, _), n in zip(kinds, pairs.tolist()):
@@ -550,9 +600,10 @@ def _is_csv(path: str | os.PathLike) -> bool:
     return str(path).endswith(".csv")
 
 
-def write_events(stream, path: str | os.PathLike) -> None:
+def write_events(stream, path: str | os.PathLike) -> TruthCounters | None:
     """Write an EventStream, or its blocks in time order, to a timestamp
-    file: CSV when the path ends in .csv, binary otherwise.
+    file: CSV when the path ends in .csv, binary otherwise.  Returns the
+    summed TruthCounters of the blocks written, None when they carry none.
 
     Each block is merged and written one time block at a time; a binary
     record block is filled straight from the merge order.  The header's
@@ -562,13 +613,16 @@ def write_events(stream, path: str | os.PathLike) -> None:
     """
     blocks = map(_unsigned,
                  [stream] if isinstance(stream, EventStream) else stream)
+    # a running sum: a list of every block's counters grows with the stream
+    truth = []
     if _is_csv(path):
         with open(path, "wb") as fh:
             fh.write(_CSV_HEADER.encode() + b"\n")
             for block in blocks:
+                truth = [summed(truth + [block.truth])]
                 for channels, times, order in block._merged_blocks():
                     fh.write(_csv_rows(channels[order], times[order]))
-        return
+        return summed(truth)
     n_channels = 0
     # one record buffer for every block: fresh pages for each block cost
     # more in page faults than the merge itself
@@ -576,6 +630,7 @@ def write_events(stream, path: str | os.PathLike) -> None:
     with open(path, "wb") as fh:
         fh.write(bytes(_HEADER.size))
         for block in blocks:
+            truth = [summed(truth + [block.truth])]
             n_channels = max([n_channels] + [c + 1 for c, t in
                                              block.times.items() if len(t)])
             for channels, times, order in block._merged_blocks():
@@ -589,6 +644,7 @@ def write_events(stream, path: str | os.PathLike) -> None:
                 fh.write(records)
         fh.seek(0)
         fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, n_channels, b"\0" * 6))
+    return summed(truth)
 
 
 def splittable(path: str | os.PathLike) -> bool:

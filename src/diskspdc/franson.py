@@ -9,51 +9,26 @@ post-selected central peak are evaluated at expectation level: the
 post-selected state (|SS> + e^{2 i xi} |LL>)/sqrt(2) interferes with the
 summed phase of the two photons, so quantum fringes run as cos(2 xi) while
 a classical field through the same interferometer fringes as cos(xi).
-A stream is routed block by block as it is drawn (:func:`routed_blocks`):
-each block on its own, keyed by its index in the stream, with no events
-carried between blocks.  So the routed blocks fold like any other stream's,
-in time shards too (:func:`routed_fold`), each read an arm delay lower.
+franson's stream is routed where it is drawn: a source whose
+interferometer is set routes each block's events from the block's own
+generator (events.UmiConfig, re-exported here), so its blocks are disjoint
+and fold like any other stream's.  :func:`apply_umi` routes a stream after
+generation by the same rule.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, SourceModel, _plan
-from .tcspc import DelayHistogram, fold_delays, peak_span, two_fold_span
+from .events import EventStream, UmiConfig
+from .tcspc import DelayHistogram, peak_span
 
 
 class FitError(RuntimeError):
     """Fringe fit could not be performed."""
-
-
-@dataclass(frozen=True)
-class UmiConfig:
-    """Interferometer settings shared by the signal and idler arms."""
-
-    arm_delay_ns: float = 1.6
-    arm_transmissions: tuple[float, float] = (0.5, 0.5)
-    postselect_window_ps: int = 800
-
-    def __post_init__(self) -> None:
-        if self.arm_delay_ns < 0:
-            raise ValueError("arm_delay_ns must be >= 0")
-        t_s, t_l = self.arm_transmissions
-        if not (0 <= t_s <= 1 and 0 <= t_l <= 1):
-            raise ValueError("arm transmissions must lie in [0, 1]")
-        if t_s + t_l <= 0:
-            raise ValueError("at least one arm must transmit")
-        if self.postselect_window_ps <= 0:
-            raise ValueError("postselect_window_ps must be positive")
-
-    @property
-    def arm_delay_ps(self) -> int:
-        """The arm delay in whole ps, as every routing and window takes it."""
-        return int(round(self.arm_delay_ns * 1e3))
 
 
 @dataclass(frozen=True)
@@ -71,57 +46,22 @@ class FransonResult:
 
 def apply_umi(stream: EventStream, config: UmiConfig,
               seed: int | np.random.SeedSequence) -> EventStream:
-    """Route every event of a stream or block through the interferometer.
+    """Route every event of a stream or block through the interferometer
+    after generation, by the rule generation routes with (UmiConfig.route),
+    from PCG64(seed).
 
-    Short keeps the timestamp, long adds the arm delay; the routing
-    probability of the short arm is t_S / (t_S + t_L), drawn once per event,
-    channel by channel in ascending order.  The duration grows by the arm
-    delay so late long-arm events stay inside the acquisition window;
-    start_ps and truth are the input's.
+    The routed times are re-sorted.  The duration grows by the arm delay
+    so late long-arm events stay inside the acquisition window; start_ps
+    and truth are the input's.
     """
-    t_s, t_l = config.arm_transmissions
-    p_short = t_s / (t_s + t_l)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    times = {}
-    for channel in sorted(stream.times):
-        t = stream.times[channel]
-        routed = t + config.arm_delay_ps * (rng.random(len(t)) >= p_short)
+    times = {c: stream.times[c].copy() for c in sorted(stream.times)}
+    config.route(times, np.random.Generator(np.random.PCG64(seed)))
+    for t in times.values():
         # only events closer than the arm delay can swap, so the input is
         # nearly sorted
-        routed.sort(kind="stable")
-        times[channel] = routed
+        t.sort(kind="stable")
     return EventStream(times, stream.duration_ps + config.arm_delay_ps,
                        truth=stream.truth, start_ps=stream.start_ps)
-
-
-def routed_blocks(blocks, config: UmiConfig, seed: int, block_ps: int):
-    """Yield the blocks of a stream, each routed by :func:`apply_umi`, the
-    one at k * block_ps, the stream's k-th, with a generator spawned from
-    (seed, k), whichever blocks come.  A routed block keeps its start, and
-    its long-arm events may reach up to an arm delay past the next block's
-    start, as the block contract allows (events.EventStream), so its
-    blocks fold like any other stream's."""
-    for block in blocks:
-        yield apply_umi(block, config, np.random.SeedSequence(
-            seed, spawn_key=(block.start_ps // block_ps,)))
-
-
-def routed_fold(config: UmiConfig, seed: int, model: SourceModel,
-                duration_s: float):
-    """(fold, span) of the stream event_blocks(model, duration_s, .) draws:
-    fold_delays of its routed blocks over the delays [lo, hi] that
-    peak_areas and two_fold_metrics read, and the span it reads, an arm
-    delay below lo, where a routed event may come from."""
-    lo_a, hi_a = peak_areas_span(config)
-    lo, hi = two_fold_span(config.postselect_window_ps)
-    lo, hi = min(lo, lo_a), max(hi, hi_a)
-    return (functools.partial(_routed_delays, config, seed, _plan(
-        model, duration_s)[1], lo, hi), (lo - config.arm_delay_ps, hi))
-
-
-def _routed_delays(config, seed, block_ps, lo, hi, blocks, own_ps):
-    return fold_delays(routed_blocks(blocks, config, seed, block_ps), 0, 1,
-                       lo, hi, own_ps)
 
 
 def quantum_fringe(xi_rad, visibility: float = 1.0, amplitude: float = 1.0,

@@ -34,14 +34,14 @@ from .resonator import (DiskGeometry, ModeFamily, ResonatorMode,
 from .matching import (AmplitudePrefactor, FamilyPair, Triple,
                        accumulate_intensity, bandwidth_scan,
                        enumerate_triples)
-from .events import (SourceModel, TruthCounters, block_shards, event_blocks,
-                     event_parts, file_shards, read_blocks, splittable,
-                     summed, write_events)
+from .events import (SourceModel, TruthCounters, UmiConfig, block_shards,
+                     event_blocks, event_parts, file_shards, read_blocks,
+                     splittable, summed, write_events)
 from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, fold_heralds,
                     g2_curve, herald_peaks, heralded_g2_span,
                     two_fold_metrics, two_fold_span)
-from .franson import (UmiConfig, classical_fringe, extract_visibility,
-                      peak_areas, quantum_fringe, routed_fold)
+from .franson import (classical_fringe, extract_visibility, peak_areas,
+                      peak_areas_span, quantum_fringe)
 
 
 _MASK64 = (1 << 64) - 1
@@ -192,7 +192,8 @@ def _capture_fraction(window_ps: float, lifetime_ps: float) -> float:
 
 def build_source(cfg: RunConfig, pump_power_uw: float | None = None,
                  losses_db=None, saturation: bool = True,
-                 signal_channels=(0,), idler_channels=(1,)) -> SourceModel:
+                 signal_channels=(0,), idler_channels=(1,),
+                 interferometer: UmiConfig | None = None) -> SourceModel:
     s = cfg.source
     return SourceModel(
         pump_power_uw=s.pump_power_uw if pump_power_uw is None
@@ -210,7 +211,7 @@ def build_source(cfg: RunConfig, pump_power_uw: float | None = None,
         min_pair_spacing_ps=s.min_pair_spacing_ps,
         idler_delay_sign=s.idler_delay_sign,
         signal_channels=tuple(signal_channels),
-        idler_channels=tuple(idler_channels))
+        idler_channels=tuple(idler_channels), interferometer=interferometer)
 
 
 def channel_pair_rate_hz(cfg: RunConfig, pump_power_uw: float) -> float:
@@ -500,12 +501,16 @@ def _umi_config(cfg: RunConfig) -> UmiConfig:
 def run_franson(cfg: RunConfig):
     """Time-bin fringe scan: arrival-time peaks, then visibility fits."""
     umi = _umi_config(cfg)
+    # the stream is drawn routed: no block reaches past the next one
     model = _channel_source(cfg, channel_pair_rate_hz(
-        cfg, cfg.source.pump_power_uw))
-    fold, span = routed_fold(umi, derive_seed(cfg.seed, 4), model,
-                             cfg.franson.duration_s)
-    pair = summed(_drawn_fold(fold, span, model, cfg.franson.duration_s,
-                              derive_seed(cfg.seed, 3)))
+        cfg, cfg.source.pump_power_uw), interferometer=umi)
+    # one fold covers the peak areas' windows and the two-fold calibration
+    (lo_a, hi_a), (lo, hi) = (peak_areas_span(umi),
+                              two_fold_span(umi.postselect_window_ps))
+    lo, hi = min(lo, lo_a), max(hi, hi_a)
+    pair = summed(_drawn_fold(
+        functools.partial(fold_delays, ch_a=0, ch_b=1, lo_ps=lo, hi_ps=hi),
+        (lo, hi), model, cfg.franson.duration_s, derive_seed(cfg.seed, 3)))
     early, center, late = peak_areas(pair.delays, umi)
 
     # Split the measured central peak into its interference-capable part
@@ -680,17 +685,9 @@ def _simulated(cfg: RunConfig, duration_s: float | None = None):
 def _written_shard(model: SourceModel, duration_s: float, seed: int,
                    shard_path) -> TruthCounters:
     """Write one time shard's blocks to its part of the event file; their
-    TruthCounters, summed as the writer takes each block."""
+    summed TruthCounters."""
     shard, path = shard_path
-    truths = []
-
-    def tallied(blocks):
-        for b in blocks:
-            truths.append(b.truth)
-            yield b
-
-    write_events(tallied(event_blocks(model, duration_s, seed, shard)), path)
-    return summed(truths)
+    return write_events(event_blocks(model, duration_s, seed, shard), path)
 
 
 def run_coinc(cfg: RunConfig, events_path: str | None = None,

@@ -27,7 +27,7 @@ any peak inside it.  Window counts read the pairs themselves.
 
 A stream need not be held whole.  Every fold over a stream's time blocks
 (events.EventStream blocks, as generation and the file reader yield them,
-and as franson routes them, which may reach past the next one's start)
+or as a caller gives them, which may reach past the next one's start)
 takes its pairs from one block-edge rule, :func:`_fold_batches`, which hands
 out each a event once, in a batch with every b event it can reach.
 Histograms add, so :func:`fold_delays` adds each batch's delays, and

@@ -43,7 +43,6 @@ from diskspdc.events import (
     read_events,
     write_events,
 )
-from diskspdc.franson import UmiConfig, routed_blocks
 
 from streams import merged, short_blocks
 
@@ -373,9 +372,10 @@ def test_generation_runs_under_a_trace_hook(install, capsys):
 # 78 M heralds/s and 39 M signals/s on each channel, with 2000 ps of jitter
 # that carries photons across block edges, so heralds within g2's 54 ns
 # reach of a cut, on either side, have partners across it
-G2_AHEAD = ("[source]\njitter_sigma_ps = 2000.0\ndark_rate_hz = 1e5\n"
-            "saturation_rate_mhz = none\n{}[g2]\npump_power_uw = 1000.0\n"
-            "duration_s = 0.002\nlosses_db = 0.0\n")
+G2_ACROSS_CUTS = (
+    "[source]\njitter_sigma_ps = 2000.0\ndark_rate_hz = 1e5\n"
+    "saturation_rate_mhz = none\n{}[g2]\npump_power_uw = 1000.0\n"
+    "duration_s = 0.002\nlosses_db = 0.0\n")
 
 
 def sharded_g2(monkeypatch, cfg, n_cpus):
@@ -391,7 +391,7 @@ def assert_no_worker_left(threads):
 
 
 def test_g2_rows_match_at_every_shard_count(monkeypatch):
-    cfg = parse_config(G2_AHEAD.format(""))
+    cfg = parse_config(G2_ACROSS_CUTS.format(""))
     threads = threading.active_count()
     # repr: the rows hold NaN, which equals nothing
     want = repr(sharded_g2(monkeypatch, cfg, 1))
@@ -405,7 +405,7 @@ def block_record(block):
             {c: t.tobytes() for c, t in block.times.items()})
 
 
-def drawn_ahead_by(monkeypatch, cfg, n_cpus):
+def g2_shard_blocks(monkeypatch, cfg, n_cpus):
     """(pid, own shard, records of the blocks it drew) of each of run_g2's
     time shards on n_cpus CPUs, in shard order: each shard's fold is
     replaced by one that records its blocks."""
@@ -423,17 +423,17 @@ def drawn_ahead_by(monkeypatch, cfg, n_cpus):
     return drawn
 
 
-def test_drawn_ahead_yields_the_blocks_of_plain_iteration(monkeypatch):
+def test_each_g2_shard_draws_the_blocks_of_one_pass(monkeypatch):
     # each time shard draws its blocks in a worker process of its own,
     # ahead of the parent's exchange: every block it draws is the block of
     # that start in one plain pass, and it draws a run of them that holds
     # the times it owns
-    cfg = parse_config(G2_AHEAD.format(""))
-    [(pid, own, plain)] = drawn_ahead_by(monkeypatch, cfg, 1)
+    cfg = parse_config(G2_ACROSS_CUTS.format(""))
+    [(pid, own, plain)] = g2_shard_blocks(monkeypatch, cfg, 1)
     assert pid == os.getpid() and own == (None, None) and len(plain) == 60
     starts = [start for start, *_ in plain]
     for n_cpus in (2, 3, 4):
-        shards = drawn_ahead_by(monkeypatch, cfg, n_cpus)
+        shards = g2_shard_blocks(monkeypatch, cfg, n_cpus)
         pids = {pid for pid, *_ in shards}
         assert len(pids) == n_cpus and os.getpid() not in pids
         edges = [edge for _, own, _ in shards for edge in own]
@@ -449,7 +449,7 @@ def test_drawn_ahead_yields_the_blocks_of_plain_iteration(monkeypatch):
         assert drawn == set(starts)
 
 
-def test_closing_drawn_ahead_early_joins_its_worker(monkeypatch):
+def test_stopping_g2_at_the_exchange_joins_every_worker(monkeypatch):
     # the parent stops g2 while its shards wait for the peaks, each holding
     # the pairs it has drawn: every worker is stopped and joined
     alive = []
@@ -459,7 +459,7 @@ def test_closing_drawn_ahead_early_joins_its_worker(monkeypatch):
         raise RuntimeError("closed early")
 
     monkeypatch.setattr(pipeline, "herald_peaks", closed)
-    cfg = parse_config(G2_AHEAD.format(""))
+    cfg = parse_config(G2_ACROSS_CUTS.format(""))
     threads = threading.active_count()
     for n_cpus in (1, 2, 4):
         alive.clear()
@@ -474,7 +474,7 @@ def test_a_g2_shard_raising_before_the_exchange_raises_as_one_pass(
     # a 3.2 us cavity lifetime carries an idler drawn in block 28 past its
     # neighbour: the shards that draw block 28 raise in their fold, before
     # the parent takes the peaks, and the others wait for them
-    cfg = parse_config(G2_AHEAD.format("pair_lifetime_ps = 3.2e6\n"))
+    cfg = parse_config(G2_ACROSS_CUTS.format("pair_lifetime_ps = 3.2e6\n"))
     peaks = []
     monkeypatch.setattr(pipeline, "herald_peaks",
                         lambda parts: peaks.append(parts))
@@ -495,7 +495,7 @@ def test_a_g2_fold_that_raises_leaves_no_thread(monkeypatch):
         raise RuntimeError("mid-count")
 
     monkeypatch.setattr(tcspc, "_herald_counts", failing_count)
-    cfg = parse_config(G2_AHEAD.format(""))
+    cfg = parse_config(G2_ACROSS_CUTS.format(""))
     threads = threading.active_count()
     for n_cpus in (1, 2, 4):
         with pytest.raises(RuntimeError) as raised:
@@ -507,7 +507,7 @@ def test_a_g2_fold_that_raises_leaves_no_thread(monkeypatch):
 
 
 def test_invalid_duration_raises_before_any_thread_starts(monkeypatch):
-    cfg = parse_config(G2_AHEAD.format(""))
+    cfg = parse_config(G2_ACROSS_CUTS.format(""))
     cfg = dataclasses.replace(cfg, g2=dataclasses.replace(cfg.g2,
                                                           duration_s=-1.0))
 
@@ -677,6 +677,20 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
         assert channels.dtype == np.uint8 and times.dtype == np.int64
 
 
+@pytest.mark.parametrize("name", ["e.ttps", "e.csv"])
+def test_writer_returns_the_summed_truth_of_its_blocks(tmp_path, name):
+    model = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8)
+    with short_blocks(8, 1 << 12):
+        blocks = list(event_blocks(model, 1e-7, 3))
+        truth = write_events(iter(blocks), tmp_path / name)
+        # a file's blocks carry no truth
+        assert write_events(read_blocks(tmp_path / name),
+                            tmp_path / ("copy_" + name)) is None
+    assert len(blocks) > 5
+    assert truth == events.summed([b.truth for b in blocks])
+    assert truth.n_pairs_generated > 0
+
+
 # timestamps: a few shared ones, so equal times fall on different
 # channels, and any int64 an event file holds, the extremes included
 ANY_TIME = st.integers(0, 6) | st.integers(0, 2 ** 63 - 1)
@@ -798,15 +812,12 @@ def test_from_blocks_joins_a_stream_cut_into_blocks(cut):
 
 
 def test_from_blocks_joins_blocks_that_reach_past_the_next_start():
-    # routed through 50-ps arms, the first block's 95 ps event lands at 140
-    # ps on the long arm, past the next block's start, so the blocks' times
-    # concatenated would read [95, 140, 101, 150]
-    blocks = [EventStream({0: np.array([90, 95], dtype=np.int64)}, 100),
-              EventStream({0: np.array([100, 101], dtype=np.int64)}, 200,
+    # blocks routed after generation through 50-ps arms: the first block's
+    # 140 ps event, on the long arm, lies past the next block's start, so
+    # the blocks' times concatenated would read [95, 140, 101, 150]
+    routed = [EventStream({0: np.array([95, 140], dtype=np.int64)}, 150),
+              EventStream({0: np.array([101, 150], dtype=np.int64)}, 250,
                           start_ps=100)]
-    routed = list(routed_blocks(blocks, UmiConfig(arm_delay_ns=0.05), 0, 100))
-    assert routed[0].channel_times(0).tolist() == [95, 140]
-    assert routed[1].channel_times(0).tolist() == [101, 150]
     got = EventStream.from_blocks(routed)
     assert got.channel_times(0).tolist() == [95, 101, 140, 150]
     assert got.duration_ps == 250

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,10 +6,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from diskspdc import events
+from diskspdc import events, pipeline
 from diskspdc.config import InvariantError, parse_config
-from diskspdc.events import (EventStream, SourceModel, event_blocks,
-                             generate_events)
+from diskspdc.events import (EventStream, SourceModel, block_shards,
+                             event_blocks, generate_events, summed)
 from diskspdc.franson import (
     FitError,
     UmiConfig,
@@ -18,7 +19,6 @@ from diskspdc.franson import (
     peak_areas,
     peak_areas_span,
     quantum_fringe,
-    routed_blocks,
 )
 from diskspdc.tcspc import (PairFold, delay_histogram, fold_delays,
                             two_fold_metrics, two_fold_span, window_edges)
@@ -155,7 +155,111 @@ def test_central_peak_pairs_same_path():
     assert not np.any(central & (long[0][:, None] != long[1][None, :]))
 
 
-# --- routing a stream block by block ----------------------------------------
+# --- routing in generation ---------------------------------------------------
+
+
+# a busy source in blocks of about eight events, at least 4096 ps long
+BUSY = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8,
+                   signal_channels=(0, 2), idler_channels=(1,))
+
+
+def through(model, arms=(0.5, 0.5)):
+    """model with an interferometer of these arms and 1.6-ns arm delay."""
+    return dataclasses.replace(model, interferometer=UmiConfig(
+        arm_transmissions=arms))
+
+
+@pytest.mark.parametrize("k, start", [(0, 0), (3, 3 << 20)])
+def test_generated_routing_extremes(k, start):
+    # routing draws after every other draw of the block: all short leaves
+    # the block as drawn without an interferometer, all long adds D to
+    # every time, re-sorted
+    plain = events._drawn_block(BUSY, 5, k, start, 1 << 20)
+    short = events._drawn_block(through(BUSY, (1.0, 0.0)), 5, k, start,
+                                1 << 20)
+    long = events._drawn_block(through(BUSY, (0.0, 1.0)), 5, k, start,
+                               1 << 20)
+    for got in (short, long):
+        assert (got[0], got[2], got[3]) == (plain[0], plain[2], plain[3])
+        assert got[1].keys() == plain[1].keys() == {0, 1, 2}
+    for c, t in plain[1].items():
+        assert len(t) > 100
+        assert np.array_equal(short[1][c], t)
+        assert np.array_equal(long[1][c], np.sort(t + 1600))
+
+
+def test_generated_long_arm_crosses_block_edges_and_clips_at_the_end():
+    # jitter-free, so no time is drawn below 0: all long is every time of
+    # the stream drawn without an interferometer plus D, each handed to the
+    # block that holds it, and clipped where it passes the stream's end
+    model = dataclasses.replace(BUSY, jitter_sigma_ps=0.0)
+    with short_blocks(8, 1 << 12):
+        plain = generate_events(model, 1e-6, 5)
+        long = list(event_blocks(through(model, (0.0, 1.0)), 1e-6, 5))
+    assert len(long) > 100
+    routed = EventStream.from_blocks(long)
+    for b in long:
+        for t in b.times.values():
+            assert np.all((t >= b.start_ps) & (t < b.duration_ps))
+    for c, t in plain.times.items():
+        moved = t + 1600
+        assert np.array_equal(routed.times[c], moved[moved < 10 ** 6])
+        assert routed.truth.clipped[c] == plain.truth.clipped[c] + int(
+            np.sum(moved >= 10 ** 6))
+    assert routed.truth.clipped != plain.truth.clipped
+    assert dataclasses.replace(routed.truth, clipped={}) == \
+        dataclasses.replace(plain.truth, clipped={})
+
+
+def test_generated_long_arm_share():
+    # the long-arm routes add D each, so the share is exact from the sums
+    arms = (0.2, 0.7)
+    plain = events._drawn_block(BUSY, 7, 0, 0, 10 ** 7)[1]
+    routed = events._drawn_block(through(BUSY, arms), 7, 0, 0, 10 ** 7)[1]
+    n = sum(len(t) for t in plain.values())
+    n_long, rest = divmod(sum(int(routed[c].sum() - t.sum())
+                              for c, t in plain.items()), 1600)
+    assert rest == 0 and n > 10_000
+    p = arms[1] / sum(arms)
+    assert abs(n_long - n * p) < 5.0 * math.sqrt(n * p * (1 - p))
+
+
+@pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
+def test_routed_stream_shards_add_up_to_one_pass(n_shards):
+    model = through(BUSY)
+    lo, hi = peak_areas_span(CFG)
+    with short_blocks(8, 1 << 12):
+        whole = fold_delays(event_blocks(model, 1e-6, 5), 0, 1, lo, hi)
+        shards = block_shards(model, 1e-6, n_shards)
+        folds = [pipeline._shard_fold(
+            lambda blocks, own_ps: fold_delays(blocks, 0, 1, lo, hi, own_ps),
+            lambda reads: event_blocks(model, 1e-6, 5, reads), (lo, hi), s)
+            for s in shards]
+    assert len(shards) == n_shards and whole.n_a > 200
+    total = summed(folds)
+    assert (total.n_a, total.n_b, total.duration_ps) == (
+        whole.n_a, whole.n_b, whole.duration_ps)
+    assert np.array_equal(total.delays.counts, whole.delays.counts)
+
+
+def test_a_shard_routes_its_blocks_as_a_whole_pass():
+    # a time shard's blocks start past block 0: each is routed by its own
+    # generator, spawned from its index in the stream, as in a whole pass,
+    # not by its place among the blocks the shard draws
+    model = through(BUSY)
+    with short_blocks(8, 1 << 12):
+        _, block, n_blocks = events._plan(model, 1e-7)
+        whole = list(event_blocks(model, 1e-7, 5))
+        shard = list(event_blocks(model, 1e-7, 5, (3 * block, None)))
+    assert n_blocks > 5
+    assert [b.start_ps for b in shard] == [b.start_ps for b in whole[3:]]
+    for got, want in zip(shard, whole[3:]):
+        assert got.times.keys() == want.times.keys()
+        for c, t in want.times.items():
+            assert np.array_equal(got.times[c], t)
+
+
+# --- blocks routed after generation, each on its own -------------------------
 
 
 def cut_at(whole, edges):
@@ -173,9 +277,12 @@ def joined_times(blocks, c):
     return np.sort(np.concatenate([b.channel_times(c) for b in blocks]))
 
 
-# a busy source in blocks of about eight events, at least 4096 ps long
-BUSY = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8,
-                   signal_channels=(0, 2), idler_channels=(1,))
+def each_routed(blocks, config, seed):
+    """Each block routed on its own by apply_umi, the block at k ps with
+    the generator spawned from (seed, k): its long-arm events may reach
+    past the next block's start, as a caller's blocks may."""
+    return [apply_umi(b, config, np.random.SeedSequence(
+        seed, spawn_key=(b.start_ps,))) for b in blocks]
 
 
 @st.composite
@@ -226,8 +333,7 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
                                               width):
     whole, blocks = stream
     config = UmiConfig(arm_delay_ns=delay / 1000, arm_transmissions=arms)
-    # blocks cut anywhere: keyed by their start, as blocks of 1 ps would be
-    routed = list(routed_blocks(iter(blocks), config, seed, 1))
+    routed = each_routed(blocks, config, seed)
     # one routed block per block, from its start to an arm delay past its
     # end, the last an arm delay past the stream's
     assert [(b.start_ps, b.duration_ps) for b in routed] == [
@@ -254,35 +360,6 @@ def test_routed_blocks_match_the_whole_stream(stream, delay, arms, seed, lo,
     assert np.array_equal(fold.delays.counts, want.counts)
     assert (fold.n_a, fold.n_b, fold.duration_ps) == (
         len(joined[0]), len(joined[1]), whole.duration_ps + delay)
-    # a whole stream is one block, routed with the generator of (seed, 0)
-    one = apply_umi(whole, config,
-                    np.random.SeedSequence(seed, spawn_key=(0,)))
-    parts = list(routed_blocks([whole], config, seed, 1))
-    for c, t in one.times.items():
-        assert np.array_equal(joined_times(parts, c), t)
-
-
-def test_a_shard_routes_its_blocks_as_a_whole_pass():
-    # a time shard's blocks start past block 0: each is routed by the
-    # generator of its index in the stream, as in a whole pass, not by its
-    # place among the blocks the shard draws
-    with short_blocks(8, 1 << 12):
-        _, block, n_blocks = events._plan(BUSY, 1e-7)
-        whole = list(routed_blocks(event_blocks(BUSY, 1e-7, 5), CFG, 9,
-                                   block))
-        shard = list(routed_blocks(event_blocks(BUSY, 1e-7, 5,
-                                                (3 * block, None)),
-                                   CFG, 9, block))
-    assert n_blocks > 5
-    assert [b.start_ps for b in shard] == [b.start_ps for b in whole[3:]]
-    for got, want in zip(shard, whole[3:]):
-        assert got.times.keys() == want.times.keys()
-        for c, t in want.times.items():
-            assert np.array_equal(got.times[c], t)
-
-
-def test_no_blocks_route_to_no_blocks():
-    assert list(routed_blocks(iter([]), CFG, 1, 1 << 12)) == []
 
 
 def test_noiseless_visibility_recovery():

@@ -12,7 +12,7 @@ from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                run_franson, run_g2, run_match, run_modes,
                                run_power_sweep, run_scan, run_simulate,
                                run_spectrum, run_trace, scan_table)
-from diskspdc import events, franson, pipeline, tcspc
+from diskspdc import events, pipeline, tcspc
 from diskspdc.tcspc import dwdm_channel_index
 
 from streams import short_blocks
@@ -436,15 +436,15 @@ xi_points = 8
     assert [s[:2] for s in spans] == [tcspc.two_fold_span(2400)] * 3
     assert [s[2] for s in spans] == [row[2] for row in reversed(rows)]
     spans.clear()
-    # franson folds its routed blocks: one gather per released batch of
-    # signal events, all over one span, each signal event gathered once.
-    # Blocks of about 2^10 events make several batches.
+    # franson folds its blocks, drawn routed: one gather per released
+    # batch of signal events, all over one span, each signal event gathered
+    # once.  Blocks of about 2^10 events make several batches.
     folds = []
-    fold = franson.fold_delays
+    fold = pipeline.fold_delays
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(events, "_BLOCK_EVENTS", 1 << 10)
-        mp.setattr(franson, "fold_delays",
-                   lambda *args: folds.append(fold(*args)) or folds[-1])
+        mp.setattr(pipeline, "fold_delays", lambda *args, **kw:
+                   folds.append(fold(*args, **kw)) or folds[-1])
         run_franson(cfg)
     assert len(spans) > 1 and len({s[:2] for s in spans}) == 1
     assert sum(s[2] for s in spans) == folds[0].n_a

@@ -187,7 +187,11 @@ def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
         assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
-# about 8 events a block of 2^13 ps: 0.2 us hold 25 blocks
+# blocks of 2^14 ps, about 15 events each: 0.4 us hold 25 blocks.  A block
+# holds the longest arm delay drawn, 2^13 ps, with the cavity lifetime's and
+# the jitter's reach: generation raises for an event that lands past the
+# block after its own
+FRANSON_BLOCKS = (8, 1 << 14)
 FRANSON_CFG = """
 seed = {seed}
 
@@ -206,7 +210,7 @@ arm_delay_ns = {delay_ns}
 postselect_window_ps = 200
 
 [franson]
-duration_s = 2e-7
+duration_s = 4e-7
 xi_points = 8
 """
 
@@ -216,7 +220,7 @@ def franson_on(cfg, shards):
     B the block length, and folded in this process."""
     folds = []
     metrics = pipeline.two_fold_metrics
-    with pytest.MonkeyPatch.context() as mp, short_blocks(8, 1 << 10):
+    with pytest.MonkeyPatch.context() as mp, short_blocks(*FRANSON_BLOCKS):
         mp.setattr(pipeline, "_cpus", lambda: 1)
         mp.setattr(pipeline, "block_shards", lambda model, duration_s, _:
                    shards(events._plan(model, duration_s)[1]))
@@ -232,14 +236,14 @@ def franson_on(cfg, shards):
        cuts=st.lists(st.integers(0, 25), max_size=3))
 @example(seed=0, delay=5331, cuts=[8])
 def test_franson_shards_add_up_to_one_pass(seed, delay, cuts):
-    # cut at any block starts, S = 1 to 4 shards: each shard routes the
-    # blocks it draws as a whole pass does, and reads an arm delay lower
-    # than its fold's span for the events the long arm carries up to it
+    # cut at any block starts, S = 1 to 4 shards: each shard draws its
+    # blocks routed as a whole pass does, long-arm events handed across
+    # block edges like any other, and reads its fold's span
     cfg = parse_config(FRANSON_CFG.format(seed=seed, delay_ns=delay / 1000))
-    with short_blocks(8, 1 << 10):
+    with short_blocks(*FRANSON_BLOCKS):
         model = pipeline._channel_source(cfg, pipeline.channel_pair_rate_hz(
             cfg, cfg.source.pump_power_uw))
-        assert events._plan(model, 2e-7)[1:] == (1 << 13, 25)
+        assert events._plan(model, 4e-7)[1:] == (1 << 14, 25)
     whole, pair = franson_on(cfg, lambda block: [(None, None)])
     sharded, pairs = franson_on(cfg, lambda block: edges_of(
         sorted(k * block for k in cuts)))
