@@ -20,10 +20,15 @@ sized from the source's expected event rate so that a block holds about
 _BLOCK_EVENTS events, and at least _MIN_BLOCK_PS; a stream shorter than B,
 and the renewal source, whose dead time couples neighbouring blocks, are
 one block.  Block k has its own generator, spawned from (seed, k), and
-draws its counts first, then its times, in a fixed order.  Every temporary
-of a draw is one block's, so the times are plain numpy expressions with no
-reused buffer, and each channel's photons and darks are concatenated,
-rounded and cast to int64 once.  A Poisson process is independent on
+draws its counts first, then its times, in a fixed order.  The counts size
+one float64 buffer per channel, its photons of each kind and then its
+darks, which the generator's fill methods (random, standard_normal,
+standard_exponential with out=) fill in place: numpy's uniform, normal and
+exponential make the same products of the same draws, so the times are
+theirs to the bit.  Each buffer is sorted, then rounded and cast to int64:
+rint is monotone and equal int64 times are indistinguishable, so that is
+the int64 sort.  A routed source routes the unsorted times and sorts them
+after.  A Poisson process is independent on
 disjoint intervals, so the blocks are exact pieces of one stream, and a
 given (config, seed) gives the same stream whatever the order in which
 the blocks are drawn.  An event whose cavity delay, jitter or long arm
@@ -186,6 +191,10 @@ class SourceModel:
             raise ValueError("dark_rate_hz must be >= 0")
         if self.jitter_sigma_ps < 0:
             raise ValueError("jitter_sigma_ps must be >= 0")
+        if self.min_pair_spacing_ps < 0:
+            raise ValueError("min_pair_spacing_ps must be >= 0")
+        for losses_db in (self.signal_losses_db, self.idler_losses_db):
+            arm_transmission(losses_db)
         if self.idler_delay_sign not in (-1, +1):
             raise ValueError("idler_delay_sign must be +1 or -1")
         if not self.signal_channels or not self.idler_channels:
@@ -217,11 +226,10 @@ class SourceModel:
 
 def arm_transmission(losses_db, detector_efficiency: float = 1.0) -> float:
     """Total transmission of a chain of dB stages times detector efficiency."""
-    total_db = float(np.sum(np.asarray(losses_db, dtype=float))) if len(
-        tuple(losses_db)) else 0.0
-    if total_db < 0:
+    stages = np.fromiter(losses_db, dtype=float)
+    if np.any(stages < 0):
         raise ValueError("stage losses must be >= 0 dB")
-    return 10.0 ** (-total_db / 10.0) * detector_efficiency
+    return 10.0 ** (-float(stages.sum()) / 10.0) * detector_efficiency
 
 
 @dataclass(frozen=True)
@@ -437,30 +445,60 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
                             * np.array([p for *_, p in kinds]))
     dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12, len(channels))
-    pieces = {c: [] for c in channels}
+    # each channel's buffer: its photons of each kind in turn, then its darks
+    buffers = {c: np.empty(n_dark + sum(n for (s, i, _), n in zip(
+        kinds, pairs.tolist()) if c in (s, i)))
+        for c, n_dark in zip(channels, dark.tolist())}
+    filled = dict.fromkeys(channels, 0)
+
+    def take(c, n):
+        """The next n slots of channel c's buffer."""
+        filled[c] += n
+        return buffers[c][filled[c] - n:filled[c]]
+
+    # the last kind is neither, which draws no time
+    scratch = np.empty(pairs[:-1].max(initial=0))
+    sigma = model.jitter_sigma_ps
     for j, (s, i, _) in enumerate(kinds):
-        if (s is None and i is None) or not pairs[j]:
+        n = int(pairs[j])
+        if (s is None and i is None) or not n:
             continue
         t = (emitted[j] if emitted is not None
-             else rng.uniform(0.0, length_ps, pairs[j]))
+             else _uniform(rng, scratch[:n], length_ps))
         if s is not None:
-            pieces[s].append(_jittered(t, model, rng))
+            photon = take(s, n)
+            if sigma > 0:
+                rng.standard_normal(out=photon)
+                photon *= sigma
+                photon += t
+            else:
+                np.copyto(photon, t)
         if i is not None:
-            arrive = model.idler_delay_sign * rng.exponential(
-                model.pair_lifetime_ps, len(t)) + t
-            pieces[i].append(_jittered(arrive, model, rng))
+            photon = take(i, n)
+            rng.standard_exponential(out=photon)
+            photon *= model.pair_lifetime_ps
+            # t - delay is t + (-delay) to the bit
+            (np.add if model.idler_delay_sign > 0 else np.subtract)(
+                t, photon, out=photon)
+            if sigma > 0:
+                # t is spent: it takes the idler's jitter
+                rng.standard_normal(out=t)
+                t *= sigma
+                photon += t
     times, detected = {}, {}
     umi = model.interferometer
     for c, n_dark in zip(channels, dark.tolist()):
-        # popping the pieces frees them before the cast
-        t = np.concatenate(pieces.pop(c)
-                           + [rng.uniform(0.0, length_ps, n_dark)])
+        _uniform(rng, take(c, n_dark), length_ps)
+        # popping the buffer frees it after the cast
+        t = buffers.pop(c)
         detected[c] = len(t) - n_dark
-        t = times[c] = np.rint(t, out=t).astype(np.int64)
-        t += start_ps
-        # sorted while it is still in cache, unless it is routed first
+        # rint is monotone, and equal int64 times are indistinguishable,
+        # so the floats sorted give the ints sorted; a routed source
+        # routes them unsorted
         if umi is None:
             t.sort()
+        t = times[c] = np.rint(t, out=t).astype(np.int64)
+        t += start_ps
     if umi is not None:
         umi.route(times, rng)
         for t in times.values():
@@ -473,13 +511,13 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
             dict(zip(channels, dark.tolist())))
 
 
-def _jittered(t: np.ndarray, model: SourceModel,
-              rng: np.random.Generator) -> np.ndarray:
-    """t plus each photon's Gaussian detector jitter, as a new array; t
-    itself when the jitter is 0."""
-    if model.jitter_sigma_ps > 0:
-        return t + rng.normal(0.0, model.jitter_sigma_ps, len(t))
-    return t
+def _uniform(rng: np.random.Generator, out: np.ndarray,
+             length_ps: int) -> np.ndarray:
+    """out filled with uniform times in [0, length_ps): rng.uniform(0,
+    length_ps)'s values, which are 0.0 + length_ps * u, to the bit."""
+    rng.random(out=out)
+    out *= length_ps
+    return out
 
 
 def _plan(model: SourceModel, duration_s: float) -> tuple[int, int, int]:

@@ -47,6 +47,10 @@ from .franson import (classical_fringe, extract_visibility, peak_areas,
 _MASK64 = (1 << 64) - 1
 
 
+# derive_seed indices: 1 spectrum counts, 2 g2 stream, 3 franson stream,
+# 4 retired (franson's routing, now drawn in generation: never reuse it),
+# 5 franson fringe counts, 6 simulate and coinc stream, 0x5EE9 + i sweep
+# point i's stream
 def derive_seed(master: int, index: int) -> int:
     """Stable per-task seed: one splitmix64 round over master XOR index."""
     z = (master ^ index) & _MASK64

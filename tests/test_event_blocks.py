@@ -37,6 +37,7 @@ from diskspdc.events import (
     EventStream,
     SourceModel,
     TruthCounters,
+    UmiConfig,
     event_blocks,
     generate_events,
     read_blocks,
@@ -52,7 +53,11 @@ from streams import merged, short_blocks
 
 def reference_block(model, seed, k, length_ps):
     """Block k's draws as (split, {channel: float times from the block's
-    start}, detected, dark), in the generator's order of draws."""
+    start}, detected, dark, {channel: int arm delays}), in the generator's
+    order of draws.  With an interferometer, each channel's events, pair
+    photons in kind order and then darks, are routed after every other
+    draw: one uniform each, channel by channel in ascending order, and the
+    long arm's delay where it reaches t_S / (t_S + t_L)."""
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(k,))))
     t_s, t_i = model.signal_transmission, model.idler_transmission
@@ -97,11 +102,18 @@ def reference_block(model, seed, k, length_ps):
     for c, n in zip(channels, dark.tolist()):
         times[c] = np.concatenate(
             photons[c] + [rng.uniform(0.0, length_ps, n), np.empty(0)])
+    umi = model.interferometer
+    delays = {c: np.zeros(len(t), dtype=np.int64) for c, t in times.items()}
+    if umi is not None:
+        t_s, t_l = umi.arm_transmissions
+        for c in channels:
+            delays[c] += umi.arm_delay_ps * (
+                rng.random(len(times[c])) >= t_s / (t_s + t_l))
     split = [sum(n for (s, i, _), n in zip(kinds, pairs)
                  if (s is None, i is None) == key)
              for key in ((False, False), (False, True), (True, False),
                          (True, True))]
-    return split, times, detected, dict(zip(channels, dark.tolist()))
+    return split, times, detected, dict(zip(channels, dark.tolist())), delays
 
 
 def reference_generate_events(model, duration_s, seed):
@@ -113,11 +125,11 @@ def reference_generate_events(model, duration_s, seed):
     detected, dark, clipped = {}, {}, {}
     for k in range(n_blocks):
         length = min(block, duration_ps - k * block)
-        b_split, b_times, b_detected, b_dark = reference_block(
+        b_split, b_times, b_detected, b_dark, b_delays = reference_block(
             model, seed, k, length)
         split += b_split
         for c, t in b_times.items():
-            t = np.rint(t).astype(np.int64) + k * block
+            t = np.rint(t).astype(np.int64) + k * block + b_delays[c]
             keep = (t >= 0) & (t < duration_ps)
             if np.any(np.abs(t[keep] // block - k) > 1):
                 raise ValueError("past a neighbouring block")
@@ -168,9 +180,9 @@ def source_models(draw):
 
     Rates of up to 2e10 pairs/s and 3e9 darks/s over 1 ns to 1 us clip at
     both edges: jitter and a negative idler delay push photons below 0, and
-    rounding and a positive delay push them to or past the duration.  With
-    the tests' short blocks they also cross block edges, by one block or
-    by more.
+    rounding, a positive delay and an interferometer's long arm push them
+    to or past the duration.  With the tests' short blocks they also cross
+    block edges, by one block or by more.
     """
     chans = draw(st.permutations(range(6)))
     n_s, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -187,7 +199,11 @@ def source_models(draw):
         min_pair_spacing_ps=draw(st.sampled_from([0.0, 0.0, 50.0, 1e4])),
         idler_delay_sign=draw(st.sampled_from([1, -1])),
         signal_channels=tuple(chans[:n_s]),
-        idler_channels=tuple(chans[n_s:n_s + n_i]))
+        idler_channels=tuple(chans[n_s:n_s + n_i]),
+        interferometer=draw(st.sampled_from([
+            None, None, UmiConfig(), UmiConfig(arm_delay_ns=0.05,
+                                               arm_transmissions=(0.3, 0.6)),
+            UmiConfig(arm_delay_ns=0.2, arm_transmissions=(0.0, 1.0))])))
 
 
 def assert_same_stream(got, want):

@@ -48,6 +48,12 @@ def test_arm_transmission():
         pytest.approx(0.0031580494473259653, rel=1e-12)
     with pytest.raises(ValueError):
         arm_transmission((-1.0,))
+    # each stage is checked, not their sum
+    with pytest.raises(ValueError, match="stage losses"):
+        arm_transmission((-3.0, 5.0))
+    # any iterable of stages, read once
+    assert arm_transmission(db for db in (3.0, 3.0)) == \
+        arm_transmission((3.0, 3.0))
 
 
 def test_model_validation():
@@ -61,6 +67,12 @@ def test_model_validation():
         SourceModel(detector_efficiency=0.0)
     with pytest.raises(ValueError):
         SourceModel(idler_delay_sign=0)
+    with pytest.raises(ValueError, match="min_pair_spacing_ps"):
+        SourceModel(min_pair_spacing_ps=-5.0)
+    with pytest.raises(ValueError, match="stage losses"):
+        SourceModel(signal_losses_db=(-3.0, 5.0))
+    with pytest.raises(ValueError, match="stage losses"):
+        SourceModel(idler_losses_db=(1.0, -0.5))
     with pytest.raises(ValueError):
         SourceModel(signal_channels=(0,), idler_channels=(0,))
     with pytest.raises(ValueError):
