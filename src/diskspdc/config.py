@@ -357,7 +357,14 @@ class SourceSection:
     dark_rate_hz: float = key(
         "float", 100.0, "Dark counts per detector.", NON_NEGATIVE)
     jitter_sigma_ps: float = key(
-        "float", 40.0, "Gaussian timing jitter.", NON_NEGATIVE)
+        "float", 40.0,
+        "Gaussian timing jitter of each detector.  Moving the points of a "
+        "Poisson process independently leaves it Poisson, so a Poisson "
+        "source shows it only in each pair's idler-minus-signal delay, "
+        "sign * Exp(pair_lifetime_ps) plus a Gaussian of jitter * sqrt(2), "
+        "and its stream is a steady source seen through [0, duration): no "
+        "photon is lost to jitter at either end.  The renewal source "
+        "(min_pair_spacing_ps > 0) jitters each photon.", NON_NEGATIVE)
     min_pair_spacing_ps: float = key(
         "float", 0.0,
         "Dead time between pair emissions; 0 selects Poisson emission.",

@@ -6,11 +6,21 @@ independently survives its arm's loss chain and lands on one of its arm's
 channels at random, so the pairs split into independent Poisson counts, one
 per way of being detected (a signal and an idler channel, a signal channel
 only, an idler channel only, neither), and only detected photons are given
-a time: a uniform emission time, an exponential cavity lifetime delay on
-the idler and Gaussian detector jitter.  A dead-time renewal source
-(min_pair_spacing_ps > 0) instead draws every pair time and then the way
-each pair is detected.  Dark counts are an independent Poisson background
-per channel.  A source with an interferometer (SourceModel.interferometer)
+a time.  Dark counts are an independent Poisson background per channel.
+Moving each point of a homogeneous Poisson process by an independent
+amount leaves it homogeneous (the displacement theorem), so the only
+timing that shows is a pair's idler-minus-signal delay, sign * Exp(tau)
+plus a Gaussian of sigma * sqrt(2), independent of the pair's time.  A
+pair detected on both arms is drawn as its signal, a uniform time, and
+its idler at that delay from it; a photon detected alone is a uniform
+time, as a dark is.  That is a steady source seen through the acquisition
+window: jittering each photon on its own would lose those it moves
+outside [0, duration), leaving fewer within a few sigma of 0 and of the
+duration.  A dead-time renewal source (min_pair_spacing_ps > 0) is not a
+Poisson process, and a photon's own jitter shows there: it draws every
+pair time, then the way each pair is detected, then each detected
+photon's time, the pair time plus its jitter and, on the idler, the
+cavity delay.  A source with an interferometer (SourceModel.interferometer)
 then routes every event through its short or long arm (UmiConfig.route),
 from the block's generator after every other draw, so franson's stream
 is drawn already routed.
@@ -20,21 +30,25 @@ sized from the source's expected event rate so that a block holds about
 _BLOCK_EVENTS events, and at least _MIN_BLOCK_PS; a stream shorter than B,
 and the renewal source, whose dead time couples neighbouring blocks, are
 one block.  Block k has its own generator, spawned from (seed, k), and
-draws its counts first, then its times, in a fixed order.  The counts size
-one float64 buffer per channel, its photons of each kind and then its
-darks, which the generator's fill methods (random, standard_normal,
-standard_exponential with out=) fill in place: numpy's uniform, normal and
-exponential make the same products of the same draws, so the times are
-theirs to the bit.  Each buffer is sorted, then rounded and cast to int64:
-rint is monotone and equal int64 times are indistinguishable, so that is
-the int64 sort.  A routed source routes the unsorted times and sorts them
-after.  A Poisson process is independent on
-disjoint intervals, so the blocks are exact pieces of one stream, and a
-given (config, seed) gives the same stream whatever the order in which
-the blocks are drawn.  An event whose cavity delay, jitter or long arm
-carries it across a block edge is handed to the neighbour that holds its
-time, so event_blocks draws one block ahead; one carried past its
-neighbour raises ValueError.  Events outside [0, duration) are clipped.
+draws its counts first, then its times, in a fixed order: a Poisson
+source's pairs detected on both arms kind by kind, then each channel's
+uniforms (its photons detected alone and its darks, in one run); the
+renewal source's photons kind by kind, then each channel's darks.  The
+counts size one float64 buffer per channel, which the generator's fill
+methods (random, standard_normal, standard_exponential with out=) fill in
+place: numpy's uniform, normal and exponential make the same products of
+the same draws, so the times are theirs to the bit.  Each buffer is
+sorted, then rounded and cast to int64: rint is monotone and equal int64
+times are indistinguishable, so that is the int64 sort.  A routed source
+routes the unsorted times and sorts them after.  A Poisson process is
+independent on disjoint intervals, so the blocks are exact pieces of one
+stream, and a given (config, seed) gives the same stream whatever the
+order in which the blocks are drawn.  An event whose cavity delay,
+jitter or long arm carries it across a block edge is handed to the
+neighbour that holds its time, so event_blocks draws one block ahead; one
+carried past its neighbour raises ValueError.  Events outside [0,
+duration) are clipped.  Of a Poisson source only pair idlers leave their
+block, and a uniform rounded up to its block's end.
 Each block carries the TruthCounters of its own draws, and the stream's
 counters are their sums.  The block layout is part of what a seed means:
 the same seed gave another stream before generation went by blocks, and
@@ -102,7 +116,8 @@ _BLOCK_EVENTS = 1 << 18
 # shortest generation block, about 1.07 ms
 _MIN_BLOCK_PS = 1 << 30
 # fewest blocks in a shard of a drawn stream (block_shards): on 2 CPUs a
-# second shard cost about 0.06 s of CPU, and cut wall time 25 % at 12 blocks
+# second shard costs about 0.03 s of CPU; it cuts wall time 24 % at 12
+# blocks and 15 % at 8, and none at 7
 _SHARD_BLOCKS = 6
 
 
@@ -159,6 +174,13 @@ class SourceModel:
     emission to a dead-time renewal process (a synthetic single-pair source
     for heralding tests).  interferometer, when set, routes every detected
     event, pair photon or dark count, through it (UmiConfig.route).
+
+    jitter_sigma_ps is each detector's Gaussian jitter.  Moving the
+    points of a Poisson process independently leaves it Poisson, so of a
+    Poisson source only a pair's idler-minus-signal delay shows it, sign *
+    Exp(tau) plus a Gaussian of jitter_sigma_ps * sqrt(2), and the stream
+    is a steady source seen through [0, duration), with no photon lost to
+    jitter at its ends.  The renewal source jitters each photon.
     """
 
     pump_power_uw: float = 1.0
@@ -434,8 +456,8 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
     rng = _block_rng(seed, k)
     kinds = _pair_kinds(model)
     channels = _channels(model)
-    emitted = None
-    if model.min_pair_spacing_ps > 0:
+    renewal = model.min_pair_spacing_ps > 0
+    if renewal:
         pair_t = _renewal_pair_times(model, length_ps, rng)
         kind = rng.choice(len(kinds), len(pair_t),
                           p=[p for *_, p in kinds])
@@ -445,7 +467,9 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
                             * np.array([p for *_, p in kinds]))
     dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12, len(channels))
-    # each channel's buffer: its photons of each kind in turn, then its darks
+    # each channel's buffer: its photons of each kind in turn, then its
+    # darks; a Poisson source's photons detected alone, uniforms as the
+    # darks are, are drawn with them in one fill of the buffer's rest
     buffers = {c: np.empty(n_dark + sum(n for (s, i, _), n in zip(
         kinds, pairs.tolist()) if c in (s, i)))
         for c, n_dark in zip(channels, dark.tolist())}
@@ -456,23 +480,30 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         filled[c] += n
         return buffers[c][filled[c] - n:filled[c]]
 
-    # the last kind is neither, which draws no time
-    scratch = np.empty(pairs[:-1].max(initial=0))
+    # the last kind is neither, which draws no time; a Poisson source
+    # times only its pairs detected on both arms here, each by its signal,
+    # a uniform, and its idler's delay from it, whose two jitters differ
+    # by sigma * sqrt(2)
+    timed = (kinds[:-1] if renewal else
+             kinds[:len(model.signal_channels) * len(model.idler_channels)])
+    scratch = np.empty(pairs[:len(timed)].max(initial=0))
     sigma = model.jitter_sigma_ps
-    for j, (s, i, _) in enumerate(kinds):
+    for j, (s, i, _) in enumerate(timed):
         n = int(pairs[j])
-        if (s is None and i is None) or not n:
+        if not n:
             continue
-        t = (emitted[j] if emitted is not None
-             else _uniform(rng, scratch[:n], length_ps))
-        if s is not None:
-            photon = take(s, n)
-            if sigma > 0:
-                rng.standard_normal(out=photon)
-                photon *= sigma
-                photon += t
-            else:
-                np.copyto(photon, t)
+        if not renewal:
+            t = _uniform(rng, take(s, n), length_ps)
+        else:
+            t = emitted[j]
+            if s is not None:
+                photon = take(s, n)
+                if sigma > 0:
+                    rng.standard_normal(out=photon)
+                    photon *= sigma
+                    photon += t
+                else:
+                    np.copyto(photon, t)
         if i is not None:
             photon = take(i, n)
             rng.standard_exponential(out=photon)
@@ -481,14 +512,13 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
             (np.add if model.idler_delay_sign > 0 else np.subtract)(
                 t, photon, out=photon)
             if sigma > 0:
-                # t is spent: it takes the idler's jitter
-                rng.standard_normal(out=t)
-                t *= sigma
-                photon += t
+                jitter = rng.standard_normal(out=scratch[:n])
+                jitter *= sigma if renewal else sigma * math.sqrt(2.0)
+                photon += jitter
     times, detected = {}, {}
     umi = model.interferometer
     for c, n_dark in zip(channels, dark.tolist()):
-        _uniform(rng, take(c, n_dark), length_ps)
+        _uniform(rng, buffers[c][filled[c]:], length_ps)
         # popping the buffer frees it after the cast
         t = buffers.pop(c)
         detected[c] = len(t) - n_dark

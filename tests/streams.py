@@ -4,7 +4,8 @@ The package reads and writes streams in blocks and has no whole-stream
 merge: merged joins the merged blocks that write_events writes, and
 from_merged splits a merged sequence by brute force.  short_blocks makes
 generation draw blocks of a few events, and lets a drawn stream's shards
-be one block long.  reference_routes redraws the interferometer routes
+be one block long; handed counts the events a drawn stream's blocks hand
+across their edges.  reference_routes redraws the interferometer routes
 that franson.apply_umi gives a stream, which carries times only.
 """
 
@@ -40,6 +41,20 @@ def short_blocks(block_events, min_block_ps):
     a drawn stream's shards as short as one block."""
     return mock.patch.multiple(events, _BLOCK_EVENTS=block_events,
                                _MIN_BLOCK_PS=min_block_ps, _SHARD_BLOCKS=1)
+
+
+def handed(model, duration_s, seed):
+    """(down, up): how many events the blocks of a drawn stream hand to
+    the block before them and to the block after them, under the block
+    sizing in force."""
+    duration_ps, block, n_blocks = events._plan(model, duration_s)
+    down = up = 0
+    for k in range(n_blocks):
+        _, parts = events._handed(model, seed, k, block, duration_ps)
+        for before, _, after in parts.values():
+            down += len(before)
+            up += len(after)
+    return down, up
 
 
 def reference_routes(stream, config, seed):

@@ -45,7 +45,7 @@ from diskspdc.events import (
     write_events,
 )
 
-from streams import merged, short_blocks
+from streams import handed, merged, short_blocks
 
 
 # --- whole-stream references ------------------------------------------------
@@ -54,10 +54,15 @@ from streams import merged, short_blocks
 def reference_block(model, seed, k, length_ps):
     """Block k's draws as (split, {channel: float times from the block's
     start}, detected, dark, {channel: int arm delays}), in the generator's
-    order of draws.  With an interferometer, each channel's events, pair
-    photons in kind order and then darks, are routed after every other
-    draw: one uniform each, channel by channel in ascending order, and the
-    long arm's delay where it reaches t_S / (t_S + t_L)."""
+    order of draws.  A Poisson source draws, kind by kind, each pair
+    detected on both arms as a uniform signal and an idler delayed from it
+    by sign * Exp(tau) and a Gaussian of sigma * sqrt(2), and then, channel
+    by channel, its photons detected alone and its darks as one run of
+    uniforms.  The renewal source jitters each photon of each pair on its
+    own, and then draws each channel's darks.  With an interferometer,
+    each channel's events, in the order drawn, are routed after every
+    other draw: one uniform each, channel by channel in ascending order,
+    and the long arm's delay where it reaches t_S / (t_S + t_L)."""
     rng = np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(k,))))
     t_s, t_i = model.signal_transmission, model.idler_transmission
@@ -81,27 +86,39 @@ def reference_block(model, seed, k, length_ps):
         dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12,
                            len(channels))
     photons = {c: [] for c in channels}
+    # a Poisson source's photons detected alone, drawn with the darks
+    alone = dict.fromkeys(channels, 0)
+    sigma = model.jitter_sigma_ps
     for j, (s, i, _) in enumerate(kinds):
         if pairs[j] == 0 or (s is None and i is None):
             continue
         if model.min_pair_spacing_ps > 0:
             t = pair_t[kind == j]
+            if s is not None:
+                photons[s].append(t + rng.normal(0.0, sigma, len(t))
+                                  if sigma > 0 else t)
+            if i is not None:
+                arrive = t + model.idler_delay_sign * rng.exponential(
+                    model.pair_lifetime_ps, len(t))
+                photons[i].append(arrive + rng.normal(0.0, sigma, len(t))
+                                  if sigma > 0 else arrive)
+        elif s is None or i is None:
+            alone[i if s is None else s] += pairs[j]
         else:
             t = rng.uniform(0.0, length_ps, pairs[j])
-        sigma = model.jitter_sigma_ps
-        if s is not None:
-            photons[s].append(t + rng.normal(0.0, sigma, len(t))
-                              if sigma > 0 else t)
-        if i is not None:
+            photons[s].append(t)
             arrive = t + model.idler_delay_sign * rng.exponential(
                 model.pair_lifetime_ps, len(t))
-            photons[i].append(arrive + rng.normal(0.0, sigma, len(t))
-                              if sigma > 0 else arrive)
-    detected = {c: sum(len(p) for p in photons[c]) for c in channels}
+            photons[i].append(
+                arrive + rng.normal(0.0, sigma * np.sqrt(2.0), len(t))
+                if sigma > 0 else arrive)
+    detected = {c: sum(len(p) for p in photons[c]) + alone[c]
+                for c in channels}
     times = {}
     for c, n in zip(channels, dark.tolist()):
         times[c] = np.concatenate(
-            photons[c] + [rng.uniform(0.0, length_ps, n), np.empty(0)])
+            photons[c] + [rng.uniform(0.0, length_ps, alone[c] + n),
+                          np.empty(0)])
     umi = model.interferometer
     delays = {c: np.zeros(len(t), dtype=np.int64) for c, t in times.items()}
     if umi is not None:
@@ -179,10 +196,11 @@ def source_models(draw):
     """Every branch of the generator at a few thousand events at most.
 
     Rates of up to 2e10 pairs/s and 3e9 darks/s over 1 ns to 1 us clip at
-    both edges: jitter and a negative idler delay push photons below 0, and
-    rounding, a positive delay and an interferometer's long arm push them
-    to or past the duration.  With the tests' short blocks they also cross
-    block edges, by one block or by more.
+    both edges: a pair's idler delay, jitter included, pushes idlers below
+    0 or past the duration, and rounding and an interferometer's long arm
+    push events to or past it.  With the tests' short blocks these cross
+    block edges too, by one block or by more; a signal, a photon detected
+    alone or a dark crosses one only by rounding to its block's end.
     """
     chans = draw(st.permutations(range(6)))
     n_s, n_i = draw(st.integers(1, 3)), draw(st.integers(1, 3))
@@ -216,6 +234,15 @@ def assert_same_stream(got, want):
     assert got.duration_ps == want.duration_ps
 
 
+# idlers led by their signals cross 244 block edges of 2^12 ps: most are
+# handed down, and those the Gaussian part of their delay puts after
+# their signal are handed up
+ACROSS_EDGES = dict(
+    model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                      idler_delay_sign=-1),
+    duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 12)
+
+
 @settings(max_examples=200, deadline=None)
 @given(model=source_models(),
        duration_s=st.sampled_from([0.0, 1e-9, 3.3e-8, 1e-6]),
@@ -238,6 +265,7 @@ def assert_same_stream(got, want):
 @example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
                            pair_lifetime_ps=1e5, idler_delay_sign=-1),
          duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 10)
+@example(**ACROSS_EDGES)
 def test_generation_matches_the_whole_stream_reference(
         model, duration_s, seed, block_events, min_block_ps):
     with short_blocks(block_events, min_block_ps):
@@ -263,10 +291,20 @@ def test_generation_matches_the_whole_stream_reference(
             assert np.all((t >= b.start_ps) & (t < b.duration_ps))
 
 
+def test_the_across_edges_example_hands_events_both_ways():
+    # a photon detected alone or a dark stays in its block (save rounding
+    # to its end), so only pair idlers carry the hand-off both ways
+    with short_blocks(ACROSS_EDGES["block_events"],
+                      ACROSS_EDGES["min_block_ps"]):
+        down, up = handed(ACROSS_EDGES["model"], ACROSS_EDGES["duration_s"],
+                          ACROSS_EDGES["seed"])
+    assert down > 0 and up > 0
+
+
 def test_generation_matches_the_reference_at_scale():
     # the g2 layout (two signal channels) over about 3.5e5 events, in one
-    # block, in two and in 1,193 blocks, with jitter that carries photons
-    # across their edges
+    # block, in two and in 1,193 blocks, with 2000 ps of jitter on each
+    # pair's idler delay, which carries idlers across block edges both ways
     model = SourceModel(pump_power_uw=2.0, pgr_slope_mhz_per_uw=5.13,
                         detector_efficiency=0.85, dark_rate_hz=1e5,
                         jitter_sigma_ps=2000.0,
@@ -281,11 +319,8 @@ def test_generation_matches_the_reference_at_scale():
             assert_same_stream(generate_events(model, 0.02, seed=12345),
                                want)
             if n_blocks > 1000:
-                handed = sum(len(p) for _, parts in (
-                    events._handed(model, 12345, k, *events._plan(
-                        model, 0.02)[1::-1]) for k in range(n_blocks))
-                    for down, _, up in parts.values() for p in (down, up))
-                assert handed > 10
+                down, up = handed(model, 0.02, 12345)
+                assert down > 0 and up > 0 and down + up > 10
 
 
 def test_block_length_is_sized_from_the_rate():
@@ -385,9 +420,10 @@ def test_generation_runs_under_a_trace_hook(install, capsys):
 
 
 # under short_blocks(1 << 12, 1 << 20): 60 blocks of 34 us in 2 ms, about
-# 78 M heralds/s and 39 M signals/s on each channel, with 2000 ps of jitter
-# that carries photons across block edges, so heralds within g2's 54 ns
-# reach of a cut, on either side, have partners across it
+# 78 M heralds/s and 39 M signals/s on each channel, so heralds within
+# g2's 54 ns reach of a cut, on either side, have partners across it.  The
+# 2000 ps of jitter on each pair's idler delay carries heralds (channel 1)
+# across block edges both ways
 G2_ACROSS_CUTS = (
     "[source]\njitter_sigma_ps = 2000.0\ndark_rate_hz = 1e5\n"
     "saturation_rate_mhz = none\n{}[g2]\npump_power_uw = 1000.0\n"
@@ -408,6 +444,14 @@ def assert_no_worker_left(threads):
 
 def test_g2_rows_match_at_every_shard_count(monkeypatch):
     cfg = parse_config(G2_ACROSS_CUTS.format(""))
+    model = pipeline._channel_source(
+        cfg, pipeline.channel_pair_rate_hz(cfg, cfg.g2.pump_power_uw),
+        losses_db=cfg.g2.losses_db, signal_channels=(0, 2),
+        idler_channels=(1,))
+    with short_blocks(1 << 12, 1 << 20):
+        down, up = handed(model, cfg.g2.duration_s,
+                          pipeline.derive_seed(cfg.seed, 2))
+    assert down > 0 and up > 0
     threads = threading.active_count()
     # repr: the rows hold NaN, which equals nothing
     want = repr(sharded_g2(monkeypatch, cfg, 1))
@@ -487,8 +531,8 @@ def test_stopping_g2_at_the_exchange_joins_every_worker(monkeypatch):
 
 def test_a_g2_shard_raising_before_the_exchange_raises_as_one_pass(
         monkeypatch):
-    # a 3.2 us cavity lifetime carries an idler drawn in block 28 past its
-    # neighbour: the shards that draw block 28 raise in their fold, before
+    # a 3.2 us cavity lifetime carries an idler drawn in block 45 past its
+    # neighbour: the shards that draw block 45 raise in their fold, before
     # the parent takes the peaks, and the others wait for them
     cfg = parse_config(G2_ACROSS_CUTS.format("pair_lifetime_ps = 3.2e6\n"))
     peaks = []
@@ -499,7 +543,7 @@ def test_a_g2_shard_raising_before_the_exchange_raises_as_one_pass(
         with pytest.raises(ValueError) as raised:
             sharded_g2(monkeypatch, cfg, n_cpus)
         assert str(raised.value) == ("an event drawn in the 33554432 ps "
-                                     "block at 939524096 ps lands past its "
+                                     "block at 1509949440 ps lands past its "
                                      "neighbours")
         assert_no_worker_left(threads)
     assert peaks == []
@@ -581,15 +625,19 @@ def test_block_generation_peak_with_one_channel_per_arm():
 
 @pytest.mark.parametrize("signal_channels", [(0,), (0, 2)])
 def test_generated_channels_own_int64_buffers(signal_channels):
+    # 1 us of jitter on each pair's idler delay carries idlers across the
+    # short blocks' edges both ways, so a channel joins handed events too
     model = SourceModel(pump_power_uw=1.0, dark_rate_hz=1e6,
-                        jitter_sigma_ps=1e4, idler_delay_sign=-1,
+                        jitter_sigma_ps=1e6, idler_delay_sign=-1,
                         signal_channels=signal_channels, idler_channels=(1,))
     for blocks in ((1 << 18, 1 << 30), (1 << 10, 1 << 20)):
         with short_blocks(*blocks):
             stream = generate_events(model, 1e-3, 11)
             n_blocks = events._plan(model, 1e-3)[2]
+            down, up = handed(model, 1e-3, 11)
         assert n_blocks == (1 if blocks[0] > 1 << 10
                             else {1: 8, 2: 15}[len(signal_channels)])
+        assert n_blocks == 1 or (down > 0 and up > 0)
         truth = stream.truth
         for c, times in stream.times.items():
             # one int64 array per channel, whatever the number of blocks,

@@ -1,8 +1,12 @@
+import dataclasses
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diskspdc import events
 from diskspdc.cli import main
 from diskspdc.events import (
     EventFormatError,
@@ -14,8 +18,9 @@ from diskspdc.events import (
     write_events,
 )
 from diskspdc.franson import UmiConfig, apply_umi
+from diskspdc.tcspc import delay_histogram
 
-from streams import from_merged, merged, reference_routes
+from streams import from_merged, merged, reference_routes, short_blocks
 
 # saturating rate law at 27.3 uW, slope 5.13 MHz/uW, ceiling 5385 MHz,
 # frozen from 140.049 / (1 + 140.049/5385)
@@ -411,3 +416,171 @@ def test_empty_csv_reads_without_a_warning(tmp_path):
         back = read_events(path)
         assert len(back) == 0 and back.duration_ps == 0
         assert read_events(path, duration_ps=10).duration_ps == 10
+
+
+# --- the Poisson draw against the per-photon model --------------------------
+#
+# A Poisson source times each detected pair by its signal, a uniform, and
+# its idler's delay from it, sign * Exp(tau) plus a Gaussian of sigma *
+# sqrt(2); a photon detected alone is a uniform, as a dark is.  Moving each
+# point of a homogeneous Poisson process by an independent amount leaves it
+# homogeneous, so the per-photon model below, which jitters every photon on
+# its own, gives the same stream away from its two ends.  At the ends it
+# loses photons jittered outside [0, duration), which a steady source
+# observed through the acquisition window does not.  Every bound is Z = 5
+# standard deviations of a count.
+
+Z = 5.0
+
+
+def per_photon_stream(model, duration_s, seed):
+    """The per-photon model in one draw: each detected photon at its
+    pair's uniform emission time plus its own Gaussian jitter, the idler
+    also delayed by sign * Exp(tau), and uniform darks, rounded, clipped
+    to [0, duration) and sorted."""
+    rng = np.random.default_rng(seed)
+    duration_ps = round(duration_s * 1e12)
+    kinds = events._pair_kinds(model)
+    pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * duration_ps
+                        * np.array([p for *_, p in kinds]))
+    photons = {c: [] for c in events._channels(model)}
+    sigma = model.jitter_sigma_ps
+    for (s, i, _), n in zip(kinds, pairs.tolist()):
+        t = rng.uniform(0.0, duration_ps, n)
+        if s is not None:
+            photons[s].append(t + rng.normal(0.0, sigma, n))
+        if i is not None:
+            photons[i].append(t + model.idler_delay_sign * rng.exponential(
+                model.pair_lifetime_ps, n) + rng.normal(0.0, sigma, n))
+    times = {}
+    for c, p in photons.items():
+        p.append(rng.uniform(0.0, duration_ps, rng.poisson(
+            model.dark_rate_hz * duration_ps * 1e-12)))
+        t = np.rint(np.concatenate(p)).astype(np.int64)
+        times[c] = np.sort(t[(t >= 0) & (t < duration_ps)])
+    return EventStream(times, duration_ps)
+
+
+def delay_cdf(x, model):
+    """P(idler - signal <= x) for sign * Exp(tau) + Normal(0, 2 sigma^2)."""
+    if model.idler_delay_sign < 0:
+        return 1.0 - delay_cdf(-x, dataclasses.replace(model,
+                                                       idler_delay_sign=1))
+    s, tau = math.sqrt(2.0) * model.jitter_sigma_ps, model.pair_lifetime_ps
+    if x < -12 * s:
+        return 0.0
+    return phi(x / s) - math.exp(-x / tau + s * s / (2 * tau * tau)) \
+        * phi(x / s - s / tau)
+
+
+def phi(z):
+    """The standard normal CDF."""
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
+
+
+# integer delay bands [lo, hi) of both signs, 50 ps to 1.4 ns wide
+BANDS = (-2000, -600, -300, -150, -50, 0, 50, 150, 300, 600, 2000)
+
+
+def band_counts(stream):
+    """Signal-idler pairs (channels 0, 1) at integer delays in each band."""
+    hist = delay_histogram(stream.channel_times(0), stream.channel_times(1),
+                           BANDS[0], BANDS[-1] - 1)
+    return np.add.reduceat(hist.counts, np.array(BANDS[:-1]) - BANDS[0])
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_pair_delays_follow_the_closed_form(sign):
+    # 2e5 lossless pairs at 0.2 MHz: sigma * sqrt(2) = 141 ps against a
+    # 200 ps lifetime, so both parts of the delay show.  Accidentals, about
+    # 0.2 MHz squared times the band, add to each band's expectation
+    m = quiet_model(pgr_slope_mhz_per_uw=0.2, jitter_sigma_ps=100.0,
+                    pair_lifetime_ps=200.0, idler_delay_sign=sign)
+    s = generate_events(m, 1.0, seed=41)
+    n = s.truth.pairs_both
+    rate = s.n_channel(0) * s.n_channel(1) / s.duration_ps ** 2
+    got = band_counts(s)
+    for (lo, hi), count in zip(zip(BANDS, BANDS[1:]), got.tolist()):
+        p = delay_cdf(hi - 0.5, m) - delay_cdf(lo - 0.5, m)
+        accidental = rate * s.duration_ps * (hi - lo)
+        sd = math.sqrt(n * p * (1 - p) + accidental)
+        assert abs(count - n * p - accidental) <= Z * sd, (lo, hi)
+    # the per-photon model's bands, from another draw, agree
+    want = band_counts(per_photon_stream(m, 1.0, seed=42))
+    assert np.all(np.abs(got - want) <= Z * np.sqrt(got + want))
+
+
+# 1e12 pairs/s through 20 dB on each arm: 99 % of each channel's events
+# are photons detected alone, 1e10/s, beside 1e9 darks/s, jittered by 1 ns
+SINGLES = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1e6,
+                      signal_losses_db=(20.0,), idler_losses_db=(20.0,),
+                      detector_efficiency=1.0, dark_rate_hz=1e9,
+                      jitter_sigma_ps=1000.0)
+
+
+def test_singles_are_flat_across_block_edges_and_to_both_ends():
+    # 100 streams of 0.1 us in blocks of 2^14 ps, 6 interior edges each.
+    # Bins of 1 ns: 3 at each end, and 3 each side of each interior edge
+    # but the last, 1.7 ns from the end.  Both arms lose 20 dB, so each
+    # channel expects the same count in a bin
+    w, duration_s, n_streams = 1000, 1e-7, 100
+    per_ps = (SINGLES.pair_rate_mhz * 1e-6 * SINGLES.signal_transmission
+              + SINGLES.dark_rate_hz * 1e-12)
+    with short_blocks(256, 1 << 10):
+        duration_ps, block, n_blocks = events._plan(SINGLES, duration_s)
+        assert (block, n_blocks) == (1 << 14, 7)
+        streams = [generate_events(SINGLES, duration_s, seed)
+                   for seed in range(n_streams)]
+    ends = [0, w, 2 * w, duration_ps - 3 * w, duration_ps - 2 * w,
+            duration_ps - w]
+    interior = [k * block + j * w for j in range(-3, 3)
+                for k in range(1, n_blocks - 1)]
+
+    def bins(stream_list, c, starts):
+        return np.array([sum(int(np.sum((t >= a) & (t < a + w))) for t in (
+            s.channel_times(c) for s in stream_list)) for a in starts])
+
+    want = n_streams * per_ps * w
+    for c in (0, 1):
+        counts = bins(streams, c, ends + interior)
+        assert np.all(np.abs(counts - want) <= Z * math.sqrt(want)), c
+    # the per-photon model is short in the bins at either end: its
+    # photons jittered outside [0, duration) are lost
+    reference = [per_photon_stream(SINGLES, duration_s, seed)
+                 for seed in range(n_streams)]
+    for c in (0, 1):
+        counts = bins(reference, c, [0, duration_ps - w])
+        assert np.all(counts < want - Z * math.sqrt(want)), c
+
+
+@pytest.mark.parametrize("sign", [+1, -1])
+def test_only_pair_idlers_leave_their_blocks(sign):
+    # a signal, a photon detected alone or a dark is a uniform in its
+    # block: no signal channel hands an event down, one handed up was
+    # rounded to the next block's start, and none is clipped.  The idler
+    # channel's clipped events are pair idlers delayed outside [0,
+    # duration): R_both * E|delay| of them
+    m = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1e4,
+                    signal_losses_db=(3.0,), idler_losses_db=(3.0,),
+                    detector_efficiency=1.0, dark_rate_hz=1e9,
+                    jitter_sigma_ps=1000.0, pair_lifetime_ps=2e4,
+                    idler_delay_sign=sign, signal_channels=(0, 2),
+                    idler_channels=(1,))
+    with short_blocks(1 << 14, 1 << 20):
+        duration_ps, block, n_blocks = events._plan(m, 1e-5)
+        assert n_blocks > 5
+        for k in range(n_blocks):
+            _, parts = events._handed(m, 7, k, block, duration_ps)
+            for c in (0, 2):
+                down, _, up = parts[c]
+                assert len(down) == 0
+                assert np.all(up == (k + 1) * block)
+        truth = generate_events(m, 1e-5, seed=7).truth
+    assert truth.clipped[0] == truth.clipped[2] == 0
+    # E|delay| = tau + 2 * (the mean of the delay's part below 0)
+    x = np.arange(-15000, 0) + 0.5
+    lag = dataclasses.replace(m, idler_delay_sign=1)
+    below = sum(delay_cdf(v, lag) for v in x)
+    want = (m.pair_rate_mhz * 1e-6 * m.signal_transmission
+            * m.idler_transmission * (m.pair_lifetime_ps + 2 * below))
+    assert abs(truth.clipped[1] - want) <= Z * math.sqrt(want)

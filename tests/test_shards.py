@@ -29,7 +29,7 @@ from diskspdc.tcspc import (DelayHistogram, fold_delays, fold_heralds,
                             g2_curve, herald_peaks, heralded_g2,
                             heralded_g2_span)
 
-from streams import from_merged, short_blocks
+from streams import from_merged, handed, short_blocks
 
 
 def edges_of(cuts):
@@ -70,7 +70,10 @@ def test_delay_histograms_add_over_one_span():
 # --- the sharded fold --------------------------------------------------------
 
 
-# about 40 events a block of 2^10 ps: 0.2 us hold 196 blocks
+# about 40 events a block of 2^10 ps: 0.2 us hold 196 blocks.  A pair's
+# idler delay, Exp(50 ps) plus a Gaussian of 28 ps, hands idlers across
+# block edges, most of them up; signals, photons detected alone and darks
+# stay in their blocks
 BUSY = SourceModel(pump_power_uw=20.0, pgr_slope_mhz_per_uw=1000.0,
                    dark_rate_hz=2e9, jitter_sigma_ps=20.0,
                    pair_lifetime_ps=50.0)
@@ -98,6 +101,8 @@ def reach(shard, lo, hi):
 @example(seed=1, cuts=[10 << 10, 10 << 10, 11 << 10], lo=-1, hi=1)
 @example(seed=2, cuts=[0, 200_000], lo=0, hi=0)
 def test_generated_shards_add_up_to_one_pass(seed, cuts, lo, hi):
+    # the pinned examples' blocks hand events both ways
+    # (test_busy_blocks_hand_events_both_ways)
     with short_blocks(6, 1 << 10):
         assert events._plan(BUSY, BUSY_S)[2] > 100
         every = list(event_blocks(BUSY, BUSY_S, seed))
@@ -131,7 +136,9 @@ def test_shard_folds_own_their_spans(tmp_path_factory, seed, cuts, lo, hi,
                                      source):
     # each shard's fold owns the part of [t0, t1) inside the stream's
     # [0, end), whatever the cuts: duplicates, at 0, before the stream or
-    # past its end.  Their one sum is the one-pass fold
+    # past its end.  Their one sum is the one-pass fold.  The pinned
+    # example's blocks hand events both ways
+    # (test_busy_blocks_hand_events_both_ways)
     path = tmp_path_factory.mktemp("spans") / "e.ttps"
     duration = 200_000 if source == "ttps with duration" else None
     with short_blocks(64, 1 << 10):
@@ -168,7 +175,9 @@ def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
     # cut at block starts, as block_shards cuts: each shard folds its own
     # heralds over the blocks pipeline._shard_fold draws for them, over
     # heralded_g2_span's reach, up to 8 blocks of 2^10 ps past each cut,
-    # and counts them around the peaks of every shard's calibration
+    # and counts them around the peaks of every shard's calibration.  The
+    # pinned example's blocks hand heralds both ways
+    # (test_busy_blocks_hand_events_both_ways)
     tau = np.array(taus, dtype=float)
     with short_blocks(6, 1 << 10):
         _, block, n_blocks = events._plan(HERALDED, BUSY_S)
@@ -187,10 +196,23 @@ def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
         assert np.array_equal(got[key], want[key], equal_nan=True), key
 
 
+@pytest.mark.parametrize("model, blocks, seed", [
+    (BUSY, 6, 1), (BUSY, 6, 2), (BUSY, 64, 4), (HERALDED, 6, 3)])
+def test_busy_blocks_hand_events_both_ways(model, blocks, seed):
+    # the pinned examples of the three tests above, whose random seeds
+    # hand a few idlers down at some seeds and none at others
+    with short_blocks(blocks, 1 << 10):
+        down, up = handed(model, BUSY_S, seed)
+    assert down > 0 and up > 0
+
+
 # blocks of 2^14 ps, about 15 events each: 0.4 us hold 25 blocks.  A block
-# holds the longest arm delay drawn, 2^13 ps, with the cavity lifetime's and
-# the jitter's reach: generation raises for an event that lands past the
-# block after its own
+# holds the longest arm delay drawn, 2^13 ps, with the reach of a pair's
+# idler delay: generation raises for an event that lands past the block
+# after its own.  Long-arm events and delayed idlers are handed up.  None
+# is handed down at the pinned example: at about 15 events a block, few
+# idlers lead their signals (their delay is Exp(200 ps) plus a Gaussian of
+# 57 ps), and by tens of ps
 FRANSON_BLOCKS = (8, 1 << 14)
 FRANSON_CFG = """
 seed = {seed}
@@ -250,6 +272,17 @@ def test_franson_shards_add_up_to_one_pass(seed, delay, cuts):
     assert min(pair.n_a, pair.n_b) > 40
     assert sharded == whole
     assert_sums_to([pairs], pair)
+
+
+def test_franson_blocks_hand_events_up():
+    # the pinned example's routed blocks hand long-arm events and delayed
+    # idlers up; none down (see FRANSON_BLOCKS)
+    cfg = parse_config(FRANSON_CFG.format(seed=0, delay_ns=5.331))
+    model = pipeline._channel_source(
+        cfg, pipeline.channel_pair_rate_hz(cfg, cfg.source.pump_power_uw),
+        interferometer=pipeline._umi_config(cfg))
+    with short_blocks(*FRANSON_BLOCKS):
+        assert handed(model, 4e-7, pipeline.derive_seed(cfg.seed, 3))[1] > 0
 
 
 @st.composite
