@@ -10,10 +10,12 @@ processes, one per CPU this process may run on at most (_mapped); one
 task, or one CPU, runs inline.  The drawn streams of g2, franson and coinc
 are cut by one rule (events.block_shards) and folded by one path
 (_drawn_fold); simulate writes its shards, and coinc folds a .ttps file's
-(events.file_shards).  Shards are exact pieces of the stream whose results
-add by one sum (events.summed), so the file and the tables are those of
-one pass whatever the number of CPUs.  A fold of the shard [t0, t1), for
-delays in [lo, hi], reads [t0 + min(lo, 0), t1 + max(hi, 0)) (_shard_fold).
+(events.file_shards).  Shards are exact pieces of the stream whose results,
+g2's HeraldFolds among them, add by one sum (events.summed), so the file
+and the tables are those of one pass whatever the number of CPUs: a
+worker is sent tasks and sends back their results, nothing more.  A fold
+of the shard [t0, t1), for delays in [lo, hi], reads [t0 + min(lo, 0),
+t1 + max(hi, 0)) (_shard_fold).
 """
 
 from __future__ import annotations
@@ -38,8 +40,8 @@ from .events import (SourceModel, TruthCounters, UmiConfig, block_shards,
                      event_blocks, event_parts, file_shards, read_blocks,
                      splittable, summed, write_events)
 from .tcspc import (dwdm_channel_index, dwdm_grid, fold_delays, fold_heralds,
-                    g2_curve, herald_peaks, heralded_g2_span,
-                    two_fold_metrics, two_fold_span)
+                    g2_curve, heralded_g2_span, two_fold_metrics,
+                    two_fold_span)
 from .franson import (classical_fringe, extract_visibility, peak_areas,
                       peak_areas_span, quantum_fringe)
 
@@ -315,33 +317,19 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _mapped(fn, tasks: list, reply=None) -> list:
+def _mapped(fn, tasks: list) -> list:
     """[fn(t) for t in tasks], in min(_cpus(), len(tasks)) worker processes
-    when that is more than one, inline otherwise.
-
-    With reply, a task takes two steps: fn(t) returns (part, finish), the
-    parts of every task go to reply, and its answer to each task's finish,
-    in the process that ran fn(t); the finishes' results are returned.
-    What a task holds between its steps stays in its process: only parts,
-    the answer and results cross.  Its tasks all run at once, so there
-    must then be one CPU or one per task.  The first task to raise,
-    in task order, raises here once every task is done, or once every
-    part is in when one raises.
+    when that is more than one, inline otherwise.  Only tasks and results
+    cross between processes.  The first task to raise, in task order,
+    raises here once every task is done.
     """
     workers = min(_cpus(), len(tasks))
     if workers <= 1:
-        if reply is None:
-            return [fn(t) for t in tasks]
-        steps = [fn(t) for t in tasks]
-        answer = reply([part for part, _ in steps])
-        return [finish(answer) for _, finish in steps]
-    if reply is not None and workers < len(tasks):
-        raise ValueError(f"{len(tasks)} two-step tasks need as many "
-                         f"workers, not {workers}")
-    return _in_processes(fn, tasks, workers, reply)
+        return [fn(t) for t in tasks]
+    return _in_processes(fn, tasks, workers)
 
 
-def _in_processes(fn, tasks: list, workers: int, reply) -> list:
+def _in_processes(fn, tasks: list, workers: int) -> list:
     """_mapped's tasks in worker processes, each a multiprocessing Process
     with a pipe of its own, forked where the platform can: a worker
     inherits the imported package and starts at once.  No thread runs:
@@ -350,10 +338,9 @@ def _in_processes(fn, tasks: list, workers: int, reply) -> list:
     keeps its pool, and a caller's OPENBLAS_NUM_THREADS wins.
 
     A worker is sent the index of a task when it is free, so the tasks
-    start in order and the workers share them as they finish.  Task k of
-    two steps goes to worker k.  The parent waits; every worker is joined
-    before this returns or raises, and terminated first when the parent
-    itself fails.
+    start in order and the workers share them as they finish.  The parent
+    waits; every worker is joined before this returns or raises, and
+    terminated first when the parent itself fails.
     """
     # imported here: about 5 ms of start-up that only workers need
     import multiprocessing
@@ -365,8 +352,8 @@ def _in_processes(fn, tasks: list, workers: int, reply) -> list:
         for _ in range(workers):
             link, end = context.Pipe()
             links.append(link)
-            proc = context.Process(target=_worker, args=(
-                fn, tasks, reply is not None, end, links))
+            proc = context.Process(target=_worker,
+                                   args=(fn, tasks, end, links))
             proc.start()
             procs.append(proc)
             end.close()
@@ -385,13 +372,7 @@ def _in_processes(fn, tasks: list, workers: int, reply) -> list:
         while busy:
             for link in wait(list(busy)):
                 outcomes[busy.pop(link)] = _received(link)
-                if reply is None:
-                    hand(link)
-        if reply is not None and all(ok for ok, _ in outcomes):
-            answer = reply([part for _, part in outcomes])
-            for link in links:
-                link.send((answer,))
-            outcomes = [_received(link) for link in links]
+                hand(link)
     except BaseException:
         for proc in procs:
             proc.terminate()
@@ -410,30 +391,22 @@ def _in_processes(fn, tasks: list, workers: int, reply) -> list:
     return [value for _, value in outcomes]
 
 
-def _worker(fn, tasks: list, two_steps: bool, link, inherited) -> None:
+def _worker(fn, tasks: list, link, inherited) -> None:
     """A worker process of _in_processes: runs task k for each index k it
-    is sent, and sends back (True, result) or (False, (error, traceback));
-    a task of two steps sends its part so first, and is then sent (answer,).
-    None stops it, at either point.  An outcome that does not pickle
-    raises here, and the parent finds the pipe closed."""
+    is sent, and sends back (True, result) or (False, (error, traceback)).
+    None stops it.  An outcome that does not pickle raises here, and the
+    parent finds the pipe closed."""
     # the parent's ends of the pipes forked so far: with them closed, a
     # worker whose parent dies reads the end of its own pipe
     for other in inherited:
         other.close()
     while (k := link.recv()) is not None:
-        outcome = _attempt(fn, tasks[k])
-        if two_steps and outcome[0]:
-            part, finish = outcome[1]
-            link.send((True, part))
-            if (answer := link.recv()) is None:
-                return
-            outcome = _attempt(finish, *answer)
-        link.send(outcome)
+        link.send(_attempt(fn, tasks[k]))
 
 
-def _attempt(fn, *args):
+def _attempt(fn, task):
     try:
-        return True, fn(*args)
+        return True, fn(task)
     except Exception as err:
         return False, (err, traceback.format_exc())
 
@@ -473,11 +446,10 @@ def run_g2(cfg: RunConfig):
                          cfg.g2.tau_points)
     tau_ps = np.round(tau_ns * 1e3)
     window = int(cfg.g2.window_ps)
-    # each shard keeps its pairs and is sent the peaks of every calibration
-    res = g2_curve(tau_ps, _drawn_fold(
+    res = g2_curve(tau_ps, window, summed(_drawn_fold(
         functools.partial(fold_heralds, tau_grid_ps=tau_ps, window_ps=window),
         heralded_g2_span(tau_ps, window), model, cfg.g2.duration_s,
-        derive_seed(cfg.seed, 2), reply=herald_peaks))
+        derive_seed(cfg.seed, 2))))
     columns = ("tau_ns", "g2", "n_triples", "n_idler", "n_is1", "n_is2")
     rows = [(float(tau_ns[k]), float(res["g2"][k]),
              int(res["n_triples"][k]), int(res["n_idler"][k]),
@@ -727,12 +699,12 @@ def run_coinc(cfg: RunConfig, events_path: str | None = None,
     return columns, rows, summary
 
 
-def _drawn_fold(fold, span, model, duration_s, seed, reply=None) -> list:
+def _drawn_fold(fold, span, model, duration_s, seed) -> list:
     """_mapped's results of fold over each time shard of a drawn stream,
     cut by events.block_shards for _cpus(), as _shard_fold reads it."""
     blocks = functools.partial(event_blocks, model, duration_s, seed)
     return _mapped(functools.partial(_shard_fold, fold, blocks, span),
-                   block_shards(model, duration_s, _cpus()), reply=reply)
+                   block_shards(model, duration_s, _cpus()))
 
 
 def _shard_fold(fold, blocks, span: tuple[int, int], shard):

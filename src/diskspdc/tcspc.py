@@ -14,8 +14,8 @@ per a event at most and the rest in pieces of at most _CHUNK_PAIRS pairs,
 and each chunk searches only the slice of b events it can reach, so a
 chunk's few int64 arrays stay in cache and every analysis holds its input,
 its result and one piece, whatever the stream's length.  No consumer needs
-the pieces in order: histograms add, pair keys are sorted and window
-counts bin each piece on its own.
+the pieces in order: histograms add, the few pairs a g2 fold keeps are
+sorted and window counts bin each piece on its own.
 
 Delays are whole picoseconds, so :func:`delay_histogram` gathers once and
 bins every delay of a span on its own: every count of a channel pair is
@@ -37,15 +37,13 @@ and counts only that shard's events, pairing its a events with b events
 on either side of its edges, and owns the shard's span, so the folds of
 consecutive shards, given the blocks of their reach (see _fold_batches),
 add up to one pass (events.summed).  Heralded g2 folds both of its
-channel pairs in the same pass (:func:`fold_heralds`): it keeps each
-batch's pairs as packed 8-byte keys and adds their delays into a
-calibration histogram per channel pair.  Its windows sit around both
-peaks of the whole stream, so the fold stops there and gives its
-calibration, two PairFolds over the calibration span; those of a
-stream's time shards add up to the peaks (:func:`herald_peaks`), and
-each fold then counts its own heralds' windows around them, batch by
-batch, into HeraldCounts that add (:func:`g2_curve`).  A single pass,
-:func:`heralded_g2`, takes the same steps with one fold.
+channel pairs in the same pass (:func:`fold_heralds`): it adds each
+batch's delays into a histogram per channel pair, over its whole span, and
+keeps the pairs of only those heralds with two pairs or more.  A herald
+with one pair adds to a window's count exactly as its pair adds to that
+window's total, so the HeraldFolds of a stream's time shards add up too,
+and :func:`g2_curve` counts the windows around both peaks of their sum.
+A single pass, :func:`heralded_g2`, is one such fold.
 
 The two-fold figures follow standard TCSPC practice: the coincidence window
 is centred on the calibrated peak of the delay histogram, accidentals are
@@ -56,13 +54,12 @@ N1 * N2 / (N12 * T).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .events import EventStream, _joined, summed
+from .events import EventStream, _joined
 
 # Caps of coincidences(): a events per chunk, so 128 KB per int64 array of
 # a chunk's a events or of one of its rank pieces, and pairs per piece of
@@ -90,8 +87,6 @@ _MAX_DELAY_BINS = 1 << 22
 _CAL_BIN_PS = 10
 _CAL_SPAN_PS = 8000
 _CAL_LO_PS, _CAL_HI_PS = -_CAL_SPAN_PS // 2, _CAL_SPAN_PS // 2 - 1
-# A pair key, a_idx << s | (delay - lo), is a non-negative int64.
-_KEY_BITS = 63
 _EMPTY = np.zeros(0, dtype=np.int64)
 
 
@@ -396,51 +391,6 @@ def two_fold_span(window_ps: float,
     return peak_span(window_ps, -offset_max_ps, offset_max_ps)
 
 
-def _pair_keys(times_a: np.ndarray, times_b: np.ndarray, lo_ps: int,
-               hi_ps: int, first: int) -> np.ndarray:
-    """Every pair with lo <= t_b - t_a <= hi as one sorted int64 key,
-    (first + a_idx) << s | (delay - lo) with s = _key_shift(lo, hi): in a
-    order and, within one a event, by ascending delay, which is ascending b.
-
-    The b events are searched into a: the heralds of :func:`heralded_g2`
-    outnumber each signal channel.  Raises ValueError when first + a_idx
-    does not fit in the _KEY_BITS - s bits left.
-    """
-    shift = _key_shift(lo_ps, hi_ps)
-    if max(first + len(times_a) - 1, 0).bit_length() > _KEY_BITS - shift:
-        raise ValueError(f"{first + len(times_a)} events do not fit the "
-                         f"{_KEY_BITS - shift} bits left by a "
-                         f"{hi_ps - lo_ps} ps span")
-    parts = [((a_idx + first) << shift)
-             | (times_b[b_idx] - times_a[a_idx] - lo_ps)
-             for b_idx, a_idx in coincidences(times_b, times_a, -hi_ps,
-                                              -lo_ps)]
-    keys = np.concatenate([_EMPTY] + parts)
-    del parts
-    # each rank piece's keys ascend, so the keys are a few ascending runs
-    # per chunk, which timsort merges in close to linear time: at seed 1,
-    # g2's 2.44 M keys sort in 2.6 ms, against 14.4 ms for the default
-    # sort (one core of an Intel Xeon)
-    keys.sort(kind="stable")
-    return keys
-
-
-def _key_shift(lo_ps: int, hi_ps: int) -> int:
-    """Bits of the delay part of a pair key over [lo, hi]."""
-    return max(hi_ps - lo_ps, 0).bit_length()
-
-
-def _unpacked(keys: np.ndarray, lo_ps: int,
-              hi_ps: int) -> tuple[np.ndarray, np.ndarray]:
-    """(a_idx, delays) of pair keys over [lo, hi], in key order.  The
-    delays overwrite the keys, so unpacking holds 16 B per pair."""
-    shift = _key_shift(lo_ps, hi_ps)
-    a_idx = keys >> shift
-    keys &= (1 << shift) - 1
-    keys += lo_ps
-    return a_idx, keys
-
-
 def _windows_hit(a_idx: np.ndarray, delays: np.ndarray, centers_ps,
                  window_ps: float, flags: np.ndarray):
     """Per window, the a events with a pair in it: all, and flagged.
@@ -580,27 +530,29 @@ def heralded_g2(stream, tau_grid_ps: np.ndarray, window_ps: int = 800,
     with an empty denominator are NaN.
 
     stream is an EventStream, or its blocks in time order, folded in one
-    pass by :func:`fold_heralds`; both peaks come from that fold
-    (:func:`herald_peaks`) and its windows are counted around them
-    (:func:`g2_curve`), the steps that a stream's time shards take
-    together.
+    pass by :func:`fold_heralds` and counted by :func:`g2_curve`.
     """
-    calibration, count = fold_heralds(
+    return g2_curve(tau_grid_ps, window_ps, fold_heralds(
         [stream] if isinstance(stream, EventStream) else stream, tau_grid_ps,
-        window_ps, ch_idler, ch_s1, ch_s2)
-    return g2_curve(tau_grid_ps, [count(herald_peaks([calibration]))])
+        window_ps, ch_idler, ch_s1, ch_s2))
 
 
 @dataclass(frozen=True)
-class HeraldCounts:
-    """The window counts of some heralds, around given peaks: heralds,
-    heralds with an s1 partner, and per tau heralds with an s2 partner
-    and with both.  Those of a stream's time shards add up."""
+class HeraldFold:
+    """:func:`fold_heralds` of a stream or of a time shard: the event counts
+    of the herald and both signal channels, the i->s1 and i->s2 delay
+    histograms over their whole spans, and the multiplets, one record
+    (m, s1 heralds, s1 delays, s2 heralds, s2 delays) per fold of the pairs
+    of its m heralds with two pairs or more, numbered 0 to m - 1, in herald
+    order and by ascending delay within one.  Those of a stream's time
+    shards add up (events.summed): the tuples of records join."""
 
     n_idler: int
-    n_is1: int
-    n_is2: np.ndarray
-    triples: np.ndarray
+    n_s1: int
+    n_s2: int
+    delays1: DelayHistogram
+    delays2: DelayHistogram
+    multiplets: tuple
 
 
 def _herald_spans(tau: np.ndarray,
@@ -620,102 +572,114 @@ def heralded_g2_span(tau_grid_ps, window_ps: float) -> tuple[int, int]:
 
 def fold_heralds(blocks, tau_grid_ps, window_ps: int = 800,
                  ch_idler: int = 1, ch_s1: int = 0, ch_s2: int = 2,
-                 own_ps=(None, None)):
+                 own_ps=(None, None)) -> HeraldFold:
     """The fold of :func:`heralded_g2` over a stream's blocks, in time
-    order: (calibration, count), calibration the i->s1 and i->s2 PairFolds
-    over the calibration span and count a function of the peaks that
-    counts the windows around them.
+    order, that :func:`g2_curve` counts.
 
     The blocks are folded in one pass (:func:`_fold_batches`, heralds as
     the a channel, own_ps the time shard it owns): each channel pair is
     gathered once per batch of heralds, over the calibration span and
-    every window around any peak it can find.  Its pairs are kept as
-    packed keys, 8 B each, and their delays add into its calibration
-    histogram.  count((peak1, peak2)) then counts the windows batch by
-    batch (:func:`_herald_counts`): each batch's s1 and s2 pairs together,
-    its heralds' s1 hits flagged in an array of that batch's heralds, and
-    no array spans every herald.  Every pair of a herald falls in its
-    batch, so the counts are those of the heralds folded, and the fold
-    holds the pairs and about a block.  count(None) counts nothing, for a
-    stream with an empty channel, as does an empty grid.
+    every window around any peak it can find, and its delays add into its
+    histogram.  The batch's heralds with two pairs or more over both
+    channels, found by one count of their pairs, keep their pairs; the
+    others keep none, so the fold holds its histograms, those few pairs
+    and about a block.
     """
     if len({ch_idler, ch_s1, ch_s2}) != 3:
         raise ValueError("ch_idler, ch_s1 and ch_s2 must be distinct")
+    spans = dict(zip((ch_s1, ch_s2), _herald_spans(
+        np.asarray(tau_grid_ps, dtype=float), window_ps)))
+    counts = [np.zeros(hi - lo + 1, dtype=np.int64)
+              for lo, hi in spans.values()]
+    # per channel, the herald numbers and the delays of the multiplets'
+    # pairs, batch by batch
+    kept_pairs = [([], []) for _ in spans]
+    n_multi = 0
+
+    def release(_, heralds, kept):
+        nonlocal n_multi
+        pairs = [_herald_pairs(heralds, b, lo, hi)
+                 for b, (lo, hi) in zip(kept, spans.values())]
+        for c, (lo, _), (_, delays) in zip(counts, spans.values(), pairs):
+            np.add.at(c, delays - lo, 1)
+        multi = np.bincount(np.concatenate([a for a, _ in pairs]),
+                            minlength=len(heralds)) > 1
+        found = np.flatnonzero(multi)
+        for (numbers, delays), (lo, hi), (a, d) in zip(
+                kept_pairs, spans.values(), pairs):
+            keep = multi[a]
+            a, d = np.searchsorted(found, a[keep]) + n_multi, d[keep]
+            # by herald, then by delay: a twentieth of np.lexsort's time
+            order = np.argsort(a * (hi - lo + 1) + (d - lo), kind="stable")
+            numbers.append(a[order])
+            delays.append(d[order])
+        n_multi += len(found)
+
+    n, _ = _fold_batches(blocks, ch_idler, spans, release, own_ps)
+    return HeraldFold(
+        n[ch_idler], n[ch_s1], n[ch_s2],
+        *(DelayHistogram(lo, c) for c, (lo, _) in zip(counts, spans.values())),
+        ((n_multi, *(np.concatenate([_EMPTY] + part)
+                     for pair in kept_pairs for part in pair)),))
+
+
+def _herald_pairs(heralds: np.ndarray, times_s: np.ndarray, lo_ps: int,
+                  hi_ps: int) -> tuple[np.ndarray, np.ndarray]:
+    """(herald index, delay) of every pair with lo <= t_s - t_herald <= hi,
+    in no order.  The s events are searched into the heralds, which
+    outnumber each signal channel."""
+    parts = list(coincidences(times_s, heralds, -hi_ps, -lo_ps))
+    return (np.concatenate([_EMPTY] + [a for _, a in parts]),
+            np.concatenate([_EMPTY] + [times_s[b] - heralds[a]
+                                       for b, a in parts]))
+
+
+def g2_curve(tau_grid_ps, window_ps: float,
+             fold: HeraldFold) -> dict[str, np.ndarray]:
+    """:func:`heralded_g2`'s result from the HeraldFold of a stream, or of
+    its time shards added (events.summed), around the peaks of its
+    histograms (DelayHistogram.peak_ps).
+
+    A herald with one pair over both spans adds to n_is1 or n_is2 exactly
+    as its pair adds to that window's total of the histogram, and makes no
+    triple.  So the counts are the window totals without the multiplets'
+    pairs, and the windows that each multiplet's herald hits
+    (:func:`_windows_hit`).  A stream with an empty herald, s1 or s2
+    channel counts nothing, as does an empty grid.
+    """
     tau = np.asarray(tau_grid_ps, dtype=float)
-    spans = dict(zip((ch_s1, ch_s2), _herald_spans(tau, window_ps)))
-    counts = {c: np.zeros(hi - lo + 1, dtype=np.int64)
-              for c, (lo, hi) in spans.items()}
-    # [first herald, heralds, s1 keys, s2 keys] of each batch
-    batches = []
-
-    def release(first, heralds, kept):
-        batch = [first, len(heralds)]
-        for (c, (lo, hi)), b in zip(spans.items(), kept):
-            k = _pair_keys(heralds, b, lo, hi, first)
-            np.add.at(counts[c], k & ((1 << _key_shift(lo, hi)) - 1), 1)
-            batch.append(k)
-        batches.append(batch)
-
-    n, duration_ps = _fold_batches(blocks, ch_idler, spans, release, own_ps)
-    calibration = tuple(
-        PairFold(n[ch_idler], n[c], duration_ps, DelayHistogram(
-            _CAL_LO_PS, counts[c][_CAL_LO_PS - lo:_CAL_HI_PS - lo + 1]))
-        for c, (lo, _) in spans.items())
-    return calibration, functools.partial(
-        _herald_counts, batches, spans[ch_s1], spans[ch_s2], tau, window_ps,
-        n[ch_idler])
-
-
-def _herald_counts(batches: list, span1: tuple[int, int],
-                   span2: tuple[int, int], tau: np.ndarray, window_ps: float,
-                   n_idler: int, peaks) -> HeraldCounts:
-    """The window counts of :func:`fold_heralds`' batches around peaks =
-    (peak1, peak2), or none for None, batch by batch, last first, freeing
-    each: has1 flags the batch's heralds with an s1 partner in the peak
-    window."""
     n_is1 = 0
     n_is2 = np.zeros(len(tau), dtype=np.int64)
     triples = np.zeros(len(tau), dtype=np.int64)
-    if peaks is not None and len(tau):
-        peak1, peak2 = peaks
+    if fold.n_idler and fold.n_s1 and fold.n_s2 and len(tau):
+        peak1, peak2 = fold.delays1.peak_ps(), fold.delays2.peak_ps()
         lo, hi = window_edges(peak1, window_ps)
-        while batches:
-            first, n_heralds, keys1, keys2 = batches.pop()
-            a_idx, delays = _unpacked(keys1, *span1)
-            has1 = np.zeros(n_heralds, dtype=bool)
-            has1[a_idx[(delays >= lo) & (delays <= hi)] - first] = True
+        for m, heralds1, delays1, heralds2, delays2 in fold.multiplets:
+            has1 = np.zeros(m, dtype=bool)
+            has1[heralds1[(delays1 >= lo) & (delays1 <= hi)]] = True
             n_is1 += int(has1.sum())
-            a_idx, delays = _unpacked(keys2, *span2)
-            a_idx -= first
-            hit, flagged = _windows_hit(a_idx, delays, peak2 + tau,
+            hit, flagged = _windows_hit(heralds2, delays2, peak2 + tau,
                                         window_ps, has1)
             n_is2 += hit
             triples += flagged
-    return HeraldCounts(n_idler, n_is1, n_is2, triples)
-
-
-def herald_peaks(calibrations) -> tuple[int, int] | None:
-    """The calibrated i->s1 and i->s2 peaks (DelayHistogram.peak_ps) of the
-    calibrations of a stream's shards, each fold added over the shards;
-    None when either fold has an empty channel."""
-    folds = [summed(f) for f in zip(*calibrations)]
-    if any(f.n_a == 0 or f.n_b == 0 for f in folds):
-        return None
-    return tuple(f.delays.peak_ps() for f in folds)
-
-
-def g2_curve(tau_grid_ps, counts) -> dict[str, np.ndarray]:
-    """:func:`heralded_g2`'s result from the HeraldCounts of a stream's
-    shards, added (events.summed)."""
-    tau = np.asarray(tau_grid_ps, dtype=float)
-    c = summed(counts)
+        _, _, kept1, _, kept2 = zip(*fold.multiplets)
+        n_is1 += int(_without(fold.delays1, kept1).totals([peak1],
+                                                          window_ps)[0])
+        n_is2 += _without(fold.delays2, kept2).totals(peak2 + tau, window_ps)
     g2 = np.full(len(tau), math.nan)
-    ok = (c.n_is2 > 0) & (c.n_is1 > 0)
-    g2[ok] = c.triples[ok] * c.n_idler / (c.n_is1 * c.n_is2[ok])
-    return {"tau_ps": tau, "g2": g2, "n_triples": c.triples,
-            "n_idler": np.full(len(tau), c.n_idler, dtype=np.int64),
-            "n_is1": np.full(len(tau), c.n_is1, dtype=np.int64),
-            "n_is2": c.n_is2}
+    ok = (n_is2 > 0) & (n_is1 > 0)
+    g2[ok] = triples[ok] * fold.n_idler / (n_is1 * n_is2[ok])
+    return {"tau_ps": tau, "g2": g2, "n_triples": triples,
+            "n_idler": np.full(len(tau), fold.n_idler, dtype=np.int64),
+            "n_is1": np.full(len(tau), n_is1, dtype=np.int64),
+            "n_is2": n_is2}
+
+
+def _without(delays: DelayHistogram, parts) -> DelayHistogram:
+    """The histogram without the pairs of the delays in parts."""
+    return DelayHistogram(delays.lo_ps, delays.counts - np.bincount(
+        np.concatenate([_EMPTY, *parts]) - delays.lo_ps,
+        minlength=len(delays.counts)))
 
 
 def poisson_heralded_g2(mu: float) -> float:

@@ -7,7 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskspdc import tcspc
-from diskspdc.events import EventStream, SourceModel, generate_events
+from diskspdc.events import (EventStream, SourceModel, generate_events,
+                             summed)
 from diskspdc.franson import UmiConfig, peak_areas, peak_areas_span
 from diskspdc.tcspc import (
     car_closed_form,
@@ -16,6 +17,7 @@ from diskspdc.tcspc import (
     dwdm_grid,
     heralded_g2,
     histogram,
+    peak_span,
     poisson_heralded_g2,
     two_fold_metrics,
     window_counts,
@@ -296,26 +298,39 @@ def test_histogram_matches_brute_force(a, b, origin, bin_width, span, caps):
        window=st.integers(1, 900), caps=CAPS)
 def test_heralded_g2_counts_match_brute_force(i, s1, s2, origin, taus2,
                                               window, caps):
-    ch = np.concatenate([np.full(len(s1), 0), np.full(len(i), 1),
-                         np.full(len(s2), 2)]).astype(np.uint8)
-    t = np.concatenate([s1, i, s2]) + origin
-    order = np.lexsort((ch, t))
-    stream = from_merged(ch[order], t[order], 10 ** 9)
+    stream = herald_stream(i + origin, s1 + origin, s2 + origin)
     with pytest.MonkeyPatch.context() as mp:
         chunk_caps(mp, caps)
         out = heralded_g2(stream, np.array(taus2) / 2, window_ps=window)
     if not (len(i) and len(s1) and len(s2)):
         assert not out["n_is2"].any() and not out["n_triples"].any()
         return
+    n_is1, n_is2, triples = herald_counts(i, s1, s2, taus2, window)
+    assert list(out["n_is1"]) == [n_is1] * len(taus2)
+    assert list(out["n_is2"]) == n_is2
+    assert list(out["n_triples"]) == triples
+
+
+def herald_stream(i, s1, s2):
+    """The stream of heralds i on channel 1 and signals s1 and s2 on
+    channels 0 and 2."""
+    ch = np.concatenate([np.full(len(s1), 0), np.full(len(i), 1),
+                         np.full(len(s2), 2)]).astype(np.uint8)
+    t = np.concatenate([s1, i, s2]).astype(np.int64)
+    order = np.lexsort((ch, t))
+    return from_merged(ch[order], t[order], 10 ** 9)
+
+
+def herald_counts(i, s1, s2, taus2, window):
+    """(n_is1, [n_is2], [triples]) herald by herald, O(N^2), for taus of
+    tau2 / 2 around the brute-force peaks; no channel is empty."""
     has1 = in_window(delay_matrix(i, s1), 2 * ref_peak(i, s1),
                      window).any(axis=1)
     peak2 = ref_peak(i, s2)
-    assert list(out["n_is1"]) == [int(has1.sum())] * len(taus2)
-    for k, tau2 in enumerate(taus2):
-        has2 = in_window(delay_matrix(i, s2), 2 * peak2 + tau2,
-                         window).any(axis=1)
-        assert out["n_is2"][k] == has2.sum()
-        assert out["n_triples"][k] == (has1 & has2).sum()
+    has2 = [in_window(delay_matrix(i, s2), 2 * peak2 + tau2,
+                      window).any(axis=1) for tau2 in taus2]
+    return (int(has1.sum()), [int(h.sum()) for h in has2],
+            [int((has1 & h).sum()) for h in has2])
 
 
 @settings(max_examples=100, deadline=None)
@@ -341,6 +356,78 @@ def test_heralded_g2_wide_spans_match_brute_force(i, s1, s2, origin, taus2,
     # calibration histogram's
     test_heralded_g2_counts_match_brute_force.hypothesis.inner_test(
         i, s1, s2, origin, taus2, window, caps)
+
+
+def clustered_times(n_max=10):
+    """Sorted times, some within tens of ps of each other, so that a
+    herald has several partners, and some tens of ns apart, so that it
+    has one or none."""
+    return st.lists(st.integers(10_000, 10_060) | st.integers(0, 80_000),
+                    max_size=n_max).map(
+        lambda v: np.sort(np.array(v, dtype=np.int64)))
+
+
+# heralds with two s1 partners and none in s2, two s2 partners and none in
+# s1, and two of each; three heralds at one time, each with one partner
+# per channel; two at one time with one s1 partner, which is a single for
+# each; an empty s1 channel.  Cuts fall on and between them: 1 to 4 shards
+HERALD_CASES = [
+    dict(i=[10_000, 40_000], s1=[10_100, 10_150, 40_100], s2=[40_300],
+         cuts=[20_000]),
+    dict(i=[10_000, 40_000], s1=[40_100], s2=[10_300, 10_350, 40_300],
+         cuts=[]),
+    dict(i=[10_000, 40_000], s1=[10_100, 10_120, 40_100],
+         s2=[10_300, 10_320, 40_300], cuts=[10_000, 10_110, 40_000]),
+    dict(i=[10_000, 10_000, 10_000], s1=[10_100], s2=[10_300],
+         cuts=[10_000, 10_200]),
+    dict(i=[10_000, 10_000, 40_000], s1=[10_100], s2=[40_300],
+         cuts=[10_000]),
+    dict(i=[10_000], s1=[], s2=[10_300, 10_310], cuts=[10_100]),
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(i=clustered_times(), s1=clustered_times(), s2=clustered_times(),
+       cuts=st.lists(st.integers(0, 80_000), max_size=3),
+       taus2=st.lists(st.integers(-3000, 3000), min_size=1, max_size=5),
+       window=st.integers(1, 2000), caps=CAPS)
+@example(**HERALD_CASES[0], taus2=[0], window=400, caps=None)
+@example(**HERALD_CASES[1], taus2=[0, 200], window=400, caps=(1, 1))
+@example(**HERALD_CASES[2], taus2=[-40, 0], window=100, caps=None)
+@example(**HERALD_CASES[3], taus2=[0], window=400, caps=(1, 1))
+@example(**HERALD_CASES[4], taus2=[0], window=400, caps=None)
+@example(**HERALD_CASES[5], taus2=[0], window=400, caps=None)
+def test_herald_folds_of_shards_match_each_herald(i, s1, s2, cuts, taus2,
+                                                  window, caps):
+    # the shards' HeraldFolds, added, keep the pairs of exactly the heralds
+    # with two pairs or more over both spans, and g2_curve counts every
+    # herald as the O(N^2) reference does, at any cuts
+    i, s1, s2 = (np.asarray(t, dtype=np.int64) for t in (i, s1, s2))
+    tau = np.array(taus2) / 2
+    edges = [None, *sorted(cuts), None]
+    with pytest.MonkeyPatch.context() as mp:
+        chunk_caps(mp, caps)
+        fold = summed([tcspc.fold_heralds([herald_stream(i, s1, s2)], tau,
+                                          window, own_ps=shard)
+                       for shard in zip(edges[:-1], edges[1:])])
+    got = tcspc.g2_curve(tau, window, fold)
+    assert (fold.n_idler, fold.n_s1, fold.n_s2) == (len(i), len(s1), len(s2))
+    assert len(fold.multiplets) == len(edges) - 1
+    n_pairs = [((d >= lo) & (d <= hi)).sum(axis=1) for d, (lo, hi) in (
+        (delay_matrix(i, s1), peak_span(window, 0, 0)),
+        (delay_matrix(i, s2), peak_span(window, min(tau), max(tau))))]
+    multi = n_pairs[0] + n_pairs[1] > 1
+    kept = [sum(len(r[k]) for r in fold.multiplets) for k in (1, 3)]
+    assert sum(r[0] for r in fold.multiplets) == multi.sum()
+    assert kept == [int(n[multi].sum()) for n in n_pairs]
+    if len(i) and len(s1) and len(s2):
+        n_is1, n_is2, triples = herald_counts(i, s1, s2, taus2, window)
+    else:
+        n_is1, n_is2, triples = 0, [0] * len(tau), [0] * len(tau)
+    assert list(got["n_idler"]) == [len(i)] * len(tau)
+    assert list(got["n_is1"]) == [n_is1] * len(tau)
+    assert list(got["n_is2"]) == n_is2
+    assert list(got["n_triples"]) == triples
 
 
 def g2_stream(n_heralds=1000):
@@ -1076,24 +1163,6 @@ def test_heralded_g2_fold_releases_heralds_in_batches(monkeypatch):
     assert list(out["n_triples"]) == [2, 1]
 
 
-def test_heralded_g2_fold_packing_limit_counts_every_block(monkeypatch):
-    # a 800 ps window at tau 0 gathers both channel pairs over
-    # [-4400, 4399] ps: 14 bits of delay.  With 15 key bits one bit is
-    # left for the herald index, so two heralds fit and three do not, even
-    # when each block's batch holds one herald.
-    heralds = [k * 10 ** 6 for k in range(3)]
-    events = [e for t in heralds for e in ((1, t), (0, t + 200),
-                                           (2, t + 300))]
-    cuts = [t - 500_000 for t in heralds[1:]]
-    tau = np.array([0.0])
-    monkeypatch.setattr(tcspc, "_KEY_BITS", 15)
-    whole, blocks = g2_blocks(events[:6], cuts[:1])
-    assert heralded_g2(iter(blocks), tau)["n_triples"].tolist() == [2]
-    _, blocks = g2_blocks(events, cuts)
-    with pytest.raises(ValueError, match="do not fit"):
-        heralded_g2(iter(blocks), tau)
-
-
 def spread_heralds(n_blocks, heralds_per_block=4_000, spacing=250_000):
     """Blocks of heralds 250 ns apart; one herald in four has an s1
     partner 200 ps on and another one in four an s2 partner 300 ps on.
@@ -1107,96 +1176,25 @@ def spread_heralds(n_blocks, heralds_per_block=4_000, spacing=250_000):
 
 
 def test_heralded_g2_fold_peak_is_its_pairs_and_about_a_block(monkeypatch):
-    # each s event has one herald in reach, so the fold keeps n / 2 pairs
-    # for n heralds, 4 B per herald, and has1 at most 1 B per herald,
-    # against the 12 B per herald of the whole stream
+    # each herald has one partner at most, so the fold keeps no pair: it
+    # holds its two histograms and about a block, whatever the number of
+    # heralds, against the 12 B per herald of the whole stream
     monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 1 << 10)
     monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 1 << 12)
     n_blocks, per_block = 100, 4_000
     block_bytes = sum(t.nbytes for t in next(spread_heralds(1)).times.values())
     tau = np.array([-1000.0, 0.0, 1000.0])
-    out, peak = traced_peak(lambda: heralded_g2(spread_heralds(n_blocks),
-                                                tau))
+
+    def g2():
+        # heralded_g2, with the fold kept
+        fold = tcspc.fold_heralds(spread_heralds(n_blocks), tau)
+        return fold, tcspc.g2_curve(tau, 800, fold)
+
+    (fold, out), peak = traced_peak(g2)
+    ((m, *pairs),) = fold.multiplets
+    assert m == 0 and not any(len(p) for p in pairs)
     n_i = n_blocks * per_block
     assert out["n_idler"][0] == n_i and out["n_is1"][0] == n_i // 4
-    n_pairs = n_i // 2
-    bound = 8 * n_pairs + n_i + 4 * block_bytes + 300_000
+    bound = 4 * block_bytes + 300_000
     assert bound < n_blocks * block_bytes
     assert peak < bound, (peak, bound)
-
-
-def gather_pairs(times_a, times_b, lo_ps, hi_ps):
-    """Every pair as (a_idx, delays): the sorted pair keys of one batch
-    holding every a event, unpacked in place."""
-    return tcspc._unpacked(
-        tcspc._pair_keys(times_a, times_b, lo_ps, hi_ps, 0), lo_ps, hi_ps)
-
-
-def reference_gather(times_a, times_b, lo_ps, hi_ps):
-    """The argsort gather that key packing replaced, kept verbatim."""
-    a_parts, delay_parts = [], []
-    for b_idx, a_idx in tcspc.coincidences(times_b, times_a, -hi_ps, -lo_ps):
-        a_parts.append(a_idx)
-        delay_parts.append(times_b[b_idx] - times_a[a_idx])
-    if not a_parts:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    a_idx = np.concatenate(a_parts)
-    del a_parts
-    delays = np.concatenate(delay_parts)
-    del delay_parts
-    order = np.argsort(a_idx, kind="stable")
-    a_idx = a_idx[order]
-    delays = delays[order]
-    return a_idx, delays
-
-
-@settings(max_examples=300, deadline=None)
-@given(a=sorted_times(span=300), b=sorted_times(span=300), origin=ORIGINS,
-       lo=st.integers(-400, 400), width=st.integers(-2, 600), caps=CAPS)
-@example(a=np.array([5, 5, 9]), b=np.array([6, 6, 6, 9, 9]), origin=0,
-         lo=-10, width=20, caps=(1, 1))
-@example(a=np.array([5]), b=np.array([500]), origin=0, lo=0, width=10,
-         caps=None)
-def test_gather_matches_the_argsort_reference(a, b, origin, lo, width, caps):
-    a, b = a + origin, b + origin
-    with pytest.MonkeyPatch.context() as mp:
-        chunk_caps(mp, caps)
-        got = gather_pairs(a, b, lo, lo + width)
-    # every pair by a, then by b, which within one a event is by delay
-    want_a, want_b = ref_pairs(a, b, lo, lo + width)
-    want = want_a, delay_matrix(a, b)[want_a, want_b]
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype == np.int64
-        assert np.array_equal(g, w)
-
-
-def test_gather_packing_limit():
-    # a span of 2^61 ps leaves 63 - 62 = 1 bit for the a index: two a
-    # events fit, three do not
-    a, b = np.array([0, 1, 2], dtype=np.int64), np.array([3], dtype=np.int64)
-    a_idx, delays = gather_pairs(a[:2], b, 0, 2 ** 61)
-    assert a_idx.tolist() == [0, 1] and delays.tolist() == [3, 2]
-    with pytest.raises(ValueError, match="do not fit"):
-        gather_pairs(a, b, 0, 2 ** 61)
-    with pytest.raises(ValueError, match="do not fit"):
-        gather_pairs(a[:2], b, 0, 2 ** 62)
-    assert gather_pairs(a[:1], b, 0, 2 ** 62)[1].tolist() == [3]
-
-
-def test_gather_peak_is_16_bytes_per_pair(monkeypatch):
-    # the argsort gather held 32 B per pair: the pieces, the sort order and
-    # the reordered copies.  Small chunks keep coincidences' own arrays
-    # out of the figure.
-    monkeypatch.setattr(tcspc, "_CHUNK_EVENTS", 1 << 10)
-    monkeypatch.setattr(tcspc, "_CHUNK_PAIRS", 1 << 12)
-    rng = np.random.default_rng(5)
-    a = np.sort(rng.integers(0, 10 ** 9, 100_000))
-    b = np.sort(rng.integers(0, 10 ** 9, 50_000))
-    (a_idx, delays), peak = traced_peak(
-        lambda: gather_pairs(a, b, -20_000, 20_000))
-    n_pairs = len(a_idx)
-    assert n_pairs > 150_000
-    assert peak < 16 * n_pairs + 500_000
-    _, ref_peak_bytes = traced_peak(lambda: reference_gather(
-        a, b, -20_000, 20_000))
-    assert ref_peak_bytes > 28 * n_pairs

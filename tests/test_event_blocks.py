@@ -241,6 +241,14 @@ ACROSS_EDGES = dict(
     model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
                       idler_delay_sign=-1),
     duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 12)
+# 10 ns of jitter, three idler channels and darks over two blocks of
+# 2^16 ps: idlers, led by their signals, are handed both ways
+WIDE_JITTER = dict(
+    model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                      dark_rate_hz=3e9, jitter_sigma_ps=1e4,
+                      idler_delay_sign=-1, signal_channels=(4, 0),
+                      idler_channels=(1, 3, 2)),
+    duration_s=1e-7, seed=5, block_events=3, min_block_ps=2 ** 16)
 
 
 @settings(max_examples=200, deadline=None)
@@ -252,11 +260,7 @@ ACROSS_EDGES = dict(
 # every example is at most 1,024 blocks, so none is skipped
 @example(model=SourceModel(pump_power_uw=0.0, dark_rate_hz=2e10),
          duration_s=1e-9, seed=3, block_events=2, min_block_ps=1)
-@example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
-                           dark_rate_hz=3e9, jitter_sigma_ps=1e4,
-                           idler_delay_sign=-1, signal_channels=(4, 0),
-                           idler_channels=(1, 3, 2)),
-         duration_s=3.3e-8, seed=5, block_events=3, min_block_ps=2 ** 16)
+@example(**WIDE_JITTER)
 @example(model=SourceModel(min_pair_spacing_ps=1e4, pgr_slope_mhz_per_uw=100),
          duration_s=0.0, seed=1, block_events=2, min_block_ps=1)
 @example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
@@ -291,14 +295,20 @@ def test_generation_matches_the_whole_stream_reference(
             assert np.all((t >= b.start_ps) & (t < b.duration_ps))
 
 
+def hands_both_ways(case):
+    with short_blocks(case["block_events"], case["min_block_ps"]):
+        down, up = handed(case["model"], case["duration_s"], case["seed"])
+    return down > 0 and up > 0
+
+
 def test_the_across_edges_example_hands_events_both_ways():
     # a photon detected alone or a dark stays in its block (save rounding
     # to its end), so only pair idlers carry the hand-off both ways
-    with short_blocks(ACROSS_EDGES["block_events"],
-                      ACROSS_EDGES["min_block_ps"]):
-        down, up = handed(ACROSS_EDGES["model"], ACROSS_EDGES["duration_s"],
-                          ACROSS_EDGES["seed"])
-    assert down > 0 and up > 0
+    assert hands_both_ways(ACROSS_EDGES)
+
+
+def test_the_wide_jitter_example_hands_events_both_ways():
+    assert hands_both_ways(WIDE_JITTER)
 
 
 def test_generation_matches_the_reference_at_scale():
@@ -472,22 +482,21 @@ def g2_shard_blocks(monkeypatch, cfg, n_cpus):
     drawn = []
 
     def recorded(blocks, tau_grid_ps, window_ps, own_ps):
-        part = (os.getpid(), own_ps, [block_record(b) for b in blocks])
-        return part, lambda peaks: None
+        return os.getpid(), own_ps, [block_record(b) for b in blocks]
 
     monkeypatch.setattr(pipeline, "fold_heralds", recorded)
-    monkeypatch.setattr(pipeline, "herald_peaks", drawn.extend)
-    monkeypatch.setattr(pipeline, "g2_curve", lambda tau, counts: dict.fromkeys(
-        ("g2", "n_triples", "n_idler", "n_is1", "n_is2"), np.zeros(len(tau))))
+    monkeypatch.setattr(pipeline, "summed", drawn.extend)
+    monkeypatch.setattr(pipeline, "g2_curve", lambda tau, window, fold:
+                        dict.fromkeys(("g2", "n_triples", "n_idler", "n_is1",
+                                       "n_is2"), np.zeros(len(tau))))
     sharded_g2(monkeypatch, cfg, n_cpus)
     return drawn
 
 
 def test_each_g2_shard_draws_the_blocks_of_one_pass(monkeypatch):
-    # each time shard draws its blocks in a worker process of its own,
-    # ahead of the parent's exchange: every block it draws is the block of
-    # that start in one plain pass, and it draws a run of them that holds
-    # the times it owns
+    # each time shard draws its blocks in a worker process of its own:
+    # every block it draws is the block of that start in one plain pass,
+    # and it draws a run of them that holds the times it owns
     cfg = parse_config(G2_ACROSS_CUTS.format(""))
     [(pid, own, plain)] = g2_shard_blocks(monkeypatch, cfg, 1)
     assert pid == os.getpid() and own == (None, None) and len(plain) == 60
@@ -509,35 +518,35 @@ def test_each_g2_shard_draws_the_blocks_of_one_pass(monkeypatch):
         assert drawn == set(starts)
 
 
-def test_stopping_g2_at_the_exchange_joins_every_worker(monkeypatch):
-    # the parent stops g2 while its shards wait for the peaks, each holding
-    # the pairs it has drawn: every worker is stopped and joined
+def test_stopping_g2_as_its_first_shard_reports_joins_every_worker(
+        monkeypatch):
+    # the parent stops g2 as the first shard's fold comes in, while the
+    # other workers still fold or wait for a task: every worker is stopped
+    # and joined
     alive = []
 
-    def closed(parts):
+    def closed(link):
         alive.append(len(multiprocessing.active_children()))
         raise RuntimeError("closed early")
 
-    monkeypatch.setattr(pipeline, "herald_peaks", closed)
+    monkeypatch.setattr(pipeline, "_received", closed)
     cfg = parse_config(G2_ACROSS_CUTS.format(""))
     threads = threading.active_count()
-    for n_cpus in (1, 2, 4):
+    for n_cpus in (2, 4):
         alive.clear()
         with pytest.raises(RuntimeError, match="closed early"):
             sharded_g2(monkeypatch, cfg, n_cpus)
-        assert alive == [n_cpus if n_cpus > 1 else 0]
+        assert alive == [n_cpus]
         assert_no_worker_left(threads)
 
 
-def test_a_g2_shard_raising_before_the_exchange_raises_as_one_pass(
-        monkeypatch):
+def test_a_g2_shard_raising_in_its_fold_raises_as_one_pass(monkeypatch):
     # a 3.2 us cavity lifetime carries an idler drawn in block 45 past its
-    # neighbour: the shards that draw block 45 raise in their fold, before
-    # the parent takes the peaks, and the others wait for them
+    # neighbour: the shards that draw block 45 raise in their fold, and
+    # the parent raises it once the others are done, adding no fold
     cfg = parse_config(G2_ACROSS_CUTS.format("pair_lifetime_ps = 3.2e6\n"))
-    peaks = []
-    monkeypatch.setattr(pipeline, "herald_peaks",
-                        lambda parts: peaks.append(parts))
+    added = []
+    monkeypatch.setattr(pipeline, "summed", added.append)
     threads = threading.active_count()
     for n_cpus in (1, 2, 3, 4):
         with pytest.raises(ValueError) as raised:
@@ -546,15 +555,15 @@ def test_a_g2_shard_raising_before_the_exchange_raises_as_one_pass(
                                      "block at 1509949440 ps lands past its "
                                      "neighbours")
         assert_no_worker_left(threads)
-    assert peaks == []
+    assert added == []
 
 
 def test_a_g2_fold_that_raises_leaves_no_thread(monkeypatch):
-    # every shard raises as it counts its windows, after the exchange
-    def failing_count(*args):
+    # every shard raises as it gathers its first batch's pairs
+    def failing_gather(*args):
         raise RuntimeError("mid-count")
 
-    monkeypatch.setattr(tcspc, "_herald_counts", failing_count)
+    monkeypatch.setattr(tcspc, "_herald_pairs", failing_gather)
     cfg = parse_config(G2_ACROSS_CUTS.format(""))
     threads = threading.active_count()
     for n_cpus in (1, 2, 4):

@@ -226,7 +226,7 @@ losses_db = 3.0
     submitted = []
     workers = []
 
-    def in_order(fn, points, n_workers, reply):
+    def in_order(fn, points, n_workers):
         """Worker processes that run in this one, in submission order."""
         workers.append(n_workers)
         submitted.extend(p[1] for p in points)
@@ -269,19 +269,6 @@ duration_s = 0.02
     # where the platform has no affinity call, every CPU counts
     monkeypatch.delattr(pipeline.os, "sched_getaffinity")
     assert pipeline._cpus() == 8
-
-
-def test_two_step_tasks_need_a_worker_each(monkeypatch):
-    # two-step tasks all run at once: more than one CPU but fewer than
-    # tasks is refused before any worker starts
-    def no_workers(*args):
-        raise AssertionError("worker processes were started")
-
-    monkeypatch.setattr(pipeline, "_in_processes", no_workers)
-    monkeypatch.setattr(pipeline, "_cpus", lambda: 2)
-    with pytest.raises(ValueError, match="3 two-step tasks need as many "
-                                         "workers, not 2"):
-        pipeline._mapped(lambda t: (t, None), [1, 2, 3], reply=sum)
 
 
 def test_run_simulate_coinc_roundtrip(tmp_path):

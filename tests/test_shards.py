@@ -26,8 +26,7 @@ from diskspdc.events import (EventFormatError, EventStream, SourceModel,
                              block_shards, event_blocks, event_parts,
                              file_shards, read_blocks, summed, write_events)
 from diskspdc.tcspc import (DelayHistogram, fold_delays, fold_heralds,
-                            g2_curve, herald_peaks, heralded_g2,
-                            heralded_g2_span)
+                            g2_curve, heralded_g2, heralded_g2_span)
 
 from streams import from_merged, handed, short_blocks
 
@@ -175,22 +174,21 @@ def test_g2_shards_add_up_to_one_pass(seed, cuts, taus, window):
     # cut at block starts, as block_shards cuts: each shard folds its own
     # heralds over the blocks pipeline._shard_fold draws for them, over
     # heralded_g2_span's reach, up to 8 blocks of 2^10 ps past each cut,
-    # and counts them around the peaks of every shard's calibration.  The
-    # pinned example's blocks hand heralds both ways
+    # and the shards' HeraldFolds add up to the one pass's.  The pinned
+    # example's blocks hand heralds both ways
     # (test_busy_blocks_hand_events_both_ways)
     tau = np.array(taus, dtype=float)
     with short_blocks(6, 1 << 10):
         _, block, n_blocks = events._plan(HERALDED, BUSY_S)
         assert n_blocks == 196
-        steps = [pipeline._shard_fold(
+        folds = [pipeline._shard_fold(
                      functools.partial(fold_heralds, tau_grid_ps=tau,
                                        window_ps=window),
                      functools.partial(event_blocks, HERALDED, BUSY_S, seed),
                      heralded_g2_span(tau, window), s)
                  for s in edges_of(sorted(k * block for k in cuts))]
         want = heralded_g2(event_blocks(HERALDED, BUSY_S, seed), tau, window)
-    peaks = herald_peaks([calibration for calibration, _ in steps])
-    got = g2_curve(tau, [count(peaks) for _, count in steps])
+    got = g2_curve(tau, window, summed(folds))
     assert got.keys() == want.keys()
     for key in want:
         assert np.array_equal(got[key], want[key], equal_nan=True), key
@@ -210,9 +208,10 @@ def test_busy_blocks_hand_events_both_ways(model, blocks, seed):
 # holds the longest arm delay drawn, 2^13 ps, with the reach of a pair's
 # idler delay: generation raises for an event that lands past the block
 # after its own.  Long-arm events and delayed idlers are handed up.  None
-# is handed down at the pinned example: at about 15 events a block, few
-# idlers lead their signals (their delay is Exp(200 ps) plus a Gaussian of
-# 57 ps), and by tens of ps
+# is handed down at the first pinned example: at about 15 events a block,
+# few idlers lead their signals (their delay is Exp(200 ps) plus a
+# Gaussian of 57 ps), and by tens of ps.  With idler_delay_sign = -1 every
+# idler leads its signal, and a few are handed down
 FRANSON_BLOCKS = (8, 1 << 14)
 FRANSON_CFG = """
 seed = {seed}
@@ -223,6 +222,7 @@ saturation_rate_mhz = 1e9
 signal_losses_db = 0.0
 idler_losses_db = 0.0
 dark_rate_hz = 1e7
+idler_delay_sign = {sign}
 
 [spectrum]
 peak_fraction = 1.0
@@ -255,13 +255,18 @@ def franson_on(cfg, shards):
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 2 ** 32), delay=st.integers(201, 1 << 13),
-       cuts=st.lists(st.integers(0, 25), max_size=3))
-@example(seed=0, delay=5331, cuts=[8])
-def test_franson_shards_add_up_to_one_pass(seed, delay, cuts):
+       cuts=st.lists(st.integers(0, 25), max_size=3),
+       sign=st.sampled_from([1, -1]))
+@example(seed=0, delay=5331, cuts=[8], sign=1)
+# idlers that lead their signals: blocks 8, 16 and 22 hand one down each,
+# across the cuts (test_franson_blocks_hand_events_down)
+@example(seed=2, delay=5331, cuts=[8, 16, 22], sign=-1)
+def test_franson_shards_add_up_to_one_pass(seed, delay, cuts, sign):
     # cut at any block starts, S = 1 to 4 shards: each shard draws its
     # blocks routed as a whole pass does, long-arm events handed across
     # block edges like any other, and reads its fold's span
-    cfg = parse_config(FRANSON_CFG.format(seed=seed, delay_ns=delay / 1000))
+    cfg = parse_config(FRANSON_CFG.format(seed=seed, delay_ns=delay / 1000,
+                                          sign=sign))
     with short_blocks(*FRANSON_BLOCKS):
         model = pipeline._channel_source(cfg, pipeline.channel_pair_rate_hz(
             cfg, cfg.source.pump_power_uw))
@@ -274,15 +279,27 @@ def test_franson_shards_add_up_to_one_pass(seed, delay, cuts):
     assert_sums_to([pairs], pair)
 
 
-def test_franson_blocks_hand_events_up():
-    # the pinned example's routed blocks hand long-arm events and delayed
-    # idlers up; none down (see FRANSON_BLOCKS)
-    cfg = parse_config(FRANSON_CFG.format(seed=0, delay_ns=5.331))
+def franson_handed(seed, sign):
+    """handed's (down, up) of run_franson's routed stream at an arm delay
+    of 5.331 ns."""
+    cfg = parse_config(FRANSON_CFG.format(seed=seed, delay_ns=5.331,
+                                          sign=sign))
     model = pipeline._channel_source(
         cfg, pipeline.channel_pair_rate_hz(cfg, cfg.source.pump_power_uw),
         interferometer=pipeline._umi_config(cfg))
     with short_blocks(*FRANSON_BLOCKS):
-        assert handed(model, 4e-7, pipeline.derive_seed(cfg.seed, 3))[1] > 0
+        return handed(model, 4e-7, pipeline.derive_seed(cfg.seed, 3))
+
+
+def test_franson_blocks_hand_events_up():
+    # the first pinned example's routed blocks hand long-arm events and
+    # delayed idlers up; none down (see FRANSON_BLOCKS)
+    assert franson_handed(0, 1)[1] > 0
+
+
+def test_franson_blocks_hand_events_down():
+    # the pinned example whose idlers lead their signals hands some down
+    assert franson_handed(2, -1)[0] > 0
 
 
 @st.composite
