@@ -27,9 +27,11 @@ is drawn already routed.
 
 The stream is drawn in consecutive time blocks of B ps, B a power of two
 sized from the source's expected event rate so that a block holds about
-_BLOCK_EVENTS events, and at least _MIN_BLOCK_PS; a stream shorter than B,
-and the renewal source, whose dead time couples neighbouring blocks, are
-one block.  Block k has its own generator, spawned from (seed, k), and
+_BLOCK_EVENTS = 2^16 events, and at least _MIN_BLOCK_PS; a stream shorter
+than B, and the renewal source, whose dead time couples neighbouring
+blocks, are one block.  What every block draws with, the ways a pair is
+detected, their probabilities and the channels, is worked out once per
+stream (_Draws).  Block k has its own generator, spawned from (seed, k), and
 draws its counts first, then its times, in a fixed order: a Poisson
 source's pairs detected on both arms kind by kind, then each channel's
 uniforms (its photons detected alone and its darks, in one run); the
@@ -38,12 +40,13 @@ counts size one float64 buffer per channel, which the generator's fill
 methods (random, standard_normal, standard_exponential with out=) fill in
 place: numpy's uniform, normal and exponential make the same products of
 the same draws, so the times are theirs to the bit.  Each buffer is
-sorted, then rounded and cast to int64: rint is monotone and equal int64
-times are indistinguishable, so that is the int64 sort.  A routed source
-routes the unsorted times and sorts them after.  A Poisson process is
-independent on disjoint intervals, so the blocks are exact pieces of one
-stream, and a given (config, seed) gives the same stream whatever the
-order in which the blocks are drawn.  An event whose cavity delay,
+sorted, then rounded and cast to int64 in its own memory, a chunk at a
+time (_cast), so a block's times are never held twice: rint is monotone
+and equal int64 times are indistinguishable, so that is the int64 sort.
+A routed source routes the unsorted times and sorts them after.  A
+Poisson process is independent on disjoint intervals, so the blocks are
+exact pieces of one stream, and a given (config, seed) gives the same
+stream whatever the order in which the blocks are drawn.  An event whose cavity delay,
 jitter or long arm carries it across a block edge is handed to the
 neighbour that holds its time, so event_blocks draws one block ahead; one
 carried past its neighbour raises ValueError.  Events outside [0,
@@ -77,7 +80,8 @@ the blocks that hold a window, and the one before, for the events it
 hands up; each block has its own generator, so a block is the same
 whichever shard draws it.  event_parts writes one file as consecutive
 parts, each by its own write_events, and appends them.  A .ttps file's
-shards, which coinc folds, are cut at the timestamps of evenly spaced
+shards, which coinc folds, follow the same rule over its blocks of
+_BLOCK_EVENTS records and are cut at the timestamps of evenly spaced
 records (file_shards), and read_blocks finds its window's records by
 bisecting the file one record at a time; a CSV file is one shard.
 
@@ -111,14 +115,19 @@ _HEADER = struct.Struct("<4sIH6s")
 _RECORD_DTYPE = np.dtype([("channel", "u1"), ("t", "<u8")])
 _EMPTY_TIMES = np.empty(0, dtype=np.int64)
 _CSV_HEADER = "channel,timestamp_ps"
-# events per generation block, per block of merged output and of records
-_BLOCK_EVENTS = 1 << 18
+# events per generation block, per block of merged output and of records:
+# a block's float64 times, cast in place, are about 0.5 MB
+_BLOCK_EVENTS = 1 << 16
 # shortest generation block, about 1.07 ms
 _MIN_BLOCK_PS = 1 << 30
-# fewest blocks in a shard of a drawn stream (block_shards): on 2 CPUs a
-# second shard costs about 0.03 s of CPU; it cuts wall time 24 % at 12
-# blocks and 15 % at 8, and none at 7
-_SHARD_BLOCKS = 6
+# fewest blocks in a shard of a drawn stream (block_shards) or of a .ttps
+# file's blocks of records (file_shards): on 2 CPUs a second shard costs
+# 0.04-0.09 s of CPU; it cuts drawn coinc's wall time 20 % at 30 and 47
+# blocks and franson's none at 28, and a file's 26 % at 69 blocks and
+# 13 % at 35
+_SHARD_BLOCKS = 24
+# float64 times rounded and cast to int64 at a time (_cast)
+_CAST_EVENTS = 1 << 14
 
 
 class EventFormatError(ValueError):
@@ -438,41 +447,64 @@ def _channels(model: SourceModel) -> list[int]:
     return sorted(model.signal_channels + model.idler_channels)
 
 
+@dataclass(frozen=True, eq=False)
+class _Draws:
+    """What every block of one stream draws with, worked out once per
+    stream (event_blocks) rather than once per block: the source, its
+    ways of detection (_pair_kinds) and their probabilities, the pair rate
+    per ps, its channels in order, and which kinds put a photon on which
+    channel (uses, channels by kinds, 0 or 1)."""
+
+    model: SourceModel
+    kinds: list[tuple[int | None, int | None, float]]
+    probabilities: np.ndarray
+    pair_rate_per_ps: float
+    channels: list[int]
+    uses: np.ndarray
+
+    @classmethod
+    def of(cls, model: SourceModel) -> _Draws:
+        kinds = _pair_kinds(model)
+        channels = _channels(model)
+        return cls(model, kinds, np.array([p for *_, p in kinds]),
+                   model.pair_rate_mhz * 1e-6, channels,
+                   np.array([[c in (s, i) for s, i, _ in kinds]
+                             for c in channels], dtype=np.int64))
+
+
 def _block_rng(seed: int, k: int) -> np.random.Generator:
     """Block k's own generator, spawned from the stream's seed."""
     return np.random.Generator(np.random.PCG64(
         np.random.SeedSequence(seed, spawn_key=(k,))))
 
 
-def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
+def _drawn_block(draws: _Draws, seed: int, k: int, start_ps: int,
                  length_ps: int):
     """Block k's own draws over [start, start + length): (pairs of each
     kind, each channel's sorted int64 times, detected and dark counts).
 
     The times are rounded offsets from the block's start, so they are
     exact whatever the start; delays, jitter and the interferometer's long
-    arm, routed after every other draw, may carry them outside.
+    arm, routed after every other draw, may carry them outside.  Each
+    channel's times are cast to int64 in its float64 buffer (_cast).
     """
     rng = _block_rng(seed, k)
-    kinds = _pair_kinds(model)
-    channels = _channels(model)
+    model, kinds, channels = draws.model, draws.kinds, draws.channels
     renewal = model.min_pair_spacing_ps > 0
     if renewal:
         pair_t = _renewal_pair_times(model, length_ps, rng)
-        kind = rng.choice(len(kinds), len(pair_t),
-                          p=[p for *_, p in kinds])
+        kind = rng.choice(len(kinds), len(pair_t), p=draws.probabilities)
         pairs = np.bincount(kind, minlength=len(kinds))
         emitted = [pair_t[kind == j] for j in range(len(kinds))]
     else:
-        pairs = rng.poisson(model.pair_rate_mhz * 1e-6 * length_ps
-                            * np.array([p for *_, p in kinds]))
+        pairs = rng.poisson(draws.pair_rate_per_ps * length_ps
+                            * draws.probabilities)
     dark = rng.poisson(model.dark_rate_hz * length_ps * 1e-12, len(channels))
     # each channel's buffer: its photons of each kind in turn, then its
     # darks; a Poisson source's photons detected alone, uniforms as the
     # darks are, are drawn with them in one fill of the buffer's rest
-    buffers = {c: np.empty(n_dark + sum(n for (s, i, _), n in zip(
-        kinds, pairs.tolist()) if c in (s, i)))
-        for c, n_dark in zip(channels, dark.tolist())}
+    buffers = {c: np.empty(n) for c, n in
+               zip(channels, (draws.uses @ pairs + dark).tolist())}
     filled = dict.fromkeys(channels, 0)
 
     def take(c, n):
@@ -518,16 +550,15 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
     times, detected = {}, {}
     umi = model.interferometer
     for c, n_dark in zip(channels, dark.tolist()):
-        _uniform(rng, buffers[c][filled[c]:], length_ps)
-        # popping the buffer frees it after the cast
-        t = buffers.pop(c)
+        t = buffers[c]
+        _uniform(rng, t[filled[c]:], length_ps)
         detected[c] = len(t) - n_dark
         # rint is monotone, and equal int64 times are indistinguishable,
         # so the floats sorted give the ints sorted; a routed source
         # routes them unsorted
         if umi is None:
             t.sort()
-        t = times[c] = np.rint(t, out=t).astype(np.int64)
+        t = times[c] = _cast(t)
         t += start_ps
     if umi is not None:
         umi.route(times, rng)
@@ -539,6 +570,19 @@ def _drawn_block(model: SourceModel, seed: int, k: int, start_ps: int,
         split[(s is None) * 2 + (i is None)] += n
     return (split, times, detected,
             dict(zip(channels, dark.tolist())))
+
+
+def _cast(t: np.ndarray) -> np.ndarray:
+    """float64 times rounded and cast to int64 in their own memory: the
+    int64 view of t, np.rint(t).astype(np.int64) to the bit.  It goes
+    _CAST_EVENTS at a time, so that a copy numpy may make of a source
+    that overlaps its destination is one chunk, not the array."""
+    out = t.view(np.int64)
+    for i in range(0, len(t), _CAST_EVENTS):
+        chunk = t[i:i + _CAST_EVENTS]
+        np.copyto(out[i:i + _CAST_EVENTS], np.rint(chunk, out=chunk),
+                  casting="unsafe")
+    return out
 
 
 def _uniform(rng: np.random.Generator, out: np.ndarray,
@@ -570,7 +614,7 @@ def _plan(model: SourceModel, duration_s: float) -> tuple[int, int, int]:
     return duration_ps, block, -(-duration_ps // block)
 
 
-def _handed(model: SourceModel, seed: int, k: int, block: int,
+def _handed(draws: _Draws, seed: int, k: int, block: int,
             duration_ps: int):
     """Block k's draws cut at its edges: (truth, {channel: (down, own,
     up)}), down and up the times that belong to the blocks before and
@@ -578,7 +622,7 @@ def _handed(model: SourceModel, seed: int, k: int, block: int,
     past a neighbouring block raises ValueError."""
     start = k * block
     stop = min(start + block, duration_ps)
-    split, times, detected, dark = _drawn_block(model, seed, k, start,
+    split, times, detected, dark = _drawn_block(draws, seed, k, start,
                                                 stop - start)
     parts, clipped = {}, {}
     for c, t in times.items():
@@ -610,7 +654,8 @@ def event_blocks(model: SourceModel, duration_s: float, seed: int,
     first = (0 if t0 is None else n_blocks if t0 >= duration_ps
              else max(t0 // block, 0))
     stop = n_blocks if t1 is None else min(max(-(-t1 // block), 0), n_blocks)
-    return _blocks(model, seed, duration_ps, block, n_blocks, first, stop)
+    return _blocks(_Draws.of(model), seed, duration_ps, block, n_blocks,
+                   first, stop)
 
 
 def block_shards(model: SourceModel, duration_s: float,
@@ -628,7 +673,7 @@ def _shards(cuts: list[int]) -> list[tuple[int | None, int | None]]:
     return list(zip(edges[:-1], edges[1:]))
 
 
-def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,
+def _blocks(draws: _Draws, seed: int, duration_ps: int, block: int,
             n_blocks: int, first: int, stop: int):
     """Blocks first to stop - 1 of a stream of n_blocks."""
     if first >= stop:
@@ -636,10 +681,10 @@ def _blocks(model: SourceModel, seed: int, duration_ps: int, block: int,
     up: dict[int, np.ndarray] = {}
     if first:
         up = {c: rise for c, (*_, rise) in
-              _handed(model, seed, first - 1, block, duration_ps)[1].items()}
-    here = _handed(model, seed, first, block, duration_ps)
+              _handed(draws, seed, first - 1, block, duration_ps)[1].items()}
+    here = _handed(draws, seed, first, block, duration_ps)
     for k in range(first, stop):
-        after = (_handed(model, seed, k + 1, block, duration_ps)
+        after = (_handed(draws, seed, k + 1, block, duration_ps)
                  if k + 1 < n_blocks else None)
         truth, parts = here
         times = {}
@@ -859,16 +904,18 @@ def file_shards(path: str | os.PathLike,
                 n_shards: int) -> list[tuple[int | None, int | None]]:
     """The time shards [t0, t1) of an event file, None an open end.
 
-    A .ttps file of n records has min(n_shards, its blocks of records)
-    shards, at least one, cut at the timestamps of records n.j/S, each
-    read on its own (os.pread); a CSV file is one shard.  A bad header
-    raises the EventFormatError that read_blocks raises.
+    A .ttps file of n records, in m blocks of _BLOCK_EVENTS records, has S
+    = max(min(n_shards, m // _SHARD_BLOCKS), 1) shards, block_shards' rule,
+    cut at the timestamps of records n.j/S, each read on its own
+    (os.pread); a CSV file is one shard.  A bad header raises the
+    EventFormatError that read_blocks raises.
     """
     if _is_csv(path):
         return _shards([])
     with open(path, "rb") as fh:
         _, n = _ttps_header(fh, path)
-        n_shards = min(n_shards, -(-n // _BLOCK_EVENTS))
+        n_shards = max(min(n_shards,
+                           -(-n // _BLOCK_EVENTS) // _SHARD_BLOCKS), 1)
         # a cut past the int64 range stays a valid search key: the
         # record's own block raises when it is read
         return _shards([min(_record_time(fh, n * j // n_shards), 2 ** 63 - 1)

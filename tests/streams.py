@@ -48,9 +48,10 @@ def handed(model, duration_s, seed):
     the block before them and to the block after them, under the block
     sizing in force."""
     duration_ps, block, n_blocks = events._plan(model, duration_s)
+    draws = events._Draws.of(model)
     down = up = 0
     for k in range(n_blocks):
-        _, parts = events._handed(model, seed, k, block, duration_ps)
+        _, parts = events._handed(draws, seed, k, block, duration_ps)
         for before, _, after in parts.values():
             down += len(before)
             up += len(after)

@@ -334,7 +334,7 @@ def test_generation_matches_the_reference_at_scale():
 
 
 def test_block_length_is_sized_from_the_rate():
-    for pump, n_blocks in ((0.001, 1), (0.46, 30), (2.0, 117)):
+    for pump, n_blocks in ((0.001, 1), (0.46, 117), (2.0, 466)):
         model = SourceModel(pump_power_uw=pump, detector_efficiency=0.95)
         duration_ps, block, n = events._plan(model, 2.0)
         assert n == n_blocks and n == -(-duration_ps // block)
@@ -355,7 +355,7 @@ def test_block_length_is_sized_from_the_rate():
 def test_blocks_drawn_in_any_order_give_the_same_stream(tmp_path):
     model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
                         signal_channels=(0, 2), idler_channels=(1,))
-    draw = events._drawn_block
+    draws = events._Draws.of(model)
 
     def stream_and_file(order_seed):
         """The stream and file sha256, every block drawn first in a
@@ -367,9 +367,9 @@ def test_blocks_drawn_in_any_order_give_the_same_stream(tmp_path):
             duration_ps, block, n_blocks = events._plan(model, 0.02)
             ks = list(range(n_blocks))
             random.Random(order_seed).shuffle(ks)
-            drawn = {k: draw(model, 99, k, k * block,
-                             min(block, duration_ps - k * block))
-                     for k in ks}
+            drawn = {k: events._drawn_block(
+                draws, 99, k, k * block, min(block, duration_ps - k * block))
+                for k in ks}
             with mock.patch.object(events, "_drawn_block",
                                    lambda m, s, k, *a: drawn[k]):
                 stream = generate_events(model, 0.02, 99)
@@ -388,13 +388,13 @@ def test_blocks_drawn_in_any_order_give_the_same_stream(tmp_path):
 
 
 def test_displacement_past_a_neighbour_exits_3(tmp_path):
-    # a 0.1 s cavity lifetime carries idlers past the 34 ms blocks
+    # a 0.1 s cavity lifetime carries idlers past the 8.6 ms blocks
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("[source]\npump_power_uw = 1.0\nsignal_losses_db = 0.0\n"
                    "idler_losses_db = 0.0\npair_lifetime_ps = 1e11\n")
     assert main(["coinc", "-c", str(cfg), "--duration", "0.1"]) == 3
     model = SourceModel(pump_power_uw=1.0, pair_lifetime_ps=1e11)
-    assert events._plan(model, 0.1)[1] == 1 << 35
+    assert events._plan(model, 0.1)[1] == 1 << 33
     with pytest.raises(ValueError, match="past its neighbours"):
         generate_events(model, 0.1, 1)
 
@@ -630,6 +630,67 @@ def test_block_generation_peak_does_not_grow_with_the_stream():
 def test_block_generation_peak_with_one_channel_per_arm():
     # the replay layout: the same bounds
     assert_block_generation_peak_is_flat((0,))
+
+
+def test_a_drawn_block_casts_its_times_in_place():
+    # a block holds one float64 buffer per channel and the jitter scratch,
+    # and casts each buffer to int64 in its own memory: the cast it
+    # replaced held a channel's int64 copy too, 1.2 MB here.  A first draw
+    # sets up numpy's generators, which tracemalloc would count
+    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5)
+    draws = events._Draws.of(model)
+    events._drawn_block(draws, 3, 0, 0, 1 << 20)
+    (split, times, _, _), peak = traced_peak(
+        lambda: events._drawn_block(draws, 3, 0, 0, 1 << 34))
+    # the one channel pair's pairs detected on both arms size the scratch
+    held = 8 * (sum(len(t) for t in times.values()) + split[0])
+    assert min(len(t) for t in times.values()) > 100_000
+    assert peak < held + 8 * events._CAST_EVENTS + 20_000
+
+
+@pytest.mark.parametrize("n", [0, 1, 6, 7, 8, 14, 15, 50])
+def test_the_cast_in_place_is_rint_then_astype(n, monkeypatch):
+    # across chunk edges, of either sign, halves rounded to even, and up
+    # to 2^53, past which every float64 is an integer
+    monkeypatch.setattr(events, "_CAST_EVENTS", 7)
+    edge = [0.5, -0.5, 1.5, -2.5, 2 ** 52 + 0.5, 2 ** 53, -2 ** 53,
+            2 ** 53 - 1, -(2 ** 52) - 0.5]
+    rng = np.random.default_rng(n)
+    t = rng.permutation(np.concatenate([
+        edge, rng.uniform(-2 ** 53, 2 ** 53, 25),
+        rng.uniform(-1e4, 1e4, 25)]))[:n].copy()
+    want = np.rint(t).astype(np.int64)
+    got = events._cast(t)
+    assert got.dtype == np.int64 and got.base is t
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("umi", [None, UmiConfig()])
+@pytest.mark.parametrize("length_ps", [1 << 22, 2 ** 53])
+def test_drawn_blocks_cast_in_chunks_match_the_reference(umi, length_ps,
+                                                         monkeypatch):
+    # idlers that lead their signals by 0.1 us put times below a 4 us
+    # block's start; a 2^53 ps block draws times up to 2^53.  Chunks of 7
+    # events cut every channel many times
+    monkeypatch.setattr(events, "_CAST_EVENTS", 7)
+    model = SourceModel(pump_power_uw=40.0 / length_ps * 2 ** 22,
+                        pgr_slope_mhz_per_uw=500.0, pair_lifetime_ps=1e5,
+                        dark_rate_hz=2e12 / length_ps, idler_delay_sign=-1,
+                        interferometer=umi)
+    start = 5 * length_ps
+    split, times, detected, dark = events._drawn_block(
+        events._Draws.of(model), 9, 5, start, length_ps)
+    w_split, w_times, w_detected, w_dark, delays = reference_block(
+        model, 9, 5, length_ps)
+    assert (split, detected, dark) == (list(w_split), w_detected, w_dark)
+    for c, t in w_times.items():
+        assert len(t) > 50
+        assert np.array_equal(times[c], np.sort(
+            np.rint(t).astype(np.int64) + start + delays[c]))
+    if length_ps < 2 ** 53:
+        assert times[1][0] < start
+    else:
+        assert max(t[-1] for t in times.values()) - start > 2 ** 52
 
 
 @pytest.mark.parametrize("signal_channels", [(0,), (0, 2)])

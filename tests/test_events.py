@@ -570,7 +570,8 @@ def test_only_pair_idlers_leave_their_blocks(sign):
         duration_ps, block, n_blocks = events._plan(m, 1e-5)
         assert n_blocks > 5
         for k in range(n_blocks):
-            _, parts = events._handed(m, 7, k, block, duration_ps)
+            _, parts = events._handed(events._Draws.of(m), 7, k, block,
+                                      duration_ps)
             for c in (0, 2):
                 down, _, up = parts[c]
                 assert len(down) == 0

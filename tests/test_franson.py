@@ -163,6 +163,12 @@ BUSY = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8,
                    signal_channels=(0, 2), idler_channels=(1,))
 
 
+def drawn_block(model, seed, k, start_ps, length_ps):
+    """Block k's draws (events._drawn_block) of model's stream."""
+    return events._drawn_block(events._Draws.of(model), seed, k, start_ps,
+                               length_ps)
+
+
 def through(model, arms=(0.5, 0.5)):
     """model with an interferometer of these arms and 1.6-ns arm delay."""
     return dataclasses.replace(model, interferometer=UmiConfig(
@@ -174,11 +180,9 @@ def test_generated_routing_extremes(k, start):
     # routing draws after every other draw of the block: all short leaves
     # the block as drawn without an interferometer, all long adds D to
     # every time, re-sorted
-    plain = events._drawn_block(BUSY, 5, k, start, 1 << 20)
-    short = events._drawn_block(through(BUSY, (1.0, 0.0)), 5, k, start,
-                                1 << 20)
-    long = events._drawn_block(through(BUSY, (0.0, 1.0)), 5, k, start,
-                               1 << 20)
+    plain = drawn_block(BUSY, 5, k, start, 1 << 20)
+    short = drawn_block(through(BUSY, (1.0, 0.0)), 5, k, start, 1 << 20)
+    long = drawn_block(through(BUSY, (0.0, 1.0)), 5, k, start, 1 << 20)
     for got in (short, long):
         assert (got[0], got[2], got[3]) == (plain[0], plain[2], plain[3])
         assert got[1].keys() == plain[1].keys() == {0, 1, 2}
@@ -214,8 +218,8 @@ def test_generated_long_arm_crosses_block_edges_and_clips_at_the_end():
 def test_generated_long_arm_share():
     # the long-arm routes add D each, so the share is exact from the sums
     arms = (0.2, 0.7)
-    plain = events._drawn_block(BUSY, 7, 0, 0, 10 ** 7)[1]
-    routed = events._drawn_block(through(BUSY, arms), 7, 0, 0, 10 ** 7)[1]
+    plain = drawn_block(BUSY, 7, 0, 0, 10 ** 7)[1]
+    routed = drawn_block(through(BUSY, arms), 7, 0, 0, 10 ** 7)[1]
     n = sum(len(t) for t in plain.values())
     n_long, rest = divmod(sum(int(routed[c].sum() - t.sum())
                               for c, t in plain.items()), 1600)

@@ -402,7 +402,7 @@ jitter_sigma_ps = 5.0
 
 [sweep]
 powers_uw = 0.4, 0.8, 1.2
-duration_s = 0.02
+duration_s = 0.01
 losses_db = 3.0
 
 [franson]

@@ -367,8 +367,9 @@ def test_shard_records_hold_every_pair_of_neighbours(tmp_path_factory, times,
 
 
 def test_shard_counts_follow_blocks_and_cpus(tmp_path):
-    # a drawn stream of n blocks takes max(min(CPUs, n // _SHARD_BLOCKS), 1)
-    # shards, cut at the starts of blocks n.j/S
+    # a drawn stream of n blocks, or a .ttps file of n blocks of records,
+    # takes max(min(CPUs, n // _SHARD_BLOCKS), 1) shards, cut at the starts
+    # of blocks n.j/S, or at the timestamps of records n.j/S
     model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5)
     path = tmp_path / "e.ttps"
     with short_blocks(1 << 12, 1 << 20):
@@ -391,7 +392,9 @@ def test_shard_counts_follow_blocks_and_cpus(tmp_path):
         assert len(file_shards(path, 1000)) == -(-n // (1 << 12)) > 10
         times = np.fromfile(path, dtype=events._RECORD_DTYPE, offset=16)["t"]
         assert file_shards(path, 2) == edges_of([int(times[n // 2])])
-    # 2^18 records a block: the file is one
+        with shard_blocks(4):
+            assert len(file_shards(path, 1000)) == -(-n // (1 << 12)) // 4
+    # 2^16 records a block, 24 blocks a shard: the file is one
     assert file_shards(path, 2) == [(None, None)]
     assert file_shards(tmp_path / "e.csv", 4) == [(None, None)]
 
@@ -481,19 +484,40 @@ def test_coinc_folds_a_generated_stream_inline(monkeypatch):
             assert pipeline.run_coinc(cfg, None, 0.005) == want
 
 
+def test_coinc_folds_a_short_file_inline(tmp_path, monkeypatch):
+    # a .ttps file of under 2 * _SHARD_BLOCKS blocks of records is one
+    # shard, as a drawn stream of as many blocks is
+    cfg = parse_config(SHORT_CFG)
+    path = str(tmp_path / "e.ttps")
+    with short_blocks(1 << 12, 1 << 20):
+        pipeline.run_simulate(cfg, path, 0.005)
+        n_records = (os.path.getsize(path) - 16) // 9
+        n_blocks = -(-n_records // (1 << 12))
+        assert n_blocks >= 4
+        want = pipeline.run_coinc(cfg, path, 0.005)
+
+        def no_workers(*args):
+            raise AssertionError("worker processes were started")
+
+        monkeypatch.setattr(pipeline, "_in_processes", no_workers)
+        monkeypatch.setattr(pipeline, "_cpus", lambda: 4)
+        with shard_blocks(n_blocks // 2 + 1):
+            assert pipeline.run_coinc(cfg, path, 0.005) == want
+
+
 class Planned(Exception):
     """A run stopped once its shards are planned, before any draw."""
 
 
 @pytest.mark.parametrize("argv, layout", [
-    (["g2"], (37, 2)),
+    (["g2"], (146, 2)),
     (["simulate", "-c", os.path.join(os.path.dirname(__file__), os.pardir,
-                                     "bench", "replay.cfg")], (30, 2)),
-    (["franson"], (7, 1)),
+                                     "bench", "replay.cfg")], (117, 2)),
+    (["franson"], (28, 1)),
 ])
 def test_default_layouts_at_two_cpus(tmp_path, monkeypatch, argv, layout):
     # (blocks, shards) of the default streams on 2 CPUs, planned without
-    # drawing: g2 and the replay stream shard, franson's 7 blocks fold
+    # drawing: g2 and the replay stream shard, franson's 28 blocks fold
     # inline
     def planned(model, duration_s, n_cpus):
         raise Planned(events._plan(model, duration_s)[2],
@@ -509,8 +533,8 @@ def test_default_layouts_at_two_cpus(tmp_path, monkeypatch, argv, layout):
 
 
 def test_a_failed_shard_leaves_no_part_file(tmp_path, monkeypatch, capsys):
-    # a 0.1 s cavity lifetime carries idlers past the 34 ms blocks, which
-    # raises in whichever shards draw them: one shard a block, three parts
+    # a 0.1 s cavity lifetime carries idlers past the 8.6 ms blocks, which
+    # raises in whichever shards draw them: three shards, three parts
     cfg = tmp_path / "slow.cfg"
     cfg.write_text("[source]\npump_power_uw = 1.0\nsignal_losses_db = 0.0\n"
                    "idler_losses_db = 0.0\npair_lifetime_ps = 1e11\n")
@@ -560,8 +584,8 @@ def records_file(path, records, n_channels=2):
 
 
 # 400 records, alternating channels 0 and 1, 1 us apart, far past a
-# two-fold fold's reach; blocks of 16 records make 25, so that 4 CPUs cut
-# the file at records 100, 200 and 300
+# two-fold fold's reach; blocks of 16 records make 25, so that 4 CPUs, at
+# one block a shard, cut the file at records 100, 200 and 300
 GOOD = [(k % 2, 10 ** 6 * k) for k in range(400)]
 
 
@@ -596,6 +620,7 @@ def test_malformed_files_raise_what_one_pass_raises(tmp_path, monkeypatch,
         with open(path, "ab") as fh:
             fh.write(b"\0" * 4)
     monkeypatch.setattr(events, "_BLOCK_EVENTS", 16)
+    monkeypatch.setattr(events, "_SHARD_BLOCKS", 1)
     args = ["coinc", "--events", str(path)]
     if duration_ps is not None:
         args += ["--duration", str(duration_ps / 1e12)]
@@ -626,6 +651,7 @@ def test_a_file_with_two_defects_raises_in_every_shard_count(
     path = tmp_path / "e.ttps"
     records_file(path, records)
     monkeypatch.setattr(events, "_BLOCK_EVENTS", 16)
+    monkeypatch.setattr(events, "_SHARD_BLOCKS", 1)
     errors = []
     for n_cpus, match in ((1, "channel 2"), (4, "not time-sorted")):
         monkeypatch.setattr(pipeline, "_cpus", lambda n=n_cpus: n)
