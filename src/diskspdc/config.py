@@ -24,7 +24,10 @@ Every key is declared once, as a field of its section's dataclass below:
 ``key(kind, default, help, rule)`` gives its type, its default, its help
 text and the ``Rule`` its value must obey on its own, so a key's constraint
 sits next to it.  ``SCHEMA``, parsing, ``serialize_config()`` and
-``config_reference()`` are all derived from those fields.  Only the rules
+``config_reference()`` are all derived from those fields, and so is the
+source model: ``events.SourceModel`` subclasses ``SourceSection``, taking
+the ``[source]`` keys with their defaults and rules, and
+``events.UmiConfig`` reads its defaults from ``UmiSection``.  Only the rules
 that relate keys to each other (and the ascending order of
 ``sweep.powers_uw``, a second rule on that key) are code, in the
 ``_check_*`` functions and ``_check_references``.  The defaults describe

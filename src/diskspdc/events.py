@@ -109,6 +109,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .config import SourceSection, UmiSection
+
 MAGIC = b"TTPS"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sIH6s")
@@ -137,11 +139,17 @@ class EventFormatError(ValueError):
 @dataclass(frozen=True)
 class UmiConfig:
     """Unbalanced Michelson interferometer settings shared by the signal
-    and idler arms."""
+    and idler arms.
 
-    arm_delay_ns: float = 1.6
-    arm_transmissions: tuple[float, float] = (0.5, 0.5)
-    postselect_window_ps: int = 800
+    Its defaults are [umi]'s, read from config.UmiSection.  It stays a
+    class of its own because it admits more than [umi] does: an arm that
+    does not transmit at all, and an arm delay too short for [umi]'s
+    postselection window."""
+
+    arm_delay_ns: float = UmiSection.arm_delay_ns
+    arm_transmissions: tuple[float, float] = (UmiSection.short_transmission,
+                                              UmiSection.long_transmission)
+    postselect_window_ps: int = int(UmiSection.postselect_window_ps)
 
     def __post_init__(self) -> None:
         if self.arm_delay_ns < 0:
@@ -173,8 +181,12 @@ class UmiConfig:
 
 
 @dataclass(frozen=True)
-class SourceModel:
-    """Pair source, loss chain, and detector parameters.
+class SourceModel(SourceSection):
+    """Pair source, loss chain, and detector parameters: the [source]
+    keys, with their defaults (the device's) and their rules, inherited
+    from config.SourceSection, and the channels and interferometer a run
+    puts them behind.  coincidence_window_ps is inherited but generation
+    does not read it.
 
     Rates are MHz per uW of pump power; losses are per-arm lists of dB
     stages applied before a common detector efficiency.  saturation_rate_mhz
@@ -192,40 +204,19 @@ class SourceModel:
     jitter at its ends.  The renewal source jitters each photon.
     """
 
-    pump_power_uw: float = 1.0
-    pgr_slope_mhz_per_uw: float = 5.13
-    saturation_rate_mhz: float | None = None
-    pair_lifetime_ps: float = 200.0
-    signal_losses_db: tuple[float, ...] = ()
-    idler_losses_db: tuple[float, ...] = ()
-    detector_efficiency: float = 0.85
-    dark_rate_hz: float = 100.0
-    jitter_sigma_ps: float = 40.0
-    min_pair_spacing_ps: float = 0.0
-    idler_delay_sign: int = +1
     signal_channels: tuple[int, ...] = (0,)
     idler_channels: tuple[int, ...] = (1,)
     interferometer: UmiConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.pump_power_uw < 0:
-            raise ValueError("pump_power_uw must be >= 0")
-        if self.pgr_slope_mhz_per_uw <= 0:
-            raise ValueError("pgr_slope_mhz_per_uw must be positive")
-        if self.saturation_rate_mhz is not None and self.saturation_rate_mhz <= 0:
-            raise ValueError("saturation_rate_mhz must be positive")
-        if self.pair_lifetime_ps <= 0:
-            raise ValueError("pair_lifetime_ps must be positive")
-        if not 0 < self.detector_efficiency <= 1:
-            raise ValueError("detector_efficiency must lie in (0, 1]")
-        if self.dark_rate_hz < 0:
-            raise ValueError("dark_rate_hz must be >= 0")
-        if self.jitter_sigma_ps < 0:
-            raise ValueError("jitter_sigma_ps must be >= 0")
-        if self.min_pair_spacing_ps < 0:
-            raise ValueError("min_pair_spacing_ps must be >= 0")
-        for losses_db in (self.signal_losses_db, self.idler_losses_db):
-            arm_transmission(losses_db)
+        for f in dataclasses.fields(SourceSection):
+            opt, value = f.metadata["option"], getattr(self, f.name)
+            if opt.rule is None or (value is None and opt.kind.endswith("?")):
+                continue
+            if not opt.rule.test(value):
+                raise ValueError(f"{f.name} {opt.rule.message} "
+                                 f"(got {value!r})")
+        # the config holds idler_delay_sign to -1 or 1 by its kind, not a rule
         if self.idler_delay_sign not in (-1, +1):
             raise ValueError("idler_delay_sign must be +1 or -1")
         if not self.signal_channels or not self.idler_channels:

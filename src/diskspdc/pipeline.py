@@ -200,24 +200,19 @@ def build_source(cfg: RunConfig, pump_power_uw: float | None = None,
                  losses_db=None, saturation: bool = True,
                  signal_channels=(0,), idler_channels=(1,),
                  interferometer: UmiConfig | None = None) -> SourceModel:
-    s = cfg.source
-    return SourceModel(
-        pump_power_uw=s.pump_power_uw if pump_power_uw is None
-        else pump_power_uw,
-        pgr_slope_mhz_per_uw=s.pgr_slope_mhz_per_uw,
-        saturation_rate_mhz=s.saturation_rate_mhz if saturation else None,
-        pair_lifetime_ps=s.pair_lifetime_ps,
-        signal_losses_db=tuple(s.signal_losses_db if losses_db is None
-                               else losses_db),
-        idler_losses_db=tuple(s.idler_losses_db if losses_db is None
-                              else losses_db),
-        detector_efficiency=s.detector_efficiency,
-        dark_rate_hz=s.dark_rate_hz,
-        jitter_sigma_ps=s.jitter_sigma_ps,
-        min_pair_spacing_ps=s.min_pair_spacing_ps,
-        idler_delay_sign=s.idler_delay_sign,
+    """The [source] section as a model, with what the caller passes in
+    place of its keys: a pump power, one loss chain for both arms, or
+    saturation=False for a linear rate."""
+    given = vars(cfg.source) | dict(
         signal_channels=tuple(signal_channels),
         idler_channels=tuple(idler_channels), interferometer=interferometer)
+    if pump_power_uw is not None:
+        given["pump_power_uw"] = pump_power_uw
+    if losses_db is not None:
+        given["signal_losses_db"] = given["idler_losses_db"] = tuple(losses_db)
+    if not saturation:
+        given["saturation_rate_mhz"] = None
+    return SourceModel(**given)
 
 
 def channel_pair_rate_hz(cfg: RunConfig, pump_power_uw: float) -> float:

@@ -5,7 +5,9 @@ merge: merged joins the merged blocks that write_events writes, and
 from_merged splits a merged sequence by brute force.  short_blocks makes
 generation draw blocks of a few events, and lets a drawn stream's shards
 be one block long; handed counts the events a drawn stream's blocks hand
-across their edges.  reference_routes redraws the interferometer routes
+across their edges.  source_model builds a SourceModel from the tests'
+defaults (TEST_SOURCE) in place of the device's: one uW of pump, a linear
+rate and lossless arms.  reference_routes redraws the interferometer routes
 that franson.apply_umi gives a stream, which carries times only.
 """
 
@@ -14,7 +16,15 @@ from unittest import mock
 import numpy as np
 
 from diskspdc import events
-from diskspdc.events import EventStream
+from diskspdc.events import EventStream, SourceModel
+
+TEST_SOURCE = dict(pump_power_uw=1.0, saturation_rate_mhz=None,
+                   signal_losses_db=(), idler_losses_db=())
+
+
+def source_model(**kw):
+    """A SourceModel with the tests' defaults, TEST_SOURCE, under kw."""
+    return SourceModel(**(TEST_SOURCE | kw))
 
 
 def merged(stream):

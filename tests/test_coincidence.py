@@ -7,8 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from diskspdc import tcspc
-from diskspdc.events import (EventStream, SourceModel, generate_events,
-                             summed)
+from diskspdc.events import EventStream, generate_events, summed
 from diskspdc.franson import UmiConfig, peak_areas, peak_areas_span
 from diskspdc.tcspc import (
     car_closed_form,
@@ -23,7 +22,7 @@ from diskspdc.tcspc import (
     window_counts,
 )
 
-from streams import from_merged
+from streams import from_merged, source_model
 
 # analytic values frozen from the independent script
 CAR_718K_800 = 1740.9470752089137            # 1/(r w), unit capture
@@ -97,9 +96,9 @@ def test_two_fold_metrics_on_synthetic_pairs():
 
 
 def test_two_fold_metrics_monte_carlo():
-    m = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=2.0,
-                    detector_efficiency=1.0, dark_rate_hz=0.0,
-                    jitter_sigma_ps=0.0)
+    m = source_model(pump_power_uw=1.0, pgr_slope_mhz_per_uw=2.0,
+                     detector_efficiency=1.0, dark_rate_hz=0.0,
+                     jitter_sigma_ps=0.0)
     s = generate_events(m, 0.5, seed=33)
     r = two_fold_metrics(s, window_ps=2400)
     # capture(2400 ps, 200 ps lifetime) = 1 - exp(-6), accidental floor r*w
@@ -163,11 +162,11 @@ def test_poisson_heralded_g2_values():
 
 
 def test_heralded_g2_zero_for_single_pair_source():
-    m = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=0.2,
-                    min_pair_spacing_ps=1e6, pair_lifetime_ps=20.0,
-                    detector_efficiency=1.0, dark_rate_hz=0.0,
-                    jitter_sigma_ps=0.0, signal_channels=(0, 2),
-                    idler_channels=(1,))
+    m = source_model(pump_power_uw=1.0, pgr_slope_mhz_per_uw=0.2,
+                     min_pair_spacing_ps=1e6, pair_lifetime_ps=20.0,
+                     detector_efficiency=1.0, dark_rate_hz=0.0,
+                     jitter_sigma_ps=0.0, signal_channels=(0, 2),
+                     idler_channels=(1,))
     s = generate_events(m, 0.5, seed=55)
     out = heralded_g2(s, np.array([0.0]), window_ps=800)
     assert out["n_idler"][0] > 10_000

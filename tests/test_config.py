@@ -1,6 +1,7 @@
 import dataclasses
 import inspect
 import os
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -29,6 +30,7 @@ from diskspdc.config import (
     parse_config,
     serialize_config,
 )
+from diskspdc.events import SourceModel
 from diskspdc.tcspc import two_fold_metrics
 
 
@@ -430,3 +432,15 @@ def test_rejected_values_name_key_and_line(name, key, data):
         parse_config(text, source="x.cfg")
     assert str(err.value).startswith(
         f"x.cfg:{_line_of(text, name, key)}: {name}.{key} {opt.rule.message}")
+
+
+@pytest.mark.parametrize("key", [k for name, k in RULED_KEYS
+                                 if name == "source"])
+@settings(max_examples=20)
+@given(data=st.data())
+def test_the_model_rejects_what_the_config_rejects(key, data):
+    # SourceModel takes its rules from [source]'s declarations
+    rule = SCHEMA["source"].options[key].rule
+    named = "^" + re.escape(f"{key} {rule.message}")
+    with pytest.raises(ValueError, match=named):
+        SourceModel(**{key: data.draw(REJECTED[rule])})

@@ -45,7 +45,7 @@ from diskspdc.events import (
     write_events,
 )
 
-from streams import handed, merged, short_blocks
+from streams import handed, merged, short_blocks, source_model
 
 
 # --- whole-stream references ------------------------------------------------
@@ -220,7 +220,7 @@ def source_models(draw):
         idler_channels=tuple(chans[n_s:n_s + n_i]),
         interferometer=draw(st.sampled_from([
             None, None, UmiConfig(), UmiConfig(arm_delay_ns=0.05,
-                                               arm_transmissions=(0.3, 0.6)),
+                                                arm_transmissions=(0.3, 0.6)),
             UmiConfig(arm_delay_ns=0.2, arm_transmissions=(0.0, 1.0))])))
 
 
@@ -238,16 +238,16 @@ def assert_same_stream(got, want):
 # handed down, and those the Gaussian part of their delay puts after
 # their signal are handed up
 ACROSS_EDGES = dict(
-    model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
-                      idler_delay_sign=-1),
+    model=source_model(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                       idler_delay_sign=-1),
     duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 12)
 # 10 ns of jitter, three idler channels and darks over two blocks of
 # 2^16 ps: idlers, led by their signals, are handed both ways
 WIDE_JITTER = dict(
-    model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
-                      dark_rate_hz=3e9, jitter_sigma_ps=1e4,
-                      idler_delay_sign=-1, signal_channels=(4, 0),
-                      idler_channels=(1, 3, 2)),
+    model=source_model(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                       dark_rate_hz=3e9, jitter_sigma_ps=1e4,
+                       idler_delay_sign=-1, signal_channels=(4, 0),
+                       idler_channels=(1, 3, 2)),
     duration_s=1e-7, seed=5, block_events=3, min_block_ps=2 ** 16)
 
 
@@ -258,16 +258,16 @@ WIDE_JITTER = dict(
        block_events=st.sampled_from([1, 7, 1 << 18]),
        min_block_ps=st.sampled_from([1, 2 ** 10, 2 ** 16]))
 # every example is at most 1,024 blocks, so none is skipped
-@example(model=SourceModel(pump_power_uw=0.0, dark_rate_hz=2e10),
+@example(model=source_model(pump_power_uw=0.0, dark_rate_hz=2e10),
          duration_s=1e-9, seed=3, block_events=2, min_block_ps=1)
 @example(**WIDE_JITTER)
-@example(model=SourceModel(min_pair_spacing_ps=1e4, pgr_slope_mhz_per_uw=100),
+@example(model=source_model(min_pair_spacing_ps=1e4, pgr_slope_mhz_per_uw=100),
          duration_s=0.0, seed=1, block_events=2, min_block_ps=1)
-@example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
-                           pair_lifetime_ps=1e5),
+@example(model=source_model(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                            pair_lifetime_ps=1e5),
          duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 10)
-@example(model=SourceModel(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
-                           pair_lifetime_ps=1e5, idler_delay_sign=-1),
+@example(model=source_model(pump_power_uw=40.0, pgr_slope_mhz_per_uw=500.0,
+                            pair_lifetime_ps=1e5, idler_delay_sign=-1),
          duration_s=1e-6, seed=2, block_events=7, min_block_ps=2 ** 10)
 @example(**ACROSS_EDGES)
 def test_generation_matches_the_whole_stream_reference(
@@ -315,10 +315,10 @@ def test_generation_matches_the_reference_at_scale():
     # the g2 layout (two signal channels) over about 3.5e5 events, in one
     # block, in two and in 1,193 blocks, with 2000 ps of jitter on each
     # pair's idler delay, which carries idlers across block edges both ways
-    model = SourceModel(pump_power_uw=2.0, pgr_slope_mhz_per_uw=5.13,
-                        detector_efficiency=0.85, dark_rate_hz=1e5,
-                        jitter_sigma_ps=2000.0,
-                        signal_channels=(0, 2), idler_channels=(1,))
+    model = source_model(pump_power_uw=2.0, pgr_slope_mhz_per_uw=5.13,
+                         detector_efficiency=0.85, dark_rate_hz=1e5,
+                         jitter_sigma_ps=2000.0,
+                         signal_channels=(0, 2), idler_channels=(1,))
     for blocks, n_blocks in (((1 << 20, 1 << 30), 1),
                              ((1 << 18, 1 << 30), 2),
                              ((1 << 8, 1 << 20), 1193)):
@@ -335,7 +335,7 @@ def test_generation_matches_the_reference_at_scale():
 
 def test_block_length_is_sized_from_the_rate():
     for pump, n_blocks in ((0.001, 1), (0.46, 117), (2.0, 466)):
-        model = SourceModel(pump_power_uw=pump, detector_efficiency=0.95)
+        model = source_model(pump_power_uw=pump, detector_efficiency=0.95)
         duration_ps, block, n = events._plan(model, 2.0)
         assert n == n_blocks and n == -(-duration_ps // block)
         if n > 1:
@@ -345,16 +345,16 @@ def test_block_length_is_sized_from_the_rate():
             assert events._BLOCK_EVENTS / 2 ** 0.5 <= per_block \
                 <= events._BLOCK_EVENTS * 2 ** 0.5
     # a source too bright for the floor keeps 2^30 ps blocks
-    bright = SourceModel(pump_power_uw=1e3, detector_efficiency=1.0)
+    bright = source_model(pump_power_uw=1e3, detector_efficiency=1.0)
     assert events._plan(bright, 0.01)[1] == 1 << 30
     # the renewal source is one block, whatever its rate
-    assert events._plan(SourceModel(pump_power_uw=1e3,
-                                    min_pair_spacing_ps=1.0), 2.0)[2] == 1
+    assert events._plan(source_model(pump_power_uw=1e3,
+                                     min_pair_spacing_ps=1.0), 2.0)[2] == 1
 
 
 def test_blocks_drawn_in_any_order_give_the_same_stream(tmp_path):
-    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5,
-                        signal_channels=(0, 2), idler_channels=(1,))
+    model = source_model(pump_power_uw=2.0, dark_rate_hz=1e5,
+                         signal_channels=(0, 2), idler_channels=(1,))
     draws = events._Draws.of(model)
 
     def stream_and_file(order_seed):
@@ -393,14 +393,14 @@ def test_displacement_past_a_neighbour_exits_3(tmp_path):
     cfg.write_text("[source]\npump_power_uw = 1.0\nsignal_losses_db = 0.0\n"
                    "idler_losses_db = 0.0\npair_lifetime_ps = 1e11\n")
     assert main(["coinc", "-c", str(cfg), "--duration", "0.1"]) == 3
-    model = SourceModel(pump_power_uw=1.0, pair_lifetime_ps=1e11)
+    model = source_model(pump_power_uw=1.0, pair_lifetime_ps=1e11)
     assert events._plan(model, 0.1)[1] == 1 << 33
     with pytest.raises(ValueError, match="past its neighbours"):
         generate_events(model, 0.1, 1)
 
 
 def test_renewal_source_of_zero_duration_is_empty():
-    s = generate_events(SourceModel(min_pair_spacing_ps=10.0), 0.0, seed=1)
+    s = generate_events(source_model(min_pair_spacing_ps=10.0), 0.0, seed=1)
     assert len(s) == 0 and s.n_pairs_generated == 0
 
 
@@ -412,8 +412,8 @@ def noop_hook(*args):
 def test_generation_runs_under_a_trace_hook(install, capsys):
     # ndarray.resize's reference check failed under any trace or profile
     # hook (cProfile, pdb, coverage); nothing in generation resizes now
-    model = SourceModel(pump_power_uw=1.0, dark_rate_hz=1e6,
-                        signal_channels=(0, 2), idler_channels=(1,))
+    model = source_model(pump_power_uw=1.0, dark_rate_hz=1e6,
+                         signal_channels=(0, 2), idler_channels=(1,))
     want = generate_events(model, 1e-3, 11)
     install(noop_hook)
     try:
@@ -607,9 +607,9 @@ def assert_block_generation_peak_is_flat(signal_channels):
     """Drawing the blocks holds about three of them, whatever the duration.
     The whole-stream generator took 32 B per event, and the one it replaced
     up to 14 B."""
-    model = SourceModel(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
-                        detector_efficiency=0.9, dark_rate_hz=1e4,
-                        signal_channels=signal_channels, idler_channels=(1,))
+    model = source_model(pump_power_uw=10.0, pgr_slope_mhz_per_uw=5.13,
+                         detector_efficiency=0.9, dark_rate_hz=1e4,
+                         signal_channels=signal_channels, idler_channels=(1,))
     counts, peaks = [], []
     with short_blocks(1 << 12, 1 << 20):
         for d in (0.002, 0.008):
@@ -637,7 +637,7 @@ def test_a_drawn_block_casts_its_times_in_place():
     # and casts each buffer to int64 in its own memory: the cast it
     # replaced held a channel's int64 copy too, 1.2 MB here.  A first draw
     # sets up numpy's generators, which tracemalloc would count
-    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5)
+    model = source_model(pump_power_uw=2.0, dark_rate_hz=1e5)
     draws = events._Draws.of(model)
     events._drawn_block(draws, 3, 0, 0, 1 << 20)
     (split, times, _, _), peak = traced_peak(
@@ -673,10 +673,10 @@ def test_drawn_blocks_cast_in_chunks_match_the_reference(umi, length_ps,
     # block's start; a 2^53 ps block draws times up to 2^53.  Chunks of 7
     # events cut every channel many times
     monkeypatch.setattr(events, "_CAST_EVENTS", 7)
-    model = SourceModel(pump_power_uw=40.0 / length_ps * 2 ** 22,
-                        pgr_slope_mhz_per_uw=500.0, pair_lifetime_ps=1e5,
-                        dark_rate_hz=2e12 / length_ps, idler_delay_sign=-1,
-                        interferometer=umi)
+    model = source_model(pump_power_uw=40.0 / length_ps * 2 ** 22,
+                         pgr_slope_mhz_per_uw=500.0, pair_lifetime_ps=1e5,
+                         dark_rate_hz=2e12 / length_ps, idler_delay_sign=-1,
+                         interferometer=umi)
     start = 5 * length_ps
     split, times, detected, dark = events._drawn_block(
         events._Draws.of(model), 9, 5, start, length_ps)
@@ -697,9 +697,9 @@ def test_drawn_blocks_cast_in_chunks_match_the_reference(umi, length_ps,
 def test_generated_channels_own_int64_buffers(signal_channels):
     # 1 us of jitter on each pair's idler delay carries idlers across the
     # short blocks' edges both ways, so a channel joins handed events too
-    model = SourceModel(pump_power_uw=1.0, dark_rate_hz=1e6,
-                        jitter_sigma_ps=1e6, idler_delay_sign=-1,
-                        signal_channels=signal_channels, idler_channels=(1,))
+    model = source_model(pump_power_uw=1.0, dark_rate_hz=1e6,
+                         jitter_sigma_ps=1e6, idler_delay_sign=-1,
+                         signal_channels=signal_channels, idler_channels=(1,))
     for blocks in ((1 << 18, 1 << 30), (1 << 10, 1 << 20)):
         with short_blocks(*blocks):
             stream = generate_events(model, 1e-3, 11)
@@ -746,7 +746,7 @@ def test_file_io_peak_does_not_grow_with_the_stream(tmp_path, monkeypatch):
 def test_writing_blocks_peak_does_not_grow_with_the_stream(tmp_path):
     # simulate's path: the blocks go straight to the file, so writing holds
     # about three generation blocks and one merged block
-    model = SourceModel(pump_power_uw=10.0, detector_efficiency=0.9)
+    model = source_model(pump_power_uw=10.0, detector_efficiency=0.9)
     peaks = []
     with short_blocks(1 << 12, 1 << 20):
         for d in (0.002, 0.008):
@@ -813,7 +813,7 @@ def test_block_writer_matches_the_merged_writer(tmp_path_factory, stream,
 
 @pytest.mark.parametrize("name", ["e.ttps", "e.csv"])
 def test_writer_returns_the_summed_truth_of_its_blocks(tmp_path, name):
-    model = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8)
+    model = source_model(pump_power_uw=100.0, dark_rate_hz=1e8)
     with short_blocks(8, 1 << 12):
         blocks = list(event_blocks(model, 1e-7, 3))
         truth = write_events(iter(blocks), tmp_path / name)

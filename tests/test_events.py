@@ -11,7 +11,6 @@ from diskspdc.cli import main
 from diskspdc.events import (
     EventFormatError,
     EventStream,
-    SourceModel,
     arm_transmission,
     generate_events,
     read_events,
@@ -20,7 +19,8 @@ from diskspdc.events import (
 from diskspdc.franson import UmiConfig, apply_umi
 from diskspdc.tcspc import delay_histogram
 
-from streams import from_merged, merged, reference_routes, short_blocks
+from streams import (from_merged, merged, reference_routes, short_blocks,
+                     source_model)
 
 # saturating rate law at 27.3 uW, slope 5.13 MHz/uW, ceiling 5385 MHz,
 # frozen from 140.049 / (1 + 140.049/5385)
@@ -29,18 +29,16 @@ RATE_AT_27P3 = 136.49903647913348
 
 def quiet_model(**kw):
     """Lossless, jitter-free, dark-free defaults for deterministic checks."""
-    base = dict(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1.0,
-                detector_efficiency=1.0, dark_rate_hz=0.0,
-                jitter_sigma_ps=0.0)
-    base.update(kw)
-    return SourceModel(**base)
+    return source_model(**(dict(pgr_slope_mhz_per_uw=1.0,
+                                detector_efficiency=1.0, dark_rate_hz=0.0,
+                                jitter_sigma_ps=0.0) | kw))
 
 
 def test_saturating_rate_law():
-    m = SourceModel(pump_power_uw=27.3, pgr_slope_mhz_per_uw=5.13,
-                    saturation_rate_mhz=5385.0)
+    m = source_model(pump_power_uw=27.3, pgr_slope_mhz_per_uw=5.13,
+                     saturation_rate_mhz=5385.0)
     assert m.pair_rate_mhz == pytest.approx(RATE_AT_27P3, rel=1e-12)
-    linear = SourceModel(pump_power_uw=27.3, pgr_slope_mhz_per_uw=5.13)
+    linear = source_model(pump_power_uw=27.3, pgr_slope_mhz_per_uw=5.13)
     assert linear.pair_rate_mhz == pytest.approx(5.13 * 27.3, rel=1e-12)
 
 
@@ -63,27 +61,27 @@ def test_arm_transmission():
 
 def test_model_validation():
     with pytest.raises(ValueError):
-        SourceModel(pump_power_uw=-1.0)
+        source_model(pump_power_uw=-1.0)
     with pytest.raises(ValueError):
-        SourceModel(pgr_slope_mhz_per_uw=0.0)
+        source_model(pgr_slope_mhz_per_uw=0.0)
     with pytest.raises(ValueError):
-        SourceModel(pair_lifetime_ps=0.0)
+        source_model(pair_lifetime_ps=0.0)
     with pytest.raises(ValueError):
-        SourceModel(detector_efficiency=0.0)
+        source_model(detector_efficiency=0.0)
     with pytest.raises(ValueError):
-        SourceModel(idler_delay_sign=0)
+        source_model(idler_delay_sign=0)
     with pytest.raises(ValueError, match="min_pair_spacing_ps"):
-        SourceModel(min_pair_spacing_ps=-5.0)
-    with pytest.raises(ValueError, match="stage losses"):
-        SourceModel(signal_losses_db=(-3.0, 5.0))
-    with pytest.raises(ValueError, match="stage losses"):
-        SourceModel(idler_losses_db=(1.0, -0.5))
+        source_model(min_pair_spacing_ps=-5.0)
+    with pytest.raises(ValueError, match="signal_losses_db"):
+        source_model(signal_losses_db=(-3.0, 5.0))
+    with pytest.raises(ValueError, match="idler_losses_db"):
+        source_model(idler_losses_db=(1.0, -0.5))
     with pytest.raises(ValueError):
-        SourceModel(signal_channels=(0,), idler_channels=(0,))
+        source_model(signal_channels=(0,), idler_channels=(0,))
     with pytest.raises(ValueError):
-        SourceModel(signal_channels=())
+        source_model(signal_channels=())
     with pytest.raises(ValueError):
-        SourceModel(signal_channels=(0, 300), idler_channels=(1,))
+        source_model(signal_channels=(0, 300), idler_channels=(1,))
 
 
 def test_generation_is_deterministic_across_chunks():
@@ -117,7 +115,7 @@ def test_stream_is_sorted_and_in_range():
 def test_rounded_timestamps_stay_below_duration():
     # 20 GHz of darks in 1 ns: rounding can reach t == duration_ps, which
     # the cut on the rounded integer times must drop
-    m = SourceModel(pump_power_uw=0, dark_rate_hz=2e10)
+    m = source_model(pump_power_uw=0, dark_rate_hz=2e10)
     for seed in range(200):
         s = generate_events(m, 1e-9, seed=seed)
         times = merged(s)[1]
@@ -512,10 +510,10 @@ def test_pair_delays_follow_the_closed_form(sign):
 
 # 1e12 pairs/s through 20 dB on each arm: 99 % of each channel's events
 # are photons detected alone, 1e10/s, beside 1e9 darks/s, jittered by 1 ns
-SINGLES = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1e6,
-                      signal_losses_db=(20.0,), idler_losses_db=(20.0,),
-                      detector_efficiency=1.0, dark_rate_hz=1e9,
-                      jitter_sigma_ps=1000.0)
+SINGLES = source_model(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1e6,
+                       signal_losses_db=(20.0,), idler_losses_db=(20.0,),
+                       detector_efficiency=1.0, dark_rate_hz=1e9,
+                       jitter_sigma_ps=1000.0)
 
 
 def test_singles_are_flat_across_block_edges_and_to_both_ends():
@@ -560,12 +558,12 @@ def test_only_pair_idlers_leave_their_blocks(sign):
     # rounded to the next block's start, and none is clipped.  The idler
     # channel's clipped events are pair idlers delayed outside [0,
     # duration): R_both * E|delay| of them
-    m = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1e4,
-                    signal_losses_db=(3.0,), idler_losses_db=(3.0,),
-                    detector_efficiency=1.0, dark_rate_hz=1e9,
-                    jitter_sigma_ps=1000.0, pair_lifetime_ps=2e4,
-                    idler_delay_sign=sign, signal_channels=(0, 2),
-                    idler_channels=(1,))
+    m = source_model(pump_power_uw=1.0, pgr_slope_mhz_per_uw=1e4,
+                     signal_losses_db=(3.0,), idler_losses_db=(3.0,),
+                     detector_efficiency=1.0, dark_rate_hz=1e9,
+                     jitter_sigma_ps=1000.0, pair_lifetime_ps=2e4,
+                     idler_delay_sign=sign, signal_channels=(0, 2),
+                     idler_channels=(1,))
     with short_blocks(1 << 14, 1 << 20):
         duration_ps, block, n_blocks = events._plan(m, 1e-5)
         assert n_blocks > 5

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from diskspdc import events, pipeline
 from diskspdc.config import InvariantError, parse_config
-from diskspdc.events import (EventStream, SourceModel, block_shards,
-                             event_blocks, generate_events, summed)
+from diskspdc.events import (EventStream, block_shards, event_blocks,
+                             generate_events, summed)
 from diskspdc.franson import (
     FitError,
     UmiConfig,
@@ -23,15 +23,15 @@ from diskspdc.franson import (
 from diskspdc.tcspc import (PairFold, delay_histogram, fold_delays,
                             two_fold_metrics, two_fold_span, window_edges)
 
-from streams import merged, reference_routes, short_blocks
+from streams import merged, reference_routes, short_blocks, source_model
 
 CFG = UmiConfig()  # 1.6 ns arms, balanced splitter
 
 
 def pair_stream(duration_s=0.5, rate_mhz=0.2, lifetime_ps=1.0, seed=7):
-    m = SourceModel(pump_power_uw=1.0, pgr_slope_mhz_per_uw=rate_mhz,
-                    pair_lifetime_ps=lifetime_ps, detector_efficiency=1.0,
-                    dark_rate_hz=0.0, jitter_sigma_ps=0.0)
+    m = source_model(pump_power_uw=1.0, pgr_slope_mhz_per_uw=rate_mhz,
+                     pair_lifetime_ps=lifetime_ps, detector_efficiency=1.0,
+                     dark_rate_hz=0.0, jitter_sigma_ps=0.0)
     return generate_events(m, duration_s, seed=seed)
 
 
@@ -159,8 +159,8 @@ def test_central_peak_pairs_same_path():
 
 
 # a busy source in blocks of about eight events, at least 4096 ps long
-BUSY = SourceModel(pump_power_uw=100.0, dark_rate_hz=1e8,
-                   signal_channels=(0, 2), idler_channels=(1,))
+BUSY = source_model(pump_power_uw=100.0, dark_rate_hz=1e8,
+                    signal_channels=(0, 2), idler_channels=(1,))
 
 
 def drawn_block(model, seed, k, start_ps, length_ps):

@@ -1,10 +1,12 @@
+import dataclasses
 import math
 import os
 
 import numpy as np
 import pytest
 
-from diskspdc.config import default_config, parse_config
+from diskspdc.config import SourceSection, default_config, parse_config
+from diskspdc.events import SourceModel
 from diskspdc.franson import extract_visibility
 from diskspdc.pipeline import (_ramp_reference_nm, build_system,
                                channel_pair_rate_hz, derive_seed,
@@ -114,6 +116,72 @@ def test_channel_pair_rate_tracks_source():
         linear = slope * power
         expected = linear / (1.0 + linear / sat) * 1e6 * 0.0178
         assert channel_pair_rate_hz(cfg, power) == pytest.approx(expected)
+
+
+# a value other than the default, and admitted by the config, for every
+# [source] key but coincidence_window_ps, which generation does not read
+OTHER_SOURCE = {
+    "pump_power_uw": "12.5",
+    "pgr_slope_mhz_per_uw": "4.5",
+    "saturation_rate_mhz": "900",
+    "pair_lifetime_ps": "120",
+    "signal_losses_db": "1.5, 2.5",
+    "idler_losses_db": "0.5",
+    "detector_efficiency": "0.5",
+    "dark_rate_hz": "250",
+    "jitter_sigma_ps": "15",
+    "min_pair_spacing_ps": "1",
+    "idler_delay_sign": "-1",
+}
+
+
+class _Handed(Exception):
+    """Carries the SourceModel that a run handed on, and stops the run."""
+
+
+def _handed_model(monkeypatch, name, run, *args):
+    """The SourceModel that run(*args) hands to pipeline.<name>."""
+    def stop(*handed, **_):
+        raise _Handed(*(a for a in handed if isinstance(a, SourceModel)))
+
+    monkeypatch.setattr(pipeline, "_cpus", lambda: 1)
+    monkeypatch.setattr(pipeline, name, stop)
+    with pytest.raises(_Handed) as handed:
+        run(*args)
+    (model,) = handed.value.args
+    return model
+
+
+@pytest.mark.parametrize("key", [f.name for f in dataclasses.fields(
+    SourceSection) if f.name != "coincidence_window_ps"])
+def test_every_source_key_reaches_the_model(monkeypatch, key):
+    # build_source carries each [source] key, and each caller that
+    # overrides some of them changes only those; a key added without an
+    # OTHER_SOURCE value fails here
+    cfg = parse_config(f"[source]\n{key} = {OTHER_SOURCE[key]}\n")
+    assert getattr(cfg.source, key) != getattr(default_config().source, key)
+
+    def assert_carries(model, **overridden):
+        want = vars(cfg.source) | overridden
+        assert {k: getattr(model, k) for k in want} == want
+
+    slope = cfg.source.pgr_slope_mhz_per_uw
+    assert_carries(pipeline.build_source(cfg))
+    assert_carries(pipeline._channel_source(cfg, 2.5e5),
+                   pump_power_uw=2.5e5 * 1e-6 / slope,
+                   saturation_rate_mhz=None)
+    power, losses = cfg.sweep.powers_uw[-1], cfg.sweep.losses_db
+    assert_carries(
+        _handed_model(monkeypatch, "event_blocks", pipeline._sweep_point,
+                      (cfg, power, 1)),
+        pump_power_uw=power, saturation_rate_mhz=None,
+        signal_losses_db=losses, idler_losses_db=losses)
+    rate_hz = channel_pair_rate_hz(cfg, cfg.g2.pump_power_uw)
+    assert_carries(
+        _handed_model(monkeypatch, "_drawn_fold", run_g2, cfg),
+        pump_power_uw=rate_hz * 1e-6 / slope, saturation_rate_mhz=None,
+        signal_losses_db=cfg.g2.losses_db, idler_losses_db=cfg.g2.losses_db,
+        signal_channels=(0, 2), idler_channels=(1,))
 
 
 def test_dispersion_ramp():

@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 from diskspdc import events, pipeline
 from diskspdc.cli import main
 from diskspdc.config import parse_config
-from diskspdc.events import (EventFormatError, EventStream, SourceModel,
-                             block_shards, event_blocks, event_parts,
-                             file_shards, read_blocks, summed, write_events)
+from diskspdc.events import (EventFormatError, EventStream, block_shards,
+                             event_blocks, event_parts, file_shards,
+                             read_blocks, summed, write_events)
 from diskspdc.tcspc import (DelayHistogram, fold_delays, fold_heralds,
                             g2_curve, heralded_g2, heralded_g2_span)
 
-from streams import from_merged, handed, short_blocks
+from streams import from_merged, handed, short_blocks, source_model
 
 
 def edges_of(cuts):
@@ -73,9 +73,9 @@ def test_delay_histograms_add_over_one_span():
 # idler delay, Exp(50 ps) plus a Gaussian of 28 ps, hands idlers across
 # block edges, most of them up; signals, photons detected alone and darks
 # stay in their blocks
-BUSY = SourceModel(pump_power_uw=20.0, pgr_slope_mhz_per_uw=1000.0,
-                   dark_rate_hz=2e9, jitter_sigma_ps=20.0,
-                   pair_lifetime_ps=50.0)
+BUSY = source_model(pump_power_uw=20.0, pgr_slope_mhz_per_uw=1000.0,
+                    dark_rate_hz=2e9, jitter_sigma_ps=20.0,
+                    pair_lifetime_ps=50.0)
 BUSY_S = 2e-7
 
 
@@ -370,7 +370,7 @@ def test_shard_counts_follow_blocks_and_cpus(tmp_path):
     # a drawn stream of n blocks, or a .ttps file of n blocks of records,
     # takes max(min(CPUs, n // _SHARD_BLOCKS), 1) shards, cut at the starts
     # of blocks n.j/S, or at the timestamps of records n.j/S
-    model = SourceModel(pump_power_uw=2.0, dark_rate_hz=1e5)
+    model = source_model(pump_power_uw=2.0, dark_rate_hz=1e5)
     path = tmp_path / "e.ttps"
     with short_blocks(1 << 12, 1 << 20):
         _, block, n_blocks = events._plan(model, 0.01)

@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from streams import short_blocks
+from streams import short_blocks, source_model
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -51,10 +51,10 @@ def test_every_declared_layer_metric_is_reported():
 def test_counters_read_what_generation_and_writing_return(tmp_path):
     # the tracer's work counters read a generated stream's pair count and
     # length, and the size of the file write_events wrote
-    from diskspdc.events import SourceModel, generate_events, write_events
+    from diskspdc.events import generate_events, write_events
 
     spans = load_spans()
-    stream = generate_events(SourceModel(pgr_slope_mhz_per_uw=0.1), 0.01,
+    stream = generate_events(source_model(pgr_slope_mhz_per_uw=0.1), 0.01,
                              seed=3)
     t = stream.truth
     span = {}
